@@ -13,9 +13,10 @@ from seven building blocks:
 
 H4 is the supremum over lam > 0 of <x,x>/(r + lam K) + <y,y>/(s + K/lam); it is
 piecewise C^2 with three branches separated by the cuts |y|r - |x|K = 0 and
-|x|s - |y|K = 0.  Everything depends on x, y only through |x|, |y|, which is
-what lets gradients and Hessian quadratic forms be assembled exactly from the
-radial profiles (see `jets`).
+|x|s - |y|K = 0.  Everything depends on x, y only through a = |x|, b = |y|,
+and every block is a^2 alpha(r,s) + b^2 beta(r,s) - 2ab gamma(r,s); values,
+gradients and Hessian quadratic forms are assembled in closed form from those
+coefficient functions and their (r, s) partials (see `_coefficients`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet
 from .coefficients import DEFAULT_COEFFICIENTS
 from .errors import ConfigError, DomainError, InvalidInputError
 
@@ -153,6 +153,115 @@ class EvalResult:
 
 
 # ---------------------------------------------------------------------------
+# one formula source: B = a^2 alpha(r,s) + b^2 beta(r,s) - 2ab gamma(r,s)
+# ---------------------------------------------------------------------------
+#
+# With a = |x|, b = |y| and t = rs, every coefficient of every block is c/r,
+# c/s, s F(t), r F(t) or F(t); for instance 1/(2r - 1/(s(N+1))) equals
+# s/(2t - 1/(N+1)).  So any weighted sum of the blocks has
+#
+#     alpha = Ca/r + s A(t),    beta = Cb/s + r B(t),    gamma = G(t)
+#
+# with Ca, Cb constant on each H4 branch.  A function of t travels as (F,)
+# for the value alone or as (F, F', F''), and the (a, b, r, s) partials
+# follow from the chain rule through t = rs (see `_fill`).
+
+def kn_of_t(t, Q, order=0):
+    """K(t) = sqrt(t/Q)(1 - sqrt(t)/(8 sqrt(Q))) and
+    N(t) = sqrt(t/Q)(1 - t^2/(128 Q^2)), each with its t-derivatives."""
+    st = np.sqrt(t)
+    iq = 1.0 / np.sqrt(Q)
+    rq = st * iq
+    k = rq * (1.0 - st * (iq / 8.0))
+    n = rq * (1.0 - t * t * (iq ** 4 / 128.0))
+    if order == 0:
+        return (k,), (n,)
+    half = (0.5 * iq) / st
+    quarter = half / (2.0 * t)
+    return ((k, half - iq * iq / 8.0, -quarter),
+            (n, half - rq * t * (5.0 * iq ** 4 / 256.0),
+             -quarter - rq * (15.0 * iq ** 4 / 512.0)))
+
+
+def _recip_t(f):
+    """1/F for a function F of t."""
+    inv = 1.0 / f[0]
+    if len(f) == 1:
+        return (inv,)
+    i2 = inv * inv
+    return (inv, -f[1] * i2, (2.0 * f[1] * f[1] * inv - f[2]) * i2)
+
+
+def _lincomb(terms):
+    """sum of c F over (c, F) pairs, slot by slot."""
+    return tuple(sum(c * f[i] for c, f in terms) for i in range(len(terms[0][1])))
+
+
+def _leg_t(t, m):
+    """1/(2t - 1/(M+1)): B2, B3 shrink a leg with it for M = N, B5, B6 for M = K."""
+    p = _recip_t((m[0] + 1.0,) + m[1:])
+    return _recip_t((2.0 * t - p[0],) + ((2.0 - p[1], -p[2]) if len(p) > 1 else ()))
+
+
+def _h4_t(t, k):
+    """1/(t - K^2) and K/(t - K^2), the interior branch of H4."""
+    if len(k) == 1:
+        h = _recip_t((t - k[0] * k[0],))
+        return h, (k[0] * h[0],)
+    (k0, k1, k2), e = k, t - k[0] * k[0]
+    h0, h1, h2 = h = _recip_t((e, 1.0 - 2.0 * k0 * k1, -2.0 * (k1 * k1 + k0 * k2)))
+    return h, (k0 * h0, k1 * h0 + k0 * h1, k2 * h0 + 2.0 * k1 * h1 + k0 * h2)
+
+
+def _branches(a, b, r, s, k):
+    """H4 sign quantities q1 = br - aK, q2 = as - bK and the R1, R2, R3 masks."""
+    q1 = b * r - a * k
+    q2 = a * s - b * k
+    in_r1 = np.logical_and(q1 > 0.0, q2 > 0.0)   # a numpy bool for scalar input too
+    in_r2 = ~in_r1 & (q2 <= 0.0)
+    return q1, q2, (in_r1, in_r2, ~(in_r1 | in_r2))
+
+
+def _coefficients(t, k, n, masks, weights):
+    """(Ca, Cb, A, B, G) of sum_i weights[i] B_i over the six blocks.
+
+    B1 = a^2/r + b^2/s; B2, B3 shrink the a, b leg with N and B5, B6 with K;
+    B4 = H4 is (a^2 s - 2abK + b^2 r)/(t - K^2) in R1, b^2/s in R2, a^2/r in R3.
+    """
+    w1, w2, w3, w4, w5, w6 = weights
+    in_r1, in_r2, in_r3 = masks
+    w = w4 * in_r1
+    h, kh = _h4_t(t, k)
+    a_terms, b_terms = [(w, h)], [(w, h)]
+    for wa, wb, m in ((w2, w3, n), (w5, w6, k)):
+        if wa or wb:
+            leg = _leg_t(t, m)
+            a_terms.append((wa, leg))
+            b_terms.append((wb, leg))
+    A = _lincomb(a_terms)
+    B = A if (w2, w5) == (w3, w6) else _lincomb(b_terms)
+    return (w1 + w3 + w6 + w4 * in_r3, w1 + w2 + w5 + w4 * in_r2, A, B,
+            tuple(w * f for f in kh))
+
+
+def _value(a, b, r, s, k, n, weights):
+    """a^2 alpha + b^2 beta - 2ab gamma for the weighted block sum."""
+    t = r * s
+    ca, cb, A, B, G = _coefficients(t, k, n, _branches(a, b, r, s, k[0])[2], weights)
+    return (a * a * (ca * (1.0 / r) + s * A[0]) + b * b * (cb * (1.0 / s) + r * B[0])
+            - 2.0 * a * b * G[0])
+
+
+def _block_weights(cfg):
+    c1, c2, c3, c7 = cfg.coefficients
+    return (c1, c2, c3, c7, c7, c7)
+
+
+def _unit_weights(i):
+    return tuple(float(j == i) for j in range(1, 7))
+
+
+# ---------------------------------------------------------------------------
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
@@ -167,14 +276,12 @@ def _check_rs(r, s, Q):
 
 def eval_K(r, s, Q):
     """K(r,s) = sqrt(rs/Q) (1 - sqrt(rs)/(8 sqrt(Q)));  0 <= K < sqrt(rs/Q) <= 1."""
-    t = _check_rs(r, s, Q)
-    return np.sqrt(t / Q) * (1.0 - np.sqrt(t) / (8.0 * np.sqrt(Q)))
+    return kn_of_t(_check_rs(r, s, Q), Q)[0][0]
 
 
 def eval_N(r, s, Q):
     """N(r,s) = sqrt(rs/Q) (1 - (rs)^2/(128 Q^2));  0 <= N < sqrt(rs/Q) <= 1."""
-    t = _check_rs(r, s, Q)
-    return np.sqrt(t / Q) * (1.0 - t * t / (128.0 * Q * Q))
+    return kn_of_t(_check_rs(r, s, Q), Q)[1][0]
 
 
 def eval_M(r, s, Q):
@@ -196,21 +303,20 @@ def eval_B1(V: StatePoint) -> float:
     return float(V.x @ V.x / V.r + V.y @ V.y / V.s)
 
 
-def _require_in_dq(V, cfg):
+def _block_value(V, cfg, i):
+    """Value of the block B_i (i = 2..6) alone at V in D_Q."""
     if not domain_check(V, cfg).in_DQ:
         raise DomainError(f"point with rs={V.r * V.s} not in D_Q for Q={cfg.Q}")
+    k, n = kn_of_t(V.r * V.s, cfg.Q)
+    return float(_value(V.xnorm, V.ynorm, V.r, V.s, k, n, _unit_weights(i)))
 
 
 def eval_B2(V: StatePoint, cfg: BellmanConfig) -> float:
-    _require_in_dq(V, cfg)
-    n = eval_N(V.r, V.s, cfg.Q)
-    return float(V.x @ V.x / (2.0 * V.r - 1.0 / (V.s * (n + 1.0))) + V.y @ V.y / V.s)
+    return _block_value(V, cfg, 2)
 
 
 def eval_B3(V: StatePoint, cfg: BellmanConfig) -> float:
-    _require_in_dq(V, cfg)
-    n = eval_N(V.r, V.s, cfg.Q)
-    return float(V.x @ V.x / V.r + V.y @ V.y / (2.0 * V.s - 1.0 / (V.r * (n + 1.0))))
+    return _block_value(V, cfg, 3)
 
 
 def classify_region(x, y, r, s, K, cut_tolerance=CUT_TOLERANCE) -> Region:
@@ -225,54 +331,43 @@ def classify_region(x, y, r, s, K, cut_tolerance=CUT_TOLERANCE) -> Region:
     """
     a = float(np.linalg.norm(np.atleast_1d(x)))
     b = float(np.linalg.norm(np.atleast_1d(y)))
-    q1 = b * r - a * K
-    q2 = a * s - b * K
-    scale = max(a, b, 1.0)
+    q1, q2, (in_r1, in_r2, _) = _branches(a, b, r, s, K)
     if q1 < 0.0 and q2 < 0.0:
         # the positivity identity a*q2 + b*q1 >= 2ab(sqrt(rs)-K)/sqrt(rs) rules this out
         raise DomainError("both H4 sign quantities negative with x, y nonzero")
-    if min(abs(q1), abs(q2)) < cut_tolerance * scale:
+    if min(abs(q1), abs(q2)) < cut_tolerance * max(a, b, 1.0):
         return Region("CUT")
-    if q1 > 0.0 and q2 > 0.0:
-        return Region("R1")
-    return Region("R2") if q2 <= 0.0 else Region("R3")
+    return Region("R1" if in_r1 else "R2" if in_r2 else "R3")
+
+
+def h4_value(a, b, r, s, K):
+    """H4 at radii a = |x|, b = |y| for a given K, vectorized.
+
+    sup over lam > 0 of a^2/(r + lam K) + b^2/(s + K/lam): the R1 branch
+    (a^2 s - 2abK + b^2 r)/(rs - K^2), b^2/s in R2, a^2/r in R3; the branches
+    agree in the limit at the cuts.
+    """
+    return _value(a, b, r, s, (K,), None, _unit_weights(4))
 
 
 def eval_H4(x, y, r, s, K) -> float:
-    """sup over lam > 0 of <x,x>/(r + lam K) + <y,y>/(s + K/lam).
-
-    Branch values: (<x,x>s - 2|x||y|K + <y,y>r)/(rs - K^2) in R1,
-    <y,y>/s in R2, <x,x>/r in R3; the branches agree in the limit at the cuts.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    """H4 (see `h4_value`) at vector arguments x, y."""
     if K < 0.0 or K * K >= r * s:
         raise DomainError(f"need 0 <= K < sqrt(rs), got K={K}, rs={r * s}")
-    a = float(np.linalg.norm(x))
-    b = float(np.linalg.norm(y))
-    reg = classify_region(x, y, r, s, K)
-    if reg.tag in ("R1", "CUT"):
-        return ((x @ x) * s - 2.0 * a * b * K + (y @ y) * r) / (r * s - K * K)
-    if reg.tag == "R2":
-        return float(y @ y / s)
-    return float(x @ x / r)
+    return float(h4_value(float(np.linalg.norm(np.atleast_1d(x))),
+                          float(np.linalg.norm(np.atleast_1d(y))), r, s, K))
 
 
 def eval_B4(V: StatePoint, cfg: BellmanConfig) -> float:
-    _require_in_dq(V, cfg)
-    return eval_H4(V.x, V.y, V.r, V.s, eval_K(V.r, V.s, cfg.Q))
+    return _block_value(V, cfg, 4)
 
 
 def eval_B5(V: StatePoint, cfg: BellmanConfig) -> float:
-    _require_in_dq(V, cfg)
-    k = eval_K(V.r, V.s, cfg.Q)
-    return float(V.x @ V.x / (2.0 * V.r - 1.0 / (V.s * (k + 1.0))) + V.y @ V.y / V.s)
+    return _block_value(V, cfg, 5)
 
 
 def eval_B6(V: StatePoint, cfg: BellmanConfig) -> float:
-    _require_in_dq(V, cfg)
-    k = eval_K(V.r, V.s, cfg.Q)
-    return float(V.x @ V.x / V.r + V.y @ V.y / (2.0 * V.s - 1.0 / (V.r * (k + 1.0))))
+    return _block_value(V, cfg, 6)
 
 
 def eval_B7(V: StatePoint, cfg: BellmanConfig) -> float:
@@ -311,76 +406,87 @@ class BatchEval:
     cut: np.ndarray
 
 
-def _component_jets(a, b, r, s, Q):
-    """Jets of the seven blocks; returns (phi1..phi6 jets, region, cut masks)."""
-    ja, jb, jr, js = Jet.variables(a, b, r, s)
-    t = jr * js
-    st = t.sqrt()
-    isq = 1.0 / np.sqrt(Q)
-    k = st * isq * (1.0 - st * (isq / 8.0))
-    n = st * isq * (1.0 - t * t * (1.0 / (128.0 * Q * Q)))
-
-    phi1 = ja * ja / jr + jb * jb / js
-    gn2 = (js * (n + 1.0)).reciprocal()
-    gn3 = (jr * (n + 1.0)).reciprocal()
-    phi2 = ja * ja / (2.0 * jr - gn2) + jb * jb / js
-    phi3 = ja * ja / jr + jb * jb / (2.0 * js - gn3)
-    gk2 = (js * (k + 1.0)).reciprocal()
-    gk3 = (jr * (k + 1.0)).reciprocal()
-    phi5 = ja * ja / (2.0 * jr - gk2) + jb * jb / js
-    phi6 = ja * ja / jr + jb * jb / (2.0 * js - gk3)
-
-    q1 = jb.val * jr.val - ja.val * k.val
-    q2 = ja.val * js.val - jb.val * k.val
-    scale = np.maximum(np.maximum(ja.val, jb.val), 1.0)
-    cut = np.minimum(np.abs(q1), np.abs(q2)) < CUT_TOLERANCE * scale
-    in_r1 = (q1 > 0.0) & (q2 > 0.0)
-    region = np.where(in_r1, 1, np.where(q2 <= 0.0, 2, 3))
-
-    h4_r1 = (ja * ja * js - 2.0 * (ja * jb * k) + jb * jb * jr) / (t - k * k)
-    h4_r2 = jb * jb / js
-    h4_r3 = ja * ja / jr
-    phi4 = Jet.where(in_r1, h4_r1, Jet.where(q2 <= 0.0, h4_r2, h4_r3))
-    return phi1, phi2, phi3, phi4, phi5, phi6, region, cut
-
-
 def profile_value(a, b, r, s, cfg):
-    """Value-only fast path (no jets)."""
-    Q = cfg.Q
+    """Value of B on arrays of (|x|, |y|, r, s), without partials."""
+    k, n = kn_of_t(r * s, cfg.Q)
+    return _value(a, b, r, s, k, n, _block_weights(cfg))
+
+
+# points per pass of `_batch`: keeps its temporaries cache-resident
+_CHUNK = 8192
+
+
+def _batch(a, b, r, s, Q, weights):
+    """Value, gradient and Hessian of a weighted block sum, chunk by chunk."""
+    a, b, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, r, s)))
+    shape = a.shape
+    value, region, cut = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
+    g, h = np.empty((4,) + shape), np.empty((4, 4) + shape)
+    for lo in range(0, len(a), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        value[part], region[part], cut[part] = _fill(
+            a[part], b[part], r[part], s[part], Q, weights, g[:, part], h[:, :, part])
+    return BatchEval(a=a, b=b, r=r, s=s, value=value, g=g, h=h, region=region, cut=cut)
+
+
+def _fill(a, b, r, s, Q, weights, g, h):
+    """Write the partials of one chunk into g, h; return value, region, cut.
+
+    With alpha = Ca/r + sA, beta = Cb/s + rB, gamma = G and the shorthands
+    Ea = a s A' - b G', Eb = b r B' - a G', D1 = a Ea + b Eb and
+    D2 = a^2 s A'' + b^2 r B'' - 2ab G'', the chain rule through t = rs gives
+
+        phi_a  = 2(a alpha - b G)           phi_b  = 2(b beta - a G)
+        phi_r  = b^2 B + s D1 - a^2 Ca/r^2  phi_s  = a^2 A + r D1 - b^2 Cb/s^2
+        phi_ar = 2(s Ea - a Ca/r^2)         phi_as = 2(a A + r Ea)
+        phi_br = 2(b B + s Eb)              phi_bs = 2(r Eb - b Cb/s^2)
+        phi_rr = 2(a^2 Ca/r^3 + b^2 s B') + s^2 D2
+        phi_ss = 2(b^2 Cb/s^3 + a^2 r A') + r^2 D2
+        phi_rs = 2(D1 + ab G') + t D2
+
+    and phi_aa = 2 alpha, phi_bb = 2 beta, phi_ab = -2G.
+    """
     t = r * s
-    st = np.sqrt(t)
-    k = st / np.sqrt(Q) * (1.0 - st / (8.0 * np.sqrt(Q)))
-    n = st / np.sqrt(Q) * (1.0 - t * t / (128.0 * Q * Q))
-    b1 = a * a / r + b * b / s
-    b2 = a * a / (2.0 * r - 1.0 / (s * (n + 1.0))) + b * b / s
-    b3 = a * a / r + b * b / (2.0 * s - 1.0 / (r * (n + 1.0)))
-    b5 = a * a / (2.0 * r - 1.0 / (s * (k + 1.0))) + b * b / s
-    b6 = a * a / r + b * b / (2.0 * s - 1.0 / (r * (k + 1.0)))
-    q1 = b * r - a * k
-    q2 = a * s - b * k
-    b4 = np.where((q1 > 0.0) & (q2 > 0.0),
-                  (a * a * s - 2.0 * a * b * k + b * b * r) / (t - k * k),
-                  np.where(q2 <= 0.0, b * b / s, a * a / r))
-    c1, c2, c3, c7 = cfg.coefficients
-    return c1 * b1 + c2 * b2 + c3 * b3 + c7 * (b4 + b5 + b6)
+    k, n = kn_of_t(t, Q, order=2)
+    q1, q2, masks = _branches(a, b, r, s, k[0])
+    ca, cb, (A, A1, A2), (B, B1, B2), (G, G1, G2) = _coefficients(t, k, n, masks, weights)
+    ir, i_s = 1.0 / r, 1.0 / s
+    car, cbs = ca * ir, cb * i_s
+    alpha, beta = car + s * A, cbs + r * B
+    aa, bb, ab = a * a, b * b, a * b
+    ea = a * s * A1 - b * G1
+    eb = b * r * B1 - a * G1
+    d1 = a * ea + b * eb
+    d2 = aa * s * A2 + bb * r * B2 - 2.0 * ab * G2
+    xr, ys = a * car * ir, b * cbs * i_s
+    g[0] = 2.0 * (a * alpha - b * G)
+    g[1] = 2.0 * (b * beta - a * G)
+    g[2] = bb * B + s * d1 - a * xr
+    g[3] = aa * A + r * d1 - b * ys
+    h[0, 0] = 2.0 * alpha
+    h[1, 1] = 2.0 * beta
+    h[0, 1] = h[1, 0] = -2.0 * G
+    h[0, 2] = h[2, 0] = 2.0 * (s * ea - xr)
+    h[0, 3] = h[3, 0] = 2.0 * (a * A + r * ea)
+    h[1, 2] = h[2, 1] = 2.0 * (b * B + s * eb)
+    h[1, 3] = h[3, 1] = 2.0 * (r * eb - ys)
+    h[2, 2] = 2.0 * (a * xr * ir + bb * s * B1) + s * s * d2
+    h[3, 3] = 2.0 * (b * ys * i_s + aa * r * A1) + r * r * d2
+    h[2, 3] = h[3, 2] = 2.0 * (d1 + ab * G1) + t * d2
+    in_r1, in_r2, _ = masks
+    region = np.where(in_r1, 1, np.where(in_r2, 2, 3))
+    cut = np.minimum(np.abs(q1), np.abs(q2)) < CUT_TOLERANCE * np.maximum(np.maximum(a, b), 1.0)
+    return aa * alpha + bb * beta - 2.0 * ab * G, region, cut
 
 
 def evaluate_batch(a, b, r, s, cfg: BellmanConfig) -> BatchEval:
     """B with radial first/second partials on arrays of (|x|, |y|, r, s)."""
-    a, b, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, r, s)))
-    p1, p2, p3, p4, p5, p6, region, cut = _component_jets(a, b, r, s, cfg.Q)
-    c1, c2, c3, c7 = cfg.coefficients
-    tot = c1 * p1 + c2 * p2 + c3 * p3 + c7 * (p4 + p5 + p6)
-    return BatchEval(a=a, b=b, r=r, s=s, value=tot.val, g=tot.g, h=tot.h,
-                     region=region, cut=cut)
+    return _batch(a, b, r, s, cfg.Q, _block_weights(cfg))
 
 
 def b4_batch(a, b, r, s, cfg: BellmanConfig) -> BatchEval:
     """H4 composed with K(r,s) (the B4 block alone), with radial partials."""
-    a, b, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, r, s)))
-    _, _, _, p4, _, _, region, cut = _component_jets(a, b, r, s, cfg.Q)
-    return BatchEval(a=a, b=b, r=r, s=s, value=p4.val, g=p4.g, h=p4.h,
-                     region=region, cut=cut)
+    return _batch(a, b, r, s, cfg.Q, _unit_weights(4))
 
 
 def gradient_vectors(batch: BatchEval, xhat, yhat):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import (CUT_TOLERANCE, BellmanConfig, StatePoint, Perturbation,
-                      b4_batch, evaluate_batch, hessian_quadratic_form,
+                      b4_batch, evaluate_batch, hessian_quadratic_form, kn_of_t,
                       partial_xx_form, partial_yy_form)
 from .errors import CertificationError, ConfigError, DomainError
 from .coefficients import validate_coefficients
@@ -51,7 +51,6 @@ class SampleSpec:
     eps: float = 0.1
     ell: float = 0.05
     dim: int = 2
-    point_distribution: str = "log-uniform"
     exclusion_margin: float = 1e-6
 
     def __post_init__(self):
@@ -63,8 +62,6 @@ class SampleSpec:
             raise ConfigError("need 0 < eps < 1 and 0 < ell <= eps/2")
         if self.exclusion_margin < CUT_TOLERANCE:
             raise ConfigError("exclusion margin below the cut tolerance")
-        if self.point_distribution != "log-uniform":
-            raise ConfigError(f"unknown point distribution {self.point_distribution!r}")
 
     @staticmethod
     def from_config(cfg: BellmanConfig, count, seed, exclusion_margin=1e-6):
@@ -415,7 +412,7 @@ def _cut_rs(cfg, rng, n):
     r = np.exp(rng.uniform(np.log(np.maximum(cfg.eps, t * cfg.eps)),
                            np.log(np.minimum(1.0 / cfg.eps, t / cfg.eps))))
     s = t / r
-    k = np.sqrt(t / cfg.Q) * (1.0 - np.sqrt(t) / (8.0 * np.sqrt(cfg.Q)))
+    k = kn_of_t(t, cfg.Q)[0][0]
     return r, s, k
 
 
@@ -527,7 +524,7 @@ def _certify_batch(cfg, spec, size, pt_stream, pair_stream, dir_stream, tau_stre
 
     # distance to the cuts in units of the local scale; C^2 checks skip nearby
     t = r * s
-    k = np.sqrt(t / cfg.Q) * (1.0 - np.sqrt(t) / (8.0 * np.sqrt(cfg.Q)))
+    k = kn_of_t(t, cfg.Q)[0][0]
     gap = np.minimum(np.abs(b * r - a * k), np.abs(a * s - b * k))
     keep = gap >= spec.exclusion_margin * np.maximum(np.maximum(a, b), 1.0)
 

@@ -95,6 +95,8 @@ def _emit(text, out_path):
 
 
 def cmd_certify(args):
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
     spec = cert.SampleSpec.from_config(cfg, count=args.samples, seed=args.seed)
     rep = cert.run_certification(cfg, spec, jobs=args.jobs)

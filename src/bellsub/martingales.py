@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SubordinationError
-from .weights import WeightTree
+from .weights import WeightTree, dyadic_averages
 
 # relative slack for |dY| <= |dX| checks: rotation-built pairs are
 # norm-preserving only up to float rounding
@@ -42,12 +42,7 @@ class DyadicMartingale:
         leaves = np.asarray(leaves, dtype=float)
         if leaves.ndim == 1:
             leaves = leaves[:, None]
-        levels = [leaves]
-        cur = leaves
-        while cur.shape[0] > 1:
-            cur = 0.5 * (cur[0::2] + cur[1::2])
-            levels.append(cur)
-        return DyadicMartingale(levels[::-1])
+        return DyadicMartingale(dyadic_averages(leaves))
 
     @property
     def leaves(self):
@@ -96,8 +91,6 @@ class SimConfig:
     depth: int = 8
     dim: int = 2
     seed: int = 0
-    num_paths: int = 100
-    lambda_strategy: str = "optimal"   # "optimal" applies lam^2 = sqrt(EG/EF)
 
     def __post_init__(self):
         if self.depth < 0 or self.depth > 20:
@@ -142,14 +135,16 @@ def rotation_transform(X: DyadicMartingale, rng) -> DyadicMartingale:
     """Subordinate pair that is not a multiplier: each parent node carries a
     random orthogonal matrix applied to both children's increments (and the
     root value).  Norm-preserving, hence subordinate, but genuinely
-    non-scalar in dimension >= 2.
+    non-scalar in dimension >= 2.  The rotations of a level are drawn and
+    factored in one batch, in node order.
     """
     d = X.dim
     q0 = _random_orthogonal(d, rng)
     levels = [X.levels[0] @ q0.T]
     for k in range(1, X.depth + 1):
         dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
-        rots = np.stack([_random_orthogonal(d, rng) for _ in range(2 ** (k - 1))])
+        q, r = np.linalg.qr(rng.standard_normal((2 ** (k - 1), d, d)))
+        rots = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
         dY = np.einsum("pij,pcj->pci", rots,
                        dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
         levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
@@ -196,7 +191,12 @@ def weighted_norm(X: DyadicMartingale, w: WeightTree) -> float:
     """
     if X.depth != w.depth:
         raise InvalidInputError("martingale and weight depths differ")
-    return float(np.sqrt(np.mean(np.sum(X.leaves ** 2, axis=1) * w.leaf_values)))
+    return terminal_norm(X.leaves, w.leaf_values)
+
+
+def terminal_norm(leaves, weights) -> float:
+    """sqrt(mean |leaf|^2 weight) over (2^n, d) leaves and 2^n leaf weights."""
+    return float(np.sqrt(np.mean(np.sum(leaves ** 2, axis=1) * weights)))
 
 
 def bilinear_form(Y: DyadicMartingale, Z: DyadicMartingale) -> float:
@@ -229,20 +229,42 @@ def dumps(X: DyadicMartingale) -> str:
     return out.getvalue()
 
 
+# a level must equal the average of its children to this relative slack:
+# transforms rebuild levels from increments, exact only up to rounding
+AVERAGE_RTOL = 1e-9
+
+
 def loads(text: str) -> DyadicMartingale:
+    """Parse `dumps` output; structural or numeric defects raise InvalidInputError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidInputError("empty martingale file")
     head = lines[0].split()
-    if len(head) != 4 or head[0] != "depth" or head[2] != "dim":
-        raise InvalidInputError("martingale file must start with 'depth n dim d'")
-    depth, dim = int(head[1]), int(head[3])
-    rows = [np.array([float(v) for v in ln.split()]) for ln in lines[1:]]
-    if len(rows) != 2 ** (depth + 1) - 1:
+    try:
+        if len(head) != 4 or head[0] != "depth" or head[2] != "dim":
+            raise ValueError
+        depth, dim = int(head[1]), int(head[3])
+        if depth < 0 or dim < 1:
+            raise ValueError
+    except ValueError:
+        raise InvalidInputError("martingale file must start with 'depth n dim d', "
+                                "n >= 0, d >= 1") from None
+    if len(lines) - 1 != 2 ** (depth + 1) - 1:
         raise InvalidInputError("node count does not match declared depth")
-    levels, pos = [], 0
-    for k in range(depth + 1):
-        levels.append(np.stack(rows[pos:pos + 2 ** k]))
-        pos += 2 ** k
-    M = DyadicMartingale(levels)
-    if M.dim != dim:
+    try:
+        rows = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
+    except ValueError:
+        raise InvalidInputError("node rows must hold numbers, as many on every row") from None
+    if rows.ndim != 2 or rows.shape[1] != dim:
         raise InvalidInputError("vector dimension does not match declared dim")
-    return M
+    if not np.isfinite(rows).all():
+        raise InvalidInputError("non-finite node value")
+    levels = [rows[2 ** k - 1:2 ** (k + 1) - 1] for k in range(depth + 1)]
+    for k in range(depth):
+        parent, children = levels[k], levels[k + 1]
+        gap = np.abs(0.5 * (children[0::2] + children[1::2]) - parent).max()
+        scale = max(np.abs(children).max(), np.abs(parent).max())
+        if gap > AVERAGE_RTOL * scale:
+            raise InvalidInputError(f"level {k} is not the average of its children "
+                                    f"(off by {gap:.3g})")
+    return DyadicMartingale(levels)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 from scipy.signal import fftconvolve
 
-from .bellman import BellmanConfig, b4_batch, evaluate_batch
+from .bellman import BellmanConfig, b4_batch, evaluate_batch, h4_value, kn_of_t
 from .errors import ConfigError, DomainError
 
 VAR_NAMES = ("x", "y", "r", "s", "K")
@@ -34,11 +34,7 @@ def h4_raw(x, y, r, s, K):
                                           for v in (x, y, r, s, K)))
     if (r * s - K * K <= 0.0).any():
         raise DomainError("H4 needs K^2 < rs throughout")
-    q1 = y * r - x * K
-    q2 = x * s - y * K
-    r1 = (x * x * s - 2.0 * x * y * K + y * y * r) / (r * s - K * K)
-    return np.where((q1 > 0.0) & (q2 > 0.0), r1,
-                    np.where(q2 <= 0.0, y * y / s, x * x / r))
+    return h4_value(x, y, r, s, K)
 
 
 @dataclass(frozen=True)
@@ -203,15 +199,10 @@ def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8,
     # K(rs) over the padded (r, s) box, with clearance for the kernel radius
     pad = (int(np.floor(ell / h)) + 1) * h
     ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
-    ks = np.sqrt(ts / cfg.Q) * (1.0 - np.sqrt(ts) / (8.0 * np.sqrt(cfg.Q)))
+    ks = kn_of_t(ts, cfg.Q)[0][0]
     k_lo = max(h * np.floor((ks.min() - pad) / h), 0.0)
     k_hi = h * np.ceil((ks.max() + pad) / h)
     return GridSpec(lo=tuple(lo + [k_lo]), hi=tuple(hi + [k_hi]), spacing=h)
-
-
-def kprime(t, Q):
-    """d/dt of K(t) = sqrt(t/Q)(1 - sqrt(t)/(8 sqrt(Q)))."""
-    return 1.0 / (2.0 * np.sqrt(Q * t)) - 1.0 / (8.0 * Q)
 
 
 def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
@@ -234,7 +225,7 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     keep = (r * s >= 1.0) & (r * s <= cfg.Q)
     x, y, r, s = x[keep], y[keep], r[keep], s[keep]
     t = r * s
-    k = np.sqrt(t / cfg.Q) * (1.0 - np.sqrt(t) / (8.0 * np.sqrt(cfg.Q)))
+    (k, kp, _), _ = kn_of_t(t, cfg.Q, order=2)
     if (k < axk[0]).any() or (k > axk[-1]).any():
         raise ConfigError("K(rs) leaves the grid's K axis; widen it")
 
@@ -243,7 +234,6 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     pts5 = np.stack([x, y, r, s, k], axis=1)
     m_val = moll(pts5)
     m_grad = moll.gradient(pts5)
-    kp = kprime(t, cfg.Q)
     value = full.value + cfg.c7 * (m_val - raw4.value)
     grad = np.empty((len(x), 4))
     grad[:, 0] = full.g[0] - cfg.c7 * raw4.g[0] + cfg.c7 * m_grad[:, 0]

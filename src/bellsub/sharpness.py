@@ -25,21 +25,12 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import DomainError, InvalidInputError
 from .martingales import DyadicMartingale, transform
-from .weights import WeightTree, a2_characteristic, power_weight_family
-
-
-def _averages(leaves):
-    levels = [leaves]
-    cur = leaves
-    while len(cur) > 1:
-        cur = 0.5 * (cur[0::2] + cur[1::2])
-        levels.append(cur)
-    return levels[::-1]
+from .weights import WeightTree, a2_characteristic, dyadic_averages, power_weight_family
 
 
 def _apply_tsigma(f, sig0, sigs):
     """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
-    lev = _averages(f)
+    lev = dyadic_averages(f)
     n = len(lev) - 1
     y = np.full(len(f), sig0 * lev[0][0])
     for k in range(1, n + 1):
@@ -55,12 +46,12 @@ def _wnorm2(vals, w):
 def _sqfun_eigen_f(w_leaves):
     """Maximizer of the Rademacher-averaged quotient (weighted square function)."""
     n = int(np.log2(len(w_leaves)))
-    wavg = _averages(w_leaves)
+    wavg = dyadic_averages(w_leaves)
     D = w_leaves / 2.0 ** n
     sqD = np.sqrt(D)
 
     def n_apply(f):
-        lev = _averages(f)
+        lev = dyadic_averages(f)
         grad = np.full(len(f), lev[0][0] * wavg[0][0] / 2.0 ** n)
         for k in range(1, n + 1):
             df = lev[k] - np.repeat(lev[k - 1], 2)
@@ -99,7 +90,7 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
     """Coordinate ascent over the +-1 multipliers; each node takes the sign of
     its increment's weighted correlation with the rest of the transform."""
     n = int(np.log2(len(f)))
-    lev = _averages(f)
+    lev = dyadic_averages(f)
     dfs = [lev[k] - np.repeat(lev[k - 1], 2) for k in range(1, n + 1)]
     y = _apply_tsigma(f, sig0, sigs)
     for _ in range(sweeps):

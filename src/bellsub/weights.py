@@ -34,8 +34,8 @@ class WeightTree:
             raise InvalidInputError("weight leaves must be positive")
         self.depth = int(np.log2(len(leaves)))
         self.leaf_values = leaves
-        self.node_avg_w = _upward_averages(leaves)
-        self.node_avg_u = _upward_averages(1.0 / leaves)
+        self.node_avg_w = dyadic_averages(leaves)
+        self.node_avg_u = dyadic_averages(1.0 / leaves)
 
     def __len__(self):
         return len(self.leaf_values)
@@ -48,7 +48,8 @@ class WeightTree:
         return WeightTree(1.0 / self.leaf_values)
 
 
-def _upward_averages(leaves):
+def dyadic_averages(leaves):
+    """Node averages of a leaf array (first axis of length 2^n), root first."""
     levels = [leaves]
     cur = leaves
     while len(cur) > 1:

@@ -1,12 +1,13 @@
-"""Second-order forward-mode derivatives in the four radial variables (a, b, r, s).
+"""Second-order forward-mode derivatives in (a, b, r, s): the test oracle.
 
-Every Bellman component in this package depends on the vector arguments x, y
-only through a = |x| and b = |y|, so values, gradients and Hessians of all
-components reduce to partial derivatives of scalar profiles phi(a, b, r, s).
-A Jet carries the value, the 4 first partials and the symmetric 4x4 matrix of
-second partials of such a profile, propagated exactly through arithmetic.
-All slots are numpy arrays broadcasting over an arbitrary batch shape, so one
-expression evaluates a whole sample batch at once.
+Every Bellman component depends on the vector arguments x, y only through
+a = |x| and b = |y|, so values, gradients and Hessians reduce to partial
+derivatives of scalar profiles phi(a, b, r, s).  A Jet carries the value, the
+4 first partials and the symmetric 4x4 matrix of second partials of such a
+profile, propagated exactly through arithmetic; all slots broadcast over a
+batch shape.  The library assembles its partials in closed form from the
+coefficient functions of each block; `bellman_jets` rebuilds the same blocks
+from their textbook formulas by plain Jet arithmetic, as an independent check.
 """
 
 from __future__ import annotations
@@ -39,12 +40,6 @@ class Jet:
         shape = a.shape
         return (Jet.variable(a, 0, shape), Jet.variable(b, 1, shape),
                 Jet.variable(r, 2, shape), Jet.variable(s, 3, shape))
-
-    @staticmethod
-    def constant(value, batch_shape):
-        return Jet(np.broadcast_to(np.asarray(value, dtype=float), batch_shape).copy(),
-                   np.zeros((NVARS,) + batch_shape),
-                   np.zeros((NVARS, NVARS) + batch_shape))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -92,9 +87,6 @@ class Jet:
         root = np.sqrt(self.val)
         return self._chain(root, 0.5 / root, -0.25 / (root * self.val))
 
-    def square(self):
-        return self * self
-
     def _chain(self, f, fp, fpp):
         """Compose with a scalar map given its value and first two derivatives."""
         outer = self.g[:, None] * self.g[None, :]
@@ -112,3 +104,28 @@ class Jet:
 def _tr(m):
     """Transpose the two leading (variable) axes."""
     return np.swapaxes(m, 0, 1)
+
+
+def bellman_jets(a, b, r, s, cfg):
+    """Jets of B and of its B4 block, written out from the block formulas."""
+    ja, jb, jr, js = Jet.variables(a, b, r, s)
+    Q = cfg.Q
+    t = jr * js
+    st = t.sqrt()
+    isq = 1.0 / np.sqrt(Q)
+    k = st * isq * (1.0 - st * (isq / 8.0))
+    n = st * isq * (1.0 - t * t * (1.0 / (128.0 * Q * Q)))
+
+    phi1 = ja * ja / jr + jb * jb / js
+    phi2 = ja * ja / (2.0 * jr - (js * (n + 1.0)).reciprocal()) + jb * jb / js
+    phi3 = ja * ja / jr + jb * jb / (2.0 * js - (jr * (n + 1.0)).reciprocal())
+    phi5 = ja * ja / (2.0 * jr - (js * (k + 1.0)).reciprocal()) + jb * jb / js
+    phi6 = ja * ja / jr + jb * jb / (2.0 * js - (jr * (k + 1.0)).reciprocal())
+
+    q1 = jb.val * jr.val - ja.val * k.val
+    q2 = ja.val * js.val - jb.val * k.val
+    h4_r1 = (ja * ja * js - 2.0 * (ja * jb * k) + jb * jb * jr) / (t - k * k)
+    phi4 = Jet.where((q1 > 0.0) & (q2 > 0.0), h4_r1,
+                     Jet.where(q2 <= 0.0, jb * jb / js, ja * ja / jr))
+    c1, c2, c3, c7 = cfg.coefficients
+    return c1 * phi1 + c2 * phi2 + c3 * phi3 + c7 * (phi4 + phi5 + phi6), phi4

@@ -25,6 +25,16 @@ def test_certify_rejects_bad_flags(tmp_path):
     assert run(["certify", "--samples", "10"]) == 2   # seed mandatory
 
 
+def test_certify_rejects_non_positive_jobs(tmp_path, capsys):
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"r{jobs}.txt"
+        assert run(["certify", "--Q", "4", "--samples", "10", "--seed", "1",
+                    "--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--jobs" in err
+        assert not out.exists()
+
+
 def test_certify_deterministic_across_jobs(tmp_path):
     a, b, c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
     args = ["certify", "--Q", "4", "--samples", "3000", "--seed", "9",

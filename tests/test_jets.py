@@ -1,6 +1,6 @@
 import numpy as np
 
-from bellsub.jets import Jet
+from jet_oracle import Jet
 
 
 def target(a, b, r, s):

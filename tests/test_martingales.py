@@ -165,3 +165,57 @@ def test_weighted_norm_is_terminal_supremum():
         level_vals = np.repeat(np.sum(X.levels[k] ** 2, axis=1), 2 ** (n - k))
         norm_k = float(np.sqrt(np.mean(level_vals * w.leaf_values)))
         assert norm_k <= terminal + 1e-12
+
+
+def _rotation_transform_per_node(X, rng):
+    """The node-by-node rotation draw that `rotation_transform` batches."""
+    d = X.dim
+    q0 = mg._random_orthogonal(d, rng)
+    levels = [X.levels[0] @ q0.T]
+    for k in range(1, X.depth + 1):
+        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
+        rots = np.stack([mg._random_orthogonal(d, rng) for _ in range(2 ** (k - 1))])
+        dY = np.einsum("pij,pcj->pci", rots,
+                       dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
+        levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
+    return mg.DyadicMartingale(levels)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+def test_rotation_transform_matches_per_node_draws(dim):
+    X = mg.random_martingale(mg.SimConfig(depth=9, dim=dim, seed=17))
+    rng_batched, rng_loop = np.random.default_rng(18), np.random.default_rng(18)
+    Y = mg.rotation_transform(X, rng_batched)
+    ref = _rotation_transform_per_node(X, rng_loop)
+    assert all(np.array_equal(a, b) for a, b in zip(Y.levels, ref.levels))
+    # the generator stream ends at the same position
+    assert rng_batched.standard_normal() == rng_loop.standard_normal()
+
+
+def test_loads_rejects_empty_input():
+    for text in ("", "\n  \n"):
+        with pytest.raises(InvalidInputError):
+            mg.loads(text)
+
+
+def test_loads_rejects_malformed_header():
+    for head in ("depth two dim 2", "depth 1 dims 2", "depth 1 dim 2.5", "depth -1 dim 2"):
+        with pytest.raises(InvalidInputError):
+            mg.loads(head + "\n1.0 2.0\n1.0 2.0\n1.0 2.0\n")
+
+
+def test_loads_rejects_non_finite_values():
+    for bad in ("nan", "inf"):
+        with pytest.raises(InvalidInputError):
+            mg.loads(f"depth 1 dim 1\n1.5\n{bad}\n2.0\n")
+
+
+def test_loads_rejects_levels_that_are_not_averages():
+    with pytest.raises(InvalidInputError):
+        mg.loads("depth 1 dim 1\n100.0\n1.0\n2.0\n")
+    # transform-built levels average their children only up to rounding
+    rng = np.random.default_rng(19)
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=19), rng)
+    Y = mg.rotation_transform(X, rng)
+    back = mg.loads(mg.dumps(Y))
+    assert all(np.array_equal(a, b) for a, b in zip(back.levels, Y.levels))
