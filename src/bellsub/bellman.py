@@ -524,18 +524,14 @@ def hessian_quadratic_form(batch: BatchEval, xhat, yhat, dx, dy, dr, ds):
 
 def partial_xx_form(batch: BatchEval, xhat, dx):
     """(d^2_x B dx, dx) alone; xhat (n, d), dx (n, m, d) -> (n, m)."""
-    p = np.einsum("nd,nmd->nm", xhat, dx)
-    pperp2 = np.maximum(np.sum(dx * dx, axis=-1) - p * p, 0.0)
-    tx = _tangential_coeff(batch.g[0], batch.h[0, 0], batch.a)[:, None]
-    return batch.h[0, 0][:, None] * p * p + tx * pperp2
+    still = np.zeros(dx.shape[:2])
+    return hessian_quadratic_form(batch, xhat, xhat, dx, np.zeros_like(dx), still, still)
 
 
 def partial_yy_form(batch: BatchEval, yhat, dy):
     """(d^2_y B dy, dy) alone; yhat (n, d), dy (n, m, d) -> (n, m)."""
-    q = np.einsum("nd,nmd->nm", yhat, dy)
-    qperp2 = np.maximum(np.sum(dy * dy, axis=-1) - q * q, 0.0)
-    ty = _tangential_coeff(batch.g[1], batch.h[1, 1], batch.b)[:, None]
-    return batch.h[1, 1][:, None] * q * q + ty * qperp2
+    still = np.zeros(dy.shape[:2])
+    return hessian_quadratic_form(batch, yhat, yhat, np.zeros_like(dy), dy, still, still)
 
 
 # ---------------------------------------------------------------------------

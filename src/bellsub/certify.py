@@ -1,7 +1,7 @@
-"""Sampled numerical certification of the Bellman function's properties.
+"""Numerical certification of the Bellman function's properties.
 
 Every claim the construction rests on is turned into a margin that must stay
-above a small negative roundoff tolerance on seeded random samples:
+above a small negative roundoff tolerance at seeded random sample points:
 
   * size:          B <= C_size (|x|^2/r + |y|^2/s)
   * Hessian:       (d^2 B dV, dV) >= (2/Q) |dx||dy| away from the H4 cuts
@@ -10,6 +10,12 @@ above a small negative roundoff tolerance on seeded random samples:
   * ellipse:       some tau with Q d^2B >= tau |dx|^2 + tau^-1 |dy|^2 exists
                    inside the reporting band [eps/(10Q), 10Q/eps]
   * C^1 cuts:      one-sided gradients of the H4 block merge at rate O(delta)
+
+At each point the Hessian, second x/y and ellipse margins hold over every
+direction dV: they come from the 4x4 radial Hessian in (|x|, |y|, r, s) and
+the two tangential curvatures, with tau chosen in closed form (see "the
+per-point ellipse certificate" below), not from sampled directions.  The
+one-leg margin is a minimum over random pairs of points.
 
 Samples near the H4 branch cuts are excluded from the C^2 checks (they are
 handled by the dedicated C^1 convergence check) and counted as skipped.
@@ -28,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import (CUT_TOLERANCE, BellmanConfig, StatePoint, Perturbation,
-                      b4_batch, evaluate_batch, hessian_quadratic_form, kn_of_t,
-                      partial_xx_form, partial_yy_form)
+                      _tangential_coeff, b4_batch, evaluate_batch,
+                      hessian_quadratic_form, kn_of_t, partial_xx_form,
+                      partial_yy_form)
 from .errors import CertificationError, ConfigError, DomainError
 from .coefficients import validate_coefficients
 
@@ -37,7 +44,6 @@ MARGIN_TOL = 1e-8
 TAU_FEAS_TOL = 1e-6
 KAPPA_LO = 0.1
 KAPPA_HI = 10.0
-N_RANDOM_DIRECTIONS = 64
 BATCH = 2048
 
 
@@ -142,75 +148,26 @@ def _streams(spec: SampleSpec):
     """Per-purpose, per-batch seed streams; fixed layout independent of workers."""
     n_batches = max(1, -(-spec.count // BATCH))
     root = np.random.SeedSequence(spec.seed)
-    points, pairs, dirs, taus = root.spawn(4)
+    points, pairs = root.spawn(2)
     return {
         "points": points.spawn(n_batches),
         "pairs": pairs.spawn(n_batches),
-        "dirs": dirs.spawn(n_batches),
-        "taus": taus.spawn(n_batches),
     }, n_batches
+
+
+def _point_batches(spec: SampleSpec):
+    """(x, y, r, s) of each sample batch, in sample order."""
+    streams, n_batches = _streams(spec)
+    for b in range(n_batches):
+        size = min(BATCH, spec.count - b * BATCH)
+        if size > 0:
+            yield _sample_arrays(spec, np.random.default_rng(streams["points"][b]), size)
 
 
 def sample_domain(spec: SampleSpec):
     """Deterministic list of StatePoints satisfying the D_Q^{eps,ell} flags."""
-    streams, n_batches = _streams(spec)
-    pts = []
-    for b in range(n_batches):
-        lo = b * BATCH
-        size = min(BATCH, spec.count - lo)
-        if size <= 0:
-            break
-        x, y, r, s = _sample_arrays(spec, np.random.default_rng(streams["points"][b]), size)
-        pts.extend(StatePoint(x=x[i], y=y[i], r=float(r[i]), s=float(s[i]))
-                   for i in range(size))
-    return pts
-
-
-# ---------------------------------------------------------------------------
-# direction banks
-# ---------------------------------------------------------------------------
-
-def _direction_bank(rng, n, d, xhat, yhat, n_random=N_RANDOM_DIRECTIONS):
-    """(n, m, 2d+2) unit directions: random sphere plus structured axes."""
-    dim = 2 * d + 2
-    rnd = rng.standard_normal((n, n_random, dim))
-    rnd /= np.linalg.norm(rnd, axis=2, keepdims=True)
-    structured = np.zeros((n, 10, dim))
-    xperp = _any_perp(xhat)
-    yperp = _any_perp(yhat)
-    structured[:, 0, :d] = xhat
-    structured[:, 1, :d] = xperp
-    structured[:, 2, d:2 * d] = yhat
-    structured[:, 3, d:2 * d] = yperp
-    structured[:, 4, 2 * d] = 1.0
-    structured[:, 5, 2 * d + 1] = 1.0
-    structured[:, 6, :d] = xhat / np.sqrt(2.0)
-    structured[:, 6, d:2 * d] = yhat / np.sqrt(2.0)
-    structured[:, 7, :d] = xhat / np.sqrt(2.0)
-    structured[:, 7, 2 * d] = 1.0 / np.sqrt(2.0)
-    structured[:, 8, d:2 * d] = yhat / np.sqrt(2.0)
-    structured[:, 8, 2 * d + 1] = 1.0 / np.sqrt(2.0)
-    structured[:, 9, 2 * d] = 1.0 / np.sqrt(2.0)
-    structured[:, 9, 2 * d + 1] = -1.0 / np.sqrt(2.0)
-    return np.concatenate([rnd, structured], axis=1)
-
-
-def _any_perp(u):
-    """Some unit vector orthogonal to each row of u (rows of dim >= 2), or u itself in dim 1."""
-    n, d = u.shape
-    if d == 1:
-        return u.copy()
-    v = np.zeros_like(u)
-    v[:, 0] = -u[:, 1]
-    v[:, 1] = u[:, 0]
-    small = np.linalg.norm(v, axis=1) < 1e-12
-    if small.any():
-        v[small, 0] = 1.0
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _split_directions(dirs, d):
-    return dirs[:, :, :d], dirs[:, :, d:2 * d], dirs[:, :, 2 * d], dirs[:, :, 2 * d + 1]
+    return [StatePoint(x=x[i], y=y[i], r=float(r[i]), s=float(s[i]))
+            for x, y, r, s in _point_batches(spec) for i in range(len(r))]
 
 
 # ---------------------------------------------------------------------------
@@ -276,64 +233,131 @@ def check_partial_yy_bound(V: StatePoint, dy, cfg: BellmanConfig):
     return float(cfg.dxx_constant / cfg.eps * dy @ dy - form)
 
 
-def extract_tau(V: StatePoint, cfg: BellmanConfig, n_directions=N_RANDOM_DIRECTIONS,
-                seed=0):
-    """tau with Q (d^2B dV,dV) >= tau |dx|^2 + tau^-1 |dy|^2 over sampled
-    directions, found by golden-section maximin on log tau over
-    [eps/(100Q), 100Q/eps] and reported inside [eps/(10Q), 10Q/eps].
+# ---------------------------------------------------------------------------
+# the per-point ellipse certificate
+# ---------------------------------------------------------------------------
+#
+# The Hessian form is [p, q, dr, ds] h [..]^T + tx |dx_perp|^2 + ty |dy_perp|^2
+# with p = <xhat, dx>, q = <yhat, dy>, h the radial Hessian in (a, b, r, s)
+# and tx = phi_a/a, ty = phi_b/b.  As 2|dx||dy| <= tau|dx|^2 + |dy|^2/tau, for
+# every u = tau/Q > 0 the Hessian margin over unit dV is at least
+#   min(lambda_min(h - diag(u, 1/(Q^2 u), 0, 0)), tx - u, ty - 1/(Q^2 u)),
+# which, times Q, is exactly min Q (d^2B dV, dV) - tau|dx|^2 - tau^-1|dy|^2.
 
-    When the unclamped maximin lies outside the reporting band but the band
-    edge still satisfies all sampled directions (the maximin is flat there),
-    the edge value is returned.  Raises CertificationError with the worst
-    direction when no feasible tau exists in the band.
+def _radial(batch, dim):
+    """(n, 4, 4) radial Hessians and the curvatures (tx, ty) across xhat and
+    yhat.  In dim 1, where no such direction exists, the axes stand in with
+    curvatures h_aa, h_bb: no bound moves, since lambda_min(h - D) <= h_aa - u."""
+    h = np.moveaxis(batch.h, -1, 0)
+    if dim == 1:
+        return h, (h[:, 0, 0], h[:, 1, 1])
+    return h, (_tangential_coeff(batch.g[0], batch.h[0, 0], batch.a),
+               _tangential_coeff(batch.g[1], batch.h[1, 1], batch.b))
+
+
+def _axis_curvatures(h, tan):
+    """Largest Rayleigh quotients of d^2_x B and d^2_y B, per point."""
+    return np.maximum(h[:, 0, 0], tan[0]), np.maximum(h[:, 1, 1], tan[1])
+
+
+def _ellipse_level(h, tan, u, Q):
+    """The bound above at u = tau/Q, per point (one batched eigvalsh)."""
+    w = 1.0 / (Q * Q * u)
+    shifted = h.copy()
+    shifted[:, 0, 0] -= u
+    shifted[:, 1, 1] -= w
+    low = np.linalg.eigvalsh(shifted)[:, 0]
+    return np.minimum(low, np.minimum(tan[0] - u, tan[1] - w))
+
+
+def _best_shift(h, tan, Q):
+    """u = tau/Q for a near-best bound, by bisection on the level lam.
+
+    lam is reachable iff, for some u > 0, h - lam I - diag(u, 1/(Q^2 u), 0, 0)
+    >= 0, tx - u >= lam and ty - 1/(Q^2 u) >= lam: with h_rs - lam I > 0 and M
+    its Schur complement, iff some u in [1/(Q^2 V), U], U = min(m11, tx - lam),
+    V = min(m22, ty - lam), has (m11 - u)(m22 - 1/(Q^2 u)) >= m12^2.  The left
+    side is concave in u and peaks at sqrt(m11/m22)/Q, so its clipped peak
+    decides.  Gershgorin less 1/Q is reachable (at u = 1/Q); no lam > min diag h is.
+    """
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    lo = np.minimum(np.min(2.0 * diag - np.sum(np.abs(h), axis=2), axis=1),
+                    np.minimum(*tan)) - 1.0 / Q
+    hi = np.min(diag, axis=1)
+    u = np.full(len(h), 1.0 / Q)
+    p0, p1, q0, q1 = h[:, 0, 2], h[:, 0, 3], h[:, 1, 2], h[:, 1, 3]
+    c12 = h[:, 2, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):     # the bracket shrinks to the float spacing
+            lam = 0.5 * (lo + hi)
+            c11, c22 = h[:, 2, 2] - lam, h[:, 3, 3] - lam
+            det = c11 * c22 - c12 * c12
+
+            def inv_form(x0, x1, y0, y1):
+                return (c22 * x0 * y0 - c12 * (x0 * y1 + x1 * y0) + c11 * x1 * y1) / det
+
+            m11 = h[:, 0, 0] - lam - inv_form(p0, p1, p0, p1)
+            m22 = h[:, 1, 1] - lam - inv_form(q0, q1, q0, q1)
+            m12 = h[:, 0, 1] - inv_form(p0, p1, q0, q1)
+            top, side = np.minimum(m11, tan[0] - lam), np.minimum(m22, tan[1] - lam)
+            floor = 1.0 / (Q * Q * side)
+            cand = np.clip(np.sqrt(m11 / m22) / Q, floor, top)
+            ok = ((c11 > 0.0) & (det > 0.0) & (top > 0.0) & (side > 0.0)
+                  & (floor <= top)
+                  & ((m11 - cand) * (m22 - 1.0 / (Q * Q * cand)) >= m12 * m12))
+            lo = np.where(ok, lam, lo)
+            hi = np.where(ok, hi, lam)
+            u = np.where(ok, cand, u)
+    return u
+
+
+def _ellipse(h, tan, cfg):
+    """Per point: the Hessian lower bound at the best tau found, that tau
+    clipped into the band [eps/(10Q), 10Q/eps], and the exact feasibility
+    min over unit dV of Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 there."""
+    Q = cfg.Q
+    u = _best_shift(h, tan, Q)
+    lower = _ellipse_level(h, tan, u, Q)
+    tau = np.clip(Q * u, KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps)
+    return lower, tau, Q * _ellipse_level(h, tan, tau / Q, Q)
+
+
+def _witness(h, tan, xhat, yhat, tau, Q):
+    """Unit directions dV, (n, 2d+2), attaining the least value of
+    Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2, and that value: the least
+    eigenpair of the form's matrix on the whole space of dV."""
+    n, d = xhat.shape
+    lift = np.zeros((n, 4, 2 * d + 2))     # dV -> (p, q, dr, ds)
+    lift[:, 0, :d], lift[:, 1, d:2 * d] = xhat, yhat
+    lift[:, 2, 2 * d] = lift[:, 3, 2 * d + 1] = 1.0
+    full = np.einsum("nia,nij,njb->nab", lift, h, lift)
+    eye = np.eye(d)
+    for k, (hat, curv, t) in enumerate(((xhat, tan[0], tau), (yhat, tan[1], 1.0 / tau))):
+        block = slice(k * d, (k + 1) * d)     # tangential curvature, less t/Q |d.|^2
+        full[:, block, block] += (curv[:, None, None] * (eye - hat[:, :, None] * hat[:, None, :])
+                                  - (t / Q)[:, None, None] * eye)
+    vals, vecs = np.linalg.eigh(full)
+    return vecs[:, :, 0], Q * vals[:, 0]
+
+
+def extract_tau(V: StatePoint, cfg: BellmanConfig):
+    """tau with Q (d^2B dV,dV) >= tau |dx|^2 + tau^-1 |dy|^2 for every dV,
+    reported inside [eps/(10Q), 10Q/eps] (the best tau, clipped to the band).
+
+    Raises CertificationError with the violating direction when the
+    inequality fails at the reported tau.
     """
     batch, xhat, yhat = _one_point_batch(V, cfg)
     if batch.cut[0]:
         raise DomainError("tau extraction needs a C^2 point (V lies on a cut)")
-    rng = np.random.default_rng(seed)
-    dirs = _direction_bank(rng, 1, V.x.shape[0], xhat, yhat, n_directions)
-    dx, dy, dr, ds = _split_directions(dirs, V.x.shape[0])
-    H = hessian_quadratic_form(batch, xhat, yhat, dx, dy, dr, ds)
-    dx2 = np.sum(dx * dx, axis=2)
-    dy2 = np.sum(dy * dy, axis=2)
-    tau, feas = _tau_maximin(H, dx2, dy2, cfg)
+    h, tan = _radial(batch, V.x.shape[0])
+    _, tau, feas = _ellipse(h, tan, cfg)
     if feas[0] < -TAU_FEAS_TOL:
-        worst = np.argmin(cfg.Q * H[0] - tau[0] * dx2[0] - dy2[0] / tau[0])
+        witness, _ = _witness(h, tan, xhat, yhat, tau, cfg.Q)
         raise CertificationError(
             f"no feasible tau in the reporting band at this point "
-            f"(worst margin {feas[0]:.3e})", witness=dirs[0, worst])
+            f"(worst margin {feas[0]:.3e})", witness=witness[0])
     return float(tau[0])
-
-
-def _tau_maximin(H, dx2, dy2, cfg, iters=80):
-    """Vectorized golden-section maximin over log tau; returns the feasible
-    in-band tau (n,) and its min margin (n,)."""
-    Q = cfg.Q
-    lo, hi = np.log(cfg.eps / (100.0 * Q)), np.log(100.0 * Q / cfg.eps)
-    band_lo, band_hi = KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps
-
-    def gmin(logt):
-        t = np.exp(logt)
-        return np.min(Q * H - t[:, None] * dx2 - dy2 / t[:, None], axis=1)
-
-    n = H.shape[0]
-    a = np.full(n, lo)
-    b = np.full(n, hi)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = gmin(c), gmin(d)
-    for _ in range(iters):
-        left = fc >= fd
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc, fd = gmin(c), gmin(d)
-    tau = np.exp(0.5 * (a + b))
-    tau = np.clip(tau, band_lo, band_hi)
-    feas = np.min(Q * H - tau[:, None] * dx2 - dy2 / tau[:, None], axis=1)
-    return tau, feas
 
 
 def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
@@ -343,32 +367,18 @@ def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
     skipping cut-adjacent points; ok is False when any point has no feasible
     in-band tau.
     """
-    streams, n_batches = _streams(spec)
     rows = []
     ok = True
     idx = 0
-    for bidx in range(n_batches):
-        size = min(BATCH, spec.count - bidx * BATCH)
-        if size <= 0:
-            break
-        x, y, r, s = _sample_arrays(spec, np.random.default_rng(streams["points"][bidx]), size)
+    for x, y, r, s in _point_batches(spec):
         a = np.linalg.norm(x, axis=1)
         b = np.linalg.norm(y, axis=1)
-        xhat = x / a[:, None]
-        yhat = y / b[:, None]
         batch = evaluate_batch(a, b, r, s, cfg)
-        dirs = _direction_bank(np.random.default_rng(streams["taus"][bidx]),
-                               size, spec.dim, xhat, yhat)
-        dx, dy, dr, ds = _split_directions(dirs, spec.dim)
-        H = hessian_quadratic_form(batch, xhat, yhat, dx, dy, dr, ds)
-        tau, feas = _tau_maximin(H, np.sum(dx * dx, axis=2),
-                                 np.sum(dy * dy, axis=2), cfg)
+        _, tau, feas = _ellipse(*_radial(batch, spec.dim), cfg)
         ok &= bool((feas[~batch.cut] >= -TAU_FEAS_TOL).all())
-        for i in range(size):
-            if not batch.cut[i]:
-                rows.append((idx, float(r[i]), float(s[i]), float(a[i]),
-                             float(b[i]), float(tau[i])))
-            idx += 1
+        rows += [(idx + i, float(r[i]), float(s[i]), float(a[i]), float(b[i]),
+                  float(tau[i])) for i in range(len(r)) if not batch.cut[i]]
+        idx += len(r)
     return rows, ok
 
 
@@ -459,7 +469,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
     note = ""
     coeffs_ok = True
     try:
-        validate_coefficients(cfg.coefficients, grid_size=9, n_random=20_000)
+        validate_coefficients(cfg.coefficients)
     except ConfigError as exc:
         coeffs_ok = False
         note = f"coefficient validation failed: {exc}"
@@ -474,8 +484,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
 
     def work(b):
         return _certify_batch(cfg, spec, sizes[b],
-                              streams["points"][b], streams["pairs"][b],
-                              streams["dirs"][b], streams["taus"][b])
+                              streams["points"][b], streams["pairs"][b])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -498,11 +507,13 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
     taus = np.concatenate([p["tau"][0] for p in parts])
     feas = np.concatenate([p["tau"][1] for p in parts])
     band_lo, band_hi = KAPPA_LO * cfg.eps / cfg.Q, KAPPA_HI * cfg.Q / cfg.eps
+    # with every sample excluded near the cuts the tau band holds vacuously:
+    # min and max of the empty set read inf and -inf
     tau_stats = TauStats(
-        min=float(taus.min()), max=float(taus.max()),
+        min=float(taus.min(initial=np.inf)), max=float(taus.max(initial=-np.inf)),
         band_lo=band_lo, band_hi=band_hi,
         within_bounds=bool((taus >= band_lo).all() and (taus <= band_hi).all()),
-        min_feasibility=float(feas.min()))
+        min_feasibility=float(feas.min(initial=np.inf)))
     return CertReport(cfg=cfg, spec=spec, checks=checks, tau_stats=tau_stats,
                       runtime=time.perf_counter() - t0, note=note,
                       coefficients_ok=coeffs_ok)
@@ -512,8 +523,7 @@ def _tolerance(name):
     return 0.0 if name == "size_bound" else MARGIN_TOL
 
 
-def _certify_batch(cfg, spec, size, pt_stream, pair_stream, dir_stream, tau_stream):
-    d = spec.dim
+def _certify_batch(cfg, spec, size, pt_stream, pair_stream):
     x, y, r, s = _sample_arrays(spec, np.random.default_rng(pt_stream), size)
     a = np.linalg.norm(x, axis=1)
     b = np.linalg.norm(y, axis=1)
@@ -527,51 +537,32 @@ def _certify_batch(cfg, spec, size, pt_stream, pair_stream, dir_stream, tau_stre
     k = kn_of_t(t, cfg.Q)[0][0]
     gap = np.minimum(np.abs(b * r - a * k), np.abs(a * s - b * k))
     keep = gap >= spec.exclusion_margin * np.maximum(np.maximum(a, b), 1.0)
+    skipped = int((~keep).sum())
 
-    dirs = _direction_bank(np.random.default_rng(dir_stream), size, d, xhat, yhat)
-    dx, dy, dr, ds = _split_directions(dirs, d)
-    H = hessian_quadratic_form(batch, xhat, yhat, dx, dy, dr, ds)
-    dxn = np.sqrt(np.sum(dx * dx, axis=2))
-    dyn = np.sqrt(np.sum(dy * dy, axis=2))
-    hess_margin = np.min(H - (2.0 / cfg.Q) * dxn * dyn, axis=1)
-
-    out = {"hessian_lower": (hess_margin[keep], pts[keep], int((~keep).sum()))}
+    h, tan = _radial(batch, spec.dim)
+    lower, tau, feas = _ellipse(h, tan, cfg)
+    out = {"hessian_lower": (lower[keep], pts[keep], skipped),
+           "tau": (tau[keep], feas[keep])}
 
     # one-leg pairs: independent second sample, gradient at the first point
     x2, y2, r2, s2 = _sample_arrays(spec, np.random.default_rng(pair_stream), size)
     a2 = np.linalg.norm(x2, axis=1)
     b2 = np.linalg.norm(y2, axis=1)
     val2 = _value_only(a2, b2, r2, s2, cfg)
-    val0 = _value_only(a, b, r, s, cfg)
     lin = (batch.g[0] * np.sum(xhat * (x2 - x), axis=1)
            + batch.g[1] * np.sum(yhat * (y2 - y), axis=1)
            + batch.g[2] * (r2 - r) + batch.g[3] * (s2 - s))
     jump = np.linalg.norm(x2 - x, axis=1) * np.linalg.norm(y2 - y, axis=1)
-    ol_margin = val2 - val0 - lin - (2.0 / cfg.Q) * jump
+    ol_margin = val2 - batch.value - lin - (2.0 / cfg.Q) * jump
     out["one_leg"] = (ol_margin, pts, 0)
 
     size_margin = cfg.size_constant * (a * a / r + b * b / s) - batch.value
     out["size_bound"] = (size_margin, pts, 0)
 
-    # normalized per |dx|^2 so zero-dx directions do not report trivially
-    xx = partial_xx_form(batch, xhat, dx)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        xx_margin = np.nanmin(np.where(dxn > 1e-12,
-                                       cfg.dxx_constant / cfg.eps - xx / dxn ** 2,
-                                       np.nan), axis=1)
-        yy = partial_yy_form(batch, yhat, dy)
-        yy_margin = np.nanmin(np.where(dyn > 1e-12,
-                                       cfg.dxx_constant / cfg.eps - yy / dyn ** 2,
-                                       np.nan), axis=1)
-    out["dxx_bound"] = (xx_margin[keep], pts[keep], int((~keep).sum()))
-    out["dyy_bound"] = (yy_margin[keep], pts[keep], int((~keep).sum()))
-
-    tau_dirs = _direction_bank(np.random.default_rng(tau_stream), size, d, xhat, yhat)
-    tdx, tdy, tdr, tds = _split_directions(tau_dirs, d)
-    TH = hessian_quadratic_form(batch, xhat, yhat, tdx, tdy, tdr, tds)
-    tau, tfeas = _tau_maximin(TH[keep], np.sum(tdx * tdx, axis=2)[keep],
-                              np.sum(tdy * tdy, axis=2)[keep], cfg)
-    out["tau"] = (tau, tfeas)
+    cx, cy = _axis_curvatures(h, tan)
+    cap = cfg.dxx_constant / cfg.eps
+    out["dxx_bound"] = ((cap - cx)[keep], pts[keep], skipped)
+    out["dyy_bound"] = ((cap - cy)[keep], pts[keep], skipped)
     return out
 
 

@@ -217,7 +217,8 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return COMMANDS[args.command](args)
-    except (DomainError, InvalidInputError, ConfigError) as exc:
+    # OSError: --out names a path that cannot be written
+    except (DomainError, InvalidInputError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -16,11 +16,18 @@ nonnegativity problem over the nonnegative orthant:
 
 Feasibility is equivalent to  4c1 >= 2,  (sqrt(3)/2)c2 >= 4c1 - 2 + 2,
 (sqrt(3)/2)c3 likewise, and c7/256 - 2 >= (sum of the two slack terms); the
-defaults below sit strictly inside that region and `validate_coefficients`
-certifies them on a direction grid plus random directions.
+defaults below sit strictly inside that region.  g is a quadratic form, so
+`validate_coefficients` decides this exactly: the least value of g on the
+unit sphere of the orthant is attained where g restricted to the support of
+the minimizer has a positive eigenvector, hence it is the least eigenvalue,
+over the 15 principal submatrices of g's matrix, whose eigenvector is
+strictly positive (Kaplan's copositivity test, Linear Algebra Appl. 313,
+2000).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -28,8 +35,8 @@ from .errors import ConfigError
 
 SQ3H = np.sqrt(3.0) / 2.0
 
-#: defaults embedded in BellmanConfig; validated by the module test suite
-#: against 10^6 random directions with margin >= 0.
+#: defaults embedded in BellmanConfig; their exact minimum margin is 0,
+#: attained along every coordinate axis.
 DEFAULT_COEFFICIENTS = (0.5, 2.4, 2.4, 600.0)
 
 
@@ -45,42 +52,42 @@ def reduced_margin(coeffs, P, T, R, S):
             + SQ3H * c3 * S * (P - R) + (c7 / 256.0) * R * S - 2.0 * P * T)
 
 
-def _direction_bank(grid_size, n_random, rng):
-    axes = np.linspace(0.0, 1.0, grid_size)
-    P, T, R, S = np.meshgrid(axes, axes, axes, axes, indexing="ij")
-    grid = np.stack([P.ravel(), T.ravel(), R.ravel(), S.ravel()], axis=1)
-    grid = grid[np.linalg.norm(grid, axis=1) > 0.0]
-    rand = np.abs(rng.standard_normal((n_random, 4)))
-    dirs = np.vstack([grid, rand])
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+def validate_coefficients(coeffs, tol=0.0):
+    """Certify the reduced inequality exactly over the nonnegative orthant.
 
-
-def validate_coefficients(coeffs, grid_size=16, n_random=200_000, seed=2024,
-                          tol=0.0):
-    """Certify the reduced inequality on grid + random unit directions.
-
-    Returns (min_margin, worst_direction); raises ConfigError when the draft
-    is infeasible, naming the violated direction.  tol admits margins down to
-    -tol, for drafts sitting exactly on the feasibility boundary where float
-    rounding of sqrt(3) leaves margins a few ulps under zero.
+    Returns (min_margin, worst_direction), the least value of g on unit
+    nonnegative directions and a unit direction attaining it; raises
+    ConfigError when the draft is infeasible, naming that direction.  tol
+    admits margins down to -tol, for drafts sitting exactly on the
+    feasibility boundary where float rounding of sqrt(3) leaves margins a few
+    ulps under zero.
     """
     c1, c2, c3, c7 = coeffs
     if min(c1, c2, c3) <= 0.0 or c7 < 0.0:
         raise ConfigError("coefficients must be positive (c7 may only vanish in drafts)")
-    rng = np.random.default_rng(seed)
-    d = _direction_bank(grid_size, n_random, rng)
-    margins = reduced_margin(coeffs, d[:, 0], d[:, 1], d[:, 2], d[:, 3])
-    i = int(np.argmin(margins))
-    worst = d[i]
-    if margins[i] < -tol:
+    # g's symmetric matrix by polarization: 2 A_ij = g(e_i + e_j) - g(e_i) - g(e_j)
+    pairs = np.eye(4)[:, None, :] + np.eye(4)[None, :, :]
+    both = reduced_margin(coeffs, *np.moveaxis(pairs, -1, 0))
+    single = np.diag(both) / 4.0
+    form = (both - single[:, None] - single[None, :]) / 2.0
+    margin, worst = np.inf, None
+    for k in range(1, 5):
+        for face in combinations(range(4), k):
+            vals, vecs = np.linalg.eigh(form[np.ix_(face, face)])
+            for val, vec in zip(vals, vecs.T):
+                vec = vec if vec.sum() > 0.0 else -vec
+                if val < margin and (vec > 0.0).all():
+                    margin, worst = val, np.zeros(4)
+                    worst[list(face)] = vec
+    if margin < -tol:
         raise ConfigError(
             "coefficient draft infeasible: margin "
-            f"{margins[i]:.3e} at direction (|dx|/|x|,|dy|/|y|,|dr|/r,|ds|/s)="
+            f"{margin:.3e} at direction (|dx|/|x|,|dy|/|y|,|dr|/r,|ds|/s)="
             f"({worst[0]:.6f},{worst[1]:.6f},{worst[2]:.6f},{worst[3]:.6f})")
-    return float(margins[i]), worst
+    return float(margin), worst
 
 
-def determine_coefficients(cfg_draft=None, grid_size=16, n_random=200_000, seed=2024):
+def determine_coefficients(cfg_draft=None):
     """Return certified coefficients (c1, c2, c3, c7).
 
     A draft carrying coefficients (object with c1..c7 attributes, or a
@@ -95,5 +102,5 @@ def determine_coefficients(cfg_draft=None, grid_size=16, n_random=200_000, seed=
     else:
         coeffs = (float(cfg_draft.c1), float(cfg_draft.c2),
                   float(cfg_draft.c3), float(cfg_draft.c7))
-    validate_coefficients(coeffs, grid_size=grid_size, n_random=n_random, seed=seed)
+    validate_coefficients(coeffs)
     return coeffs

@@ -23,7 +23,7 @@ import io
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .errors import DomainError, InvalidInputError
+from .errors import ConfigError, DomainError, InvalidInputError
 from .martingales import DyadicMartingale, transform
 from .weights import WeightTree, a2_characteristic, dyadic_averages, power_weight_family
 
@@ -162,6 +162,8 @@ def sharpness_experiment(delta_grid, depth, seed=0, restarts=4, rounds=6):
     """Table of (delta, depth, Q2, worst_ratio) over the power-weight family,
     plus the least-squares slope of log worst_ratio against log Q2."""
     deltas = np.asarray(delta_grid, dtype=float)
+    if deltas.size == 0:
+        raise ConfigError("sharpness delta grid is empty")
     if (deltas <= -1.0).any() or (deltas > 0.0).any():
         raise DomainError("sharpness deltas must lie in (-1, 0]")
     if depth > 14:

@@ -5,7 +5,10 @@ maximizes the inner function by golden-section search, the A2 oracle
 compares characteristics in exact big-integer arithmetic over the float leaf
 values, and the square-function oracles build the martingale increments of a
 leaf vector from reshaped block means (and, densely, from the matrices of the
-conditional expectations).
+conditional expectations).  The direction banks are the sampled searches the
+exact ellipse and copositivity certificates replaced: per point, 64 random
+unit directions plus 10 structured ones, and a grid plus random directions
+of the nonnegative orthant.
 """
 
 from math import gcd
@@ -129,3 +132,60 @@ def sqfun_norm_dense(w):
         prev = cur
     top = eigh(form, gram, eigvals_only=True, subset_by_index=[size - 1, size - 1])
     return float(np.sqrt(top[0]))
+
+
+def _any_perp(u):
+    """Some unit vector orthogonal to each row of u, or u itself in dim 1."""
+    n, d = u.shape
+    if d == 1:
+        return u.copy()
+    v = np.zeros_like(u)
+    v[:, 0] = -u[:, 1]
+    v[:, 1] = u[:, 0]
+    small = np.linalg.norm(v, axis=1) < 1e-12
+    if small.any():
+        v[small, 0] = 1.0
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def direction_bank(rng, n, d, xhat, yhat, n_random=64):
+    """(n, n_random + 10, 2d+2) unit directions dV = (dx, dy, dr, ds): random
+    sphere points plus the axes xhat, x_perp, yhat, y_perp, dr, ds and five
+    diagonals.  Entries 0 and 1 are xhat and x_perp, 2 and 3 yhat and y_perp
+    (in dim 1 the perpendicular repeats the axis)."""
+    dim = 2 * d + 2
+    rnd = rng.standard_normal((n, n_random, dim))
+    rnd /= np.linalg.norm(rnd, axis=2, keepdims=True)
+    structured = np.zeros((n, 10, dim))
+    structured[:, 0, :d] = xhat
+    structured[:, 1, :d] = _any_perp(xhat)
+    structured[:, 2, d:2 * d] = yhat
+    structured[:, 3, d:2 * d] = _any_perp(yhat)
+    structured[:, 4, 2 * d] = 1.0
+    structured[:, 5, 2 * d + 1] = 1.0
+    h = 1.0 / np.sqrt(2.0)
+    structured[:, 6, :d] = xhat * h
+    structured[:, 6, d:2 * d] = yhat * h
+    structured[:, 7, :d] = xhat * h
+    structured[:, 7, 2 * d] = h
+    structured[:, 8, d:2 * d] = yhat * h
+    structured[:, 8, 2 * d + 1] = h
+    structured[:, 9, 2 * d] = h
+    structured[:, 9, 2 * d + 1] = -h
+    return np.concatenate([structured, rnd], axis=1)
+
+
+def split_directions(dirs, d):
+    """(dx, dy, dr, ds) views of a direction bank."""
+    return dirs[..., :d], dirs[..., d:2 * d], dirs[..., 2 * d], dirs[..., 2 * d + 1]
+
+
+def orthant_directions(grid_size, n_random, rng):
+    """Unit directions of the nonnegative orthant of R^4: a grid_size^4 grid
+    (origin dropped) plus n_random folded Gaussian draws."""
+    axes = np.linspace(0.0, 1.0, grid_size)
+    grid = np.stack([g.ravel() for g in np.meshgrid(axes, axes, axes, axes,
+                                                    indexing="ij")], axis=1)
+    grid = grid[np.linalg.norm(grid, axis=1) > 0.0]
+    dirs = np.vstack([grid, np.abs(rng.standard_normal((n_random, 4)))])
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -3,8 +3,10 @@ import pytest
 
 import bellsub as bs
 from bellsub import certify as ct
-from bellsub.bellman import bellman_value
+from bellsub.bellman import (bellman_value, evaluate_batch, hessian_quadratic_form,
+                             partial_xx_form, partial_yy_form)
 from bellsub.errors import ConfigError
+from oracles import direction_bank, split_directions
 
 CFG = bs.BellmanConfig(Q=16.0)
 
@@ -124,7 +126,7 @@ def test_partial_bounds_single_point():
 def test_extract_tau_in_band_and_feasible():
     for V in ct.sample_domain(spec_for(CFG, 30, seed=37)):
         try:
-            tau = ct.extract_tau(V, CFG, seed=41)
+            tau = ct.extract_tau(V, CFG)
         except bs.DomainError:
             continue
         lo = ct.KAPPA_LO * CFG.eps / CFG.Q
@@ -139,11 +141,94 @@ def test_tau_scaling_recorded_not_asserted(capsys):
     for lam in (0.5, 1.0, 2.0):
         W = bs.StatePoint(x=lam * V.x, y=V.y / lam, r=V.r, s=V.s)
         try:
-            rows.append((lam, ct.extract_tau(W, CFG, seed=47)))
+            rows.append((lam, ct.extract_tau(W, CFG)))
         except (bs.DomainError, bs.CertificationError):
             rows.append((lam, float("nan")))
     print("tau scaling under x->lam x, y->y/lam:", rows)
     assert len(rows) == 3
+
+
+# ---------------------------------------------------------------------------
+# the exact ellipse certificate against the sampled direction bank
+# ---------------------------------------------------------------------------
+
+def _bank(Q, dim, n=2048, seed=1):
+    cfg = bs.BellmanConfig(Q=Q, dim=dim)
+    spec = spec_for(cfg, n, seed=seed)
+    x, y, r, s = next(ct._point_batches(spec))
+    a, b = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
+    xhat, yhat = x / a[:, None], y / b[:, None]
+    batch = evaluate_batch(a, b, r, s, cfg)
+    dirs = direction_bank(np.random.default_rng(seed), n, dim, xhat, yhat)
+    return cfg, batch, xhat, yhat, dirs
+
+
+def _ellipse_form(batch, xhat, yhat, dirs, tau, Q):
+    """Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 per point and direction."""
+    dx, dy, dr, ds = split_directions(dirs, xhat.shape[1])
+    form = hessian_quadratic_form(batch, xhat, yhat, dx, dy, dr, ds)
+    t = np.asarray(tau)[:, None]
+    return Q * form - t * np.sum(dx * dx, axis=-1) - np.sum(dy * dy, axis=-1) / t
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("Q", (2.0, 16.0, 256.0))
+def test_ellipse_certificate_bounds_every_sampled_direction(Q, dim):
+    cfg, batch, xhat, yhat, dirs = _bank(Q, dim)
+    h, tan = ct._radial(batch, dim)
+    lower, tau, feas = ct._ellipse(h, tan, cfg)
+    roundoff = 1e-12 * np.max(np.abs(h), axis=(1, 2))[:, None]
+    dx, dy, dr, ds = split_directions(dirs, dim)
+    margin = (hessian_quadratic_form(batch, xhat, yhat, dx, dy, dr, ds)
+              - (2.0 / Q) * np.linalg.norm(dx, axis=-1) * np.linalg.norm(dy, axis=-1))
+    assert (lower[:, None] <= margin + roundoff).all()
+    assert lower.min() > 0.0
+    assert (feas[:, None] <= _ellipse_form(batch, xhat, yhat, dirs, tau, Q)
+            + Q * roundoff).all()
+    assert ((tau >= ct.KAPPA_LO * cfg.eps / Q) & (tau <= ct.KAPPA_HI * Q / cfg.eps)).all()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("Q", (2.0, 16.0, 256.0))
+def test_ellipse_witness_attains_the_feasibility(Q, dim):
+    cfg, batch, xhat, yhat, _ = _bank(Q, dim)
+    h, tan = ct._radial(batch, dim)
+    _, tau, feas = ct._ellipse(h, tan, cfg)
+    witness, value = ct._witness(h, tan, xhat, yhat, tau, Q)
+    assert np.allclose(np.linalg.norm(witness, axis=1), 1.0, rtol=0, atol=1e-12)
+    scale = Q * 1e-12 * np.max(np.abs(h), axis=(1, 2))
+    assert (np.abs(value - feas) <= scale).all()
+    at_witness = _ellipse_form(batch, xhat, yhat, witness[:, None, :], tau, Q)[:, 0]
+    assert (np.abs(at_witness - feas) <= scale).all()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("Q", (2.0, 16.0, 256.0))
+def test_axis_curvatures_equal_the_bank_maximum(Q, dim):
+    _, batch, xhat, yhat, dirs = _bank(Q, dim)
+    cx, cy = ct._axis_curvatures(*ct._radial(batch, dim))
+    # entries 0, 1 of the bank are xhat and x_perp; 2, 3 are yhat and y_perp
+    dx, dy = split_directions(dirs[:, :4], dim)[:2]
+    bank_x = np.max(partial_xx_form(batch, xhat, dx[:, :2]), axis=1)
+    bank_y = np.max(partial_yy_form(batch, yhat, dy[:, 2:]), axis=1)
+    assert (np.abs(cx - bank_x) <= 1e-12 * np.abs(bank_x)).all()
+    assert (np.abs(cy - bank_y) <= 1e-12 * np.abs(bank_y)).all()
+
+
+def test_extract_tau_failure_names_a_violating_direction():
+    weak = bs.BellmanConfig(Q=16.0, c7=1e-3)
+    failures = 0
+    for V in ct.sample_domain(spec_for(weak, 200, seed=79)):
+        try:
+            ct.extract_tau(V, weak)
+        except bs.CertificationError as err:
+            batch, xhat, yhat = ct._one_point_batch(V, weak)
+            _, tau, feas = ct._ellipse(*ct._radial(batch, 2), weak)
+            value = _ellipse_form(batch, xhat, yhat, err.witness[None, None, :],
+                                  tau, weak.Q)[0, 0]
+            assert value == pytest.approx(feas[0], rel=1e-9) and value < 0.0
+            failures += 1
+    assert failures > 0
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +253,19 @@ def test_run_certification_empty():
     rep = ct.run_certification(CFG, spec_for(CFG, 0))
     assert rep.overall_pass and rep.note.startswith("no samples")
     assert "no samples" in ct.report_to_text(rep)
+
+
+def test_run_certification_with_every_sample_near_a_cut():
+    spec = ct.SampleSpec.from_config(CFG, count=300, seed=1, exclusion_margin=1e3)
+    rep = ct.run_certification(CFG, spec)
+    by_name = {c.name: c for c in rep.checks}
+    for name in ("hessian_lower", "dxx_bound", "dyy_bound"):
+        assert by_name[name].samples == 0 and by_name[name].skipped == 300
+    assert by_name["one_leg"].samples == 300
+    ts = rep.tau_stats
+    assert ts.within_bounds and ts.min_feasibility == np.inf
+    assert rep.overall_pass
+    assert "min_feasibility inf" in ct.report_to_text(rep)
 
 
 def test_run_certification_deterministic_and_jobs_independent():

@@ -45,6 +45,15 @@ def test_certify_deterministic_across_jobs(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.txt")
+    for argv in (["certify", "--Q", "4", "--samples", "10", "--seed", "1"],
+                 ["tau-sweep", "--Q", "4", "--samples", "10", "--seed", "1"]):
+        assert run(argv + ["--out", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and missing in err
+
+
 def test_tau_sweep(tmp_path):
     out = tmp_path / "tau.csv"
     assert run(["tau-sweep", "--Q", "4", "--samples", "0", "--seed", "2",
@@ -94,6 +103,15 @@ def test_sharpness_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,depth,Q2,worst_ratio"
     assert len(lines) == 5 and lines[-1].startswith("# slope")
+
+
+def test_sharpness_rejects_an_empty_grid(tmp_path, capsys):
+    out = tmp_path / "sharp.csv"
+    assert run(["sharpness", "--delta-grid", "-0.5:-0.1:0", "--depth", "4",
+                "--seed", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "empty" in err
+    assert not out.exists()
 
 
 def test_telescope_command(tmp_path):

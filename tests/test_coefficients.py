@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,36 +7,71 @@ from bellsub.coefficients import (DEFAULT_COEFFICIENTS, determine_coefficients,
                                   minimal_coefficients, reduced_margin,
                                   validate_coefficients)
 from bellsub.errors import ConfigError
+from oracles import orthant_directions
+
+DRAFTS = {
+    "doubled": tuple(2.0 * c for c in DEFAULT_COEFFICIENTS),
+    "minimal": minimal_coefficients(),
+    "no_c7": (0.5, 2.4, 2.4, 0.0),
+    "small_c1": (0.4, 2.4, 2.4, 600.0),
+    "small_c2_c3": (0.5, 0.05, 0.05, 600.0),
+}
+INFEASIBLE = ("no_c7", "small_c1", "small_c2_c3")
+
+
+def _sampled_minimum(coeffs):
+    dirs = orthant_directions(16, 1_000_000, np.random.default_rng(99))
+    return reduced_margin(coeffs, *dirs.T).min()
 
 
 def test_defaults_certified_on_large_random_bank():
-    margin, worst = validate_coefficients(DEFAULT_COEFFICIENTS, grid_size=16,
-                                          n_random=1_000_000, seed=99)
-    assert margin >= 0.0
+    margin, worst = validate_coefficients(DEFAULT_COEFFICIENTS)
+    assert margin == 0.0 == _sampled_minimum(DEFAULT_COEFFICIENTS)
+    assert reduced_margin(DEFAULT_COEFFICIENTS, *worst) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(DRAFTS))
+def test_exact_minimum_below_a_million_sampled_directions(name):
+    coeffs = DRAFTS[name]
+    margin, worst = validate_coefficients(coeffs, tol=np.inf)
+    sampled = _sampled_minimum(coeffs)
+    # the grid holds the minimizers, so the two agree up to rounding
+    roundoff = 1e-12 * max(1.0, abs(margin))
+    assert margin <= sampled + roundoff
+    assert sampled - margin <= 1e-3 * max(1.0, abs(margin))
+    assert (worst >= 0.0).all() and np.linalg.norm(worst) == pytest.approx(1.0)
+    assert reduced_margin(coeffs, *worst) == pytest.approx(margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", INFEASIBLE)
+def test_infeasible_drafts_name_a_violating_direction(name):
+    with pytest.raises(ConfigError) as err:
+        determine_coefficients(DRAFTS[name])
+    named = re.search(r"=\(([^)]*)\)", str(err.value)).group(1)
+    direction = [float(v) for v in named.split(",")]
+    assert reduced_margin(DRAFTS[name], *direction) < 0.0
 
 
 def test_determine_returns_validated_defaults():
-    assert determine_coefficients(n_random=50_000) == DEFAULT_COEFFICIENTS
-    assert determine_coefficients(DEFAULT_COEFFICIENTS, n_random=50_000) \
-        == DEFAULT_COEFFICIENTS
+    assert determine_coefficients() == DEFAULT_COEFFICIENTS
+    assert determine_coefficients(DEFAULT_COEFFICIENTS) == DEFAULT_COEFFICIENTS
 
 
 def test_homogeneity_doubling_preserves_feasibility():
     doubled = tuple(2.0 * c for c in DEFAULT_COEFFICIENTS)
-    margin, _ = validate_coefficients(doubled, n_random=50_000)
+    margin, _ = validate_coefficients(doubled)
     assert margin >= 0.0
 
 
 def test_minimal_coefficients_sit_on_the_boundary():
-    margin, _ = validate_coefficients(minimal_coefficients(), n_random=50_000,
-                                      tol=1e-12)
+    margin, _ = validate_coefficients(minimal_coefficients(), tol=1e-12)
     assert -1e-12 <= margin <= 1e-9   # zero up to float rounding of sqrt(3)
 
 
 def test_dropping_c7_fails_on_a_pure_rs_direction():
     draft = (0.5, 2.4, 2.4, 0.0)
     with pytest.raises(ConfigError) as err:
-        determine_coefficients(draft, n_random=50_000)
+        determine_coefficients(draft)
     assert "direction" in str(err.value)
     # the violating mechanism is explicit: no |dx|, |dy| content
     m = reduced_margin(draft, 0.0, 0.0, 1.0, 1.0)
@@ -43,7 +80,7 @@ def test_dropping_c7_fails_on_a_pure_rs_direction():
 
 def test_too_small_c1_is_rejected():
     with pytest.raises(ConfigError):
-        determine_coefficients((0.4, 2.4, 2.4, 600.0), n_random=50_000)
+        determine_coefficients((0.4, 2.4, 2.4, 600.0))
 
 
 def test_validation_rejects_nonpositive():
