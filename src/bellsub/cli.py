@@ -138,13 +138,17 @@ def cmd_simulate(args):
 
 
 def _parse_delta_grid(text):
-    if "," in text:
-        return [float(v) for v in text.split(",")]
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError("delta grid must be start:stop:count or a comma list")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    return list(np.linspace(start, stop, count))
+    usage = "delta grid must be start:stop:count or a comma list"
+    try:
+        if "," in text:
+            return [float(v) for v in text.split(",")]
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(usage)
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        return list(np.linspace(start, stop, count))
+    except ValueError as exc:
+        raise ConfigError(f"{usage}, got {text!r} ({exc})") from None
 
 
 def cmd_sharpness(args):

@@ -12,15 +12,23 @@ Smoothing happens before composing with K = K(r, s); convexity of H4 in the
 five variables and the monotonicity -d/dK H4 >= 0 survive averaging exactly,
 which is what preserves the one-leg convexity of the composite (at the
 weakened constant 1/Q instead of 2/Q).
+
+H4 is sampled on the box padded by the kernel radius m cells, and the
+convolution is one circular rfftn/irfftn product on that padded box, each
+axis of length n zero-filled to L = next_fast_len(n) >= n.  A kernel of
+2m + 1 taps wraps around only into the first 2m entries of each axis, so
+entries 2m .. n-1 equal the linear convolution's valid part exactly; they
+are the ones kept.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import fftconvolve
 
 from .bellman import BellmanConfig, b4_batch, evaluate_batch, h4_value, kn_of_t
 from .errors import ConfigError, DomainError
@@ -29,9 +37,9 @@ VAR_NAMES = ("x", "y", "r", "s", "K")
 
 
 def h4_raw(x, y, r, s, K):
-    """H4 of five real variables (x, y scalars > 0), vectorized."""
-    x, y, r, s, K = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                          for v in (x, y, r, s, K)))
+    """H4 of five real variables (x, y scalars > 0), vectorized; the
+    arguments broadcast, so sparse grid axes are never expanded."""
+    x, y, r, s, K = (np.asarray(v, dtype=float) for v in (x, y, r, s, K))
     if (r * s - K * K <= 0.0).any():
         raise DomainError("H4 needs K^2 < rs throughout")
     return h4_value(x, y, r, s, K)
@@ -71,6 +79,12 @@ def bump_kernel(ell: float, spacing: float):
     return w / w.sum(), m
 
 
+# slices of one axis for the nodes ahead of, at and behind a centre node
+_STEP = {1: (slice(2, None), slice(1, -1), slice(0, -2)),
+         -1: (slice(0, -2), slice(1, -1), slice(2, None)),
+         0: (slice(None), slice(None), slice(None))}
+
+
 class MollifiedH4:
     """H4 * phi_ell sampled on a uniform 5-D grid, with interpolation access."""
 
@@ -90,8 +104,7 @@ class MollifiedH4:
         return float(self.kernel.sum())
 
     def raw_values(self):
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        return h4_raw(*grids)
+        return h4_raw(*np.meshgrid(*self.axes, indexing="ij", sparse=True))
 
     def __call__(self, pts):
         return self._itp(np.asarray(pts, dtype=float))
@@ -108,7 +121,7 @@ class MollifiedH4:
 
     def cut_distance(self):
         """Per grid node, the normalized distance to the nearer H4 branch cut."""
-        x, y, r, s, K = np.meshgrid(*self.axes, indexing="ij")
+        x, y, r, s, K = np.meshgrid(*self.axes, indexing="ij", sparse=True)
         q1 = np.abs(y * r - x * K) / np.sqrt(K * K + r * r + x * x + y * y)
         q2 = np.abs(x * s - y * K) / np.sqrt(K * K + s * s + x * x + y * y)
         return np.minimum(q1, q2)
@@ -120,28 +133,20 @@ class MollifiedH4:
         far_max = float(dev[far].max()) if far.any() else float("nan")
         return float(dev.max()), far_max
 
-    def second_difference_min(self, n_directions=64, seed=0):
-        """Min over random integer directions of the centered second difference.
+    def second_difference_min(self):
+        """Min of the centered second difference over every direction of
+        {-1, 0, 1}^5 (121 up to sign, which leaves the difference unchanged).
 
         H4 is jointly convex in its five variables, so both the raw and the
         mollified grids must return nonnegative values up to roundoff.
         """
-        rng = np.random.default_rng(seed)
         v = self.values
         worst = np.inf
-        for _ in range(n_directions):
-            e = rng.integers(-1, 2, size=5)
-            if not e.any():
-                continue
-            sl_p, sl_0, sl_m = [], [], []
-            for d in e:
-                if d == 1:
-                    sl_p.append(slice(2, None)); sl_0.append(slice(1, -1)); sl_m.append(slice(0, -2))
-                elif d == -1:
-                    sl_p.append(slice(0, -2)); sl_0.append(slice(1, -1)); sl_m.append(slice(2, None))
-                else:
-                    sl_p.append(slice(None)); sl_0.append(slice(None)); sl_m.append(slice(None))
-            dd = v[tuple(sl_p)] - 2.0 * v[tuple(sl_0)] + v[tuple(sl_m)]
+        for e in itertools.product((-1, 0, 1), repeat=5):
+            if next((d for d in e if d), -1) < 0:
+                continue                # the zero direction, or -e of a kept e
+            ahead, mid, back = zip(*(_STEP[d] for d in e))
+            dd = v[ahead] - 2.0 * v[mid] + v[back]
             worst = min(worst, float(dd.min()))
         return worst
 
@@ -174,9 +179,11 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
-    grids = np.meshgrid(*padded_axes, indexing="ij")
-    padded_values = h4_raw(*grids)
-    values = fftconvolve(padded_values, kernel, mode="valid")
+    padded_values = h4_raw(*np.meshgrid(*padded_axes, indexing="ij", sparse=True))
+    n = padded_values.shape
+    L = tuple(fft.next_fast_len(k, real=True) for k in n)
+    values = fft.irfftn(fft.rfftn(padded_values, L) * fft.rfftn(kernel, L), L)
+    values = values[tuple(slice(2 * m, k) for k in n)]
     axes = spec.axes(pad_cells=0)
     expect = tuple(len(a) for a in axes)
     if values.shape != expect:
@@ -200,7 +207,8 @@ def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8,
     pad = (int(np.floor(ell / h)) + 1) * h
     ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
     ks = kn_of_t(ts, cfg.Q)[0][0]
-    k_lo = max(h * np.floor((ks.min() - pad) / h), 0.0)
+    # mollify_h4 pads K by the kernel radius m h, which must keep K >= 0
+    k_lo = max(h * np.floor((ks.min() - pad) / h), int(np.floor(ell / h)) * h)
     k_hi = h * np.ceil((ks.max() + pad) / h)
     return GridSpec(lo=tuple(lo + [k_lo]), hi=tuple(hi + [k_hi]), spacing=h)
 

@@ -27,6 +27,9 @@ from .errors import ConfigError, DomainError, InvalidInputError
 from .martingales import DyadicMartingale, transform
 from .weights import WeightTree, a2_characteristic, dyadic_averages, power_weight_family
 
+# weights with Q2 at or below this are flat and carry no slope information
+_FLAT_Q2 = 1.0 + 1e-12
+
 
 def _apply_tsigma(f, sig0, sigs):
     """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
@@ -168,10 +171,13 @@ def sharpness_experiment(delta_grid, depth, seed=0, restarts=4, rounds=6):
         raise DomainError("sharpness deltas must lie in (-1, 0]")
     if depth > 14:
         raise InvalidInputError("sharpness experiment capped at depth 14")
+    ws = [power_weight_family(float(d), depth) for d in deltas]
+    q2s = [a2_characteristic(w) for w in ws]
+    if sum(q > _FLAT_Q2 for q in q2s) < 2:
+        raise ConfigError("sharpness delta grid needs two weights with Q2 > 1 "
+                          "to fit a slope")
     rows = []
-    for i, d in enumerate(deltas):
-        w = power_weight_family(float(d), depth)
-        q2 = a2_characteristic(w)
+    for i, (d, w, q2) in enumerate(zip(deltas, ws, q2s)):
         ratio, _ = worst_ratio(w, restarts=restarts, rounds=rounds, seed=seed + i)
         rows.append({"delta": float(d), "depth": depth, "Q2": q2,
                      "worst_ratio": ratio})
@@ -180,7 +186,7 @@ def sharpness_experiment(delta_grid, depth, seed=0, restarts=4, rounds=6):
 
 
 def fitted_slope(rows):
-    pts = [(r["Q2"], r["worst_ratio"]) for r in rows if r["Q2"] > 1.0 + 1e-12]
+    pts = [(r["Q2"], r["worst_ratio"]) for r in rows if r["Q2"] > _FLAT_Q2]
     if len(pts) < 2:
         return float("nan")
     lq = np.log([p[0] for p in pts])

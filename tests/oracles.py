@@ -8,13 +8,15 @@ leaf vector from reshaped block means (and, densely, from the matrices of the
 conditional expectations).  The direction banks are the sampled searches the
 exact ellipse and copositivity certificates replaced: per point, 64 random
 unit directions plus 10 structured ones, and a grid plus random directions
-of the nonnegative orthant.
+of the nonnegative orthant.  The mollification oracle is the linear
+convolution of scipy.signal, which the library no longer imports.
 """
 
 from math import gcd
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.signal import fftconvolve
 
 
 def brute_force_h4(a, b, r, s, k, iters=220):
@@ -189,3 +191,8 @@ def orthant_directions(grid_size, n_random, rng):
     grid = grid[np.linalg.norm(grid, axis=1) > 0.0]
     dirs = np.vstack([grid, np.abs(rng.standard_normal((n_random, 4)))])
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def valid_convolution(values, kernel):
+    """Linear convolution of values with kernel, only where the kernel fits."""
+    return fftconvolve(values, kernel, mode="valid")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from bellsub import cli
 from bellsub import weights as wt
@@ -111,6 +112,26 @@ def test_sharpness_rejects_an_empty_grid(tmp_path, capsys):
                 "--seed", "4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "empty" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [",", "a:b:3", "-0.5:-0.1:-2"])
+def test_sharpness_rejects_a_malformed_grid(tmp_path, capsys, grid):
+    out = tmp_path / "sharp.csv"
+    assert run(["sharpness", "--delta-grid", grid, "--depth", "4",
+                "--seed", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and grid in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["-0.5:-0.1:1", "0,0"])
+def test_sharpness_rejects_a_grid_without_a_slope(tmp_path, capsys, grid):
+    out = tmp_path / "sharp.csv"
+    assert run(["sharpness", "--delta-grid", grid, "--depth", "4",
+                "--seed", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "slope" in err
     assert not out.exists()
 
 

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import bellsub as bs
 from bellsub import mollify as mo
 from bellsub.errors import ConfigError
+from oracles import valid_convolution
 
 CFG = bs.BellmanConfig(Q=16.0)
 
@@ -60,7 +65,7 @@ def test_pointwise_convergence_as_ell_shrinks():
 
 def test_second_differences_nonnegative(moll):
     # joint convexity of H4 in the five real variables survives averaging
-    assert moll.second_difference_min(n_directions=64, seed=1) >= -1e-9
+    assert moll.second_difference_min() >= -1e-9
 
 
 def test_monotone_in_k(moll):
@@ -80,22 +85,55 @@ def test_h4_raw_domain_guard():
         mo.h4_raw(1.0, 1.0, 0.5, 0.5, 1.0)   # K^2 >= rs
 
 
+def _branch_cut_spec():
+    h = CFG.ell / 4.0
+    # center the x axis on the cut x = y K / s for y=0.45, s=1.15, K=0.28
+    y0, s0, k0 = 0.45, 1.15, 0.28
+    x0 = y0 * k0 / s0          # ~0.1096
+    half = 4 * h
+    return mo.GridSpec(lo=(x0 - half, y0 - half, 1.1, s0 - half, k0 - half),
+                       hi=(x0 + half, y0 + half, 1.1 + 2 * half, s0 + half, k0 + half),
+                       spacing=h)
+
+
 def test_mollification_across_a_branch_cut():
     """A box straddling the |x|s = |y|K cut: convexity of the mollified grid
     survives (second differences stay nonnegative) and the deviation from the
     raw function is O(ell) even through the kink."""
     ell = CFG.ell
-    h = ell / 4.0
-    # center the x axis on the cut x = y K / s for y=0.45, s=1.15, K=0.28
-    y0, s0, k0 = 0.45, 1.15, 0.28
-    x0 = y0 * k0 / s0          # ~0.1096
-    half = 4 * h
-    spec = mo.GridSpec(lo=(x0 - half, y0 - half, 1.1, s0 - half, k0 - half),
-                       hi=(x0 + half, y0 + half, 1.1 + 2 * half, s0 + half, k0 + half),
-                       spacing=h)
-    moll = mo.mollify_h4(ell, spec)
+    moll = mo.mollify_h4(ell, _branch_cut_spec())
     dist = moll.cut_distance()
     assert dist.min() < ell / 4          # the box really touches the cut
     dev_all, dev_far = moll.deviation_from_raw()
     assert dev_all <= 0.5 * ell          # Lipschitz bound holds through the kink
-    assert moll.second_difference_min(n_directions=64, seed=2) >= -1e-9
+    assert moll.second_difference_min() >= -1e-9
+
+
+def test_default_grid_builds_at_q256():
+    # K(rs) is small at Q = 256; the K axis must start a kernel radius above 0
+    cfg = bs.BellmanConfig(Q=256.0)
+    spec = mo.default_grid_spec(cfg, cells=8)
+    moll = mo.mollify_h4(cfg.ell, spec)
+    margins = mo.composite_one_leg_margins(moll, cfg, n_pairs=300, seed=5)
+    assert len(margins) >= 100
+    assert margins.min() >= -1e-6
+    assert np.diff(moll.values, axis=4).max() <= 1e-12
+
+
+@pytest.mark.parametrize("Q", [2.0, 16.0, None], ids=["Q2", "Q16", "branch_cut"])
+def test_circular_convolution_matches_linear_oracle(Q):
+    spec = (_branch_cut_spec() if Q is None
+            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+    moll = mo.mollify_h4(CFG.ell, spec)
+    padded = np.meshgrid(*spec.axes(pad_cells=moll.pad_cells), indexing="ij")
+    expect = valid_convolution(mo.h4_raw(*padded), moll.kernel)
+    np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
+
+
+def test_import_leaves_scipy_signal_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bs.__file__)))
+    code = "import sys, bellsub; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

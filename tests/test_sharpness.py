@@ -6,14 +6,18 @@ import pytest
 from bellsub import martingales as mg
 from bellsub import sharpness as sh
 from bellsub import weights as wt
-from bellsub.errors import DomainError, InvalidInputError
+from bellsub.errors import ConfigError, DomainError, InvalidInputError
 from oracles import sqfun_form, sqfun_norm_dense, sqfun_rayleigh
 
 
 def test_flat_weight_ratio_is_one():
-    rows, slope = sh.sharpness_experiment([0.0], depth=6, seed=0)
-    assert rows[0]["Q2"] == 1.0
-    assert rows[0]["worst_ratio"] <= 1.0 + 1e-9
+    w = wt.power_weight_family(0.0, 6)
+    assert wt.a2_characteristic(w) == 1.0
+    ratio, _ = sh.worst_ratio(w, seed=0)
+    assert ratio <= 1.0 + 1e-9
+    # a flat weight carries no slope, so the experiment refuses it alone
+    with pytest.raises(ConfigError):
+        sh.sharpness_experiment([0.0], depth=6, seed=0)
 
 
 def test_delta_grid_validation():
