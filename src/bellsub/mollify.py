@@ -221,7 +221,9 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     Pairs are drawn on grid nodes of the (x, y, r, s) box (only the K
     coordinate is interpolated), with scalar positive x, y as in the real-
     variable mollification setting.  Returns the array of margins
-    B(V) - B(V0) - dB(V0)(V - V0) - (1/Q)|x - x0||y - y0|.
+    B(V) - B(V0) - dB(V0)(V - V0) - (1/Q)|x - x0||y - y0| over the pairs
+    with V != V0; a pair drawn on one node twice has margin 0 identically and
+    is dropped, so it cannot mask the least real margin.
     """
     rng = np.random.default_rng(seed)
     axx, axy, axr, axs, axk = moll.axes
@@ -254,4 +256,5 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     dv = np.stack([x[i1] - x[i0], y[i1] - y[i0], r[i1] - r[i0], s[i1] - s[i0]], axis=1)
     lin = np.sum(grad[i0] * dv, axis=1)
     jump = np.abs(dv[:, 0]) * np.abs(dv[:, 1])
-    return value[i1] - value[i0] - lin - (1.0 / cfg.Q) * jump
+    moved = (dv != 0.0).any(axis=1)
+    return (value[i1] - value[i0] - lin - (1.0 / cfg.Q) * jump)[moved]

@@ -9,7 +9,9 @@ conditional expectations).  The direction banks are the sampled searches the
 exact ellipse and copositivity certificates replaced: per point, 64 random
 unit directions plus 10 structured ones, and a grid plus random directions
 of the nonnegative orthant.  The mollification oracle is the linear
-convolution of scipy.signal, which the library no longer imports.
+convolution of scipy.signal, which the library no longer imports.  The dual
+oracle is the random search over test martingales that the exact dual
+extremal Z = Y w replaced.
 """
 
 from math import gcd
@@ -196,3 +198,14 @@ def orthant_directions(grid_size, n_random, rng):
 def valid_convolution(values, kernel):
     """Linear convolution of values with kernel, only where the kernel fits."""
     return fftconvolve(values, kernel, mode="valid")
+
+
+def random_dual_ratio(y_leaves, w_leaves, rng, n_test=32):
+    """Largest pairing ratio |E<Y, Z>| / ||Z||_(2, 1/w) over n_test Gaussian
+    test leaves Z."""
+    best = 0.0
+    for _ in range(n_test):
+        z = rng.standard_normal(y_leaves.shape)
+        nz = np.sqrt(np.mean(np.sum(z ** 2, axis=1) / w_leaves))
+        best = max(best, abs(float(np.mean(np.sum(y_leaves * z, axis=1)))) / nz)
+    return best

@@ -178,8 +178,7 @@ def test_criterion_7_main_estimate_with_reports():
                 sig = [np.where(rng.standard_normal(2 ** k) > 0, 1.0, -1.0)
                        for k in range(10)]
                 Y = mg.transform(X, sig, sigma0=1.0)
-            res = est.verify_main_theorem(X, Y, w, C_TARGET, n_test=8,
-                                          seed=7000 + i)
+            res = est.verify_main_theorem(X, Y, w, C_TARGET, seed=7000 + i)
             ok &= res["pass"]
             max_ratio = max(max_ratio, res["ratio"])
     print(f"    calibrated C_target = {C_TARGET} (max observed ratio "

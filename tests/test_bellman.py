@@ -119,13 +119,13 @@ def test_h4_matches_brute_force_supremum():
     x, y, r, s = _points(cfg, 2000, seed=11)
     a = np.linalg.norm(x, axis=1)
     b = np.linalg.norm(y, axis=1)
+    k = np.array([bs.eval_K(r[i], s[i], cfg.Q) for i in range(2000)])
+    want = brute_force_h4(a, b, r, s, k)
     regions = set()
     for i in range(2000):
-        k = bs.eval_K(r[i], s[i], cfg.Q)
-        got = bs.eval_H4(x[i], y[i], r[i], s[i], k)
-        want = brute_force_h4(a[i], b[i], r[i], s[i], k)
-        assert got == pytest.approx(want, rel=1e-6)
-        regions.add(bs.classify_region(x[i], y[i], r[i], s[i], k).tag)
+        got = bs.eval_H4(x[i], y[i], r[i], s[i], k[i])
+        assert got == pytest.approx(want[i], rel=1e-6)
+        regions.add(bs.classify_region(x[i], y[i], r[i], s[i], k[i]).tag)
     assert {"R1", "R2", "R3"} <= regions
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ import bellsub as bs
 from bellsub import estimates as est
 from bellsub import martingales as mg
 from bellsub import weights as wt
+from bellsub.bellman import evaluate_batch, profile_value
 from bellsub.errors import DomainError, SubordinationError
+from oracles import random_dual_ratio
 
 
 def make_pair(depth, dim, seed, rotate=False):
@@ -114,6 +118,76 @@ def test_telescope_exhaustive_dissipation_agreement():
     assert res["sum_increments"] == pytest.approx(brute, rel=1e-12)
 
 
+def _telescope_by_level(X, Z, w, cfg):
+    """Per-step margins, dissipation, expectation gap and terminal mean with
+    B evaluated afresh at the parent and at the child of every level."""
+    Xa, Za = X.with_anchor(cfg.ell), Z.with_anchor(cfg.ell)
+    rep = lambda arr: np.repeat(arr, 2, axis=0)
+
+    def states(k):
+        x, y = Xa.levels[k], Za.levels[k]
+        return (x, y, np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1),
+                w.node_avg_u[k], w.node_avg_w[k])
+
+    margins_min, dissipation = [], 0.0
+    for k in range(X.depth):
+        xp, yp, ap, bp, rp, sp = states(k)
+        xc, yc, ac, bc, rc, sc = states(k + 1)
+        parent_val = profile_value(ap, bp, rp, sp, cfg)
+        child_val = profile_value(ac, bc, rc, sc, cfg)
+        g = evaluate_batch(ap, bp, rp, sp, cfg).g
+        dx, dy = xc - rep(xp), yc - rep(yp)
+        lin = (rep(g[0]) * np.sum(rep(xp / ap[:, None]) * dx, axis=1)
+               + rep(g[1]) * np.sum(rep(yp / bp[:, None]) * dy, axis=1)
+               + rep(g[2]) * (rc - rep(rp)) + rep(g[3]) * (sc - rep(sp)))
+        jump = np.linalg.norm(dx, axis=1) * np.linalg.norm(dy, axis=1)
+        margins = child_val - rep(parent_val) - lin - (2.0 / cfg.Q) * jump
+        margins_min.append(float(margins.min()))
+        dissipation += (2.0 / cfg.Q) * float(jump.sum()) * 2.0 ** (-(k + 1))
+    _, _, a0, b0, r0, s0 = states(0)
+    root = float(profile_value(a0, b0, r0, s0, cfg)[0])
+    _, _, an, bn, rn, sn = states(X.depth)
+    terminal = float(np.mean(profile_value(an, bn, rn, sn, cfg)))
+    return margins_min, dissipation, terminal - root, terminal
+
+
+@pytest.mark.parametrize("depth", [1, 6, 12])
+@pytest.mark.parametrize("rotate", [False, True], ids=["random", "rotation"])
+def test_telescope_matches_per_level_recomputation(depth, rotate):
+    cfg, X, Z, w = tele_setup(depth=depth, seed=40 + depth, rotate=rotate)
+    res = est.bellman_telescope(X, Z, w, cfg)
+    margins, dissipation, gap, terminal = _telescope_by_level(X, Z, w, cfg)
+    assert res["per_step_margins"] == margins
+    assert res["sum_increments"] == dissipation
+    assert res["expectation_gap"] == gap
+    assert res["bellman_terminal"] == terminal
+
+
+@pytest.mark.parametrize("depth", [1, 6])
+def test_telescope_evaluates_bellman_once_per_level(monkeypatch, depth):
+    cfg, X, Z, w = tele_setup(depth=depth, seed=3)
+    sizes = {"evaluate_batch": [], "profile_value": []}
+    live = []     # weak references to every BatchEval handed out so far
+
+    def counted_batch(a, *rest):
+        # the level about to be evaluated is at most the second one alive
+        assert sum(ref() is not None for ref in live) <= 1
+        sizes["evaluate_batch"].append(len(a))
+        batch = evaluate_batch(a, *rest)
+        live.append(weakref.ref(batch))
+        return batch
+
+    def counted_value(a, *rest):
+        sizes["profile_value"].append(len(a))
+        return profile_value(a, *rest)
+
+    monkeypatch.setattr(est, "evaluate_batch", counted_batch)
+    monkeypatch.setattr(est, "profile_value", counted_value)
+    est.bellman_telescope(X, Z, w, cfg)
+    assert sizes["evaluate_batch"] == [2 ** k for k in range(depth)]
+    assert sizes["profile_value"] == [2 ** depth]
+
+
 def test_telescope_rejects_untruncated_weight():
     cfg = bs.BellmanConfig(Q=16.0)
     X, Z, rng = make_pair(6, 2, 9)
@@ -172,6 +246,18 @@ def test_main_theorem_duality_achieved():
     w = wt.power_weight_family(-0.5, 8)
     res = est.verify_main_theorem(X, Y, w, 10.0, seed=3)
     assert res["duality_gap"] <= 1e-8 * max(1.0, res["lhs"])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rotate", [False, True], ids=["sign", "rotation"])
+def test_main_theorem_dual_attained_at_extremal(dim, rotate):
+    for seed in range(4):
+        X, Y, rng = make_pair(8, dim, 50 * dim + seed, rotate=rotate)
+        w = wt.power_weight_family(rng.uniform(-0.9, 0.9), 8)
+        res = est.verify_main_theorem(X, Y, w, 10.0)
+        assert res["dual_lhs"] == pytest.approx(res["lhs"], rel=1e-12, abs=0.0)
+        searched = random_dual_ratio(Y.leaves, w.leaf_values, rng)
+        assert searched <= res["dual_lhs"] * (1.0 + 1e-12)
 
 
 def test_projection_consistency():

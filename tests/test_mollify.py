@@ -80,6 +80,15 @@ def test_composite_one_leg_at_weakened_constant(moll):
     assert margins.min() >= -1e-6
 
 
+@pytest.mark.parametrize("seed,least", [(18, 0.0981), (36, 0.269)])
+def test_coincident_pair_does_not_mask_least_margin(moll, seed, least):
+    # at these seeds one of the 200 pairs lands twice on one grid node; its
+    # margin is 0 identically and would hide the least real margin
+    margins = mo.composite_one_leg_margins(moll, CFG, seed=seed)
+    assert len(margins) == 199
+    assert margins.min() == pytest.approx(least, abs=5e-4)
+
+
 def test_h4_raw_domain_guard():
     with pytest.raises(Exception):
         mo.h4_raw(1.0, 1.0, 0.5, 0.5, 1.0)   # K^2 >= rs
