@@ -9,7 +9,8 @@ above a small negative roundoff tolerance at seeded random sample points:
   * second x/y:    (d^2_x B dx, dx) <= C_xx eps^-1 |dx|^2 (and symmetric in y)
   * ellipse:       some tau with Q d^2B >= tau |dx|^2 + tau^-1 |dy|^2 exists
                    inside the reporting band [eps/(10Q), 10Q/eps]
-  * C^1 cuts:      one-sided gradients of the H4 block merge at rate O(delta)
+  * C^1 cuts:      one-sided gradients of the H4 block merge at rate O(delta),
+                   on a fixed grid of points on each cut
 
 At each point the Hessian, second x/y and ellipse margins hold over every
 direction dV: they come from the 4x4 radial Hessian in (|x|, |y|, r, s) and
@@ -21,7 +22,8 @@ Samples near the H4 branch cuts are excluded from the C^2 checks (they are
 handled by the dedicated C^1 convergence check) and counted as skipped.
 All randomness flows through numpy SeedSequence spawns keyed by the sample
 batch index, so reports are byte-identical for a given (cfg, spec) no matter
-how many worker threads evaluate the batches.
+how many worker threads evaluate the batches.  The plan (spec) fixes only the
+sample count, the seed and the cut exclusion; the domain sampled is cfg's.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellman import (CUT_TOLERANCE, BellmanConfig, StatePoint, Perturbation,
-                      _tangential_coeff, b4_batch, evaluate_batch,
-                      hessian_quadratic_form, kn_of_t, partial_xx_form,
-                      partial_yy_form)
+                      _tangential_coeff, b4_batch, bellman_value, domain_check,
+                      evaluate_batch, hessian_quadratic_form, kn_of_t,
+                      partial_xx_form, partial_yy_form, profile_value)
 from .errors import CertificationError, ConfigError, DomainError
 from .coefficients import validate_coefficients
 
@@ -49,31 +51,19 @@ BATCH = 2048
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Deterministic sampling plan for certification runs."""
+    """Deterministic sampling plan for certification runs: how many points,
+    from which seed, and how far from the H4 cuts the C^2 checks stop.  The
+    domain sampled (Q, eps, ell, dim) is always the BellmanConfig's."""
 
     count: int
     seed: int
-    Q: float = 16.0
-    eps: float = 0.1
-    ell: float = 0.05
-    dim: int = 2
     exclusion_margin: float = 1e-6
 
     def __post_init__(self):
         if self.count < 0:
             raise ConfigError("sample count must be nonnegative")
-        if self.Q < 1.0:
-            raise ConfigError("Q < 1 leaves the domain empty")
-        if not 0.0 < self.eps < 1.0 or not 0.0 < self.ell <= self.eps / 2.0:
-            raise ConfigError("need 0 < eps < 1 and 0 < ell <= eps/2")
         if self.exclusion_margin < CUT_TOLERANCE:
             raise ConfigError("exclusion margin below the cut tolerance")
-
-    @staticmethod
-    def from_config(cfg: BellmanConfig, count, seed, exclusion_margin=1e-6):
-        return SampleSpec(count=count, seed=seed, Q=cfg.Q, eps=cfg.eps,
-                          ell=cfg.ell, dim=cfg.dim,
-                          exclusion_margin=exclusion_margin)
 
 
 @dataclass
@@ -119,24 +109,30 @@ class CertReport:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_arrays(spec: SampleSpec, rng, count):
+def _sample_arrays(cfg: BellmanConfig, rng, count):
     """Points of D_Q^{eps, ell}: log(rs) uniform on [0, log t_max], log r
     uniform on the feasible slice, sphere directions with log-uniform radii.
 
     t_max = min(Q, eps^-2): the eps box caps rs at eps^-2, so for Q beyond
     that the admissible product range saturates.
     """
-    tmax = min(spec.Q, spec.eps ** -2)
+    tmax = min(cfg.Q, cfg.eps ** -2)
     t = np.exp(rng.uniform(0.0, np.log(tmax), count))
-    rlo = np.maximum(spec.eps, t * spec.eps)
-    rhi = np.minimum(1.0 / spec.eps, t / spec.eps)
-    r = np.exp(rng.uniform(np.log(rlo), np.log(rhi)))
+    r = np.exp(_slice_log_r(t, cfg.eps, rng.random(count)))
     s = t / r
-    radius_x = np.exp(rng.uniform(np.log(spec.ell), np.log(1.0 / spec.eps), count))
-    radius_y = np.exp(rng.uniform(np.log(spec.ell), np.log(1.0 / spec.eps), count))
-    x = _sphere(rng, count, spec.dim) * radius_x[:, None]
-    y = _sphere(rng, count, spec.dim) * radius_y[:, None]
+    radius_x = np.exp(rng.uniform(np.log(cfg.ell), np.log(1.0 / cfg.eps), count))
+    radius_y = np.exp(rng.uniform(np.log(cfg.ell), np.log(1.0 / cfg.eps), count))
+    x = _sphere(rng, count, cfg.dim) * radius_x[:, None]
+    y = _sphere(rng, count, cfg.dim) * radius_y[:, None]
     return x, y, r, s
+
+
+def _slice_log_r(t, eps, u):
+    """log r at relative position u in [0, 1] of the slice of the eps box on
+    which rs = t: [log max(eps, t eps), log min(1/eps, t/eps)]."""
+    lo = np.log(np.maximum(eps, t * eps))
+    hi = np.log(np.minimum(1.0 / eps, t / eps))
+    return lo + u * (hi - lo)
 
 
 def _sphere(rng, n, d):
@@ -155,19 +151,19 @@ def _streams(spec: SampleSpec):
     }, n_batches
 
 
-def _point_batches(spec: SampleSpec):
+def _point_batches(cfg: BellmanConfig, spec: SampleSpec):
     """(x, y, r, s) of each sample batch, in sample order."""
     streams, n_batches = _streams(spec)
     for b in range(n_batches):
         size = min(BATCH, spec.count - b * BATCH)
         if size > 0:
-            yield _sample_arrays(spec, np.random.default_rng(streams["points"][b]), size)
+            yield _sample_arrays(cfg, np.random.default_rng(streams["points"][b]), size)
 
 
-def sample_domain(spec: SampleSpec):
+def sample_domain(cfg: BellmanConfig, spec: SampleSpec):
     """Deterministic list of StatePoints satisfying the D_Q^{eps,ell} flags."""
     return [StatePoint(x=x[i], y=y[i], r=float(r[i]), s=float(s[i]))
-            for x, y, r, s in _point_batches(spec) for i in range(len(r))]
+            for x, y, r, s in _point_batches(cfg, spec) for i in range(len(r))]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +196,6 @@ def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig, constant=2.
     Both values go through the same evaluation path so the margin is exactly
     zero at V = V0.
     """
-    from .bellman import domain_check, bellman_value
     for P in (V0, V):
         if not domain_check(P, cfg).in_DQ_eps:
             raise DomainError("one-leg check requires both points in D_Q^eps")
@@ -370,11 +365,11 @@ def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
     rows = []
     ok = True
     idx = 0
-    for x, y, r, s in _point_batches(spec):
+    for x, y, r, s in _point_batches(cfg, spec):
         a = np.linalg.norm(x, axis=1)
         b = np.linalg.norm(y, axis=1)
         batch = evaluate_batch(a, b, r, s, cfg)
-        _, tau, feas = _ellipse(*_radial(batch, spec.dim), cfg)
+        _, tau, feas = _ellipse(*_radial(batch, cfg.dim), cfg)
         ok &= bool((feas[~batch.cut] >= -TAU_FEAS_TOL).all())
         rows += [(idx + i, float(r[i]), float(s[i]), float(a[i]), float(b[i]),
                   float(tau[i])) for i in range(len(r)) if not batch.cut[i]]
@@ -390,18 +385,20 @@ def check_c1_across_cuts(cfg: BellmanConfig, n=1000, deltas=(1e-2, 1e-3, 1e-4),
                          seed=0):
     """One-sided gradients of the H4 block merge linearly at both cuts.
 
-    For each cut and each delta, n points are placed on the cut and displaced
-    to both sides by a relative delta; the report carries the mean gradient
-    mismatch normalized by the local gradient scale, the fitted log-log decay
-    rate (expected ~1), and the corner behavior |grad| = O(delta) when both
-    |x|, |y| <~ delta.
+    For each cut and each delta, about n points of a fixed grid (see
+    `_c1_grid`) are placed on the cut and displaced to both sides by a
+    relative delta; the report carries the mean gradient mismatch normalized
+    by the local gradient scale, the fitted log-log decay rate (expected ~1),
+    and the corner behavior |grad| = O(delta) when both |x|, |y| <~ delta.
+
+    `seed` is ignored: the grid draws nothing.  It stays in the signature so
+    that callers which still pass it keep working.
     """
-    rng = np.random.default_rng(seed)
     report = {"deltas": list(deltas), "cuts": {}, "corner": {}, "rates": {}}
     for cut in ("xs_yk", "yr_xk"):
         mis = []
         for delta in deltas:
-            m, scale = _cut_mismatch(cfg, rng, n, delta, cut)
+            m, scale = _cut_mismatch(cfg, n, delta, cut)
             mis.append({"delta": delta, "mean_mismatch": m, "gradient_scale": scale,
                         "normalized": m / scale})
         report["cuts"][cut] = mis
@@ -409,48 +406,48 @@ def check_c1_across_cuts(cfg: BellmanConfig, n=1000, deltas=(1e-2, 1e-3, 1e-4),
         lm = np.log([max(row["mean_mismatch"], 1e-300) for row in mis])
         report["rates"][cut] = float(np.polyfit(lg, lm, 1)[0])
     for delta in deltas:
-        report["corner"][delta] = _corner_gradient(cfg, rng, max(n // 4, 16), delta)
+        report["corner"][delta] = _corner_gradient(cfg, max(n // 4, 16), delta)
     report["pass"] = all(r >= 0.9 for r in report["rates"].values()) and all(
         row["normalized"] <= 1e-2 for row in report["cuts"]["xs_yk"][-1:]
         + report["cuts"]["yr_xk"][-1:])
     return report
 
 
-def _cut_rs(cfg, rng, n):
-    tmax = min(cfg.Q, cfg.eps ** -2)
-    t = np.exp(rng.uniform(0.0, np.log(tmax), n))
-    r = np.exp(rng.uniform(np.log(np.maximum(cfg.eps, t * cfg.eps)),
-                           np.log(np.minimum(1.0 / cfg.eps, t / cfg.eps))))
-    s = t / r
+def _c1_grid(cfg, n, *radii):
+    """(r, s, K) and radii on a product grid of m = round(n^(1/3)) values per
+    axis, ends included: log t on [0, log min(Q, eps^-2)], the position of
+    log r in its slice (as in `_sample_arrays`), and log of each radius on
+    its (lo, hi) range."""
+    m = max(2, round(n ** (1.0 / 3.0)))
+    axes = [np.linspace(0.0, np.log(min(cfg.Q, cfg.eps ** -2)), m),
+            np.linspace(0.0, 1.0, m)]
+    axes += [np.linspace(np.log(lo), np.log(hi), m) for lo, hi in radii]
+    logt, u, *logs = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    t = np.exp(logt)
+    r = np.exp(_slice_log_r(t, cfg.eps, u))
     k = kn_of_t(t, cfg.Q)[0][0]
-    return r, s, k
+    return r, t / r, k, [np.exp(v) for v in logs]
 
 
-def _cut_mismatch(cfg, rng, n, delta, cut):
-    r, s, k = _cut_rs(cfg, rng, n)
+def _cut_mismatch(cfg, n, delta, cut):
+    r, s, k, (rho,) = _c1_grid(cfg, n, (2 * cfg.ell, 0.5 / cfg.eps))
     if cut == "xs_yk":      # a s = b k, approach R1 (+) vs R2 (-)
-        b = np.exp(rng.uniform(np.log(2 * cfg.ell), np.log(0.5 / cfg.eps), n))
-        a = b * k / s
-        ap, am = a * (1 + delta), a * (1 - delta)
-        bp = bm = b
+        a = rho * k / s
+        plus, minus = (a * (1 + delta), rho), (a * (1 - delta), rho)
     else:                    # b r = a k, approach R1 (+) vs R3 (-)
-        a = np.exp(rng.uniform(np.log(2 * cfg.ell), np.log(0.5 / cfg.eps), n))
-        b = a * k / r
-        bp, bm = b * (1 + delta), b * (1 - delta)
-        ap = am = a
-    gp = b4_batch(ap, bp, r, s, cfg).g
-    gm = b4_batch(am, bm, r, s, cfg).g
+        b = rho * k / r
+        plus, minus = (rho, b * (1 + delta)), (rho, b * (1 - delta))
+    gp = b4_batch(*plus, r, s, cfg).g
+    gm = b4_batch(*minus, r, s, cfg).g
     mismatch = np.linalg.norm(gp - gm, axis=0)
     scale = np.maximum(np.linalg.norm(gp, axis=0), np.linalg.norm(gm, axis=0))
     scale = np.maximum(scale, 1e-12)
     return float(np.mean(mismatch)), float(np.mean(scale))
 
 
-def _corner_gradient(cfg, rng, n, delta):
+def _corner_gradient(cfg, n, delta):
     """Near the double cut both |x|, |y| <~ delta and grad H4 itself is O(delta)."""
-    r, s, k = _cut_rs(cfg, rng, n)
-    a = delta * np.exp(rng.uniform(np.log(0.1), 0.0, n))
-    b = delta * np.exp(rng.uniform(np.log(0.1), 0.0, n))
+    r, s, _, (a, b) = _c1_grid(cfg, n, (0.1 * delta, delta), (0.1 * delta, delta))
     g = b4_batch(a, b, r, s, cfg).g
     return float(np.max(np.linalg.norm(g, axis=0)) / delta)
 
@@ -524,7 +521,7 @@ def _tolerance(name):
 
 
 def _certify_batch(cfg, spec, size, pt_stream, pair_stream):
-    x, y, r, s = _sample_arrays(spec, np.random.default_rng(pt_stream), size)
+    x, y, r, s = _sample_arrays(cfg, np.random.default_rng(pt_stream), size)
     a = np.linalg.norm(x, axis=1)
     b = np.linalg.norm(y, axis=1)
     xhat = x / a[:, None]
@@ -539,16 +536,16 @@ def _certify_batch(cfg, spec, size, pt_stream, pair_stream):
     keep = gap >= spec.exclusion_margin * np.maximum(np.maximum(a, b), 1.0)
     skipped = int((~keep).sum())
 
-    h, tan = _radial(batch, spec.dim)
+    h, tan = _radial(batch, cfg.dim)
     lower, tau, feas = _ellipse(h, tan, cfg)
     out = {"hessian_lower": (lower[keep], pts[keep], skipped),
            "tau": (tau[keep], feas[keep])}
 
     # one-leg pairs: independent second sample, gradient at the first point
-    x2, y2, r2, s2 = _sample_arrays(spec, np.random.default_rng(pair_stream), size)
+    x2, y2, r2, s2 = _sample_arrays(cfg, np.random.default_rng(pair_stream), size)
     a2 = np.linalg.norm(x2, axis=1)
     b2 = np.linalg.norm(y2, axis=1)
-    val2 = _value_only(a2, b2, r2, s2, cfg)
+    val2 = profile_value(a2, b2, r2, s2, cfg)
     lin = (batch.g[0] * np.sum(xhat * (x2 - x), axis=1)
            + batch.g[1] * np.sum(yhat * (y2 - y), axis=1)
            + batch.g[2] * (r2 - r) + batch.g[3] * (s2 - s))
@@ -564,11 +561,6 @@ def _certify_batch(cfg, spec, size, pt_stream, pair_stream):
     out["dxx_bound"] = ((cap - cx)[keep], pts[keep], skipped)
     out["dyy_bound"] = ((cap - cy)[keep], pts[keep], skipped)
     return out
-
-
-def _value_only(a, b, r, s, cfg):
-    from .bellman import profile_value
-    return profile_value(a, b, r, s, cfg)
 
 
 def _fmt_point(p):

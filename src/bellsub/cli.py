@@ -2,7 +2,10 @@
 
 Commands: certify, tau-sweep, simulate, sharpness, truncate, telescope.
 Every randomized command requires --seed and is a deterministic function of
-its flags (including --jobs, which only distributes work).  Exit codes:
+its flags (including --jobs, which only distributes work).  The sampling
+plan of certify and tau-sweep holds only --samples and --seed; the domain it
+samples is the one --Q, --eps, --ell and --dim set.  sharpness draws nothing:
+its --seed is still accepted and changes nothing.  Exit codes:
 0 all checks pass / output written, 1 a verified property failed,
 2 bad flags or malformed input files.  Reports go to --out (default stdout);
 diagnostics go to stderr.
@@ -98,7 +101,7 @@ def cmd_certify(args):
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
-    spec = cert.SampleSpec.from_config(cfg, count=args.samples, seed=args.seed)
+    spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rep = cert.run_certification(cfg, spec, jobs=args.jobs)
     text = cert.report_to_csv(rep) if args.format == "csv" else cert.report_to_text(rep)
     _emit(text, args.out)
@@ -108,7 +111,7 @@ def cmd_certify(args):
 
 def cmd_tau_sweep(args):
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
-    spec = cert.SampleSpec.from_config(cfg, count=args.samples, seed=args.seed)
+    spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rows, ok = cert.tau_sweep(cfg, spec)
     lines = ["sample,r,s,x_norm,y_norm,tau"]
     lines += [f"{i},{r!r},{s!r},{a!r},{b!r},{tau!r}" for i, r, s, a, b, tau in rows]
@@ -153,7 +156,7 @@ def _parse_delta_grid(text):
 
 def cmd_sharpness(args):
     grid = _parse_delta_grid(args.delta_grid)
-    rows, slope = sharpness.sharpness_experiment(grid, args.depth, seed=args.seed)
+    rows, slope = sharpness.sharpness_experiment(grid, args.depth)
     _emit(sharpness.rows_to_csv(rows, slope), args.out)
     return EXIT_OK
 

@@ -42,10 +42,9 @@ def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
     if not sub.ok:
         raise SubordinationError(f"Y is not subordinate to X (first violation at "
                                  f"{sub.first_violation})")
-    u = w.inverse()
     lhs = bilinear_form(Y, Z)
     q2 = a2_characteristic(w)
-    nx, nz = weighted_norm(X, w), weighted_norm(Z, u)
+    nx, nz = weighted_norm(X, w), terminal_norm(Z.leaves, 1.0 / w.leaf_values)
     rhs = q2 * nx * nz
     EF, EG = nx * nx, nz * nz
     lam2 = np.sqrt(EG / EF) if EF > 0.0 else np.inf

@@ -8,9 +8,11 @@ average to the weighted square-function form,
 
 so the best test function for that average is a generalized eigenvector of a
 PSD quadratic form; an explicit sign choice at least as good as the average
-is then found by coordinate ascent over the +-1 multipliers, optionally
-alternating with exact re-optimization of f for the current signs (for fixed
-sigma, T_sigma is linear and self-adjoint in the unweighted inner product).
+is then found by coordinate ascent over the +-1 multipliers, started from
+all-ones signs and alternating with exact re-optimization of f for the
+current signs (for fixed sigma, T_sigma is linear and self-adjoint in the
+unweighted inner product).  The search draws nothing: an ascent from random
+signs never ends above the one from all ones (tests/test_sharpness.py).
 The reported ratios are realized by explicit (sigma, f) pairs, so they are
 honest lower bounds for the supremum; the search cannot certify the exact
 supremum.
@@ -120,35 +122,20 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
     return sig0, sigs
 
 
-def worst_ratio(w: WeightTree, restarts=4, rounds=6, seed=0):
+def worst_ratio(w: WeightTree, rounds=6):
     """Best realized ||T_sigma f||_{2,w} / ||f||_{2,w} found by the search.
 
     Returns (ratio, details) with the achieved (sigma, f) ratio; the search
-    starts from the square-function eigenfunction, alternates exact f-steps
-    with sign ascent, and adds random sign restarts.
+    starts from the square-function eigenfunction and all-ones signs, then
+    alternates exact f-steps with sign ascent.  It draws nothing.
     """
     wl = w.leaf_values
     n = w.depth
     if n == 0:
         return 1.0, {"rounds_used": 0}
-    rng = np.random.default_rng(seed)
-    best = 0.0
-
-    f = _sqfun_eigen_f(wl)
-    denom = _wnorm2(f, wl)
-    starts = [(1.0, [np.ones(2 ** k) for k in range(n)])]
-    for _ in range(max(0, restarts - 1)):
-        starts.append((rng.choice([-1.0, 1.0]),
-                       [np.where(rng.standard_normal(2 ** k) >= 0, 1.0, -1.0)
-                        for k in range(n)]))
-    best_state = None
-    for sig0, sigs in starts:
-        sig0, sigs = _ascend_sigma(f, wl, sig0, [s.copy() for s in sigs])
-        val = _wnorm2(_apply_tsigma(f, sig0, sigs), wl) / denom
-        if val > best:
-            best, best_state = val, (sig0, sigs, f)
-
-    sig0, sigs, fcur = best_state
+    fcur = _sqfun_eigen_f(wl)
+    sig0, sigs = _ascend_sigma(fcur, wl, 1.0, [np.ones(2 ** k) for k in range(n)])
+    best = _wnorm2(_apply_tsigma(fcur, sig0, sigs), wl) / _wnorm2(fcur, wl)
     used = 0
     for used in range(1, rounds + 1):
         fnew = _best_f_given_sigma(wl, sig0, sigs)
@@ -161,9 +148,13 @@ def worst_ratio(w: WeightTree, restarts=4, rounds=6, seed=0):
                                   "sigma0": sig0, "sigma": sigs}
 
 
-def sharpness_experiment(delta_grid, depth, seed=0, restarts=4, rounds=6):
+def sharpness_experiment(delta_grid, depth, seed=0, rounds=6):
     """Table of (delta, depth, Q2, worst_ratio) over the power-weight family,
-    plus the least-squares slope of log worst_ratio against log Q2."""
+    plus the least-squares slope of log worst_ratio against log Q2.
+
+    `seed` is ignored: the search draws nothing.  It stays in the signature
+    so that callers which still pass it keep working.
+    """
     deltas = np.asarray(delta_grid, dtype=float)
     if deltas.size == 0:
         raise ConfigError("sharpness delta grid is empty")
@@ -177,8 +168,8 @@ def sharpness_experiment(delta_grid, depth, seed=0, restarts=4, rounds=6):
         raise ConfigError("sharpness delta grid needs two weights with Q2 > 1 "
                           "to fit a slope")
     rows = []
-    for i, (d, w, q2) in enumerate(zip(deltas, ws, q2s)):
-        ratio, _ = worst_ratio(w, restarts=restarts, rounds=rounds, seed=seed + i)
+    for d, w, q2 in zip(deltas, ws, q2s):
+        ratio, _ = worst_ratio(w, rounds=rounds)
         rows.append({"delta": float(d), "depth": depth, "Q2": q2,
                      "worst_ratio": ratio})
     slope = fitted_slope(rows)
@@ -203,9 +194,9 @@ def rows_to_csv(rows, slope) -> str:
     return out.getvalue()
 
 
-def realized_transform(w: WeightTree, seed=0):
+def realized_transform(w: WeightTree):
     """The explicit (f, T_sigma f) pair behind worst_ratio, as martingales."""
-    ratio, det = worst_ratio(w, seed=seed)
+    ratio, det = worst_ratio(w)
     X = DyadicMartingale.from_leaves(det["f"])
     Y = transform(X, det["sigma"], det["sigma0"])
     return ratio, X, Y

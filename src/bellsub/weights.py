@@ -40,10 +40,6 @@ class WeightTree:
     def __len__(self):
         return len(self.leaf_values)
 
-    def level(self, k):
-        """Conditional averages <w>_I over the 2^k nodes at level k."""
-        return self.node_avg_w[k]
-
     def inverse(self) -> "WeightTree":
         return WeightTree(1.0 / self.leaf_values)
 

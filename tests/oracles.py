@@ -11,7 +11,9 @@ unit directions plus 10 structured ones, and a grid plus random directions
 of the nonnegative orthant.  The mollification oracle is the linear
 convolution of scipy.signal, which the library no longer imports.  The dual
 oracle is the random search over test martingales that the exact dual
-extremal Z = Y w replaced.
+extremal Z = Y w replaced.  The sign-start oracle is the search over random
+sign starts that the sharpness search dropped for its all-ones start; it
+evaluates T_sigma f from reshaped block means.
 """
 
 from math import gcd
@@ -208,4 +210,33 @@ def random_dual_ratio(y_leaves, w_leaves, rng, n_test=32):
         z = rng.standard_normal(y_leaves.shape)
         nz = np.sqrt(np.mean(np.sum(z ** 2, axis=1) / w_leaves))
         best = max(best, abs(float(np.mean(np.sum(y_leaves * z, axis=1)))) / nz)
+    return best
+
+
+def signed_transform(f, sig0, sigs):
+    """T_sigma f on the leaves: sig0 times the mean of f plus, at each level
+    k = 1..n, the level-k increment of f times its parent's sign sigs[k-1],
+    with the node means taken by reshaping the leaf vector."""
+    f = np.asarray(f, dtype=float)
+    n = len(f).bit_length() - 1
+    prev = np.full_like(f, f.mean())
+    y = sig0 * prev
+    for k in range(1, n + 1):
+        cur = np.repeat(f.reshape(2 ** k, -1).mean(axis=1), 2 ** (n - k))
+        y = y + np.repeat(sigs[k - 1], 2 ** (n - k + 1)) * (cur - prev)
+        prev = cur
+    return y
+
+
+def random_start_ratio(f, w, ascend, rng, restarts=3):
+    """Largest ||T_sigma f||_(2,w)^2 / ||f||_(2,w)^2 after the sign ascent
+    ascend(f, w, sig0, sigs) -> (sig0, sigs) from `restarts` random starts:
+    a random sig0, then per level the signs of Gaussian draws."""
+    n = len(f).bit_length() - 1
+    best = 0.0
+    for _ in range(restarts):
+        sig0 = rng.choice([-1.0, 1.0])
+        sigs = [np.where(rng.standard_normal(2 ** k) >= 0, 1.0, -1.0) for k in range(n)]
+        y = signed_transform(f, *ascend(f, w, sig0, sigs))
+        best = max(best, float(np.mean(w * y * y) / np.mean(w * f * f)))
     return best

@@ -46,7 +46,7 @@ def cert_reports():
     reports = {}
     for Q in QS:
         cfg = bs.BellmanConfig(Q=Q, eps=EPS, ell=ELL, dim=DIM)
-        spec = ct.SampleSpec.from_config(cfg, count=N_SAMPLES, seed=1)
+        spec = ct.SampleSpec(count=N_SAMPLES, seed=1)
         reports[Q] = ct.run_certification(cfg, spec, jobs=1)
     return reports
 
@@ -70,13 +70,13 @@ def test_criterion_1_bellman_certification(cert_reports):
 
 def test_criterion_2_h4_supremum_oracle():
     cfg = bs.BellmanConfig(Q=16.0, eps=EPS, ell=ELL, dim=DIM)
-    spec = ct.SampleSpec.from_config(cfg, count=N_SAMPLES, seed=2)
+    spec = ct.SampleSpec(count=N_SAMPLES, seed=2)
     streams, nb = ct._streams(spec)
     worst = 0.0
     regions = set()
     for bidx in range(nb):
         size = min(ct.BATCH, spec.count - bidx * ct.BATCH)
-        x, y, r, s = ct._sample_arrays(spec, np.random.default_rng(streams["points"][bidx]), size)
+        x, y, r, s = ct._sample_arrays(cfg, np.random.default_rng(streams["points"][bidx]), size)
         a = np.linalg.norm(x, axis=1)
         b = np.linalg.norm(y, axis=1)
         t = r * s
@@ -106,7 +106,7 @@ def test_criterion_3_tau_bounds(cert_reports):
 
 def test_criterion_4_c1_across_cuts():
     cfg = bs.BellmanConfig(Q=16.0, eps=EPS, ell=ELL, dim=DIM)
-    rep = ct.check_c1_across_cuts(cfg, n=1000, deltas=(1e-2, 1e-3, 1e-4), seed=4)
+    rep = ct.check_c1_across_cuts(cfg, n=1000, deltas=(1e-2, 1e-3, 1e-4))
     ok = rep["pass"]
     assert _report(4, "C1 across cuts", ok,
                    f"decay rates {rep['rates']['xs_yk']:.2f} / "
@@ -211,7 +211,7 @@ def test_criterion_8_sharpness_slope():
     rtol = 1e-9                  # roundoff allowance on each ratio
     targets = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
     deltas = [wt.delta_for_characteristic(q) for q in targets]
-    rows, slope = sh.sharpness_experiment(deltas, depth=depth, seed=8)
+    rows, slope = sh.sharpness_experiment(deltas, depth=depth)
     q2 = np.array([r["Q2"] for r in rows])
     ratio = np.array([r["worst_ratio"] for r in rows])
     s_norm = np.empty(len(rows))

@@ -3,15 +3,14 @@ import pytest
 
 import bellsub as bs
 from bellsub.bellman import bellman_value, evaluate_batch, profile_value
-from bellsub.certify import SampleSpec, _sample_arrays
+from bellsub.certify import _sample_arrays
 
 
 CFG = bs.BellmanConfig(Q=4.0)
 
 
 def _points(cfg, n, seed=0):
-    spec = SampleSpec.from_config(cfg, count=n, seed=seed)
-    return _sample_arrays(spec, np.random.default_rng(seed), n)
+    return _sample_arrays(cfg, np.random.default_rng(seed), n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from oracles import direction_bank, split_directions
 CFG = bs.BellmanConfig(Q=16.0)
 
 
-def spec_for(cfg, count, seed=1):
-    return ct.SampleSpec.from_config(cfg, count=count, seed=seed)
+def sample(cfg, count, seed):
+    return ct.sample_domain(cfg, ct.SampleSpec(count=count, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -20,15 +22,14 @@ def spec_for(cfg, count, seed=1):
 # ---------------------------------------------------------------------------
 
 def test_sample_domain_deterministic():
-    s = spec_for(CFG, 1, seed=7)
-    p1 = ct.sample_domain(s)[0]
-    p2 = ct.sample_domain(s)[0]
+    p1 = sample(CFG, 1, seed=7)[0]
+    p2 = sample(CFG, 1, seed=7)[0]
     assert np.array_equal(p1.x, p2.x) and np.array_equal(p1.y, p2.y)
     assert p1.r == p2.r and p1.s == p2.s
 
 
 def test_sampled_points_satisfy_domain_flags():
-    pts = ct.sample_domain(spec_for(CFG, 10_000, seed=3))
+    pts = sample(CFG, 10_000, seed=3)
     for V in pts:
         flags = bs.domain_check(V, CFG)
         assert flags.in_DQ_eps_ell
@@ -36,15 +37,15 @@ def test_sampled_points_satisfy_domain_flags():
 
 def test_log_rs_uniformity_chi2():
     from scipy.stats import chi2
-    spec = spec_for(CFG, 100_000, seed=11)
+    spec = ct.SampleSpec(count=100_000, seed=11)
     streams, nb = ct._streams(spec)
     ts = []
     for b in range(nb):
         size = min(ct.BATCH, spec.count - b * ct.BATCH)
-        x, y, r, s = ct._sample_arrays(spec, np.random.default_rng(streams["points"][b]), size)
+        x, y, r, s = ct._sample_arrays(CFG, np.random.default_rng(streams["points"][b]), size)
         ts.append(r * s)
     logt = np.log(np.concatenate(ts))
-    tmax = min(spec.Q, spec.eps ** -2)
+    tmax = min(CFG.Q, CFG.eps ** -2)
     k = 40
     counts, _ = np.histogram(logt, bins=k, range=(0.0, np.log(tmax)))
     expect = spec.count / k
@@ -52,9 +53,20 @@ def test_log_rs_uniformity_chi2():
     assert stat < chi2.ppf(0.999, k - 1)
 
 
+def test_sample_plan_takes_its_domain_from_the_config():
+    # a plan holds no Q, eps, ell or dim of its own that could contradict
+    # the config it is run under
+    assert [f.name for f in dataclasses.fields(ct.SampleSpec)] == \
+        ["count", "seed", "exclusion_margin"]
+    cfg = bs.BellmanConfig(Q=2.0, dim=1)
+    for V in sample(cfg, 200, seed=1):
+        assert V.x.shape == V.y.shape == (1,)
+        assert bs.domain_check(V, cfg).in_DQ_eps_ell
+
+
 def test_sample_spec_validation():
     with pytest.raises(ConfigError):
-        ct.SampleSpec(count=10, seed=0, Q=0.5)
+        bs.BellmanConfig(Q=0.5)
     with pytest.raises(ConfigError):
         ct.SampleSpec(count=-1, seed=0)
     with pytest.raises(ConfigError):
@@ -66,14 +78,14 @@ def test_sample_spec_validation():
 # ---------------------------------------------------------------------------
 
 def test_hessian_margin_zero_direction():
-    V = ct.sample_domain(spec_for(CFG, 1, seed=5))[0]
+    V = sample(CFG, 1, seed=5)[0]
     zero = bs.Perturbation(dx=[0.0, 0.0], dy=[0.0, 0.0], dr=0.0, ds=0.0)
     assert ct.check_hessian_lower(V, zero, CFG) == 0.0
 
 
 def test_hessian_margin_reduces_to_convexity_when_dy_zero():
     rng = np.random.default_rng(13)
-    for V in ct.sample_domain(spec_for(CFG, 50, seed=17)):
+    for V in sample(CFG, 50, seed=17):
         d = rng.standard_normal(2)
         dV = bs.Perturbation(dx=d, dy=[0.0, 0.0], dr=rng.standard_normal(),
                              ds=rng.standard_normal())
@@ -83,7 +95,7 @@ def test_hessian_margin_reduces_to_convexity_when_dy_zero():
 
 
 def test_one_leg_same_point_and_taylor_consistency():
-    pts = ct.sample_domain(spec_for(CFG, 40, seed=19))
+    pts = sample(CFG, 40, seed=19)
     rng = np.random.default_rng(23)
     for V in pts[:10]:
         assert ct.check_one_leg(V, V, CFG) == 0.0
@@ -111,7 +123,7 @@ def test_one_leg_same_point_and_taylor_consistency():
 
 
 def test_partial_bounds_single_point():
-    V = ct.sample_domain(spec_for(CFG, 1, seed=29))[0]
+    V = sample(CFG, 1, seed=29)[0]
     assert ct.check_partial_xx_bound(V, [0.0, 0.0], CFG) >= 0.0
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -124,7 +136,7 @@ def test_partial_bounds_single_point():
 
 
 def test_extract_tau_in_band_and_feasible():
-    for V in ct.sample_domain(spec_for(CFG, 30, seed=37)):
+    for V in sample(CFG, 30, seed=37):
         try:
             tau = ct.extract_tau(V, CFG)
         except bs.DomainError:
@@ -136,7 +148,7 @@ def test_extract_tau_in_band_and_feasible():
 
 def test_tau_scaling_recorded_not_asserted(capsys):
     # x -> lam x, y -> y / lam at fixed (r, s); behavior is reported only
-    V = ct.sample_domain(spec_for(CFG, 1, seed=43))[0]
+    V = sample(CFG, 1, seed=43)[0]
     rows = []
     for lam in (0.5, 1.0, 2.0):
         W = bs.StatePoint(x=lam * V.x, y=V.y / lam, r=V.r, s=V.s)
@@ -154,8 +166,8 @@ def test_tau_scaling_recorded_not_asserted(capsys):
 
 def _bank(Q, dim, n=2048, seed=1):
     cfg = bs.BellmanConfig(Q=Q, dim=dim)
-    spec = spec_for(cfg, n, seed=seed)
-    x, y, r, s = next(ct._point_batches(spec))
+    spec = ct.SampleSpec(count=n, seed=seed)
+    x, y, r, s = next(ct._point_batches(cfg, spec))
     a, b = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
     xhat, yhat = x / a[:, None], y / b[:, None]
     batch = evaluate_batch(a, b, r, s, cfg)
@@ -218,7 +230,7 @@ def test_axis_curvatures_equal_the_bank_maximum(Q, dim):
 def test_extract_tau_failure_names_a_violating_direction():
     weak = bs.BellmanConfig(Q=16.0, c7=1e-3)
     failures = 0
-    for V in ct.sample_domain(spec_for(weak, 200, seed=79)):
+    for V in sample(weak, 200, seed=79):
         try:
             ct.extract_tau(V, weak)
         except bs.CertificationError as err:
@@ -235,8 +247,11 @@ def test_extract_tau_failure_names_a_violating_direction():
 # C1 across cuts
 # ---------------------------------------------------------------------------
 
-def test_c1_across_cuts_linear_decay():
-    rep = ct.check_c1_across_cuts(CFG, n=300, seed=53)
+@pytest.mark.parametrize("Q", [1.0, 2.0, 16.0, 256.0, 1e4])
+def test_c1_across_cuts_linear_decay(Q):
+    cfg = bs.BellmanConfig(Q=Q)
+    rep = ct.check_c1_across_cuts(cfg, n=300, seed=0)
+    assert rep == ct.check_c1_across_cuts(cfg, n=300, seed=53)    # draws nothing
     assert rep["pass"]
     for cut in ("xs_yk", "yr_xk"):
         assert rep["rates"][cut] >= 0.9
@@ -250,13 +265,13 @@ def test_c1_across_cuts_linear_decay():
 # ---------------------------------------------------------------------------
 
 def test_run_certification_empty():
-    rep = ct.run_certification(CFG, spec_for(CFG, 0))
+    rep = ct.run_certification(CFG, ct.SampleSpec(count=0, seed=1))
     assert rep.overall_pass and rep.note.startswith("no samples")
     assert "no samples" in ct.report_to_text(rep)
 
 
 def test_run_certification_with_every_sample_near_a_cut():
-    spec = ct.SampleSpec.from_config(CFG, count=300, seed=1, exclusion_margin=1e3)
+    spec = ct.SampleSpec(count=300, seed=1, exclusion_margin=1e3)
     rep = ct.run_certification(CFG, spec)
     by_name = {c.name: c for c in rep.checks}
     for name in ("hessian_lower", "dxx_bound", "dyy_bound"):
@@ -269,7 +284,7 @@ def test_run_certification_with_every_sample_near_a_cut():
 
 
 def test_run_certification_deterministic_and_jobs_independent():
-    spec = spec_for(CFG, 3000, seed=59)
+    spec = ct.SampleSpec(count=3000, seed=59)
     r1 = ct.run_certification(CFG, spec, jobs=1)
     r2 = ct.run_certification(CFG, spec, jobs=1)
     r4 = ct.run_certification(CFG, spec, jobs=4)
@@ -281,7 +296,7 @@ def test_run_certification_deterministic_and_jobs_independent():
 
 
 def test_report_formats_contain_all_checks():
-    spec = spec_for(CFG, 500, seed=61)
+    spec = ct.SampleSpec(count=500, seed=61)
     rep = ct.run_certification(CFG, spec)
     text = ct.report_to_text(rep)
     csv = ct.report_to_csv(rep)
@@ -326,7 +341,7 @@ def test_failed_checks_propagate_into_report_not_exception():
     # an infeasible coefficient draft must surface in the report, which is
     # still produced in full
     bad = bs.BellmanConfig(Q=16.0, c1=0.5, c2=0.05, c3=0.05, c7=600.0)
-    spec = ct.SampleSpec.from_config(bad, count=300, seed=71)
+    spec = ct.SampleSpec(count=300, seed=71)
     rep = ct.run_certification(bad, spec)
     assert not rep.overall_pass
     assert "coefficient" in rep.note
@@ -339,6 +354,6 @@ def test_certification_across_dimensions():
     # must certify exactly like d = 2
     for dim in (1, 3):
         cfg = bs.BellmanConfig(Q=16.0, dim=dim)
-        spec = ct.SampleSpec.from_config(cfg, count=1500, seed=73 + dim)
+        spec = ct.SampleSpec(count=1500, seed=73 + dim)
         rep = ct.run_certification(cfg, spec)
         assert rep.overall_pass, f"dim={dim}"

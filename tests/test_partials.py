@@ -13,15 +13,14 @@ import pytest
 import bellsub as bs
 from bellsub.bellman import (_batch, _unit_weights, b4_batch, evaluate_batch,
                              profile_value)
-from bellsub.certify import SampleSpec, _sample_arrays
+from bellsub.certify import _sample_arrays
 from jet_oracle import bellman_jets
 
 QS = (2.0, 16.0, 256.0)
 
 
 def _bank(cfg, n=4096, seed=1):
-    spec = SampleSpec.from_config(cfg, count=n, seed=seed)
-    x, y, r, s = _sample_arrays(spec, np.random.default_rng(seed), n)
+    x, y, r, s = _sample_arrays(cfg, np.random.default_rng(seed), n)
     return np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1), r, s
 
 

@@ -7,17 +7,20 @@ from bellsub import martingales as mg
 from bellsub import sharpness as sh
 from bellsub import weights as wt
 from bellsub.errors import ConfigError, DomainError, InvalidInputError
-from oracles import sqfun_form, sqfun_norm_dense, sqfun_rayleigh
+from oracles import (random_start_ratio, signed_transform, sqfun_form,
+                     sqfun_norm_dense, sqfun_rayleigh)
+
+CRITERION_8_TARGETS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
 
 
 def test_flat_weight_ratio_is_one():
     w = wt.power_weight_family(0.0, 6)
     assert wt.a2_characteristic(w) == 1.0
-    ratio, _ = sh.worst_ratio(w, seed=0)
+    ratio, _ = sh.worst_ratio(w)
     assert ratio <= 1.0 + 1e-9
     # a flat weight carries no slope, so the experiment refuses it alone
     with pytest.raises(ConfigError):
-        sh.sharpness_experiment([0.0], depth=6, seed=0)
+        sh.sharpness_experiment([0.0], depth=6)
 
 
 def test_delta_grid_validation():
@@ -31,15 +34,15 @@ def test_delta_grid_validation():
 
 def test_worst_ratio_exceeds_one_and_is_deterministic():
     w = wt.power_weight_family(-0.8, 8)
-    r1, d1 = sh.worst_ratio(w, seed=5)
-    r2, d2 = sh.worst_ratio(w, seed=5)
+    r1, d1 = sh.worst_ratio(w)
+    r2, d2 = sh.worst_ratio(w)
     assert r1 == r2
     assert r1 > 1.2
 
 
 def test_worst_ratio_is_realized_by_an_explicit_pair():
     w = wt.power_weight_family(-0.85, 8)
-    ratio, X, Y = sh.realized_transform(w, seed=3)
+    ratio, X, Y = sh.realized_transform(w)
     assert mg.check_subordination(X, Y).ok
     got = mg.weighted_norm(Y, w) / mg.weighted_norm(X, w)
     assert got == pytest.approx(ratio, rel=1e-10)
@@ -47,8 +50,7 @@ def test_worst_ratio_is_realized_by_an_explicit_pair():
 
 def test_ratio_growth_with_characteristic():
     deltas = [wt.delta_for_characteristic(q) for q in (2.0, 8.0, 32.0)]
-    rows, slope = sh.sharpness_experiment(deltas, depth=10, seed=1,
-                                          restarts=2, rounds=3)
+    rows, slope = sh.sharpness_experiment(deltas, depth=10, rounds=3)
     ratios = [r["worst_ratio"] for r in rows]
     assert ratios[0] < ratios[1] < ratios[2]
     assert slope > 0.3
@@ -58,17 +60,39 @@ def test_ratio_never_exceeds_linear_bound():
     # consistency with the weighted estimate at a generous numeric constant
     for q2 in (2.0, 16.0, 64.0):
         w = wt.power_weight_family(wt.delta_for_characteristic(q2), 8)
-        ratio, _ = sh.worst_ratio(w, seed=2, restarts=2, rounds=2)
+        ratio, _ = sh.worst_ratio(w, rounds=2)
         assert ratio <= 10.0 * q2
 
 
 def test_csv_table_shape():
-    rows, slope = sh.sharpness_experiment([-0.6, -0.8], depth=6, seed=4,
-                                          restarts=2, rounds=2)
+    rows, slope = sh.sharpness_experiment([-0.6, -0.8], depth=6, rounds=2)
     text = sh.rows_to_csv(rows, slope)
     lines = text.strip().splitlines()
     assert lines[0] == "delta,depth,Q2,worst_ratio"
     assert len(lines) == 4 and lines[-1].startswith("# slope ")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_random_sign_starts_never_beat_all_ones(seed):
+    # the restarts worst_ratio dropped: no ascent from a random sign start
+    # ends above the ascent from all-ones signs on the criterion-8 weights
+    depth = 8
+    for i, q2 in enumerate(CRITERION_8_TARGETS):
+        w = wt.power_weight_family(wt.delta_for_characteristic(q2), depth).leaf_values
+        f = sh._sqfun_eigen_f(w)
+        y = signed_transform(f, *sh._ascend_sigma(
+            f, w, 1.0, [np.ones(2 ** k) for k in range(depth)]))
+        ones = float(np.mean(w * y * y) / np.mean(w * f * f))
+        rng = np.random.default_rng([seed, i])
+        assert random_start_ratio(f, w, sh._ascend_sigma, rng) <= ones * (1 + 1e-12)
+
+
+def test_signed_transform_oracle_matches_library():
+    rng = np.random.default_rng(14)
+    f = rng.standard_normal(2 ** 5)
+    sigs = [rng.choice([-1.0, 1.0], 2 ** k) for k in range(5)]
+    assert np.allclose(signed_transform(f, -1.0, sigs), sh._apply_tsigma(f, -1.0, sigs),
+                       rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("depth", [6, 8])
@@ -110,7 +134,7 @@ def test_tsigma_capped_by_depth_times_square_function():
     depth = 10
     for delta in (-0.5, -0.9):
         w = wt.power_weight_family(delta, depth).leaf_values
-        ratio, det = sh.worst_ratio(wt.WeightTree(w), seed=4)
+        ratio, det = sh.worst_ratio(wt.WeightTree(w))
         f = det["f"]
         y = sh._apply_tsigma(f, det["sigma0"], det["sigma"])
         assert np.sqrt(np.mean(w * y * y) / np.mean(w * f * f)) == pytest.approx(ratio, rel=1e-12)
