@@ -149,7 +149,6 @@ class EvalResult:
     gradient: np.ndarray                       # (2*dim + 2,): d/dx, d/dy, d/dr, d/ds
     hessian_form: Callable[[Perturbation], float]
     region: Region = field(default=Region("R1"))
-    degraded: bool = False                     # finite-difference fallback was used
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +219,12 @@ def _branches(a, b, r, s, k):
     in_r1 = np.logical_and(q1 > 0.0, q2 > 0.0)   # a numpy bool for scalar input too
     in_r2 = ~in_r1 & (q2 <= 0.0)
     return q1, q2, (in_r1, in_r2, ~(in_r1 | in_r2))
+
+
+def _near_cut(q1, q2, a, b):
+    """The one cut rule: a point whose sign quantities q1, q2 lie within
+    CUT_TOLERANCE * max(a, b, 1) of 0 is a cut point, which C^2 checks skip."""
+    return np.minimum(np.abs(q1), np.abs(q2)) < CUT_TOLERANCE * np.maximum(np.maximum(a, b), 1.0)
 
 
 def _coefficients(t, k, n, masks, weights):
@@ -319,13 +324,13 @@ def eval_B3(V: StatePoint, cfg: BellmanConfig) -> float:
     return _block_value(V, cfg, 3)
 
 
-def classify_region(x, y, r, s, K, cut_tolerance=CUT_TOLERANCE) -> Region:
+def classify_region(x, y, r, s, K) -> Region:
     """Branch of H4 at (x, y, r, s, K):
 
     R1 when |y|r - |x|K > 0 and |x|s - |y|K > 0 (interior critical point),
     R2 when |x|s - |y|K <= 0 (supremum at the |y| boundary),
     R3 when |y|r - |x|K <= 0 (supremum at the |x| boundary),
-    CUT within cut_tolerance * max(|x|,|y|,1) of either boundary.
+    CUT within CUT_TOLERANCE * max(|x|,|y|,1) of either boundary.
 
     Both quantities strictly negative is impossible unless x = y = 0.
     """
@@ -335,7 +340,7 @@ def classify_region(x, y, r, s, K, cut_tolerance=CUT_TOLERANCE) -> Region:
     if q1 < 0.0 and q2 < 0.0:
         # the positivity identity a*q2 + b*q1 >= 2ab(sqrt(rs)-K)/sqrt(rs) rules this out
         raise DomainError("both H4 sign quantities negative with x, y nonzero")
-    if min(abs(q1), abs(q2)) < cut_tolerance * max(a, b, 1.0):
+    if _near_cut(q1, q2, a, b):
         return Region("CUT")
     return Region("R1" if in_r1 else "R2" if in_r2 else "R3")
 
@@ -475,7 +480,7 @@ def _fill(a, b, r, s, Q, weights, g, h):
     h[2, 3] = h[3, 2] = 2.0 * (d1 + ab * G1) + t * d2
     in_r1, in_r2, _ = masks
     region = np.where(in_r1, 1, np.where(in_r2, 2, 3))
-    cut = np.minimum(np.abs(q1), np.abs(q2)) < CUT_TOLERANCE * np.maximum(np.maximum(a, b), 1.0)
+    cut = _near_cut(q1, q2, a, b)
     return aa * alpha + bb * beta - 2.0 * ab * G, region, cut
 
 
@@ -538,44 +543,50 @@ def partial_yy_form(batch: BatchEval, yhat, dy):
 # full evaluation of a single state point
 # ---------------------------------------------------------------------------
 
-def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
-    """Value, gradient and Hessian quadratic form of B at V.
-
-    The gradient and the form are assembled analytically from the radial
-    profile; at points within cut tolerance of an H4 branch boundary the
-    quadratic form falls back to a central second difference of the value
-    and the result is flagged degraded.
-    """
-    if not domain_check(V, cfg).in_DQ_eps:
-        raise DomainError("eval_B requires V in D_Q^eps")
+def evaluate_point(V: StatePoint, cfg: BellmanConfig):
+    """`evaluate_batch` at the single point V, with the unit directions
+    xhat, yhat of x, y as (1, d) rows (zero rows where x or y is 0)."""
     a, b = V.xnorm, V.ynorm
     batch = evaluate_batch(np.array([a]), np.array([b]),
                            np.array([V.r]), np.array([V.s]), cfg)
-    xhat = V.x / a if a > 0.0 else np.zeros_like(V.x)
-    yhat = V.y / b if b > 0.0 else np.zeros_like(V.y)
-    grad = gradient_vectors(batch, xhat[None, :], yhat[None, :])[0]
-    is_cut = bool(batch.cut[0])
-    region = Region("CUT") if is_cut else Region(f"R{int(batch.region[0])}")
+    xhat = (V.x / a if a > 0.0 else np.zeros_like(V.x))[None, :]
+    yhat = (V.y / b if b > 0.0 else np.zeros_like(V.y))[None, :]
+    return batch, xhat, yhat
 
-    def analytic_form(dV: Perturbation) -> float:
+
+def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
+    """Value, gradient and Hessian quadratic form of B at V.
+
+    All three are assembled analytically from the radial profile; nothing is
+    differenced.  A point within the cut tolerance of an H4 cut has region
+    CUT, and its form is the one of the branch the masks assign to it: on a
+    cut that is the non-R1 side, the smaller of the two.
+    """
+    if not domain_check(V, cfg).in_DQ_eps:
+        raise DomainError("eval_B requires V in D_Q^eps")
+    batch, xhat, yhat = evaluate_point(V, cfg)
+    region = Region("CUT") if batch.cut[0] else Region(f"R{int(batch.region[0])}")
+
+    def hessian_form(dV: Perturbation) -> float:
         return float(hessian_quadratic_form(
-            batch, xhat[None, :], yhat[None, :],
-            np.asarray(dV.dx, dtype=float)[None, None, :],
-            np.asarray(dV.dy, dtype=float)[None, None, :],
+            batch, xhat, yhat, dV.dx[None, None, :], dV.dy[None, None, :],
             np.array([[dV.dr]]), np.array([[dV.ds]]))[0, 0])
 
-    def fd_form(dV: Perturbation) -> float:
-        # scale-aware central second difference through the possible cut
-        norm = float(np.sqrt(np.sum(np.square(dV.dx)) + np.sum(np.square(dV.dy))
-                             + dV.dr ** 2 + dV.ds ** 2))
-        if norm == 0.0:
-            return 0.0
-        h = 1e-5 * max(a, b, V.r, V.s, 1.0)
-        fp = bellman_value(V.x + h * dV.dx, V.y + h * dV.dy, V.r + h * dV.dr, V.s + h * dV.ds, cfg)
-        fm = bellman_value(V.x - h * dV.dx, V.y - h * dV.dy, V.r - h * dV.dr, V.s - h * dV.ds, cfg)
-        f0 = float(batch.value[0])
-        return (fp - 2.0 * f0 + fm) / (h * h)
+    return EvalResult(value=float(batch.value[0]),
+                      gradient=gradient_vectors(batch, xhat, yhat)[0],
+                      hessian_form=hessian_form, region=region)
 
-    return EvalResult(value=float(batch.value[0]), gradient=grad,
-                      hessian_form=fd_form if is_cut else analytic_form,
-                      region=region, degraded=is_cut)
+
+def one_leg_margin(g, value0, xhat, yhat, value1, dx, dy, dr, ds, Q, constant=2.0):
+    """B(V) - B(V0) - dB(V0)(V - V0) - (constant/Q)|dx||dy| per pair of points,
+    returned with the linear term dB(V0)(V - V0) and |dx||dy|.
+
+    g (4, ...) holds the radial partials of B at V0, xhat and yhat (..., d)
+    the unit directions of x0 and y0, value0 and value1 the values B(V0),
+    B(V); dx, dy (..., d) and dr, ds (...) make up V - V0.  The shapes
+    broadcast, so one V0 can serve several V.
+    """
+    lin = (g[0] * np.sum(xhat * dx, axis=-1) + g[1] * np.sum(yhat * dy, axis=-1)
+           + g[2] * dr + g[3] * ds)
+    jump = np.linalg.norm(dx, axis=-1) * np.linalg.norm(dy, axis=-1)
+    return value1 - value0 - lin - (constant / Q) * jump, lin, jump

@@ -18,12 +18,13 @@ the two tangential curvatures, with tau chosen in closed form (see "the
 per-point ellipse certificate" below), not from sampled directions.  The
 one-leg margin is a minimum over random pairs of points.
 
-Samples near the H4 branch cuts are excluded from the C^2 checks (they are
-handled by the dedicated C^1 convergence check) and counted as skipped.
-All randomness flows through numpy SeedSequence spawns keyed by the sample
-batch index, so reports are byte-identical for a given (cfg, spec) no matter
-how many worker threads evaluate the batches.  The plan (spec) fixes only the
-sample count, the seed and the cut exclusion; the domain sampled is cfg's.
+Samples that `evaluate_batch` marks as cut points (within
+bellman.CUT_TOLERANCE of an H4 branch cut) are excluded from the C^2 checks
+(they are handled by the dedicated C^1 convergence check) and counted as
+skipped.  All randomness flows through numpy SeedSequence spawns keyed by the
+sample batch index, so reports are byte-identical for a given (cfg, spec) no
+matter how many worker threads evaluate the batches.  The plan (spec) fixes
+only the sample count and the seed; the domain sampled is cfg's.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import (CUT_TOLERANCE, BellmanConfig, StatePoint, Perturbation,
-                      _tangential_coeff, b4_batch, bellman_value, domain_check,
-                      evaluate_batch, hessian_quadratic_form, kn_of_t,
+from .bellman import (BellmanConfig, StatePoint, Perturbation, _tangential_coeff,
+                      b4_batch, bellman_value, domain_check, evaluate_batch,
+                      evaluate_point, hessian_quadratic_form, kn_of_t, one_leg_margin,
                       partial_xx_form, partial_yy_form, profile_value)
 from .errors import CertificationError, ConfigError, DomainError
 from .coefficients import validate_coefficients
@@ -52,18 +53,16 @@ BATCH = 2048
 @dataclass(frozen=True)
 class SampleSpec:
     """Deterministic sampling plan for certification runs: how many points,
-    from which seed, and how far from the H4 cuts the C^2 checks stop.  The
-    domain sampled (Q, eps, ell, dim) is always the BellmanConfig's."""
+    from which seed.  The domain sampled (Q, eps, ell, dim) is always the
+    BellmanConfig's, and the C^2 checks skip the cut points `evaluate_batch`
+    marks."""
 
     count: int
     seed: int
-    exclusion_margin: float = 1e-6
 
     def __post_init__(self):
         if self.count < 0:
             raise ConfigError("sample count must be nonnegative")
-        if self.exclusion_margin < CUT_TOLERANCE:
-            raise ConfigError("exclusion margin below the cut tolerance")
 
 
 @dataclass
@@ -170,18 +169,9 @@ def sample_domain(cfg: BellmanConfig, spec: SampleSpec):
 # single-point check API
 # ---------------------------------------------------------------------------
 
-def _one_point_batch(V: StatePoint, cfg: BellmanConfig):
-    a, b = V.xnorm, V.ynorm
-    batch = evaluate_batch(np.array([a]), np.array([b]),
-                           np.array([V.r]), np.array([V.s]), cfg)
-    xhat = (V.x / a if a > 0 else np.zeros_like(V.x))[None, :]
-    yhat = (V.y / b if b > 0 else np.zeros_like(V.y))[None, :]
-    return batch, xhat, yhat
-
-
 def check_hessian_lower(V: StatePoint, dV: Perturbation, cfg: BellmanConfig):
     """hessian_form(dV) - (2/Q)|dx||dy|; None when V sits on a cut (skipped)."""
-    batch, xhat, yhat = _one_point_batch(V, cfg)
+    batch, xhat, yhat = evaluate_point(V, cfg)
     if batch.cut[0]:
         return None
     form = hessian_quadratic_form(batch, xhat, yhat,
@@ -190,8 +180,8 @@ def check_hessian_lower(V: StatePoint, dV: Perturbation, cfg: BellmanConfig):
     return float(form - (2.0 / cfg.Q) * np.linalg.norm(dV.dx) * np.linalg.norm(dV.dy))
 
 
-def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig, constant=2.0):
-    """B(V) - B(V0) - dB(V0)(V - V0) - (constant/Q)|x-x0||y-y0|.
+def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig):
+    """B(V) - B(V0) - dB(V0)(V - V0) - (2/Q)|x-x0||y-y0| (`one_leg_margin`).
 
     Both values go through the same evaluation path so the margin is exactly
     zero at V = V0.
@@ -199,19 +189,17 @@ def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig, constant=2.
     for P in (V0, V):
         if not domain_check(P, cfg).in_DQ_eps:
             raise DomainError("one-leg check requires both points in D_Q^eps")
-    batch, xhat, yhat = _one_point_batch(V0, cfg)
-    lin = (batch.g[0][0] * float(xhat[0] @ (V.x - V0.x))
-           + batch.g[1][0] * float(yhat[0] @ (V.y - V0.y))
-           + batch.g[2][0] * (V.r - V0.r) + batch.g[3][0] * (V.s - V0.s))
-    jump = np.linalg.norm(V.x - V0.x) * np.linalg.norm(V.y - V0.y)
-    return float(bellman_value(V.x, V.y, V.r, V.s, cfg)
-                 - bellman_value(V0.x, V0.y, V0.r, V0.s, cfg) - lin
-                 - (constant / cfg.Q) * jump)
+    batch, xhat, yhat = evaluate_point(V0, cfg)
+    margin, _, _ = one_leg_margin(
+        batch.g, bellman_value(V0.x, V0.y, V0.r, V0.s, cfg), xhat, yhat,
+        bellman_value(V.x, V.y, V.r, V.s, cfg), (V.x - V0.x)[None, :],
+        (V.y - V0.y)[None, :], V.r - V0.r, V.s - V0.s, cfg.Q)
+    return float(margin[0])
 
 
 def check_partial_xx_bound(V: StatePoint, dx, cfg: BellmanConfig):
     """C_xx eps^-1 |dx|^2 - (d^2_x B dx, dx) (symmetric helper for y below)."""
-    batch, xhat, _ = _one_point_batch(V, cfg)
+    batch, xhat, _ = evaluate_point(V, cfg)
     if batch.cut[0]:
         return None
     dx = np.asarray(dx, dtype=float)
@@ -220,7 +208,7 @@ def check_partial_xx_bound(V: StatePoint, dx, cfg: BellmanConfig):
 
 
 def check_partial_yy_bound(V: StatePoint, dy, cfg: BellmanConfig):
-    batch, _, yhat = _one_point_batch(V, cfg)
+    batch, _, yhat = evaluate_point(V, cfg)
     if batch.cut[0]:
         return None
     dy = np.asarray(dy, dtype=float)
@@ -342,7 +330,7 @@ def extract_tau(V: StatePoint, cfg: BellmanConfig):
     Raises CertificationError with the violating direction when the
     inequality fails at the reported tau.
     """
-    batch, xhat, yhat = _one_point_batch(V, cfg)
+    batch, xhat, yhat = evaluate_point(V, cfg)
     if batch.cut[0]:
         raise DomainError("tau extraction needs a C^2 point (V lies on a cut)")
     h, tan = _radial(batch, V.x.shape[0])
@@ -480,8 +468,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
     sizes = [min(BATCH, spec.count - b * BATCH) for b in range(n_batches)]
 
     def work(b):
-        return _certify_batch(cfg, spec, sizes[b],
-                              streams["points"][b], streams["pairs"][b])
+        return _certify_batch(cfg, sizes[b], streams["points"][b], streams["pairs"][b])
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
@@ -520,21 +507,14 @@ def _tolerance(name):
     return 0.0 if name == "size_bound" else MARGIN_TOL
 
 
-def _certify_batch(cfg, spec, size, pt_stream, pair_stream):
+def _certify_batch(cfg, size, pt_stream, pair_stream):
     x, y, r, s = _sample_arrays(cfg, np.random.default_rng(pt_stream), size)
     a = np.linalg.norm(x, axis=1)
     b = np.linalg.norm(y, axis=1)
-    xhat = x / a[:, None]
-    yhat = y / b[:, None]
     batch = evaluate_batch(a, b, r, s, cfg)
     pts = np.stack([a, b, r, s], axis=1)
-
-    # distance to the cuts in units of the local scale; C^2 checks skip nearby
-    t = r * s
-    k = kn_of_t(t, cfg.Q)[0][0]
-    gap = np.minimum(np.abs(b * r - a * k), np.abs(a * s - b * k))
-    keep = gap >= spec.exclusion_margin * np.maximum(np.maximum(a, b), 1.0)
-    skipped = int((~keep).sum())
+    keep = ~batch.cut                   # the C^2 checks skip cut points
+    skipped = int(batch.cut.sum())
 
     h, tan = _radial(batch, cfg.dim)
     lower, tau, feas = _ellipse(h, tan, cfg)
@@ -546,11 +526,8 @@ def _certify_batch(cfg, spec, size, pt_stream, pair_stream):
     a2 = np.linalg.norm(x2, axis=1)
     b2 = np.linalg.norm(y2, axis=1)
     val2 = profile_value(a2, b2, r2, s2, cfg)
-    lin = (batch.g[0] * np.sum(xhat * (x2 - x), axis=1)
-           + batch.g[1] * np.sum(yhat * (y2 - y), axis=1)
-           + batch.g[2] * (r2 - r) + batch.g[3] * (s2 - s))
-    jump = np.linalg.norm(x2 - x, axis=1) * np.linalg.norm(y2 - y, axis=1)
-    ol_margin = val2 - batch.value - lin - (2.0 / cfg.Q) * jump
+    ol_margin, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
+                                     val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)
     out["one_leg"] = (ol_margin, pts, 0)
 
     size_margin = cfg.size_constant * (a * a / r + b * b / s) - batch.value

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bellman import BellmanConfig, evaluate_batch, profile_value
+from .bellman import BellmanConfig, evaluate_batch, one_leg_margin, profile_value
 from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
@@ -97,28 +97,24 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     per_step_margins = []
     linear_term_max = 0.0
     dissipation = 0.0
-    rep = lambda arr: np.repeat(arr, 2, axis=0)
+    # children pair up along a new axis, so parent arrays broadcast unrepeated
+    pair = lambda arr: arr.reshape((-1, 2) + arr.shape[1:])
 
     parent = bellman_at(0)
     eb_root = float((parent.value if n else parent)[0])
     for k in range(n):
         child = bellman_at(k + 1)
         child_val = child.value if k + 1 < n else child
-        dx = xs[k + 1] - rep(xs[k])
-        dy = ys[k + 1] - rep(ys[k])
-        dr = us[k + 1] - rep(us[k])
-        ds = ws[k + 1] - rep(ws[k])
-        xhat = xs[k] / parent.a[:, None]
-        yhat = ys[k] / parent.b[:, None]
-        lin = (rep(parent.g[0]) * np.sum(rep(xhat) * dx, axis=1)
-               + rep(parent.g[1]) * np.sum(rep(yhat) * dy, axis=1)
-               + rep(parent.g[2]) * dr + rep(parent.g[3]) * ds)
-        jump = np.linalg.norm(dx, axis=1) * np.linalg.norm(dy, axis=1)
-        margins = child_val - rep(parent.value) - lin - (2.0 / cfg.Q) * jump
+        margins, lin, jump = one_leg_margin(
+            parent.g[:, :, None], parent.value[:, None],
+            (xs[k] / parent.a[:, None])[:, None], (ys[k] / parent.b[:, None])[:, None],
+            pair(child_val),
+            pair(xs[k + 1]) - xs[k][:, None], pair(ys[k + 1]) - ys[k][:, None],
+            pair(us[k + 1]) - us[k][:, None], pair(ws[k + 1]) - ws[k][:, None], cfg.Q)
 
         per_step_margins.append(float(margins.min()))
         min_margin = min(min_margin, per_step_margins[-1])
-        cond_mean = 0.5 * (lin[0::2] + lin[1::2])
+        cond_mean = 0.5 * (lin[:, 0] + lin[:, 1])
         linear_term_max = max(linear_term_max, float(np.abs(cond_mean).max()))
         dissipation += (2.0 / cfg.Q) * float(jump.sum()) * 2.0 ** (-(k + 1))
         parent = child

@@ -75,13 +75,10 @@ class DyadicMartingale:
 
 @dataclass
 class SubordinatePair:
-    """A pair (X, Y) with the per-node subordination flags of the check."""
+    """Verdict of `check_subordination` on a pair (X, Y)."""
 
-    X: DyadicMartingale
-    Y: DyadicMartingale
     ok: bool
     first_violation: tuple | None   # (level, node_index) or None
-    flags: list                     # per level >= 1: bool arrays |dY| <= |dX|
 
 
 @dataclass
@@ -163,24 +160,17 @@ def check_subordination(X: DyadicMartingale, Y: DyadicMartingale) -> Subordinate
     """
     if X.depth != Y.depth:
         raise InvalidInputError("martingales must share the filtration depth")
-    ok = True
-    first = None
-    flags = []
     n0x = np.linalg.norm(X.initial)
     n0y = np.linalg.norm(Y.initial)
     if n0y > n0x * (1.0 + SUBORDINATION_RTOL) + 1e-15:
-        ok = False
-        first = (0, 0)
-    dXs, dYs = X.increments(), Y.increments()
-    for k, (dx, dy) in enumerate(zip(dXs, dYs), start=1):
+        return SubordinatePair(ok=False, first_violation=(0, 0))
+    for k, (dx, dy) in enumerate(zip(X.increments(), Y.increments()), start=1):
         nx = np.linalg.norm(dx, axis=1)
         ny = np.linalg.norm(dy, axis=1)
         lev_ok = ny <= nx * (1.0 + SUBORDINATION_RTOL) + 1e-15
-        flags.append(lev_ok)
-        if ok and not lev_ok.all():
-            ok = False
-            first = (k, int(np.argmin(lev_ok)))
-    return SubordinatePair(X=X, Y=Y, ok=ok, first_violation=first, flags=flags)
+        if not lev_ok.all():
+            return SubordinatePair(ok=False, first_violation=(k, int(np.argmin(lev_ok))))
+    return SubordinatePair(ok=True, first_violation=None)
 
 
 def weighted_norm(X: DyadicMartingale, w: WeightTree) -> float:

@@ -30,7 +30,8 @@ import numpy as np
 from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
 
-from .bellman import BellmanConfig, b4_batch, evaluate_batch, h4_value, kn_of_t
+from .bellman import (BellmanConfig, b4_batch, evaluate_batch, h4_value, kn_of_t,
+                      one_leg_margin)
 from .errors import ConfigError, DomainError
 
 VAR_NAMES = ("x", "y", "r", "s", "K")
@@ -192,15 +193,14 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
                        kernel=kernel, pad_cells=m)
 
 
-def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8,
-                      center_rs=(1.15, 1.15), center_xy=(0.45, 0.45)):
-    """A compact box around (x0, y0, r0, s0) with the K axis matched to the
-    range of K(rs) over the (r, s) box (plus kernel clearance)."""
+def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8):
+    """A compact box around (x, y, r, s) = (0.45, 0.45, 1.15, 1.15) with the
+    K axis matched to the range of K(rs) over the (r, s) box (plus kernel
+    clearance)."""
     ell = cfg.ell if ell is None else ell
     h = ell / 4.0
     half = cells // 2 * h
-    x0, y0 = center_xy
-    r0, s0 = center_rs
+    x0, y0, r0, s0 = 0.45, 0.45, 1.15, 1.15
     lo = [x0 - half, y0 - half, r0 - half, s0 - half]
     hi = [x0 + half, y0 + half, r0 + half, s0 + half]
     # K(rs) over the padded (r, s) box, with clearance for the kernel radius
@@ -254,7 +254,8 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     half = len(x) // 2
     i0, i1 = np.arange(half), np.arange(half, 2 * half)
     dv = np.stack([x[i1] - x[i0], y[i1] - y[i0], r[i1] - r[i0], s[i1] - s[i0]], axis=1)
-    lin = np.sum(grad[i0] * dv, axis=1)
-    jump = np.abs(dv[:, 0]) * np.abs(dv[:, 1])
-    moved = (dv != 0.0).any(axis=1)
-    return (value[i1] - value[i0] - lin - (1.0 / cfg.Q) * jump)[moved]
+    unit = np.ones((half, 1))           # the unit directions of scalar x, y > 0
+    margins, _, _ = one_leg_margin(grad[i0].T, value[i0], unit, unit, value[i1],
+                                   dv[:, :1], dv[:, 1:2], dv[:, 2], dv[:, 3], cfg.Q,
+                                   constant=1.0)
+    return margins[(dv != 0.0).any(axis=1)]

@@ -48,12 +48,21 @@ def _wnorm2(vals, w):
     return float(np.mean(vals * vals * w))
 
 
+def _top_eigvec(apply, w_leaves):
+    """Top generalized eigenvector of the symmetric operator `apply` against
+    D = diag(w_leaves)/2^n: ARPACK on D^-1/2 apply D^-1/2, mapped back."""
+    sqD = np.sqrt(w_leaves / float(len(w_leaves)))
+    op = LinearOperator((len(w_leaves),) * 2,
+                        matvec=lambda g: apply(g / sqD) / sqD, dtype=float)
+    _, vecs = eigsh(op, k=1, which="LA", maxiter=5000, tol=1e-10,
+                    v0=np.ones(len(w_leaves)))
+    return vecs[:, 0] / sqD
+
+
 def _sqfun_eigen_f(w_leaves):
     """Maximizer of the Rademacher-averaged quotient (weighted square function)."""
     n = int(np.log2(len(w_leaves)))
     wavg = dyadic_averages(w_leaves)
-    D = w_leaves / 2.0 ** n
-    sqD = np.sqrt(D)
 
     def n_apply(f):
         lev = dyadic_averages(f)
@@ -66,29 +75,15 @@ def _sqfun_eigen_f(w_leaves):
             grad -= np.repeat(tp, 2 ** (n - k + 1)) * 2.0 ** (-(n - k + 1))
         return grad
 
-    op = LinearOperator((len(w_leaves),) * 2,
-                        matvec=lambda g: n_apply(g / sqD) / sqD, dtype=float)
-    vals, vecs = eigsh(op, k=1, which="LA", maxiter=5000, tol=1e-10,
-                       v0=np.ones(len(w_leaves)))
-    return vecs[:, 0] / sqD
+    return _top_eigvec(n_apply, w_leaves)
 
 
 def _best_f_given_sigma(w_leaves, sig0, sigs):
     """Exact top test function for fixed signs: generalized eigenvector of
     T_sigma^T W T_sigma against W (T_sigma self-adjoint unweighted)."""
-    n = len(w_leaves)
-    D = w_leaves / float(n)
-    sqD = np.sqrt(D)
-
-    def mv(g):
-        f = g / sqD
-        y = _apply_tsigma(f, sig0, sigs)
-        return _apply_tsigma(D * y, sig0, sigs) / sqD
-
-    op = LinearOperator((n, n), matvec=mv, dtype=float)
-    vals, vecs = eigsh(op, k=1, which="LA", maxiter=5000, tol=1e-10,
-                       v0=np.ones(n))
-    return vecs[:, 0] / sqD
+    D = w_leaves / float(len(w_leaves))
+    return _top_eigvec(lambda f: _apply_tsigma(D * _apply_tsigma(f, sig0, sigs), sig0, sigs),
+                       w_leaves)
 
 
 def _ascend_sigma(f, w, sig0, sigs, sweeps=8):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import bellsub as bs
-from bellsub.bellman import bellman_value, evaluate_batch, profile_value
+from bellsub.bellman import (bellman_value, evaluate_batch, hessian_quadratic_form,
+                             profile_value)
 from bellsub.certify import _sample_arrays
 
 
@@ -166,7 +167,7 @@ def test_eval_b_gradient_matches_finite_differences():
     for i in range(200):
         V = bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i])
         k = bs.eval_K(V.r, V.s, cfg.Q)
-        if bs.classify_region(V.x, V.y, V.r, V.s, k, cut_tolerance=1e-7).tag == "CUT":
+        if bs.classify_region(V.x, V.y, V.r, V.s, k).tag == "CUT":
             continue
         res = bs.eval_B(V, cfg)
         g_fd = np.zeros(6)
@@ -223,21 +224,29 @@ def test_hessian_form_parity():
         assert plus == minus
 
 
-def test_eval_b_cut_fallback_is_flagged_and_consistent():
+def test_eval_b_cut_band_form_is_its_branch_form():
     cfg = bs.BellmanConfig(Q=4.0)
-    # sit exactly on the |x|s = |y|K cut
+    # on and within 5e-9 (relative) of the |x|s = |y|K cut
     r, s = 1.3, 1.4
     k = bs.eval_K(r, s, cfg.Q)
-    y = np.array([0.8, 0.0])
-    x = np.array([0.8 * k / s, 0.0])
-    V = bs.StatePoint(x=x, y=y, r=r, s=s)
-    res = bs.eval_B(V, cfg)
-    assert res.degraded and res.region.tag == "CUT"
     dV = bs.Perturbation(dx=[0.1, 0.0], dy=[0.1, 0.0], dr=0.0, ds=0.0)
-    val = res.hessian_form(dV)
-    assert np.isfinite(val)
-    # degraded second difference still sees the convexity lower bound
-    assert val >= (2.0 / cfg.Q) * 0.1 * 0.1 - 1e-6
+    forms = {}
+    for offset in (-5e-9, 0.0, 5e-9):
+        a = 0.8 * k / s * (1.0 + offset)
+        res = bs.eval_B(bs.StatePoint(x=[a, 0.0], y=[0.8, 0.0], r=r, s=s), cfg)
+        assert res.region.tag == "CUT"
+        batch = evaluate_batch(np.array([a]), np.array([0.8]), np.array([r]),
+                               np.array([s]), cfg)
+        unit = np.array([[1.0, 0.0]])
+        exact = hessian_quadratic_form(batch, unit, unit, dV.dx[None, None, :],
+                                       dV.dy[None, None, :], np.zeros((1, 1)),
+                                       np.zeros((1, 1)))[0, 0]
+        forms[offset] = res.hessian_form(dV)
+        assert forms[offset] == exact
+        assert forms[offset] >= (2.0 / cfg.Q) * 0.1 * 0.1
+    # a point on the cut takes the non-R1 branch, whose form is the smaller
+    # by the PSD jump 2 grad q grad q^T / (s(t - K^2))
+    assert forms[5e-9] > forms[0.0]
 
 
 def test_eval_b_outside_domain_raises():

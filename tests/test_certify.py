@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bellsub as bs
+from bellsub import bellman as bm
 from bellsub import certify as ct
 from bellsub.bellman import (bellman_value, evaluate_batch, hessian_quadratic_form,
                              partial_xx_form, partial_yy_form)
@@ -57,7 +58,7 @@ def test_sample_plan_takes_its_domain_from_the_config():
     # a plan holds no Q, eps, ell or dim of its own that could contradict
     # the config it is run under
     assert [f.name for f in dataclasses.fields(ct.SampleSpec)] == \
-        ["count", "seed", "exclusion_margin"]
+        ["count", "seed"]
     cfg = bs.BellmanConfig(Q=2.0, dim=1)
     for V in sample(cfg, 200, seed=1):
         assert V.x.shape == V.y.shape == (1,)
@@ -69,8 +70,6 @@ def test_sample_spec_validation():
         bs.BellmanConfig(Q=0.5)
     with pytest.raises(ConfigError):
         ct.SampleSpec(count=-1, seed=0)
-    with pytest.raises(ConfigError):
-        ct.SampleSpec(count=10, seed=0, exclusion_margin=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,7 @@ def test_one_leg_same_point_and_taylor_consistency():
     checked = 0
     for V in pts:
         res = bs.eval_B(V, CFG)
-        if res.degraded:
+        if res.region.tag == "CUT":
             continue
         d = rng.standard_normal(6)
         d /= np.linalg.norm(d)
@@ -200,6 +199,21 @@ def test_ellipse_certificate_bounds_every_sampled_direction(Q, dim):
     assert ((tau >= ct.KAPPA_LO * cfg.eps / Q) & (tau <= ct.KAPPA_HI * Q / cfg.eps)).all()
 
 
+@pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
+def test_ellipse_certificate_is_positive_on_the_cuts(Q):
+    # the certificate of a cut point is the one of the branch its masks
+    # assign, which the C^2 checks skip; it still holds there
+    cfg = bs.BellmanConfig(Q=Q)
+    x, y, r, s = ct._sample_arrays(cfg, np.random.default_rng(0), 20_000)
+    a, b = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
+    k = bm.kn_of_t(r * s, Q)[0][0]
+    for on_cut in ((b * k / s, b), (a, a * k / r)):      # |x|s = |y|K, |y|r = |x|K
+        batch = evaluate_batch(*on_cut, r, s, cfg)
+        assert batch.cut.all()
+        lower, _, _ = ct._ellipse(*ct._radial(batch, cfg.dim), cfg)
+        assert lower.min() > 0.0
+
+
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("Q", (2.0, 16.0, 256.0))
 def test_ellipse_witness_attains_the_feasibility(Q, dim):
@@ -234,7 +248,7 @@ def test_extract_tau_failure_names_a_violating_direction():
         try:
             ct.extract_tau(V, weak)
         except bs.CertificationError as err:
-            batch, xhat, yhat = ct._one_point_batch(V, weak)
+            batch, xhat, yhat = bm.evaluate_point(V, weak)
             _, tau, feas = ct._ellipse(*ct._radial(batch, 2), weak)
             value = _ellipse_form(batch, xhat, yhat, err.witness[None, None, :],
                                   tau, weak.Q)[0, 0]
@@ -270,9 +284,9 @@ def test_run_certification_empty():
     assert "no samples" in ct.report_to_text(rep)
 
 
-def test_run_certification_with_every_sample_near_a_cut():
-    spec = ct.SampleSpec(count=300, seed=1, exclusion_margin=1e3)
-    rep = ct.run_certification(CFG, spec)
+def test_run_certification_with_every_sample_near_a_cut(monkeypatch):
+    monkeypatch.setattr(bm, "CUT_TOLERANCE", 1e3)
+    rep = ct.run_certification(CFG, ct.SampleSpec(count=300, seed=1))
     by_name = {c.name: c for c in rep.checks}
     for name in ("hessian_lower", "dxx_bound", "dyy_bound"):
         assert by_name[name].samples == 0 and by_name[name].skipped == 300
@@ -281,6 +295,24 @@ def test_run_certification_with_every_sample_near_a_cut():
     assert ts.within_bounds and ts.min_feasibility == np.inf
     assert rep.overall_pass
     assert "min_feasibility inf" in ct.report_to_text(rep)
+
+
+def test_certify_and_tau_sweep_skip_the_same_cut_points(monkeypatch):
+    # one cut rule: widened, it moves the skips of both commands together
+    monkeypatch.setattr(bm, "CUT_TOLERANCE", 2e-2)
+    spec = ct.SampleSpec(count=3000, seed=1)
+    rep = ct.run_certification(CFG, spec)
+    rows, _ = ct.tau_sweep(CFG, spec)
+    by_name = {c.name: c for c in rep.checks}
+    skipped = by_name["hessian_lower"].skipped
+    assert 0 < skipped < spec.count
+    for name in ("hessian_lower", "dxx_bound", "dyy_bound"):
+        assert by_name[name].skipped == skipped
+        assert by_name[name].samples == len(rows) == spec.count - skipped
+    cut = np.concatenate([evaluate_batch(np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1),
+                                         r, s, CFG).cut
+                          for x, y, r, s in ct._point_batches(CFG, spec)])
+    assert [row[0] for row in rows] == list(np.flatnonzero(~cut))
 
 
 def test_run_certification_deterministic_and_jobs_independent():
