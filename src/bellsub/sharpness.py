@@ -34,13 +34,21 @@ _FLAT_Q2 = 1.0 + 1e-12
 
 
 def _apply_tsigma(f, sig0, sigs):
-    """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
+    """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1.
+
+    Built from coarse to fine, each level at its own resolution: the even
+    and odd children c of node i get y_k[2i+c] = y_(k-1)[i] +
+    sigs[k-1][i] (lev_k[2i+c] - lev_(k-1)[i]).  One application costs
+    O(2^n), and each leaf sees its additions in root-to-leaf order.
+    """
     lev = dyadic_averages(f)
-    n = len(lev) - 1
-    y = np.full(len(f), sig0 * lev[0][0])
-    for k in range(1, n + 1):
-        df = lev[k] - np.repeat(lev[k - 1], 2)
-        y += np.repeat(np.repeat(sigs[k - 1], 2) * df, 2 ** (n - k))
+    y = np.array([sig0 * lev[0][0]])
+    for k in range(1, len(lev)):
+        parent, sig = lev[k - 1], sigs[k - 1]
+        child = np.empty(2 ** k)
+        child[0::2] = y + sig * (lev[k][0::2] - parent)
+        child[1::2] = y + sig * (lev[k][1::2] - parent)
+        y = child
     return y
 
 
@@ -59,23 +67,37 @@ def _top_eigvec(apply, w_leaves):
     return vecs[:, 0] / sqD
 
 
-def _sqfun_eigen_f(w_leaves):
-    """Maximizer of the Rademacher-averaged quotient (weighted square function)."""
+def _sqfun_operator(w_leaves):
+    """Matvec of the weighted square-function form S(f) = <f, N f>.
+
+    The per-level factors 2^-k <w>_k are fixed by the weight and computed
+    once.  Each application builds N f from coarse to fine at every level's
+    resolution, so it costs O(2^n).
+    """
     n = int(np.log2(len(w_leaves)))
     wavg = dyadic_averages(w_leaves)
+    coef = [2.0 ** (-k) * wavg[k] for k in range(n + 1)]
 
     def n_apply(f):
         lev = dyadic_averages(f)
-        grad = np.full(len(f), lev[0][0] * wavg[0][0] / 2.0 ** n)
+        grad = np.array([lev[0][0] * wavg[0][0] / 2.0 ** n])
         for k in range(1, n + 1):
-            df = lev[k] - np.repeat(lev[k - 1], 2)
-            t = 2.0 ** (-k) * wavg[k] * df
-            grad += np.repeat(t, 2 ** (n - k)) * 2.0 ** (-(n - k))
-            tp = t.reshape(-1, 2).sum(axis=1)
-            grad -= np.repeat(tp, 2 ** (n - k + 1)) * 2.0 ** (-(n - k + 1))
+            parent = lev[k - 1]
+            t0 = coef[k][0::2] * (lev[k][0::2] - parent)
+            t1 = coef[k][1::2] * (lev[k][1::2] - parent)
+            tp = (t0 + t1) * 2.0 ** (-(n - k + 1))
+            child = np.empty(2 ** k)
+            child[0::2] = grad + t0 * 2.0 ** (-(n - k)) - tp
+            child[1::2] = grad + t1 * 2.0 ** (-(n - k)) - tp
+            grad = child
         return grad
 
-    return _top_eigvec(n_apply, w_leaves)
+    return n_apply
+
+
+def _sqfun_eigen_f(w_leaves):
+    """Maximizer of the Rademacher-averaged quotient (weighted square function)."""
+    return _top_eigvec(_sqfun_operator(w_leaves), w_leaves)
 
 
 def _best_f_given_sigma(w_leaves, sig0, sigs):
@@ -88,10 +110,14 @@ def _best_f_given_sigma(w_leaves, sig0, sigs):
 
 def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
     """Coordinate ascent over the +-1 multipliers; each node takes the sign of
-    its increment's weighted correlation with the rest of the transform."""
+    its increment's weighted correlation with the rest of the transform.
+
+    At level k+1 the leaves are viewed as (2^(k+1), span) blocks, one row per
+    child node, and that level's increments broadcast along the rows; no
+    leaf-size copy of an increment is made."""
     n = int(np.log2(len(f)))
     lev = dyadic_averages(f)
-    dfs = [lev[k] - np.repeat(lev[k - 1], 2) for k in range(1, n + 1)]
+    dfs = [(lev[k] - np.repeat(lev[k - 1], 2))[:, None] for k in range(1, n + 1)]
     y = _apply_tsigma(f, sig0, sigs)
     for _ in range(sweeps):
         changed = False
@@ -103,13 +129,12 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
             changed = True
         for k in range(n):
             dfk = dfs[k]
-            span = 2 ** (n - k - 1)
-            dfk_leaf = np.repeat(dfk, span)
-            cur_leaf = np.repeat(np.repeat(sigs[k], 2) * dfk, span)
-            corr = (w * (y - cur_leaf) * dfk_leaf).reshape(2 ** k, -1).sum(axis=1)
+            yk = y.reshape(2 ** (k + 1), -1)
+            cur = np.repeat(sigs[k], 2)[:, None] * dfk
+            corr = (w.reshape(yk.shape) * (yk - cur) * dfk).reshape(2 ** k, -1).sum(axis=1)
             new = np.where(corr >= 0.0, 1.0, -1.0)
             if not np.array_equal(new, sigs[k]):
-                y = y - cur_leaf + np.repeat(np.repeat(new, 2) * dfk, span)
+                y = (yk - cur + np.repeat(new, 2)[:, None] * dfk).ravel()
                 sigs[k] = new
                 changed = True
         if not changed:
@@ -127,7 +152,8 @@ def worst_ratio(w: WeightTree, rounds=6):
     wl = w.leaf_values
     n = w.depth
     if n == 0:
-        return 1.0, {"rounds_used": 0}
+        # T_sigma f = sigma0 f on a single leaf: the trivial pair is optimal
+        return 1.0, {"rounds_used": 0, "f": np.ones(1), "sigma0": 1.0, "sigma": []}
     fcur = _sqfun_eigen_f(wl)
     sig0, sigs = _ascend_sigma(fcur, wl, 1.0, [np.ones(2 ** k) for k in range(n)])
     best = _wnorm2(_apply_tsigma(fcur, sig0, sigs), wl) / _wnorm2(fcur, wl)

@@ -13,7 +13,10 @@ convolution of scipy.signal, which the library no longer imports.  The dual
 oracle is the random search over test martingales that the exact dual
 extremal Z = Y w replaced.  The sign-start oracle is the search over random
 sign starts that the sharpness search dropped for its all-ones start; it
-evaluates T_sigma f from reshaped block means.
+evaluates T_sigma f from reshaped block means.  The repeat-based sharpness
+kernels are the leaf-size forms of T_sigma, of the square-function matvec and
+of the sign ascent that the per-level-resolution kernels replaced, kept
+verbatim as bit-for-bit references (they use the library's node averages).
 """
 
 from math import gcd
@@ -21,6 +24,8 @@ from math import gcd
 import numpy as np
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
+
+from bellsub.weights import dyadic_averages
 
 
 def brute_force_h4(a, b, r, s, k, iters=220):
@@ -240,3 +245,64 @@ def random_start_ratio(f, w, ascend, rng, restarts=3):
         y = signed_transform(f, *ascend(f, w, sig0, sigs))
         best = max(best, float(np.mean(w * y * y) / np.mean(w * f * f)))
     return best
+
+
+def repeat_apply_tsigma(f, sig0, sigs):
+    """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
+    lev = dyadic_averages(f)
+    n = len(lev) - 1
+    y = np.full(len(f), sig0 * lev[0][0])
+    for k in range(1, n + 1):
+        df = lev[k] - np.repeat(lev[k - 1], 2)
+        y += np.repeat(np.repeat(sigs[k - 1], 2) * df, 2 ** (n - k))
+    return y
+
+
+def repeat_sqfun_operator(w_leaves):
+    """Matvec of the weighted square-function form, at leaf size per level."""
+    n = int(np.log2(len(w_leaves)))
+    wavg = dyadic_averages(w_leaves)
+
+    def n_apply(f):
+        lev = dyadic_averages(f)
+        grad = np.full(len(f), lev[0][0] * wavg[0][0] / 2.0 ** n)
+        for k in range(1, n + 1):
+            df = lev[k] - np.repeat(lev[k - 1], 2)
+            t = 2.0 ** (-k) * wavg[k] * df
+            grad += np.repeat(t, 2 ** (n - k)) * 2.0 ** (-(n - k))
+            tp = t.reshape(-1, 2).sum(axis=1)
+            grad -= np.repeat(tp, 2 ** (n - k + 1)) * 2.0 ** (-(n - k + 1))
+        return grad
+
+    return n_apply
+
+
+def repeat_ascend_sigma(f, w, sig0, sigs, sweeps=8):
+    """Coordinate ascent over the +-1 multipliers; each node takes the sign of
+    its increment's weighted correlation with the rest of the transform."""
+    n = int(np.log2(len(f)))
+    lev = dyadic_averages(f)
+    dfs = [lev[k] - np.repeat(lev[k - 1], 2) for k in range(1, n + 1)]
+    y = repeat_apply_tsigma(f, sig0, sigs)
+    for _ in range(sweeps):
+        changed = False
+        rest = y - sig0 * lev[0][0]
+        new0 = 1.0 if float(np.mean(w * rest)) * lev[0][0] >= 0.0 else -1.0
+        if new0 != sig0:
+            y = y + (new0 - sig0) * lev[0][0]
+            sig0 = new0
+            changed = True
+        for k in range(n):
+            dfk = dfs[k]
+            span = 2 ** (n - k - 1)
+            dfk_leaf = np.repeat(dfk, span)
+            cur_leaf = np.repeat(np.repeat(sigs[k], 2) * dfk, span)
+            corr = (w * (y - cur_leaf) * dfk_leaf).reshape(2 ** k, -1).sum(axis=1)
+            new = np.where(corr >= 0.0, 1.0, -1.0)
+            if not np.array_equal(new, sigs[k]):
+                y = y - cur_leaf + np.repeat(np.repeat(new, 2) * dfk, span)
+                sigs[k] = new
+                changed = True
+        if not changed:
+            break
+    return sig0, sigs

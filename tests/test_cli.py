@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -104,6 +108,18 @@ def test_sharpness_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,depth,Q2,worst_ratio"
     assert len(lines) == 5 and lines[-1].startswith("# slope")
+
+
+def test_python_dash_m_bellsub_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "bellsub", "sharpness", "--delta-grid",
+                           "-0.9:-0.1:3", "--depth", "6", "--seed", "1"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "delta,depth,Q2,worst_ratio"
+    assert len(lines) == 5 and lines[-1].startswith("# slope ")
 
 
 def test_sharpness_rejects_an_empty_grid(tmp_path, capsys):

@@ -7,7 +7,8 @@ from bellsub import martingales as mg
 from bellsub import sharpness as sh
 from bellsub import weights as wt
 from bellsub.errors import ConfigError, DomainError, InvalidInputError
-from oracles import (random_start_ratio, signed_transform, sqfun_form,
+from oracles import (random_start_ratio, repeat_apply_tsigma, repeat_ascend_sigma,
+                     repeat_sqfun_operator, signed_transform, sqfun_form,
                      sqfun_norm_dense, sqfun_rayleigh)
 
 CRITERION_8_TARGETS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
@@ -21,6 +22,15 @@ def test_flat_weight_ratio_is_one():
     # a flat weight carries no slope, so the experiment refuses it alone
     with pytest.raises(ConfigError):
         sh.sharpness_experiment([0.0], depth=6)
+
+
+def test_depth_zero_returns_the_trivial_pair():
+    # on a single leaf T_sigma f = sigma0 f, so the ratio is exactly one
+    w = wt.power_weight_family(-0.5, 0)
+    ratio, X, Y = sh.realized_transform(w)
+    assert ratio == 1.0
+    assert mg.check_subordination(X, Y).ok
+    assert mg.weighted_norm(Y, w) / mg.weighted_norm(X, w) == 1.0
 
 
 def test_delta_grid_validation():
@@ -139,3 +149,41 @@ def test_tsigma_capped_by_depth_times_square_function():
         y = sh._apply_tsigma(f, det["sigma0"], det["sigma"])
         assert np.sqrt(np.mean(w * y * y) / np.mean(w * f * f)) == pytest.approx(ratio, rel=1e-12)
         assert np.mean(w * y * y) <= (depth + 1) * sqfun_form(f, w) * (1 + 1e-12)
+
+
+def _kernel_weights(depth, rng):
+    """Two power weights and two log-normal weights at `depth`."""
+    weights = [wt.power_weight_family(d, depth).leaf_values for d in (-0.5, -0.9)]
+    return weights + [np.exp(rng.normal(0.0, 1.5, 2 ** depth)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_level_resolution_kernels_match_repeat_oracles_bit_for_bit(depth):
+    rng = np.random.default_rng([17, depth])
+    for w in _kernel_weights(depth, rng):
+        f = rng.standard_normal(2 ** depth)
+        sig0 = rng.choice([-1.0, 1.0])
+        sigs = [rng.choice([-1.0, 1.0], 2 ** k) for k in range(depth)]
+        assert np.array_equal(sh._apply_tsigma(f, sig0, sigs),
+                              repeat_apply_tsigma(f, sig0, sigs))
+        assert np.array_equal(sh._sqfun_operator(w)(f), repeat_sqfun_operator(w)(f))
+        for start0, start in ((sig0, sigs), (1.0, [np.ones(2 ** k) for k in range(depth)])):
+            got0, got = sh._ascend_sigma(f, w, start0, [s.copy() for s in start])
+            want0, want = repeat_ascend_sigma(f, w, start0, [s.copy() for s in start])
+            assert got0 == want0
+            assert len(got) == len(want) == depth
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("depth", range(3, 11))
+def test_sqfun_operator_is_the_square_function_form(depth):
+    # <f, N f> = S(f) and <g, N f> = <f, N g>, against the reshaped-block-mean
+    # form; the symmetry gap is measured on the Cauchy-Schwarz scale
+    rng = np.random.default_rng([18, depth])
+    for w in _kernel_weights(depth, rng):
+        apply = sh._sqfun_operator(w)
+        f, g = rng.standard_normal((2, 2 ** depth))
+        nf, ng = apply(f), apply(g)
+        assert f @ nf == pytest.approx(sqfun_form(f, w), rel=1e-12)
+        assert g @ ng == pytest.approx(sqfun_form(g, w), rel=1e-12)
+        assert abs(g @ nf - f @ ng) <= 1e-12 * np.sqrt((f @ nf) * (g @ ng))
