@@ -13,12 +13,17 @@ five variables and the monotonicity -d/dK H4 >= 0 survive averaging exactly,
 which is what preserves the one-leg convexity of the composite (at the
 weakened constant 1/Q instead of 2/Q).
 
-H4 is sampled on the box padded by the kernel radius m cells, and the
-convolution is one circular rfftn/irfftn product on that padded box, each
-axis of length n zero-filled to L = next_fast_len(n) >= n.  A kernel of
-2m + 1 taps wraps around only into the first 2m entries of each axis, so
-entries 2m .. n-1 equal the linear convolution's valid part exactly; they
-are the ones kept.
+H4 is sampled on the box padded by the kernel radius m cells, one x-slab at
+a time, straight into a zero-filled buffer whose axes of length n have the
+fast lengths L = next_fast_len(n) >= n.  The convolution is circular on that
+buffer: one rfftn of the samples times the spectrum of the kernel centred on
+index 0.  The bump is even in every coordinate, so that spectrum is real and
+is summed from per-axis cosine tables without a transform.  Along an axis,
+output entry j of the centred kernel of 2m + 1 taps reads the samples
+j-m .. j+m, so entries m .. n-m-1 read no wrapped or zero-filled sample and
+equal the linear convolution's valid part exactly.  The inverse keeps only
+those: it runs axis by axis and drops the other rows of each axis before
+transforming the next.
 """
 
 from __future__ import annotations
@@ -44,6 +49,18 @@ def h4_raw(x, y, r, s, K):
     if (r * s - K * K <= 0.0).any():
         raise DomainError("H4 needs K^2 < rs throughout")
     return h4_value(x, y, r, s, K)
+
+
+def _h4_samples(axes, shape):
+    """H4 on the grid spanned by axes, in the leading corner of a zero-filled
+    array of the given shape.  Evaluated one x-slab at a time, so the
+    temporaries stay slab-sized; elementwise, so equal to h4_raw bit for bit."""
+    out = np.zeros(shape)
+    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
+    corner = tuple(slice(len(a)) for a in axes[1:])
+    for i, x in enumerate(axes[0]):
+        out[(i,) + corner] = h4_value(x, *rest)
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,22 @@ def bump_kernel(ell: float, spacing: float):
     return w / w.sum(), m
 
 
+def _kernel_spectrum(kernel, m, L):
+    """rfftn over the box L of the (2m+1)^5 kernel centred on index 0.
+
+    The bump is even in every coordinate, so the spectrum is real: the sum
+    over taps u of kernel(u) times prod_i cos(2 pi w_i u_i / L_i), contracted
+    one axis at a time against that axis's cosine table.
+    """
+    spectrum = kernel
+    taps = np.arange(-m, m + 1)
+    for i, n in enumerate(L):
+        freqs = np.arange(n // 2 + 1 if i == len(L) - 1 else n)
+        table = np.cos(2.0 * np.pi * (np.outer(freqs, taps) % n) / n)
+        spectrum = np.tensordot(spectrum, table, axes=(0, 1))
+    return spectrum
+
+
 # slices of one axis for the nodes ahead of, at and behind a centre node
 _STEP = {1: (slice(2, None), slice(1, -1), slice(0, -2)),
          -1: (slice(0, -2), slice(1, -1), slice(2, None)),
@@ -105,7 +138,7 @@ class MollifiedH4:
         return float(self.kernel.sum())
 
     def raw_values(self):
-        return h4_raw(*np.meshgrid(*self.axes, indexing="ij", sparse=True))
+        return _h4_samples(self.axes, self.values.shape)
 
     def __call__(self, pts):
         return self._itp(np.asarray(pts, dtype=float))
@@ -180,11 +213,16 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
-    padded_values = h4_raw(*np.meshgrid(*padded_axes, indexing="ij", sparse=True))
-    n = padded_values.shape
+    n = tuple(len(a) for a in padded_axes)
     L = tuple(fft.next_fast_len(k, real=True) for k in n)
-    values = fft.irfftn(fft.rfftn(padded_values, L) * fft.rfftn(kernel, L), L)
-    values = values[tuple(slice(2 * m, k) for k in n)]
+    spectrum = fft.rfftn(_h4_samples(padded_axes, L))
+    spectrum *= _kernel_spectrum(kernel, m, L)
+    # unnormalized inverse, pruned to the valid rows after each leading axis
+    for i in range(4):
+        spectrum = fft.ifft(spectrum, axis=i, norm="forward", overwrite_x=True)
+        spectrum = spectrum[(slice(None),) * i + (slice(m, n[i] - m),)]
+    values = fft.irfft(spectrum, L[4], axis=4, norm="forward")[..., m:n[4] - m]
+    values = values * (1.0 / np.prod(L))
     axes = spec.axes(pad_cells=0)
     expect = tuple(len(a) for a in axes)
     if values.shape != expect:
@@ -194,9 +232,12 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
 
 
 def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8):
-    """A compact box around (x, y, r, s) = (0.45, 0.45, 1.15, 1.15) with the
-    K axis matched to the range of K(rs) over the (r, s) box (plus kernel
-    clearance)."""
+    """A compact box around (x, y, r, s) = (0.45, 0.45, 1.15, 1.15), `cells`
+    cells of ell/4 wide on each of those axes (centred, so `cells` must be
+    even), with the K axis matched to the range of K(rs) over the (r, s) box
+    (plus kernel clearance)."""
+    if cells % 2:
+        raise ConfigError(f"grid cells must be even, got {cells}")
     ell = cfg.ell if ell is None else ell
     h = ell / 4.0
     half = cells // 2 * h

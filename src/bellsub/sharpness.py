@@ -131,7 +131,10 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
             dfk = dfs[k]
             yk = y.reshape(2 ** (k + 1), -1)
             cur = np.repeat(sigs[k], 2)[:, None] * dfk
-            corr = (w.reshape(yk.shape) * (yk - cur) * dfk).reshape(2 ** k, -1).sum(axis=1)
+            terms = (w.reshape(yk.shape) * (yk - cur) * dfk).reshape(2 ** k, -1)
+            # rows of 2 (the finest level) are slow for numpy's reduction,
+            # which adds them in this order too
+            corr = terms[:, 0] + terms[:, 1] if k == n - 1 else terms.sum(axis=1)
             new = np.where(corr >= 0.0, 1.0, -1.0)
             if not np.array_equal(new, sigs[k]):
                 y = (yk - cur + np.repeat(new, 2)[:, None] * dfk).ravel()

@@ -17,11 +17,14 @@ evaluates T_sigma f from reshaped block means.  The repeat-based sharpness
 kernels are the leaf-size forms of T_sigma, of the square-function matvec and
 of the sign ascent that the per-level-resolution kernels replaced, kept
 verbatim as bit-for-bit references (they use the library's node averages).
+The three-transform mollification is the circular convolution that the
+real kernel spectrum and the pruned inverse replaced, kept verbatim.
 """
 
 from math import gcd
 
 import numpy as np
+from scipy import fft
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
@@ -205,6 +208,16 @@ def orthant_directions(grid_size, n_random, rng):
 def valid_convolution(values, kernel):
     """Linear convolution of values with kernel, only where the kernel fits."""
     return fftconvolve(values, kernel, mode="valid")
+
+
+def three_transform_convolution(padded_values, kernel, m):
+    """Valid part of the circular convolution on the fast lengths L, as
+    irfftn(rfftn(values, L) * rfftn(kernel, L)); the uncentred kernel of
+    2m + 1 taps leaves entries 2m .. n-1 of each axis exact."""
+    n = padded_values.shape
+    L = tuple(fft.next_fast_len(k, real=True) for k in n)
+    values = fft.irfftn(fft.rfftn(padded_values, L) * fft.rfftn(kernel, L), L)
+    return values[tuple(slice(2 * m, k) for k in n)]
 
 
 def random_dual_ratio(y_leaves, w_leaves, rng, n_test=32):

@@ -1,14 +1,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft
 
 import bellsub as bs
 from bellsub import mollify as mo
 from bellsub.errors import ConfigError
-from oracles import valid_convolution
+from oracles import three_transform_convolution, valid_convolution
 
 CFG = bs.BellmanConfig(Q=16.0)
 
@@ -146,3 +148,69 @@ def test_import_leaves_scipy_signal_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_default_grid_spec_refuses_odd_cells():
+    for cells in (7, 3):
+        with pytest.raises(ConfigError):
+            mo.default_grid_spec(CFG, cells=cells)
+    assert mo.default_grid_spec(CFG, cells=8) == mo.GridSpec(
+        lo=(0.4, 0.4, 1.0999999999999999, 1.0999999999999999, 0.1875),
+        hi=(0.5, 0.5, 1.2, 1.2, 0.375), spacing=0.0125)
+
+
+def _padded_box(Q):
+    """(spec, padded axes, their lengths n, fast lengths L) of the default grid."""
+    cfg = bs.BellmanConfig(Q=Q)
+    spec = mo.default_grid_spec(cfg, cells=8)
+    axes = spec.axes(pad_cells=mo.bump_kernel(cfg.ell, spec.spacing)[1])
+    n = tuple(len(a) for a in axes)
+    return spec, axes, n, tuple(fft.next_fast_len(k, real=True) for k in n)
+
+
+@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
+def test_slab_samples_equal_broadcast_h4(Q):
+    _, axes, n, L = _padded_box(Q)
+    got = mo._h4_samples(axes, L)
+    corner = tuple(slice(k) for k in n)
+    want = mo.h4_raw(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    assert np.array_equal(got[corner], want)
+    got[corner] = 0.0
+    assert not got.any()                 # the rest of the buffer is zero fill
+
+
+@pytest.mark.parametrize("L", [_padded_box(q)[3] for q in (2.0, 16.0, 256.0)]
+                         + [(17, 19, 17, 21, 25)], ids=["Q2", "Q16", "Q256", "odd"])
+def test_real_kernel_spectrum_matches_rfftn(L):
+    kernel, m = mo.bump_kernel(CFG.ell, CFG.ell / 4.0)
+    padded = np.pad(kernel, [(0, k - len(kernel)) for k in L])
+    want = fft.rfftn(np.roll(padded, -m, axis=tuple(range(5))))
+    got = mo._kernel_spectrum(kernel, m, L)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert np.abs(got - want.real).max() <= 1e-15 * kernel.sum()
+    assert np.abs(want.imag).max() <= 1e-15
+
+
+@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],
+                         ids=["Q2", "Q16", "Q256", "branch_cut"])
+def test_pruned_pipeline_matches_three_transform_oracle(Q):
+    spec = (_branch_cut_spec() if Q is None
+            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+    moll = mo.mollify_h4(CFG.ell, spec)
+    padded = np.meshgrid(*spec.axes(pad_cells=moll.pad_cells), indexing="ij", sparse=True)
+    expect = three_transform_convolution(mo.h4_raw(*padded), moll.kernel, moll.pad_cells)
+    assert np.abs(moll.values - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+def test_mollify_peak_memory_is_one_buffer_and_two_half_spectra():
+    # the real sample buffer and two complex half-spectra of the box L; the
+    # three-transform pipeline, with its padded copies, needs about 1.8 times this
+    spec, _, _, L = _padded_box(2.0)
+    bound = 8 * np.prod(L) + 2 * 16 * np.prod(L[:-1]) * (L[-1] // 2 + 1)
+    tracemalloc.start()
+    try:
+        mo.mollify_h4(bs.BellmanConfig(Q=2.0).ell, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
