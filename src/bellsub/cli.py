@@ -120,12 +120,12 @@ def cmd_tau_sweep(args):
 
 
 def cmd_simulate(args):
+    scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     w = weights.power_weight_family(args.delta, args.depth)
     rng = np.random.default_rng(args.seed)
     lines = ["instance,bilinear_ratio,main_ratio,pass"]
     all_ok = True
     for i in range(args.num):
-        scfg = martingales.SimConfig(depth=args.depth, dim=args.dim, seed=args.seed + i)
         X = martingales.random_martingale(scfg, rng)
         Y = martingales.rotation_transform(X, rng) if i % 2 else martingales.transform(
             X, [np.where(rng.standard_normal(2 ** k) >= 0, 1.0, -1.0)
@@ -179,13 +179,13 @@ def cmd_truncate(args):
 
 def cmd_telescope(args):
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
+    scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     raw = weights.power_weight_family(args.delta, args.depth)
     w = weights.truncate_two_sided(raw, 1.0 / cfg.eps)
     rng = np.random.default_rng(args.seed)
     lines = ["instance,min_margin,sum_increments,bellman_bound,pass"]
     all_ok = True
     for i in range(args.num):
-        scfg = martingales.SimConfig(depth=args.depth, dim=args.dim, seed=args.seed + i)
         X = martingales.random_martingale(scfg, rng)
         Z = (martingales.rotation_transform(X, rng) if i % 2
              else martingales.random_martingale(scfg, rng))

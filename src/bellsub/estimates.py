@@ -24,7 +24,8 @@ from .bellman import BellmanConfig, evaluate_batch, one_leg_margin, profile_valu
 from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
-from .weights import WeightTree, a2_characteristic
+from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
+                      parent_average)
 
 MARGIN_TOL = 1e-8
 LINEAR_TERM_TOL = 1e-10
@@ -97,8 +98,9 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     per_step_margins = []
     linear_term_max = 0.0
     dissipation = 0.0
-    # children pair up along a new axis, so parent arrays broadcast unrepeated
-    pair = lambda arr: arr.reshape((-1, 2) + arr.shape[1:])
+    # the increments of x, y, u and w, children paired on axis 1 so that the
+    # parent arrays broadcast; taken after each level's B, one level at a time
+    steps = zip(*(pair_increments(v) for v in (xs, ys, us, ws)))
 
     parent = bellman_at(0)
     eb_root = float((parent.value if n else parent)[0])
@@ -108,15 +110,13 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         margins, lin, jump = one_leg_margin(
             parent.g[:, :, None], parent.value[:, None],
             (xs[k] / parent.a[:, None])[:, None], (ys[k] / parent.b[:, None])[:, None],
-            pair(child_val),
-            pair(xs[k + 1]) - xs[k][:, None], pair(ys[k + 1]) - ys[k][:, None],
-            pair(us[k + 1]) - us[k][:, None], pair(ws[k + 1]) - ws[k][:, None], cfg.Q)
+            child_pairs(child_val), *next(steps), cfg.Q)
 
         per_step_margins.append(float(margins.min()))
         min_margin = min(min_margin, per_step_margins[-1])
-        cond_mean = 0.5 * (lin[:, 0] + lin[:, 1])
+        cond_mean = parent_average(lin.reshape(-1))
         linear_term_max = max(linear_term_max, float(np.abs(cond_mean).max()))
-        dissipation += (2.0 / cfg.Q) * float(jump.sum()) * 2.0 ** (-(k + 1))
+        dissipation += (2.0 / cfg.Q) * float(np.mean(jump))
         parent = child
 
     # telescoped expectation gap and the size bound on the terminal level
@@ -211,7 +211,7 @@ def projection_consistency(X, Y, w: WeightTree, d_sub: int):
     """
     if not 1 <= d_sub <= X.dim:
         raise InvalidInputError(f"d_sub must be in [1, {X.dim}]")
-    full_bil = bilinear_form(Y.project(Y.dim), X.project(X.dim))
+    full_bil = bilinear_form(Y, X)
     rows = []
     prev = None
     monotone = True
@@ -250,13 +250,11 @@ def _tail_norm(M: DyadicMartingale, d):
     """Unweighted L2 bracket norm of the coordinates beyond d."""
     if d >= M.dim:
         return 0.0
-    tail = DyadicMartingale([lev[:, d:] for lev in M.levels])
-    return float(np.sqrt(np.mean(np.sum(tail.leaves ** 2, axis=1))))
+    return terminal_norm(M.leaves[:, d:], 1.0)
 
 
 def _dissipation_sum(X, Z):
     total = 0.0
-    for k, (dx, dz) in enumerate(zip(X.increments(), Z.increments()), start=1):
-        total += float(np.sum(np.linalg.norm(dx, axis=1)
-                              * np.linalg.norm(dz, axis=1))) * 2.0 ** (-k)
+    for dx, dz in zip(X.increments(), Z.increments()):
+        total += float(np.mean(np.linalg.norm(dx, axis=1) * np.linalg.norm(dz, axis=1)))
     return total

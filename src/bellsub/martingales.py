@@ -4,9 +4,10 @@ A depth-n dyadic martingale is stored as its node values: level k holds a
 (2^k, d) array, level k values being the averages of their two children, so
 the martingale property is exact by construction.  Increments df_k at level
 k >= 1 are child minus parent; the two children of a node carry opposite
-increments.  Discrete differential subordination of Y to X reduces to
-|Y_0| <= |X_0| together with |dY_k| <= |dX_k| at every node: the running sums
-of |dX|^2 - |dY|^2 along any path are then nonnegative and nondecreasing.
+increments.  The tree layout comes from `bellsub.weights`.  Discrete
+differential subordination of Y to X reduces to |Y_0| <= |X_0| together with
+|dY_k| <= |dX_k| at every node: the running sums of |dX|^2 - |dY|^2 along
+any path are then nonnegative and nondecreasing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SubordinationError
-from .weights import WeightTree, dyadic_averages
+from .weights import (WeightTree, dyadic_averages, levels_from_increments,
+                      pair_increments, parent_average)
 
 # relative slack for |dY| <= |dX| checks: rotation-built pairs are
 # norm-preserving only up to float rounding
@@ -54,8 +56,7 @@ class DyadicMartingale:
 
     def increments(self):
         """df per level: list over k = 1..n of (2^k, d) arrays, child - parent."""
-        return [self.levels[k] - np.repeat(self.levels[k - 1], 2, axis=0)
-                for k in range(1, self.depth + 1)]
+        return [inc.reshape(-1, self.dim) for inc in pair_increments(self.levels)]
 
     def project(self, d_sub: int) -> "DyadicMartingale":
         """Projection onto the first d_sub coordinates."""
@@ -118,14 +119,11 @@ def transform(X: DyadicMartingale, sigma, sigma0=1.0) -> DyadicMartingale:
         raise InvalidInputError(f"need {X.depth} sigma levels, got {len(sigma)}")
     if abs(sigma0) > 1.0 or any((np.abs(s) > 1.0).any() for s in sigma):
         raise SubordinationError("|sigma| > 1 would break subordination")
-    levels = [sigma0 * X.levels[0]]
-    for k in range(1, X.depth + 1):
-        if sigma[k - 1].shape != (2 ** (k - 1),):
-            raise InvalidInputError(f"sigma level {k - 1} must have 2^{k - 1} entries")
-        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
-        sig = np.repeat(sigma[k - 1], 2)[:, None]
-        levels.append(np.repeat(levels[-1], 2, axis=0) + sig * dX)
-    return DyadicMartingale(levels)
+    for k, s in enumerate(sigma):
+        if s.shape != (2 ** k,):
+            raise InvalidInputError(f"sigma level {k} must have 2^{k} entries")
+    dY = (s[:, None, None] * dX for s, dX in zip(sigma, pair_increments(X.levels)))
+    return DyadicMartingale(levels_from_increments(sigma0 * X.levels[0], dY))
 
 
 def rotation_transform(X: DyadicMartingale, rng) -> DyadicMartingale:
@@ -137,15 +135,13 @@ def rotation_transform(X: DyadicMartingale, rng) -> DyadicMartingale:
     """
     d = X.dim
     q0 = _random_orthogonal(d, rng)
-    levels = [X.levels[0] @ q0.T]
-    for k in range(1, X.depth + 1):
-        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
-        q, r = np.linalg.qr(rng.standard_normal((2 ** (k - 1), d, d)))
+    def rotated(dX):
+        q, r = np.linalg.qr(rng.standard_normal((len(dX), d, d)))
         rots = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-        dY = np.einsum("pij,pcj->pci", rots,
-                       dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
-        levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
-    return DyadicMartingale(levels)
+        return np.einsum("pij,pcj->pci", rots, dX)
+
+    return DyadicMartingale(levels_from_increments(X.levels[0] @ q0.T,
+                                                   map(rotated, pair_increments(X.levels))))
 
 
 def _random_orthogonal(d, rng):
@@ -197,13 +193,13 @@ def bilinear_form(Y: DyadicMartingale, Z: DyadicMartingale) -> float:
     if Y.depth != Z.depth or Y.dim != Z.dim:
         raise InvalidInputError("bilinear form needs matching depth and dimension")
     total = abs(float(Y.initial @ Z.initial))
-    for k, (dy, dz) in enumerate(zip(Y.increments(), Z.increments()), start=1):
-        total += float(np.sum(np.abs(np.sum(dy * dz, axis=1))) * 2.0 ** (-k))
+    for dy, dz in zip(Y.increments(), Z.increments()):
+        total += float(np.mean(np.abs(np.sum(dy * dz, axis=1))))
     return total
 
 
 def unweighted_norm(X: DyadicMartingale) -> float:
-    return float(np.sqrt(np.mean(np.sum(X.leaves ** 2, axis=1))))
+    return terminal_norm(X.leaves, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +248,7 @@ def loads(text: str) -> DyadicMartingale:
     levels = [rows[2 ** k - 1:2 ** (k + 1) - 1] for k in range(depth + 1)]
     for k in range(depth):
         parent, children = levels[k], levels[k + 1]
-        gap = np.abs(0.5 * (children[0::2] + children[1::2]) - parent).max()
+        gap = np.abs(parent_average(children) - parent).max()
         scale = max(np.abs(children).max(), np.abs(parent).max())
         if gap > AVERAGE_RTOL * scale:
             raise InvalidInputError(f"level {k} is not the average of its children "

@@ -27,7 +27,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, DomainError, InvalidInputError
 from .martingales import DyadicMartingale, transform
-from .weights import WeightTree, a2_characteristic, dyadic_averages, power_weight_family
+from .weights import (WeightTree, a2_characteristic, dyadic_averages, pair_increments,
+                      power_weight_family)
 
 # weights with Q2 at or below this are flat and carry no slope information
 _FLAT_Q2 = 1.0 + 1e-12
@@ -117,7 +118,7 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
     leaf-size copy of an increment is made."""
     n = int(np.log2(len(f)))
     lev = dyadic_averages(f)
-    dfs = [(lev[k] - np.repeat(lev[k - 1], 2))[:, None] for k in range(1, n + 1)]
+    dfs = [df.reshape(-1, 1) for df in pair_increments(lev)]
     y = _apply_tsigma(f, sig0, sigs)
     for _ in range(sweeps):
         changed = False

@@ -18,7 +18,13 @@ kernels are the leaf-size forms of T_sigma, of the square-function matvec and
 of the sign ascent that the per-level-resolution kernels replaced, kept
 verbatim as bit-for-bit references (they use the library's node averages).
 The three-transform mollification is the circular convolution that the
-real kernel spectrum and the pruned inverse replaced, kept verbatim.
+real kernel spectrum and the pruned inverse replaced, kept verbatim.  The
+repeat-based martingale forms are the increments, the predictable transform,
+the bracket bilinear form and the dissipation sum as they were before the
+dyadic layout moved into `bellsub.weights`: parents spread to their children
+by `np.repeat`, levels weighted by their masses 2^-k.  They are kept
+verbatim, except that the two sums take their increments from
+`repeat_increments`, so no library layout code enters them.
 """
 
 from math import gcd
@@ -28,6 +34,8 @@ from scipy import fft
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
+from bellsub.errors import InvalidInputError, SubordinationError
+from bellsub.martingales import DyadicMartingale
 from bellsub.weights import dyadic_averages
 
 
@@ -319,3 +327,46 @@ def repeat_ascend_sigma(f, w, sig0, sigs, sweeps=8):
         if not changed:
             break
     return sig0, sigs
+
+
+def repeat_increments(X):
+    """df per level: list over k = 1..n of (2^k, d) arrays, child - parent."""
+    return [X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
+            for k in range(1, X.depth + 1)]
+
+
+def repeat_transform(X, sigma, sigma0=1.0):
+    """Predictable multiplier: dY at level k+1 is sigma[k] (per parent node)
+    times dX, and Y_0 = sigma0 X_0.  Requires |sigma| <= 1 throughout;
+    the result is differentially subordinate to X by construction.
+    """
+    sigma = [np.asarray(s, dtype=float) for s in sigma]
+    if len(sigma) != X.depth:
+        raise InvalidInputError(f"need {X.depth} sigma levels, got {len(sigma)}")
+    if abs(sigma0) > 1.0 or any((np.abs(s) > 1.0).any() for s in sigma):
+        raise SubordinationError("|sigma| > 1 would break subordination")
+    levels = [sigma0 * X.levels[0]]
+    for k in range(1, X.depth + 1):
+        if sigma[k - 1].shape != (2 ** (k - 1),):
+            raise InvalidInputError(f"sigma level {k - 1} must have 2^{k - 1} entries")
+        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
+        sig = np.repeat(sigma[k - 1], 2)[:, None]
+        levels.append(np.repeat(levels[-1], 2, axis=0) + sig * dX)
+    return DyadicMartingale(levels)
+
+
+def mass_bilinear_form(Y, Z):
+    """E sum_k |<dY_k, dZ_k>| including the time-0 term |<Y_0, Z_0>|."""
+    total = abs(float(Y.initial @ Z.initial))
+    for k, (dy, dz) in enumerate(zip(repeat_increments(Y), repeat_increments(Z)), start=1):
+        total += float(np.sum(np.abs(np.sum(dy * dz, axis=1))) * 2.0 ** (-k))
+    return total
+
+
+def mass_dissipation_sum(X, Z):
+    """E sum_k |dX_k| |dZ_k| without the time-0 term."""
+    total = 0.0
+    for k, (dx, dz) in enumerate(zip(repeat_increments(X), repeat_increments(Z)), start=1):
+        total += float(np.sum(np.linalg.norm(dx, axis=1)
+                              * np.linalg.norm(dz, axis=1))) * 2.0 ** (-k)
+    return total

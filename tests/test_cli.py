@@ -166,3 +166,20 @@ def test_simulate_command(tmp_path):
                 "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 7
+
+
+@pytest.mark.parametrize("command", ("simulate", "telescope"))
+@pytest.mark.parametrize("depth", ("40", "21"))
+def test_out_of_range_depth_exits_2_before_building_the_weight(tmp_path, capsys,
+                                                               monkeypatch, command, depth):
+    # depth 40 cannot be allocated, and depth 21 with --num 0 used to build a
+    # 2^21-leaf weight and exit 0: both must stop at the depth check
+    def no_weight(*args):
+        raise AssertionError("weight built before the depth check")
+    monkeypatch.setattr(wt, "power_weight_family", no_weight)
+    out = tmp_path / "out.csv"
+    assert run([command, "--depth", depth, "--num", "0", "--seed", "1",
+                "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "depth" in err
+    assert not out.exists()

@@ -9,7 +9,7 @@ from bellsub import martingales as mg
 from bellsub import weights as wt
 from bellsub.bellman import evaluate_batch, profile_value
 from bellsub.errors import DomainError, SubordinationError
-from oracles import random_dual_ratio
+from oracles import mass_dissipation_sum, random_dual_ratio
 
 
 def make_pair(depth, dim, seed, rotate=False):
@@ -258,6 +258,17 @@ def test_main_theorem_dual_attained_at_extremal(dim, rotate):
         assert res["dual_lhs"] == pytest.approx(res["lhs"], rel=1e-12, abs=0.0)
         searched = random_dual_ratio(Y.leaves, w.leaf_values, rng)
         assert searched <= res["dual_lhs"] * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+@pytest.mark.parametrize("depth", (0, 1, 6, 12))
+def test_dissipation_sum_matches_mass_oracle_bit_for_bit(depth, dim):
+    rng = np.random.default_rng(30 + depth + dim)
+    X = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
+    Z = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
+    Y = mg.rotation_transform(X, rng)
+    assert est._dissipation_sum(X, Z) == mass_dissipation_sum(X, Z)
+    assert est._dissipation_sum(X, Y) == mass_dissipation_sum(X, Y)
 
 
 def test_projection_consistency():

@@ -4,6 +4,7 @@ import pytest
 from bellsub import martingales as mg
 from bellsub import weights as wt
 from bellsub.errors import InvalidInputError, SubordinationError
+from oracles import mass_bilinear_form, repeat_increments, repeat_transform
 
 
 def test_martingale_property_exact():
@@ -190,6 +191,22 @@ def test_rotation_transform_matches_per_node_draws(dim):
     assert all(np.array_equal(a, b) for a, b in zip(Y.levels, ref.levels))
     # the generator stream ends at the same position
     assert rng_batched.standard_normal() == rng_loop.standard_normal()
+
+
+@pytest.mark.parametrize("dim", (1, 3))
+@pytest.mark.parametrize("depth", (0, 1, 6, 12))
+def test_layout_forms_match_repeat_oracles_bit_for_bit(depth, dim):
+    rng = np.random.default_rng(20 + depth + dim)
+    X = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
+    Z = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
+    got, want = X.increments(), repeat_increments(X)
+    assert len(got) == len(want) == depth
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    sig = [rng.uniform(-1.0, 1.0, 2 ** k) for k in range(depth)]
+    Y, ref = mg.transform(X, sig, sigma0=-0.75), repeat_transform(X, sig, sigma0=-0.75)
+    assert all(np.array_equal(a, b) for a, b in zip(Y.levels, ref.levels))
+    assert mg.bilinear_form(Y, Z) == mass_bilinear_form(Y, Z)
+    assert mg.bilinear_form(X, Z) == mass_bilinear_form(X, Z)
 
 
 def test_loads_rejects_empty_input():
