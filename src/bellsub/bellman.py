@@ -28,6 +28,7 @@ import numpy as np
 
 from .coefficients import DEFAULT_COEFFICIENTS
 from .errors import ConfigError, DomainError, InvalidInputError
+from .weights import row_norm, row_sum
 
 # Relative slack accepted on the 1 <= rs <= Q check; float products of
 # admissible (r, s) can land an ulp outside the exact interval.
@@ -516,8 +517,8 @@ def hessian_quadratic_form(batch: BatchEval, xhat, yhat, dx, dy, dr, ds):
     """
     p = np.einsum("nd,nmd->nm", xhat, dx)
     q = np.einsum("nd,nmd->nm", yhat, dy)
-    pperp2 = np.maximum(np.sum(dx * dx, axis=-1) - p * p, 0.0)
-    qperp2 = np.maximum(np.sum(dy * dy, axis=-1) - q * q, 0.0)
+    pperp2 = np.maximum(row_sum(dx * dx) - p * p, 0.0)
+    qperp2 = np.maximum(row_sum(dy * dy) - q * q, 0.0)
     h = batch.h[..., None]       # (4, 4, n, 1) against (n, m)
     form = (h[0, 0] * p * p + h[1, 1] * q * q + h[2, 2] * dr * dr + h[3, 3] * ds * ds
             + 2.0 * (h[0, 1] * p * q + h[0, 2] * p * dr + h[0, 3] * p * ds
@@ -586,7 +587,7 @@ def one_leg_margin(g, value0, xhat, yhat, value1, dx, dy, dr, ds, Q, constant=2.
     B(V); dx, dy (..., d) and dr, ds (...) make up V - V0.  The shapes
     broadcast, so one V0 can serve several V.
     """
-    lin = (g[0] * np.sum(xhat * dx, axis=-1) + g[1] * np.sum(yhat * dy, axis=-1)
+    lin = (g[0] * row_sum(xhat * dx) + g[1] * row_sum(yhat * dy)
            + g[2] * dr + g[3] * ds)
-    jump = np.linalg.norm(dx, axis=-1) * np.linalg.norm(dy, axis=-1)
+    jump = row_norm(dx) * row_norm(dy)
     return value1 - value0 - lin - (constant / Q) * jump, lin, jump

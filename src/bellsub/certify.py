@@ -42,6 +42,7 @@ from .bellman import (BellmanConfig, StatePoint, Perturbation, _tangential_coeff
                       partial_xx_form, partial_yy_form, profile_value)
 from .errors import CertificationError, ConfigError, DomainError
 from .coefficients import validate_coefficients
+from .weights import row_norm, row_sum
 
 MARGIN_TOL = 1e-8
 TAU_FEAS_TOL = 1e-6
@@ -136,7 +137,7 @@ def _slice_log_r(t, eps, u):
 
 def _sphere(rng, n, d):
     v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / row_norm(v)[:, None]
 
 
 def _streams(spec: SampleSpec):
@@ -264,7 +265,7 @@ def _best_shift(h, tan, Q):
     decides.  Gershgorin less 1/Q is reachable (at u = 1/Q); no lam > min diag h is.
     """
     diag = np.diagonal(h, axis1=1, axis2=2)
-    lo = np.minimum(np.min(2.0 * diag - np.sum(np.abs(h), axis=2), axis=1),
+    lo = np.minimum(np.min(2.0 * diag - row_sum(np.abs(h)), axis=1),
                     np.minimum(*tan)) - 1.0 / Q
     hi = np.min(diag, axis=1)
     u = np.full(len(h), 1.0 / Q)
@@ -354,8 +355,7 @@ def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
     ok = True
     idx = 0
     for x, y, r, s in _point_batches(cfg, spec):
-        a = np.linalg.norm(x, axis=1)
-        b = np.linalg.norm(y, axis=1)
+        a, b = row_norm(x), row_norm(y)
         batch = evaluate_batch(a, b, r, s, cfg)
         _, tau, feas = _ellipse(*_radial(batch, cfg.dim), cfg)
         ok &= bool((feas[~batch.cut] >= -TAU_FEAS_TOL).all())
@@ -427,8 +427,8 @@ def _cut_mismatch(cfg, n, delta, cut):
         plus, minus = (rho, b * (1 + delta)), (rho, b * (1 - delta))
     gp = b4_batch(*plus, r, s, cfg).g
     gm = b4_batch(*minus, r, s, cfg).g
-    mismatch = np.linalg.norm(gp - gm, axis=0)
-    scale = np.maximum(np.linalg.norm(gp, axis=0), np.linalg.norm(gm, axis=0))
+    mismatch = row_norm((gp - gm).T)
+    scale = np.maximum(row_norm(gp.T), row_norm(gm.T))
     scale = np.maximum(scale, 1e-12)
     return float(np.mean(mismatch)), float(np.mean(scale))
 
@@ -437,7 +437,7 @@ def _corner_gradient(cfg, n, delta):
     """Near the double cut both |x|, |y| <~ delta and grad H4 itself is O(delta)."""
     r, s, _, (a, b) = _c1_grid(cfg, n, (0.1 * delta, delta), (0.1 * delta, delta))
     g = b4_batch(a, b, r, s, cfg).g
-    return float(np.max(np.linalg.norm(g, axis=0)) / delta)
+    return float(np.max(row_norm(g.T)) / delta)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +509,7 @@ def _tolerance(name):
 
 def _certify_batch(cfg, size, pt_stream, pair_stream):
     x, y, r, s = _sample_arrays(cfg, np.random.default_rng(pt_stream), size)
-    a = np.linalg.norm(x, axis=1)
-    b = np.linalg.norm(y, axis=1)
+    a, b = row_norm(x), row_norm(y)
     batch = evaluate_batch(a, b, r, s, cfg)
     pts = np.stack([a, b, r, s], axis=1)
     keep = ~batch.cut                   # the C^2 checks skip cut points
@@ -523,8 +522,7 @@ def _certify_batch(cfg, size, pt_stream, pair_stream):
 
     # one-leg pairs: independent second sample, gradient at the first point
     x2, y2, r2, s2 = _sample_arrays(cfg, np.random.default_rng(pair_stream), size)
-    a2 = np.linalg.norm(x2, axis=1)
-    b2 = np.linalg.norm(y2, axis=1)
+    a2, b2 = row_norm(x2), row_norm(y2)
     val2 = profile_value(a2, b2, r2, s2, cfg)
     ol_margin, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
                                      val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)

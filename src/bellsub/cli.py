@@ -119,7 +119,13 @@ def cmd_tau_sweep(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _check_num(args):
+    if args.num < 0:
+        raise ConfigError(f"--num must be >= 0, got {args.num}")
+
+
 def cmd_simulate(args):
+    _check_num(args)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     w = weights.power_weight_family(args.delta, args.depth)
     rng = np.random.default_rng(args.seed)
@@ -178,6 +184,7 @@ def cmd_truncate(args):
 
 
 def cmd_telescope(args):
+    _check_num(args)
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     raw = weights.power_weight_family(args.delta, args.depth)

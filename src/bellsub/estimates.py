@@ -25,7 +25,7 @@ from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
 from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
-                      parent_average)
+                      parent_average, row_norm, row_sum)
 
 MARGIN_TOL = 1e-8
 LINEAR_TERM_TOL = 1e-10
@@ -39,6 +39,7 @@ def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
     balances lam^2 EF + lam^-2 EG into 2 sqrt(EF EG), the step that turns the
     dissipation bound into a product bound.
     """
+    _check_c_target(C_target)
     sub = check_subordination(X, Y)
     if not sub.ok:
         raise SubordinationError(f"Y is not subordinate to X (first violation at "
@@ -58,6 +59,11 @@ def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
         "sum_unoptimized": EF + EG,
         "sum_optimized": 2.0 * np.sqrt(EF * EG),
     }
+
+
+def _check_c_target(C_target):
+    if not (np.isfinite(C_target) and C_target > 0.0):
+        raise DomainError(f"C_target must be finite and positive, got {C_target}")
 
 
 def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None):
@@ -80,9 +86,9 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     if q2 > cfg.Q * (1.0 + 1e-12):
         raise DomainError(f"Q2[w] = {q2:.6g} exceeds configured Q = {cfg.Q}")
     a = cfg.ell if anchor is None else float(anchor)
-    if a < cfg.ell:
-        raise DomainError(f"anchor a = {a} below ell = {cfg.ell}: states would "
-                          "leave the regularized domain")
+    if not (np.isfinite(a) and a >= cfg.ell):
+        raise DomainError(f"anchor a = {a} is not a finite number >= ell = {cfg.ell}: "
+                          "states would leave the regularized domain")
 
     xs, ys = X.with_anchor(a).levels, Z.with_anchor(a).levels
     us, ws = w_tree.node_avg_u, w_tree.node_avg_w
@@ -90,7 +96,7 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     def bellman_at(k):
         """B on level k: with its partials on a parent level, the value
         alone on the leaves."""
-        xn, yn = np.linalg.norm(xs[k], axis=1), np.linalg.norm(ys[k], axis=1)
+        xn, yn = row_norm(xs[k]), row_norm(ys[k])
         _check_states(xn, yn, us[k], ws[k], cfg, a, level=k)
         return (evaluate_batch if k < n else profile_value)(xn, yn, us[k], ws[k], cfg)
 
@@ -123,8 +129,8 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     eb_term = float(np.mean(parent))
     gap = eb_term - eb_root
 
-    EF = float(np.mean(np.sum(X.leaves ** 2, axis=1) * w_tree.leaf_values))
-    EG = float(np.mean(np.sum(Z.leaves ** 2, axis=1) / w_tree.leaf_values))
+    EF = float(np.mean(row_sum(X.leaves * X.leaves) * w_tree.leaf_values))
+    EG = float(np.mean(row_sum(Z.leaves * Z.leaves) / w_tree.leaf_values))
     size_bound = cfg.size_constant * (EF + EG + 2.0 * a * a / cfg.eps)
 
     scale = max(abs(eb_term), abs(eb_root), 1.0)
@@ -177,6 +183,7 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
     `seed` is ignored: the exact dual draws no random test martingales.  It
     stays in the signature so that callers which still pass it keep working.
     """
+    _check_c_target(C_target)
     sub = check_subordination(X, Y)
     if not sub.ok:
         raise SubordinationError(f"Y is not subordinate to X (first violation at "
@@ -190,7 +197,7 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
     # the extremal test martingale enters only through its leaves
     z = Y.leaves * w.leaf_values[:, None]
     nz = terminal_norm(z, 1.0 / w.leaf_values)
-    pairing = abs(float(np.mean(np.sum(Y.leaves * z, axis=1))))
+    pairing = abs(float(np.mean(row_sum(Y.leaves * z))))
     dual = pairing / nz if nz > 0.0 else 0.0
 
     return {
@@ -256,5 +263,5 @@ def _tail_norm(M: DyadicMartingale, d):
 def _dissipation_sum(X, Z):
     total = 0.0
     for dx, dz in zip(X.increments(), Z.increments()):
-        total += float(np.mean(np.linalg.norm(dx, axis=1) * np.linalg.norm(dz, axis=1)))
+        total += float(np.mean(row_norm(dx) * row_norm(dz)))
     return total

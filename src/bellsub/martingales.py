@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SubordinationError
 from .weights import (WeightTree, dyadic_averages, levels_from_increments,
-                      pair_increments, parent_average)
+                      pair_increments, parent_average, row_norm, row_sum)
 
 # relative slack for |dY| <= |dX| checks: rotation-built pairs are
 # norm-preserving only up to float rounding
@@ -161,8 +161,7 @@ def check_subordination(X: DyadicMartingale, Y: DyadicMartingale) -> Subordinate
     if n0y > n0x * (1.0 + SUBORDINATION_RTOL) + 1e-15:
         return SubordinatePair(ok=False, first_violation=(0, 0))
     for k, (dx, dy) in enumerate(zip(X.increments(), Y.increments()), start=1):
-        nx = np.linalg.norm(dx, axis=1)
-        ny = np.linalg.norm(dy, axis=1)
+        nx, ny = row_norm(dx), row_norm(dy)
         lev_ok = ny <= nx * (1.0 + SUBORDINATION_RTOL) + 1e-15
         if not lev_ok.all():
             return SubordinatePair(ok=False, first_violation=(k, int(np.argmin(lev_ok))))
@@ -182,7 +181,7 @@ def weighted_norm(X: DyadicMartingale, w: WeightTree) -> float:
 
 def terminal_norm(leaves, weights) -> float:
     """sqrt(mean |leaf|^2 weight) over (2^n, d) leaves and 2^n leaf weights."""
-    return float(np.sqrt(np.mean(np.sum(leaves ** 2, axis=1) * weights)))
+    return float(np.sqrt(np.mean(row_sum(leaves * leaves) * weights)))
 
 
 def bilinear_form(Y: DyadicMartingale, Z: DyadicMartingale) -> float:
@@ -194,7 +193,7 @@ def bilinear_form(Y: DyadicMartingale, Z: DyadicMartingale) -> float:
         raise InvalidInputError("bilinear form needs matching depth and dimension")
     total = abs(float(Y.initial @ Z.initial))
     for dy, dz in zip(Y.increments(), Z.increments()):
-        total += float(np.mean(np.abs(np.sum(dy * dz, axis=1))))
+        total += float(np.mean(np.abs(row_sum(dy * dz))))
     return total
 
 

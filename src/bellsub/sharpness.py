@@ -28,7 +28,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 from .errors import ConfigError, DomainError, InvalidInputError
 from .martingales import DyadicMartingale, transform
 from .weights import (WeightTree, a2_characteristic, dyadic_averages, pair_increments,
-                      power_weight_family)
+                      power_weight_family, row_sum)
 
 # weights with Q2 at or below this are flat and carry no slope information
 _FLAT_Q2 = 1.0 + 1e-12
@@ -133,9 +133,7 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
             yk = y.reshape(2 ** (k + 1), -1)
             cur = np.repeat(sigs[k], 2)[:, None] * dfk
             terms = (w.reshape(yk.shape) * (yk - cur) * dfk).reshape(2 ** k, -1)
-            # rows of 2 (the finest level) are slow for numpy's reduction,
-            # which adds them in this order too
-            corr = terms[:, 0] + terms[:, 1] if k == n - 1 else terms.sum(axis=1)
+            corr = row_sum(terms)
             new = np.where(corr >= 0.0, 1.0, -1.0)
             if not np.array_equal(new, sigs[k]):
                 y = (yk - cur + np.repeat(new, 2)[:, None] * dfk).ravel()

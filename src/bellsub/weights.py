@@ -4,7 +4,9 @@ The layout is defined here once: node i of level k has the children 2i and
 2i+1, and each node of level k has mass 2^-k, so a node is the average of
 its children and a level's expectation is the mean of its entries.  Other
 modules reach it through the four helpers below; only the sharpness kernels
-keep their own even/odd loops, as the fast path of the sign search.
+keep their own even/odd loops, as the fast path of the sign search.  Node
+values carry their vector coordinates on the last axis, and every module
+sums or measures them there with `row_sum` and `row_norm`.
 
 A weight is a positive function on the 2^n leaves of a depth-n dyadic tree,
 identified with the closure w_infty of the martingale of its conditional
@@ -86,6 +88,36 @@ def levels_from_increments(root, increments):
         level += inc.reshape(level.shape)
         levels.append(level)
     return levels
+
+
+# numpy sums a reduction of fewer terms left to right; from this many on it
+# sums pairwise, an order that column additions would not reproduce
+PAIRWISE_MIN = 8
+
+
+def row_sum(v):
+    """Sum over the last axis, bit for bit `np.sum(v, axis=-1)`.
+
+    Node values carry their 1-4 vector coordinates on the last axis, and
+    numpy reduces such short rows one row per inner-loop call, 6-12x slower
+    than adding whole columns on (2^16, 2-3) levels.  So the columns are
+    added left to right onto +0.0, the order numpy itself uses below
+    `PAIRWISE_MIN` terms (the +0.0 start is why a row of -0.0 sums to
+    +0.0); longer or empty rows go to numpy.
+    """
+    d = v.shape[-1]
+    if not 0 < d < PAIRWISE_MIN:
+        return np.sum(v, axis=-1)
+    out = v[..., 0] + 0.0
+    for j in range(1, d):
+        out += v[..., j]
+    return out
+
+
+def row_norm(v):
+    """Euclidean norm over the last axis, bit for bit
+    `np.linalg.norm(v, axis=-1)` (the root of the summed squares)."""
+    return np.sqrt(row_sum(v * v))
 
 
 def dyadic_averages(leaves):

@@ -183,3 +183,20 @@ def test_out_of_range_depth_exits_2_before_building_the_weight(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "depth" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["simulate", "--num", "-3"], "--num"),
+    (["telescope", "--num", "-2"], "--num"),
+    (["simulate", "--C-target", "-1"], "C_target"),
+    (["simulate", "--C-target", "nan"], "C_target"),
+    (["telescope", "--anchor-mult", "nan"], "anchor"),
+    (["telescope", "--anchor-mult", "inf"], "anchor"),
+])
+def test_bad_instance_flags_exit_2_with_one_line(tmp_path, capsys, argv, word):
+    # each used to write a header (and rows reading false or nan) and exit 0 or 1
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--depth", "3", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and word in err
+    assert not out.exists()

@@ -203,6 +203,25 @@ def test_telescope_rejects_small_anchor():
     assert "anchor" in str(err.value) or "ell" in str(err.value)
 
 
+@pytest.mark.parametrize("anchor", (np.nan, np.inf))
+def test_telescope_rejects_a_non_finite_anchor(anchor):
+    # nan slips past a plain `a < ell` test and reads min_margin 0, sum inf
+    cfg, X, Z, w = tele_setup(depth=4, seed=11)
+    with pytest.raises(DomainError, match="anchor"):
+        est.bellman_telescope(X, Z, w, cfg, anchor=anchor)
+
+
+@pytest.mark.parametrize("C_target", (-1.0, 0.0, np.nan, np.inf))
+def test_estimates_reject_a_bad_target_constant(C_target):
+    X, Y, rng = make_pair(4, 2, 3)
+    Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2), rng)
+    w = wt.power_weight_family(-0.5, 4)
+    with pytest.raises(DomainError, match="C_target"):
+        est.verify_bilinear_estimate(X, Y, Z, w, C_target)
+    with pytest.raises(DomainError, match="C_target"):
+        est.verify_main_theorem(X, Y, w, C_target)
+
+
 def test_telescope_q_must_dominate_characteristic():
     cfg = bs.BellmanConfig(Q=1.0001)
     X, Z, rng = make_pair(6, 2, 12)

@@ -165,3 +165,46 @@ def test_invalid_leaves_rejected():
         wt.WeightTree([1.0, 2.0, 3.0])
     with pytest.raises(InvalidInputError):
         wt.WeightTree([np.inf, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the vector-axis reductions, bit for bit against numpy
+# ---------------------------------------------------------------------------
+
+def _rows(shape, seed):
+    """Rows whose entries span 40 orders of magnitude and both signs, so that
+    any change of summation order shows in the last bits; one row in eight
+    holds signed zeros only, one in eight mixes them with numbers."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) * np.exp(rng.uniform(-46.0, 46.0, shape))
+    v[::8] = np.copysign(0.0, v[::8])
+    v[3::8, ..., ::2] = -0.0
+    return v
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("lead", [(64,), (64, 2), (64, 1)])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_sum_and_row_norm_match_numpy_bit_for_bit(lead, d):
+    v = _rows(lead + (d,), seed=d)
+    assert _same_bits(wt.row_sum(v), np.sum(v, axis=-1))
+    assert _same_bits(wt.row_norm(v), np.linalg.norm(v, axis=-1))
+    # a transposed (strided) view, as in the C1 gradient norms
+    t = _rows((d, 64), seed=d + 10).T
+    assert _same_bits(wt.row_sum(t), np.sum(t, axis=-1))
+    assert _same_bits(wt.row_norm(t), np.linalg.norm(t, axis=-1))
+
+
+def test_row_sum_starts_each_row_at_positive_zero():
+    # numpy adds onto +0.0, so a row of -0.0 sums to +0.0, not -0.0
+    v = np.array([[-0.0], [-0.0], [0.0]]) * np.ones((3, 3))
+    assert not np.signbit(wt.row_sum(v)).any()
+    assert _same_bits(wt.row_sum(v), np.sum(v, axis=-1))
+
+
+def test_row_sum_of_empty_rows_is_zero():
+    assert _same_bits(wt.row_sum(np.empty((5, 0))), np.zeros(5))
