@@ -163,12 +163,14 @@ class EvalResult:
 #     alpha = Ca/r + s A(t),    beta = Cb/s + r B(t),    gamma = G(t)
 #
 # with Ca, Cb constant on each H4 branch.  A function of t travels as (F,)
-# for the value alone or as (F, F', F''), and the (a, b, r, s) partials
-# follow from the chain rule through t = rs (see `_fill`).
+# for the value alone, as (F, F') for first partials or as (F, F', F''), and
+# the (a, b, r, s) partials follow from the chain rule through t = rs (see
+# `_fill`).
 
 def kn_of_t(t, Q, order=0):
     """K(t) = sqrt(t/Q)(1 - sqrt(t)/(8 sqrt(Q))) and
-    N(t) = sqrt(t/Q)(1 - t^2/(128 Q^2)), each with its t-derivatives."""
+    N(t) = sqrt(t/Q)(1 - t^2/(128 Q^2)), each with its t-derivatives up to
+    `order` (0, 1 or 2)."""
     st = np.sqrt(t)
     iq = 1.0 / np.sqrt(Q)
     rq = st * iq
@@ -177,19 +179,23 @@ def kn_of_t(t, Q, order=0):
     if order == 0:
         return (k,), (n,)
     half = (0.5 * iq) / st
+    k, n = (k, half - iq * iq / 8.0), (n, half - rq * t * (5.0 * iq ** 4 / 256.0))
+    if order == 1:
+        return k, n
     quarter = half / (2.0 * t)
-    return ((k, half - iq * iq / 8.0, -quarter),
-            (n, half - rq * t * (5.0 * iq ** 4 / 256.0),
-             -quarter - rq * (15.0 * iq ** 4 / 512.0)))
+    return k + (-quarter,), n + (-quarter - rq * (15.0 * iq ** 4 / 512.0),)
 
 
 def _recip_t(f):
-    """1/F for a function F of t."""
+    """1/F for a function F of t, to the order F carries."""
     inv = 1.0 / f[0]
     if len(f) == 1:
         return (inv,)
     i2 = inv * inv
-    return (inv, -f[1] * i2, (2.0 * f[1] * f[1] * inv - f[2]) * i2)
+    first = (inv, -f[1] * i2)
+    if len(f) == 2:
+        return first
+    return first + ((2.0 * f[1] * f[1] * inv - f[2]) * i2,)
 
 
 def _lincomb(terms):
@@ -200,17 +206,24 @@ def _lincomb(terms):
 def _leg_t(t, m):
     """1/(2t - 1/(M+1)): B2, B3 shrink a leg with it for M = N, B5, B6 for M = K."""
     p = _recip_t((m[0] + 1.0,) + m[1:])
-    return _recip_t((2.0 * t - p[0],) + ((2.0 - p[1], -p[2]) if len(p) > 1 else ()))
+    return _recip_t((2.0 * t - p[0],) + tuple(2.0 - f for f in p[1:2])
+                    + tuple(-f for f in p[2:]))
 
 
 def _h4_t(t, k):
     """1/(t - K^2) and K/(t - K^2), the interior branch of H4."""
-    if len(k) == 1:
-        h = _recip_t((t - k[0] * k[0],))
-        return h, (k[0] * h[0],)
-    (k0, k1, k2), e = k, t - k[0] * k[0]
-    h0, h1, h2 = h = _recip_t((e, 1.0 - 2.0 * k0 * k1, -2.0 * (k1 * k1 + k0 * k2)))
-    return h, (k0 * h0, k1 * h0 + k0 * h1, k2 * h0 + 2.0 * k1 * h1 + k0 * h2)
+    e = (t - k[0] * k[0],)
+    if len(k) > 1:
+        e += (1.0 - 2.0 * k[0] * k[1],)
+    if len(k) > 2:
+        e += (-2.0 * (k[1] * k[1] + k[0] * k[2]),)
+    h = _recip_t(e)
+    kh = (k[0] * h[0],)
+    if len(k) > 1:
+        kh += (k[1] * h[0] + k[0] * h[1],)
+    if len(k) > 2:
+        kh += (k[2] * h[0] + 2.0 * k[1] * h[1] + k[0] * h[2],)
+    return h, kh
 
 
 def _branches(a, b, r, s, k):
@@ -396,9 +409,10 @@ def bellman_value(x, y, r, s, cfg: BellmanConfig) -> float:
 class BatchEval:
     """Value and radial partials of B on a batch of points.
 
-    g has shape (4, n) ordered (a, b, r, s); h has shape (4, 4, n).
-    region is 1/2/3 per point, cut marks points within cut tolerance of an
-    H4 branch boundary (their h entries are the one-sided branch values).
+    g has shape (4, n) ordered (a, b, r, s); h has shape (4, 4, n), or is
+    None for a batch evaluated at order 1.  region is 1/2/3 per point, cut
+    marks points within cut tolerance of an H4 branch boundary (their h
+    entries are the one-sided branch values).
     """
 
     a: np.ndarray
@@ -407,7 +421,7 @@ class BatchEval:
     s: np.ndarray
     value: np.ndarray
     g: np.ndarray
-    h: np.ndarray
+    h: np.ndarray | None
     region: np.ndarray
     cut: np.ndarray
 
@@ -422,21 +436,27 @@ def profile_value(a, b, r, s, cfg):
 _CHUNK = 8192
 
 
-def _batch(a, b, r, s, Q, weights):
-    """Value, gradient and Hessian of a weighted block sum, chunk by chunk."""
+def _batch(a, b, r, s, Q, weights, order=2):
+    """Value and gradient of a weighted block sum, with its Hessian at
+    order 2, chunk by chunk."""
+    if order not in (1, 2):
+        raise ConfigError(f"order must be 1 or 2, got {order}")
     a, b, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, r, s)))
     shape = a.shape
     value, region, cut = np.empty(shape), np.empty(shape, dtype=int), np.empty(shape, dtype=bool)
-    g, h = np.empty((4,) + shape), np.empty((4, 4) + shape)
+    g = np.empty((4,) + shape)
+    h = np.empty((4, 4) + shape) if order == 2 else None
     for lo in range(0, len(a), _CHUNK):
         part = slice(lo, lo + _CHUNK)
         value[part], region[part], cut[part] = _fill(
-            a[part], b[part], r[part], s[part], Q, weights, g[:, part], h[:, :, part])
+            a[part], b[part], r[part], s[part], Q, weights, g[:, part],
+            None if h is None else h[:, :, part])
     return BatchEval(a=a, b=b, r=r, s=s, value=value, g=g, h=h, region=region, cut=cut)
 
 
 def _fill(a, b, r, s, Q, weights, g, h):
-    """Write the partials of one chunk into g, h; return value, region, cut.
+    """Write the partials of one chunk into g and, unless it is None, h;
+    return value, region, cut.  Without h the t-functions stop at F'.
 
     With alpha = Ca/r + sA, beta = Cb/s + rB, gamma = G and the shorthands
     Ea = a s A' - b G', Eb = b r B' - a G', D1 = a Ea + b Eb and
@@ -453,9 +473,10 @@ def _fill(a, b, r, s, Q, weights, g, h):
     and phi_aa = 2 alpha, phi_bb = 2 beta, phi_ab = -2G.
     """
     t = r * s
-    k, n = kn_of_t(t, Q, order=2)
+    k, n = kn_of_t(t, Q, order=1 if h is None else 2)
     q1, q2, masks = _branches(a, b, r, s, k[0])
-    ca, cb, (A, A1, A2), (B, B1, B2), (G, G1, G2) = _coefficients(t, k, n, masks, weights)
+    ca, cb, As, Bs, Gs = _coefficients(t, k, n, masks, weights)
+    (A, A1), (B, B1), (G, G1) = As[:2], Bs[:2], Gs[:2]
     ir, i_s = 1.0 / r, 1.0 / s
     car, cbs = ca * ir, cb * i_s
     alpha, beta = car + s * A, cbs + r * B
@@ -463,36 +484,40 @@ def _fill(a, b, r, s, Q, weights, g, h):
     ea = a * s * A1 - b * G1
     eb = b * r * B1 - a * G1
     d1 = a * ea + b * eb
-    d2 = aa * s * A2 + bb * r * B2 - 2.0 * ab * G2
     xr, ys = a * car * ir, b * cbs * i_s
     g[0] = 2.0 * (a * alpha - b * G)
     g[1] = 2.0 * (b * beta - a * G)
     g[2] = bb * B + s * d1 - a * xr
     g[3] = aa * A + r * d1 - b * ys
-    h[0, 0] = 2.0 * alpha
-    h[1, 1] = 2.0 * beta
-    h[0, 1] = h[1, 0] = -2.0 * G
-    h[0, 2] = h[2, 0] = 2.0 * (s * ea - xr)
-    h[0, 3] = h[3, 0] = 2.0 * (a * A + r * ea)
-    h[1, 2] = h[2, 1] = 2.0 * (b * B + s * eb)
-    h[1, 3] = h[3, 1] = 2.0 * (r * eb - ys)
-    h[2, 2] = 2.0 * (a * xr * ir + bb * s * B1) + s * s * d2
-    h[3, 3] = 2.0 * (b * ys * i_s + aa * r * A1) + r * r * d2
-    h[2, 3] = h[3, 2] = 2.0 * (d1 + ab * G1) + t * d2
+    if h is not None:
+        d2 = aa * s * As[2] + bb * r * Bs[2] - 2.0 * ab * Gs[2]
+        h[0, 0] = 2.0 * alpha
+        h[1, 1] = 2.0 * beta
+        h[0, 1] = h[1, 0] = -2.0 * G
+        h[0, 2] = h[2, 0] = 2.0 * (s * ea - xr)
+        h[0, 3] = h[3, 0] = 2.0 * (a * A + r * ea)
+        h[1, 2] = h[2, 1] = 2.0 * (b * B + s * eb)
+        h[1, 3] = h[3, 1] = 2.0 * (r * eb - ys)
+        h[2, 2] = 2.0 * (a * xr * ir + bb * s * B1) + s * s * d2
+        h[3, 3] = 2.0 * (b * ys * i_s + aa * r * A1) + r * r * d2
+        h[2, 3] = h[3, 2] = 2.0 * (d1 + ab * G1) + t * d2
     in_r1, in_r2, _ = masks
     region = np.where(in_r1, 1, np.where(in_r2, 2, 3))
     cut = _near_cut(q1, q2, a, b)
     return aa * alpha + bb * beta - 2.0 * ab * G, region, cut
 
 
-def evaluate_batch(a, b, r, s, cfg: BellmanConfig) -> BatchEval:
-    """B with radial first/second partials on arrays of (|x|, |y|, r, s)."""
-    return _batch(a, b, r, s, cfg.Q, _block_weights(cfg))
+def evaluate_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
+    """B with its radial partials on arrays of (|x|, |y|, r, s): first and
+    second at order 2, first only at order 1 (`h` is None; value, g, region
+    and cut are the order-2 ones bit for bit)."""
+    return _batch(a, b, r, s, cfg.Q, _block_weights(cfg), order)
 
 
-def b4_batch(a, b, r, s, cfg: BellmanConfig) -> BatchEval:
-    """H4 composed with K(r,s) (the B4 block alone), with radial partials."""
-    return _batch(a, b, r, s, cfg.Q, _unit_weights(4))
+def b4_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
+    """H4 composed with K(r,s) (the B4 block alone), with radial partials
+    to `order` as in `evaluate_batch`."""
+    return _batch(a, b, r, s, cfg.Q, _unit_weights(4), order)
 
 
 def gradient_vectors(batch: BatchEval, xhat, yhat):

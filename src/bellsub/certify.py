@@ -425,8 +425,8 @@ def _cut_mismatch(cfg, n, delta, cut):
     else:                    # b r = a k, approach R1 (+) vs R3 (-)
         b = rho * k / r
         plus, minus = (rho, b * (1 + delta)), (rho, b * (1 - delta))
-    gp = b4_batch(*plus, r, s, cfg).g
-    gm = b4_batch(*minus, r, s, cfg).g
+    gp = b4_batch(*plus, r, s, cfg, order=1).g
+    gm = b4_batch(*minus, r, s, cfg, order=1).g
     mismatch = row_norm((gp - gm).T)
     scale = np.maximum(row_norm(gp.T), row_norm(gm.T))
     scale = np.maximum(scale, 1e-12)
@@ -436,7 +436,7 @@ def _cut_mismatch(cfg, n, delta, cut):
 def _corner_gradient(cfg, n, delta):
     """Near the double cut both |x|, |y| <~ delta and grad H4 itself is O(delta)."""
     r, s, _, (a, b) = _c1_grid(cfg, n, (0.1 * delta, delta), (0.1 * delta, delta))
-    g = b4_batch(a, b, r, s, cfg).g
+    g = b4_batch(a, b, r, s, cfg, order=1).g
     return float(np.max(row_norm(g.T)) / delta)
 
 

@@ -97,7 +97,14 @@ def _emit(text, out_path):
             fh.write(text)
 
 
+def _check_seed(args):
+    # numpy seeds only from nonnegative integers
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+
+
 def cmd_certify(args):
+    _check_seed(args)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
@@ -110,6 +117,7 @@ def cmd_certify(args):
 
 
 def cmd_tau_sweep(args):
+    _check_seed(args)
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
     spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rows, ok = cert.tau_sweep(cfg, spec)
@@ -126,6 +134,7 @@ def _check_num(args):
 
 def cmd_simulate(args):
     _check_num(args)
+    _check_seed(args)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     w = weights.power_weight_family(args.delta, args.depth)
     rng = np.random.default_rng(args.seed)
@@ -185,6 +194,7 @@ def cmd_truncate(args):
 
 def cmd_telescope(args):
     _check_num(args)
+    _check_seed(args)
     cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     raw = weights.power_weight_family(args.delta, args.depth)

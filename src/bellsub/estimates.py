@@ -9,11 +9,13 @@ gives pathwise at every node
 
 the linear term has vanishing conditional expectation (children average to
 the parent), and telescoping bounds (2/Q) E sum |dX||dZ| by E B(V_n), itself
-controlled by the size estimate.  B is evaluated once per level: with its
-partials on the parent levels 0..n-1, as a plain value on the leaves.  The
-bilinear estimate follows by normalizing with the optimal lambda.  The main
-estimate follows by duality, whose supremum is attained exactly at the test
-martingale Z = Y w, so no search over test martingales is needed.
+controlled by the size estimate.  One-leg convexity reads B and dB at the
+parent and B at the child, never d^2B, so B is evaluated once per level:
+with its first partials on the parent levels 0..n-1, as a plain value on the
+leaves.  The bilinear estimate follows by normalizing with the optimal
+lambda.  The main estimate follows by duality, whose supremum is attained
+exactly at the test martingale Z = Y w, so no search over test martingales
+is needed.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .bellman import BellmanConfig, evaluate_batch, one_leg_margin, profile_valu
 from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
-from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
-                      parent_average, row_norm, row_sum)
+from .weights import (PAIRWISE_MIN, WeightTree, a2_characteristic, child_pairs,
+                      pair_increments, parent_average, row_norm, row_sum)
 
 MARGIN_TOL = 1e-8
 LINEAR_TERM_TOL = 1e-10
@@ -70,9 +72,13 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     """Pathwise one-leg verification and the telescoped dissipation bound.
 
     Requires the weight truncated into [eps, 1/eps] leaf-wise and
-    Q2[w] <= cfg.Q.  The anchor a >= ell is prepended as a constant
-    coordinate to X and Z so that |X^a|, |Z^a| >= ell keeps the state inside
-    the regularized domain.
+    Q2[w] <= cfg.Q.  The anchor a >= ell is a constant leading coordinate
+    of X and Z, so that |X^a|, |Z^a| >= ell keeps the state inside the
+    regularized domain.  Its increments are 0, so it enters only the state
+    norms, as the `lead` of `row_norm`, and X and Z are not copied (below
+    7 coordinates; see `_anchored`).  B and its first partials
+    (`evaluate_batch` at order 1) are evaluated on each parent level, B
+    alone on the leaves; at most two levels' evaluations are alive at once.
     """
     n = X.depth
     if Z.depth != n or w_tree.depth != n:
@@ -90,15 +96,17 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         raise DomainError(f"anchor a = {a} is not a finite number >= ell = {cfg.ell}: "
                           "states would leave the regularized domain")
 
-    xs, ys = X.with_anchor(a).levels, Z.with_anchor(a).levels
+    (xs, x_lead), (ys, y_lead) = _anchored(X, a), _anchored(Z, a)
     us, ws = w_tree.node_avg_u, w_tree.node_avg_w
 
     def bellman_at(k):
-        """B on level k: with its partials on a parent level, the value
-        alone on the leaves."""
-        xn, yn = row_norm(xs[k]), row_norm(ys[k])
+        """B on level k: with its first partials on a parent level, the
+        value alone on the leaves."""
+        xn, yn = row_norm(xs[k], x_lead), row_norm(ys[k], y_lead)
         _check_states(xn, yn, us[k], ws[k], cfg, a, level=k)
-        return (evaluate_batch if k < n else profile_value)(xn, yn, us[k], ws[k], cfg)
+        if k < n:
+            return evaluate_batch(xn, yn, us[k], ws[k], cfg, order=1)
+        return profile_value(xn, yn, us[k], ws[k], cfg)
 
     min_margin = np.inf
     per_step_margins = []
@@ -150,6 +158,22 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         "q2": q2,
         "pass": bool(ok),
     }
+
+
+def _anchored(M, a):
+    """The levels of M^a = (a, M) and the `lead` that `row_norm` needs.
+
+    Below PAIRWISE_MIN coordinates of M^a the anchor stays virtual: numpy
+    adds such rows left to right, so a leading a^2 gives the norms of M^a
+    bit for bit, and the anchor's zero increment adds nothing to the
+    one-leg sums <xhat, dx> and |dx|.  numpy sums longer rows pairwise, and
+    there that zero entry moves the grouping of those sums, so from there on
+    the anchor is a real column.
+    """
+    if M.dim + 1 < PAIRWISE_MIN:
+        return M.levels, a
+    return [np.concatenate([np.full((len(lev), 1), a), lev], axis=1)
+            for lev in M.levels], None
 
 
 def _check_states(a, b, r, s, cfg, anchor, level):

@@ -64,12 +64,6 @@ class DyadicMartingale:
             raise InvalidInputError(f"d_sub must be in [1, {self.dim}]")
         return DyadicMartingale([lev[:, :d_sub] for lev in self.levels])
 
-    def with_anchor(self, a: float) -> "DyadicMartingale":
-        """Prepend a constant coordinate a, so |X^a_k|^2 = |X_k|^2 + a^2 >= a^2."""
-        return DyadicMartingale(
-            [np.concatenate([np.full((lev.shape[0], 1), float(a)), lev], axis=1)
-             for lev in self.levels])
-
     def scaled(self, c: float) -> "DyadicMartingale":
         return DyadicMartingale([c * lev for lev in self.levels])
 

@@ -276,12 +276,12 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     keep = (r * s >= 1.0) & (r * s <= cfg.Q)
     x, y, r, s = x[keep], y[keep], r[keep], s[keep]
     t = r * s
-    (k, kp, _), _ = kn_of_t(t, cfg.Q, order=2)
+    (k, kp), _ = kn_of_t(t, cfg.Q, order=1)
     if (k < axk[0]).any() or (k > axk[-1]).any():
         raise ConfigError("K(rs) leaves the grid's K axis; widen it")
 
-    full = evaluate_batch(x, y, r, s, cfg)
-    raw4 = b4_batch(x, y, r, s, cfg)
+    full = evaluate_batch(x, y, r, s, cfg, order=1)
+    raw4 = b4_batch(x, y, r, s, cfg, order=1)
     pts5 = np.stack([x, y, r, s, k], axis=1)
     m_val = moll(pts5)
     m_grad = moll.gradient(pts5)

@@ -95,29 +95,35 @@ def levels_from_increments(root, increments):
 PAIRWISE_MIN = 8
 
 
-def row_sum(v):
-    """Sum over the last axis, bit for bit `np.sum(v, axis=-1)`.
+def row_sum(v, lead=None):
+    """Sum over the last axis, bit for bit `np.sum(v, axis=-1)`; with a
+    scalar `lead`, bit for bit that sum over the rows with `lead` prepended
+    as a first column, which is never built.
 
     Node values carry their 1-4 vector coordinates on the last axis, and
     numpy reduces such short rows one row per inner-loop call, 6-12x slower
     than adding whole columns on (2^16, 2-3) levels.  So the columns are
     added left to right onto +0.0, the order numpy itself uses below
     `PAIRWISE_MIN` terms (the +0.0 start is why a row of -0.0 sums to
-    +0.0); longer or empty rows go to numpy.
+    +0.0); longer or empty rows go to numpy, with the lead column built.
     """
     d = v.shape[-1]
-    if not 0 < d < PAIRWISE_MIN:
+    if not 0 < d < PAIRWISE_MIN - (lead is not None):
+        if lead is not None:
+            v = np.concatenate((np.full(v.shape[:-1] + (1,), float(lead)), v), axis=-1)
         return np.sum(v, axis=-1)
-    out = v[..., 0] + 0.0
+    out = v[..., 0] + (0.0 if lead is None else lead + 0.0)
     for j in range(1, d):
         out += v[..., j]
     return out
 
 
-def row_norm(v):
+def row_norm(v, lead=None):
     """Euclidean norm over the last axis, bit for bit
-    `np.linalg.norm(v, axis=-1)` (the root of the summed squares)."""
-    return np.sqrt(row_sum(v * v))
+    `np.linalg.norm(v, axis=-1)` (the root of the summed squares); with a
+    scalar `lead`, the norm of the rows with `lead` prepended as a first
+    coordinate, as `row_sum` takes it."""
+    return np.sqrt(row_sum(v * v, None if lead is None else lead * lead))
 
 
 def dyadic_averages(leaves):

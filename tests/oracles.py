@@ -24,7 +24,11 @@ the bracket bilinear form and the dissipation sum as they were before the
 dyadic layout moved into `bellsub.weights`: parents spread to their children
 by `np.repeat`, levels weighted by their masses 2^-k.  They are kept
 verbatim, except that the two sums take their increments from
-`repeat_increments`, so no library layout code enters them.
+`repeat_increments`, so no library layout code enters them.  `with_anchor`
+is the anchored martingale X^a = (a, X) that the telescope once built; the
+telescope now keeps the anchor as a virtual leading coordinate below
+PAIRWISE_MIN coordinates, and the per-level oracles measure it on real
+anchored rows.
 """
 
 from math import gcd
@@ -370,3 +374,10 @@ def mass_dissipation_sum(X, Z):
         total += float(np.sum(np.linalg.norm(dx, axis=1)
                               * np.linalg.norm(dz, axis=1))) * 2.0 ** (-k)
     return total
+
+
+def with_anchor(X, a):
+    """Prepend a constant coordinate a, so |X^a_k|^2 = |X_k|^2 + a^2 >= a^2."""
+    return DyadicMartingale(
+        [np.concatenate([np.full((lev.shape[0], 1), float(a)), lev], axis=1)
+         for lev in X.levels])

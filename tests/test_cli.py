@@ -200,3 +200,18 @@ def test_bad_instance_flags_exit_2_with_one_line(tmp_path, capsys, argv, word):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and word in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--samples", "10"],
+    ["tau-sweep", "--samples", "10"],
+    ["simulate", "--depth", "3", "--num", "2"],
+    ["telescope", "--depth", "3", "--num", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, argv):
+    # numpy refuses the seed with a traceback, which exited 1, "property failed"
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "--seed" in err
+    assert not out.exists()

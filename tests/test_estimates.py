@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ from bellsub import martingales as mg
 from bellsub import weights as wt
 from bellsub.bellman import evaluate_batch, profile_value
 from bellsub.errors import DomainError, SubordinationError
-from oracles import mass_dissipation_sum, random_dual_ratio
+from oracles import mass_dissipation_sum, random_dual_ratio, with_anchor
 
 
 def make_pair(depth, dim, seed, rotate=False):
@@ -69,9 +70,9 @@ def test_bilinear_power_weight_instances():
 # telescope
 # ---------------------------------------------------------------------------
 
-def tele_setup(depth=6, seed=0, rotate=False, Q=16.0):
+def tele_setup(depth=6, seed=0, rotate=False, Q=16.0, dim=2):
     cfg = bs.BellmanConfig(Q=Q)
-    X, Z, rng = make_pair(depth, 2, seed, rotate=rotate)
+    X, Z, rng = make_pair(depth, dim, seed, rotate=rotate)
     raw = wt.power_weight_family(-0.5, depth)
     w = wt.truncate_two_sided(raw, 1.0 / cfg.eps)
     return cfg, X, Z, w
@@ -103,7 +104,7 @@ def test_telescope_exhaustive_dissipation_agreement():
     """Depth <= 4: the aggregate lhs equals the brute-force per-leaf path sum."""
     cfg, X, Z, w = tele_setup(depth=4, seed=5)
     res = est.bellman_telescope(X, Z, w, cfg)
-    Xa, Za = X.with_anchor(cfg.ell), Z.with_anchor(cfg.ell)
+    Xa, Za = with_anchor(X, cfg.ell), with_anchor(Z, cfg.ell)
     total = 0.0
     n = X.depth
     for leaf in range(2 ** n):
@@ -120,8 +121,9 @@ def test_telescope_exhaustive_dissipation_agreement():
 
 def _telescope_by_level(X, Z, w, cfg):
     """Per-step margins, dissipation, expectation gap and terminal mean with
-    B evaluated afresh at the parent and at the child of every level."""
-    Xa, Za = X.with_anchor(cfg.ell), Z.with_anchor(cfg.ell)
+    B evaluated afresh at the parent and at the child of every level, on
+    real anchored rows and with numpy's own reductions."""
+    Xa, Za = with_anchor(X, cfg.ell), with_anchor(Z, cfg.ell)
     rep = lambda arr: np.repeat(arr, 2, axis=0)
 
     def states(k):
@@ -154,7 +156,19 @@ def _telescope_by_level(X, Z, w, cfg):
 @pytest.mark.parametrize("depth", [1, 6, 12])
 @pytest.mark.parametrize("rotate", [False, True], ids=["random", "rotation"])
 def test_telescope_matches_per_level_recomputation(depth, rotate):
-    cfg, X, Z, w = tele_setup(depth=depth, seed=40 + depth, rotate=rotate)
+    _assert_matches_per_level(depth, rotate, dim=2, seed=40 + depth)
+
+
+# dims 7 and 8 give anchored rows of 8 and 9 entries, which numpy sums pairwise
+@pytest.mark.parametrize("dim", [1, 3, 7, 8])
+@pytest.mark.parametrize("depth", [1, 6, 12])
+@pytest.mark.parametrize("rotate", [False, True], ids=["random", "rotation"])
+def test_telescope_matches_per_level_recomputation_at_dim(depth, rotate, dim):
+    _assert_matches_per_level(depth, rotate, dim, seed=40 + depth + 100 * dim)
+
+
+def _assert_matches_per_level(depth, rotate, dim, seed):
+    cfg, X, Z, w = tele_setup(depth=depth, seed=seed, rotate=rotate, dim=dim)
     res = est.bellman_telescope(X, Z, w, cfg)
     margins, dissipation, gap, terminal = _telescope_by_level(X, Z, w, cfg)
     assert res["per_step_margins"] == margins
@@ -169,11 +183,14 @@ def test_telescope_evaluates_bellman_once_per_level(monkeypatch, depth):
     sizes = {"evaluate_batch": [], "profile_value": []}
     live = []     # weak references to every BatchEval handed out so far
 
-    def counted_batch(a, *rest):
+    def counted_batch(a, *rest, order=2):
         # the level about to be evaluated is at most the second one alive
         assert sum(ref() is not None for ref in live) <= 1
+        # one-leg convexity reads B and dB, never d^2 B
+        assert order == 1
         sizes["evaluate_batch"].append(len(a))
-        batch = evaluate_batch(a, *rest)
+        batch = evaluate_batch(a, *rest, order=order)
+        assert batch.h is None
         live.append(weakref.ref(batch))
         return batch
 
@@ -186,6 +203,35 @@ def test_telescope_evaluates_bellman_once_per_level(monkeypatch, depth):
     est.bellman_telescope(X, Z, w, cfg)
     assert sizes["evaluate_batch"] == [2 ** k for k in range(depth)]
     assert sizes["profile_value"] == [2 ** depth]
+
+
+def test_telescope_peak_memory_at_depth_14():
+    # At depth n = 14 the peak lies in the order-1 evaluation of level n-1,
+    # whose 2^13 points are one chunk.  Besides what that call takes alone
+    # (measured here on the same level), the telescope then holds, in floats
+    # of 8 bytes: level n-1's norms, 2 * 2^(n-1); level n-2's batch (value,
+    # a, b, four gradient rows, region), 8 * 2^(n-2), and its 2^(n-2) cut
+    # flags of one byte; the last step's margins, linear terms and jumps,
+    # 3 * 2^(n-2), and conditional means, 2^(n-3); that step's increments
+    # of x, y, u and w, (2d + 2) * 2^(n-2).  64 KiB covers the loop's Python
+    # objects.  A Hessian of level n-2 alone adds 16 * 2^(n-2) floats, and
+    # anchored copies of X and Z about 4 (d + 1) * 2^n.
+    n, d = 14, 2
+    cfg, X, Z, w = tele_setup(depth=n, seed=5, rotate=True, dim=d)
+    held = 2 * 2 ** (n - 1) + (8 + 3 + 2 * d + 2) * 2 ** (n - 2) + 2 ** (n - 3)
+    a, b = wt.row_norm(X.levels[n - 1], cfg.ell), wt.row_norm(Z.levels[n - 1], cfg.ell)
+    r, s = w.node_avg_u[n - 1], w.node_avg_w[n - 1]
+    peaks = []
+    for run in (lambda: evaluate_batch(a, b, r, s, cfg, order=1),
+                lambda: est.bellman_telescope(X, Z, w, cfg)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    level_peak, peak = peaks
+    assert peak <= level_peak + 8 * held + 2 ** (n - 2) + 64 * 1024
 
 
 def test_telescope_rejects_untruncated_weight():

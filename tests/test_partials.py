@@ -1,7 +1,8 @@
 """The closed-form radial partials of B against two independent references.
 
 `evaluate_batch` and `b4_batch` assemble values, gradients and Hessians from
-the coefficient functions of each block.  The Jet oracle recomputes them by
+the coefficient functions of each block; at order 1 they stop at the
+gradient, with the same bits.  The Jet oracle recomputes them by
 forward-mode arithmetic on the textbook block formulas; the sympy check
 differentiates one block per H4 region symbolically and evaluates the exact
 derivatives at 30 digits.
@@ -11,9 +12,10 @@ import numpy as np
 import pytest
 
 import bellsub as bs
-from bellsub.bellman import (_batch, _unit_weights, b4_batch, evaluate_batch,
+from bellsub.bellman import (_batch, _unit_weights, b4_batch, evaluate_batch, kn_of_t,
                              profile_value)
 from bellsub.certify import _sample_arrays
+from bellsub.errors import ConfigError
 from jet_oracle import bellman_jets
 
 QS = (2.0, 16.0, 256.0)
@@ -50,6 +52,31 @@ def test_value_path_and_derivative_path_agree_exactly():
     a, b, r, s = _bank(cfg, n=3000, seed=2)
     assert np.array_equal(profile_value(a, b, r, s, cfg),
                           evaluate_batch(a, b, r, s, cfg).value)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
+def test_first_order_batch_is_the_second_order_batch_without_h(Q, dim):
+    cfg = bs.BellmanConfig(Q=Q, dim=dim)
+    a, b, r, s = _bank(cfg, n=20_000, seed=4)
+    k = kn_of_t(r * s, Q)[0][0]
+    # a quarter of the points onto each cut: |x|s = |y|K, then |y|r = |x|K
+    q = len(a) // 4
+    a[:q] = b[:q] * k[:q] / s[:q]
+    b[q:2 * q] = a[q:2 * q] * k[q:2 * q] / r[q:2 * q]
+    for batch in (evaluate_batch, b4_batch):
+        full, first = batch(a, b, r, s, cfg), batch(a, b, r, s, cfg, order=1)
+        assert first.h is None and full.h is not None
+        assert full.cut[:2 * q].all() and {1, 2, 3} <= set(full.region.tolist())
+        for name in ("value", "g", "region", "cut"):
+            assert getattr(first, name).tobytes() == getattr(full, name).tobytes(), name
+
+
+@pytest.mark.parametrize("order", (0, 3))
+def test_batch_order_must_be_one_or_two(order):
+    cfg = bs.BellmanConfig()
+    with pytest.raises(ConfigError, match="order"):
+        evaluate_batch(np.ones(2), np.ones(2), np.ones(2), np.ones(2), cfg, order=order)
 
 
 def _symbolic_partials(expr, variables, points, dps=30):

@@ -199,6 +199,16 @@ def test_row_sum_and_row_norm_match_numpy_bit_for_bit(lead, d):
     assert _same_bits(wt.row_norm(t), np.linalg.norm(t, axis=-1))
 
 
+@pytest.mark.parametrize("first", [0.0, -0.0, 0.15, -3.0e7])
+@pytest.mark.parametrize("d", range(0, 10))
+def test_a_lead_is_a_prepended_column_bit_for_bit(d, first):
+    # the telescope's anchor: rows of d + 1 >= PAIRWISE_MIN go pairwise
+    v = _rows((64, 2, d), seed=d)
+    full = np.concatenate([np.full((64, 2, 1), first), v], axis=-1)
+    assert _same_bits(wt.row_sum(v, first), np.sum(full, axis=-1))
+    assert _same_bits(wt.row_norm(v, first), np.linalg.norm(full, axis=-1))
+
+
 def test_row_sum_starts_each_row_at_positive_zero():
     # numpy adds onto +0.0, so a row of -0.0 sums to +0.0, not -0.0
     v = np.array([[-0.0], [-0.0], [0.0]]) * np.ones((3, 3))
