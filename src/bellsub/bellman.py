@@ -164,8 +164,8 @@ class EvalResult:
 #
 # with Ca, Cb constant on each H4 branch.  A function of t travels as (F,)
 # for the value alone, as (F, F') for first partials or as (F, F', F''), and
-# the (a, b, r, s) partials follow from the chain rule through t = rs (see
-# `_fill`).
+# the (a, b, r, s) partials follow from the chain rule through t = rs.
+# `_fill` assembles the value and those partials, and nothing else does.
 
 def kn_of_t(t, Q, order=0):
     """K(t) = sqrt(t/Q)(1 - sqrt(t)/(8 sqrt(Q))) and
@@ -263,14 +263,6 @@ def _coefficients(t, k, n, masks, weights):
             tuple(w * f for f in kh))
 
 
-def _value(a, b, r, s, k, n, weights):
-    """a^2 alpha + b^2 beta - 2ab gamma for the weighted block sum."""
-    t = r * s
-    ca, cb, A, B, G = _coefficients(t, k, n, _branches(a, b, r, s, k[0])[2], weights)
-    return (a * a * (ca * (1.0 / r) + s * A[0]) + b * b * (cb * (1.0 / s) + r * B[0])
-            - 2.0 * a * b * G[0])
-
-
 def _block_weights(cfg):
     c1, c2, c3, c7 = cfg.coefficients
     return (c1, c2, c3, c7, c7, c7)
@@ -327,7 +319,7 @@ def _block_value(V, cfg, i):
     if not domain_check(V, cfg).in_DQ:
         raise DomainError(f"point with rs={V.r * V.s} not in D_Q for Q={cfg.Q}")
     k, n = kn_of_t(V.r * V.s, cfg.Q)
-    return float(_value(V.xnorm, V.ynorm, V.r, V.s, k, n, _unit_weights(i)))
+    return float(_fill(V.xnorm, V.ynorm, V.r, V.s, k, n, _unit_weights(i)))
 
 
 def eval_B2(V: StatePoint, cfg: BellmanConfig) -> float:
@@ -366,7 +358,7 @@ def h4_value(a, b, r, s, K):
     (a^2 s - 2abK + b^2 r)/(rs - K^2), b^2/s in R2, a^2/r in R3; the branches
     agree in the limit at the cuts.
     """
-    return _value(a, b, r, s, (K,), None, _unit_weights(4))
+    return _fill(a, b, r, s, (K,), None, _unit_weights(4))
 
 
 def eval_H4(x, y, r, s, K) -> float:
@@ -429,7 +421,7 @@ class BatchEval:
 def profile_value(a, b, r, s, cfg):
     """Value of B on arrays of (|x|, |y|, r, s), without partials."""
     k, n = kn_of_t(r * s, cfg.Q)
-    return _value(a, b, r, s, k, n, _block_weights(cfg))
+    return _fill(a, b, r, s, k, n, _block_weights(cfg))
 
 
 # points per pass of `_batch`: keeps its temporaries cache-resident
@@ -448,15 +440,19 @@ def _batch(a, b, r, s, Q, weights, order=2):
     h = np.empty((4, 4) + shape) if order == 2 else None
     for lo in range(0, len(a), _CHUNK):
         part = slice(lo, lo + _CHUNK)
+        k, n = kn_of_t(r[part] * s[part], Q, order)
         value[part], region[part], cut[part] = _fill(
-            a[part], b[part], r[part], s[part], Q, weights, g[:, part],
+            a[part], b[part], r[part], s[part], k, n, weights, g[:, part],
             None if h is None else h[:, :, part])
     return BatchEval(a=a, b=b, r=r, s=s, value=value, g=g, h=h, region=region, cut=cut)
 
 
-def _fill(a, b, r, s, Q, weights, g, h):
-    """Write the partials of one chunk into g and, unless it is None, h;
-    return value, region, cut.  Without h the t-functions stop at F'.
+def _fill(a, b, r, s, k, n, weights, g=None, h=None):
+    """The weighted block sum from the t-jets k of K and n of N (`kn_of_t`;
+    k may be any K, free of t, and n is unused when the weights leave out
+    B2 and B3).  Without g, return the value alone.  With g, write
+    the first partials into g and, unless it is None, the second into h;
+    return value, region, cut.  The jets carry F' for g and F'' for h.
 
     With alpha = Ca/r + sA, beta = Cb/s + rB, gamma = G and the shorthands
     Ea = a s A' - b G', Eb = b r B' - a G', D1 = a Ea + b Eb and
@@ -472,19 +468,23 @@ def _fill(a, b, r, s, Q, weights, g, h):
 
     and phi_aa = 2 alpha, phi_bb = 2 beta, phi_ab = -2G.
     """
-    t = r * s
-    k, n = kn_of_t(t, Q, order=1 if h is None else 2)
     q1, q2, masks = _branches(a, b, r, s, k[0])
-    ca, cb, As, Bs, Gs = _coefficients(t, k, n, masks, weights)
-    (A, A1), (B, B1), (G, G1) = As[:2], Bs[:2], Gs[:2]
-    ir, i_s = 1.0 / r, 1.0 / s
-    car, cbs = ca * ir, cb * i_s
-    alpha, beta = car + s * A, cbs + r * B
+    cut = None if g is None else _near_cut(q1, q2, a, b)
+    # the value alone keeps only what it reads: q1, q2 go before its peak in
+    # `_coefficients`, and 1/r, 1/s stay unnamed until the partials need them
+    del q1, q2
+    ca, cb, As, Bs, Gs = _coefficients(r * s, k, n, masks, weights)
+    alpha, beta, G = ca * (1.0 / r) + s * As[0], cb * (1.0 / s) + r * Bs[0], Gs[0]
+    value = a * a * alpha + b * b * beta - 2.0 * a * b * G
+    if g is None:
+        return value
+    A, A1, B, B1, G1 = As[0], As[1], Bs[0], Bs[1], Gs[1]
     aa, bb, ab = a * a, b * b, a * b
+    ir, i_s = 1.0 / r, 1.0 / s
     ea = a * s * A1 - b * G1
     eb = b * r * B1 - a * G1
     d1 = a * ea + b * eb
-    xr, ys = a * car * ir, b * cbs * i_s
+    xr, ys = a * (ca * ir) * ir, b * (cb * i_s) * i_s
     g[0] = 2.0 * (a * alpha - b * G)
     g[1] = 2.0 * (b * beta - a * G)
     g[2] = bb * B + s * d1 - a * xr
@@ -500,11 +500,9 @@ def _fill(a, b, r, s, Q, weights, g, h):
         h[1, 3] = h[3, 1] = 2.0 * (r * eb - ys)
         h[2, 2] = 2.0 * (a * xr * ir + bb * s * B1) + s * s * d2
         h[3, 3] = 2.0 * (b * ys * i_s + aa * r * A1) + r * r * d2
-        h[2, 3] = h[3, 2] = 2.0 * (d1 + ab * G1) + t * d2
+        h[2, 3] = h[3, 2] = 2.0 * (d1 + ab * G1) + r * s * d2
     in_r1, in_r2, _ = masks
-    region = np.where(in_r1, 1, np.where(in_r2, 2, 3))
-    cut = _near_cut(q1, q2, a, b)
-    return aa * alpha + bb * beta - 2.0 * ab * G, region, cut
+    return value, np.where(in_r1, 1, np.where(in_r2, 2, 3)), cut
 
 
 def evaluate_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
@@ -571,7 +569,10 @@ def partial_yy_form(batch: BatchEval, yhat, dy):
 
 def evaluate_point(V: StatePoint, cfg: BellmanConfig):
     """`evaluate_batch` at the single point V, with the unit directions
-    xhat, yhat of x, y as (1, d) rows (zero rows where x or y is 0)."""
+    xhat, yhat of x, y as (1, d) rows (zero rows where x or y is 0).  A V
+    outside D_Q^eps, which no single-point check covers, is a DomainError."""
+    if not domain_check(V, cfg).in_DQ_eps:
+        raise DomainError(f"V (r={V.r}, s={V.s}) not in D_Q^eps for Q={cfg.Q}, eps={cfg.eps}")
     a, b = V.xnorm, V.ynorm
     batch = evaluate_batch(np.array([a]), np.array([b]),
                            np.array([V.r]), np.array([V.s]), cfg)
@@ -588,8 +589,6 @@ def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
     CUT, and its form is the one of the branch the masks assign to it: on a
     cut that is the non-R1 side, the smaller of the two.
     """
-    if not domain_check(V, cfg).in_DQ_eps:
-        raise DomainError("eval_B requires V in D_Q^eps")
     batch, xhat, yhat = evaluate_point(V, cfg)
     region = Region("CUT") if batch.cut[0] else Region(f"R{int(batch.region[0])}")
 
@@ -603,16 +602,19 @@ def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
                       hessian_form=hessian_form, region=region)
 
 
-def one_leg_margin(g, value0, xhat, yhat, value1, dx, dy, dr, ds, Q, constant=2.0):
+def one_leg_margin(g, value0, xhat, yhat, value1, dx, dy, dr, ds, Q, constant=2.0,
+                   lead=None):
     """B(V) - B(V0) - dB(V0)(V - V0) - (constant/Q)|dx||dy| per pair of points,
     returned with the linear term dB(V0)(V - V0) and |dx||dy|.
 
     g (4, ...) holds the radial partials of B at V0, xhat and yhat (..., d)
     the unit directions of x0 and y0, value0 and value1 the values B(V0),
     B(V); dx, dy (..., d) and dr, ds (...) make up V - V0.  The shapes
-    broadcast, so one V0 can serve several V.
+    broadcast, so one V0 can serve several V.  A scalar `lead` is passed on
+    to `row_sum`/`row_norm` as an unstored first entry of dx, dy and of
+    xhat dx, yhat dy: the telescope's anchor, whose increment is 0.
     """
-    lin = (g[0] * row_sum(xhat * dx) + g[1] * row_sum(yhat * dy)
+    lin = (g[0] * row_sum(xhat * dx, lead) + g[1] * row_sum(yhat * dy, lead)
            + g[2] * dr + g[3] * ds)
-    jump = row_norm(dx) * row_norm(dy)
+    jump = row_norm(dx, lead) * row_norm(dy, lead)
     return value1 - value0 - lin - (constant / Q) * jump, lin, jump

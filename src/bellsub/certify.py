@@ -184,15 +184,14 @@ def check_hessian_lower(V: StatePoint, dV: Perturbation, cfg: BellmanConfig):
 def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig):
     """B(V) - B(V0) - dB(V0)(V - V0) - (2/Q)|x-x0||y-y0| (`one_leg_margin`).
 
-    Both values go through the same evaluation path so the margin is exactly
-    zero at V = V0.
+    B(V0) comes with dB(V0) from V0's batch and B(V) from `bellman_value`;
+    both are `bellman._fill`'s value, so the margin is exactly zero at V = V0.
     """
-    for P in (V0, V):
-        if not domain_check(P, cfg).in_DQ_eps:
-            raise DomainError("one-leg check requires both points in D_Q^eps")
+    if not domain_check(V, cfg).in_DQ_eps:
+        raise DomainError("one-leg check requires V in D_Q^eps")
     batch, xhat, yhat = evaluate_point(V0, cfg)
     margin, _, _ = one_leg_margin(
-        batch.g, bellman_value(V0.x, V0.y, V0.r, V0.s, cfg), xhat, yhat,
+        batch.g, batch.value, xhat, yhat,
         bellman_value(V.x, V.y, V.r, V.s, cfg), (V.x - V0.x)[None, :],
         (V.y - V0.y)[None, :], V.r - V0.r, V.s - V0.s, cfg.Q)
     return float(margin[0])

@@ -26,8 +26,8 @@ from .bellman import BellmanConfig, evaluate_batch, one_leg_margin, profile_valu
 from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
-from .weights import (PAIRWISE_MIN, WeightTree, a2_characteristic, child_pairs,
-                      pair_increments, parent_average, row_norm, row_sum)
+from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
+                      parent_average, row_norm, row_sum)
 
 MARGIN_TOL = 1e-8
 LINEAR_TERM_TOL = 1e-10
@@ -74,11 +74,12 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     Requires the weight truncated into [eps, 1/eps] leaf-wise and
     Q2[w] <= cfg.Q.  The anchor a >= ell is a constant leading coordinate
     of X and Z, so that |X^a|, |Z^a| >= ell keeps the state inside the
-    regularized domain.  Its increments are 0, so it enters only the state
-    norms, as the `lead` of `row_norm`, and X and Z are not copied (below
-    7 coordinates; see `_anchored`).  B and its first partials
-    (`evaluate_batch` at order 1) are evaluated on each parent level, B
-    alone on the leaves; at most two levels' evaluations are alive at once.
+    regularized domain.  It is never stored: at every dim it is the `lead`
+    of `row_norm` in the state norms, and its increment 0 the `lead` of the
+    one-leg sums, which keeps the bits of the anchored rows without copying
+    X and Z.  B and its first partials (`evaluate_batch` at order 1) are
+    evaluated on each parent level, B alone on the leaves; at most two
+    levels' evaluations are alive at once.
     """
     n = X.depth
     if Z.depth != n or w_tree.depth != n:
@@ -96,41 +97,47 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         raise DomainError(f"anchor a = {a} is not a finite number >= ell = {cfg.ell}: "
                           "states would leave the regularized domain")
 
-    (xs, x_lead), (ys, y_lead) = _anchored(X, a), _anchored(Z, a)
+    xs, ys = X.levels, Z.levels
     us, ws = w_tree.node_avg_u, w_tree.node_avg_w
 
     def bellman_at(k):
         """B on level k: with its first partials on a parent level, the
         value alone on the leaves."""
-        xn, yn = row_norm(xs[k], x_lead), row_norm(ys[k], y_lead)
+        xn, yn = row_norm(xs[k], a), row_norm(ys[k], a)
         _check_states(xn, yn, us[k], ws[k], cfg, a, level=k)
         if k < n:
             return evaluate_batch(xn, yn, us[k], ws[k], cfg, order=1)
         return profile_value(xn, yn, us[k], ws[k], cfg)
 
+    # the increments of x, y, u and w, children paired on axis 1 so that the
+    # parent arrays broadcast; taken after each level's B, one level at a time
+    # (a zip would keep the last ones in its reused result tuple)
+    steps = [pair_increments(v) for v in (xs, ys, us, ws)]
+
+    def one_leg_step(k, parent, child_val):
+        """Least margin, largest conditional mean of the linear term and
+        mean jump of step k; its arrays are freed before the next level's B."""
+        margins, lin, jump = one_leg_margin(
+            parent.g[:, :, None], parent.value[:, None],
+            (xs[k] / parent.a[:, None])[:, None], (ys[k] / parent.b[:, None])[:, None],
+            child_pairs(child_val), *map(next, steps), cfg.Q, lead=0.0)
+        return (float(margins.min()), float(np.abs(parent_average(lin.reshape(-1))).max()),
+                float(np.mean(jump)))
+
     min_margin = np.inf
     per_step_margins = []
     linear_term_max = 0.0
     dissipation = 0.0
-    # the increments of x, y, u and w, children paired on axis 1 so that the
-    # parent arrays broadcast; taken after each level's B, one level at a time
-    steps = zip(*(pair_increments(v) for v in (xs, ys, us, ws)))
-
     parent = bellman_at(0)
     eb_root = float((parent.value if n else parent)[0])
     for k in range(n):
         child = bellman_at(k + 1)
-        child_val = child.value if k + 1 < n else child
-        margins, lin, jump = one_leg_margin(
-            parent.g[:, :, None], parent.value[:, None],
-            (xs[k] / parent.a[:, None])[:, None], (ys[k] / parent.b[:, None])[:, None],
-            child_pairs(child_val), *next(steps), cfg.Q)
-
-        per_step_margins.append(float(margins.min()))
-        min_margin = min(min_margin, per_step_margins[-1])
-        cond_mean = parent_average(lin.reshape(-1))
-        linear_term_max = max(linear_term_max, float(np.abs(cond_mean).max()))
-        dissipation += (2.0 / cfg.Q) * float(np.mean(jump))
+        margin, lin_max, jump_mean = one_leg_step(
+            k, parent, child.value if k + 1 < n else child)
+        per_step_margins.append(margin)
+        min_margin = min(min_margin, margin)
+        linear_term_max = max(linear_term_max, lin_max)
+        dissipation += (2.0 / cfg.Q) * jump_mean
         parent = child
 
     # telescoped expectation gap and the size bound on the terminal level
@@ -158,22 +165,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         "q2": q2,
         "pass": bool(ok),
     }
-
-
-def _anchored(M, a):
-    """The levels of M^a = (a, M) and the `lead` that `row_norm` needs.
-
-    Below PAIRWISE_MIN coordinates of M^a the anchor stays virtual: numpy
-    adds such rows left to right, so a leading a^2 gives the norms of M^a
-    bit for bit, and the anchor's zero increment adds nothing to the
-    one-leg sums <xhat, dx> and |dx|.  numpy sums longer rows pairwise, and
-    there that zero entry moves the grouping of those sums, so from there on
-    the anchor is a real column.
-    """
-    if M.dim + 1 < PAIRWISE_MIN:
-        return M.levels, a
-    return [np.concatenate([np.full((len(lev), 1), a), lev], axis=1)
-            for lev in M.levels], None
 
 
 def _check_states(a, b, r, s, cfg, anchor, level):

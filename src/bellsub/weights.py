@@ -67,16 +67,20 @@ def parent_average(level):
 def pair_increments(levels):
     """Child minus parent for k = 1..n, each (2^(k-1), 2, ...): row i holds
     the increments of node i's two children.  Lazy, so that a caller going
-    level by level holds one level's increments at a time.
-
-    The parent is spread to its children by a repeat and subtracted in
-    place: broadcasting it against the pair view runs numpy's inner loop
-    over the few vector coordinates only, 2-4x slower on (2^16, 2) levels.
-    """
+    level by level holds one level's increments at a time: they are made in
+    `_less_parents`, so the suspended generator keeps no reference to them."""
     for k in range(1, len(levels)):
-        inc = np.repeat(levels[k - 1], 2, axis=0)
-        np.subtract(levels[k], inc, out=inc)
-        yield child_pairs(inc)
+        yield child_pairs(_less_parents(levels[k], levels[k - 1]))
+
+
+def _less_parents(level, parents):
+    """level minus its parents, spread to their children by a repeat and
+    subtracted in place: broadcasting them against the pair view runs
+    numpy's inner loop over the few vector coordinates only, 2-4x slower on
+    (2^16, 2) levels."""
+    inc = np.repeat(parents, 2, axis=0)
+    np.subtract(level, inc, out=inc)
+    return inc
 
 
 def levels_from_increments(root, increments):

@@ -26,9 +26,8 @@ by `np.repeat`, levels weighted by their masses 2^-k.  They are kept
 verbatim, except that the two sums take their increments from
 `repeat_increments`, so no library layout code enters them.  `with_anchor`
 is the anchored martingale X^a = (a, X) that the telescope once built; the
-telescope now keeps the anchor as a virtual leading coordinate below
-PAIRWISE_MIN coordinates, and the per-level oracles measure it on real
-anchored rows.
+telescope now keeps the anchor as a virtual leading coordinate at every dim,
+and the per-level oracles measure it on real anchored rows.
 """
 
 from math import gcd

@@ -358,6 +358,21 @@ def test_n_concavity_constants_reported(capsys):
     assert (d2 > 0).all()
 
 
+@pytest.mark.parametrize("r, s", [(10.0, 10.0), (0.5, 0.5), (0.05, 30.0)],
+                         ids=["rs>Q", "rs<1", "r<eps"])
+def test_single_point_checks_refuse_points_outside_the_eps_domain(r, s):
+    # no margin, and no CertificationError, for a point the checks do not cover
+    V = bs.StatePoint(x=[1.0, 0.2], y=[0.4, 0.8], r=r, s=s)
+    dV = bs.Perturbation(dx=[1.0, 0.0], dy=[0.0, 1.0], dr=0.1, ds=-0.1)
+    assert not bm.domain_check(V, CFG).in_DQ_eps
+    for check in (lambda: ct.check_hessian_lower(V, dV, CFG),
+                  lambda: ct.check_partial_xx_bound(V, [1.0, 0.0], CFG),
+                  lambda: ct.check_partial_yy_bound(V, [0.0, 1.0], CFG),
+                  lambda: ct.extract_tau(V, CFG)):
+        with pytest.raises(bs.DomainError, match="D_Q\\^eps"):
+            check()
+
+
 def test_cut_adjacent_point_is_skip_marker_not_failure():
     r, s = 1.3, 1.4
     k = bs.eval_K(r, s, CFG.Q)

@@ -205,6 +205,24 @@ def test_telescope_evaluates_bellman_once_per_level(monkeypatch, depth):
     assert sizes["profile_value"] == [2 ** depth]
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 8])
+def test_telescope_anchor_is_the_lead_of_every_state_norm(monkeypatch, dim):
+    # one layout at every dim: the state norms read the d real columns of X
+    # and Z with the anchor as `row_norm`'s lead, never an anchored copy
+    cfg, X, Z, w = tele_setup(depth=5, seed=dim, dim=dim)
+    calls = []
+
+    def recorded(v, lead=None):
+        calls.append((v.shape[-1], lead))
+        return wt.row_norm(v, lead)
+
+    monkeypatch.setattr(est, "row_norm", recorded)
+    for anchor in (None, 0.15):
+        calls.clear()
+        res = est.bellman_telescope(X, Z, w, cfg, anchor=anchor)
+        assert calls == [(X.dim, res["anchor"])] * (2 * (X.depth + 1))
+
+
 def test_telescope_peak_memory_at_depth_14():
     # At depth n = 14 the peak lies in the order-1 evaluation of level n-1,
     # whose 2^13 points are one chunk.  Besides what that call takes alone

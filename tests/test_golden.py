@@ -27,9 +27,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "simulate-seed1.csv": ["simulate", "--seed", "1", "--depth", "10", "--num", "20"],
     "telescope-seed2.csv": ["telescope", "--seed", "2"],
-    # anchored rows of 4 and 8 against unanchored rows of 3 and 7: numpy sums
-    # rows of PAIRWISE_MIN = 8 or more pairwise, so dim 7 is the first dim
-    # where sums over the anchored and the unanchored rows round apart
+    # anchored rows of 4 and 8: numpy sums rows of PAIRWISE_MIN = 8 or more
+    # pairwise, so from dim 7 on the telescope's virtual anchor keeps the
+    # anchored rows' bits only because `row_sum` builds its `lead` column
     "telescope-seed3-dim3.csv": ["telescope", "--seed", "3", "--dim", "3",
                                  "--depth", "10", "--num", "6"],
     "telescope-seed4-dim7.csv": ["telescope", "--seed", "4", "--dim", "7",

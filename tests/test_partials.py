@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import bellsub as bs
-from bellsub.bellman import (_batch, _unit_weights, b4_batch, evaluate_batch, kn_of_t,
-                             profile_value)
+from bellsub.bellman import (_batch, _unit_weights, b4_batch, evaluate_batch, h4_value,
+                             kn_of_t, profile_value)
 from bellsub.certify import _sample_arrays
 from bellsub.errors import ConfigError
 from jet_oracle import bellman_jets
@@ -48,10 +48,20 @@ def test_closed_form_matches_jet_oracle_on_certification_banks(Q):
 
 
 def test_value_path_and_derivative_path_agree_exactly():
-    cfg = bs.BellmanConfig(Q=16.0)
-    a, b, r, s = _bank(cfg, n=3000, seed=2)
-    assert np.array_equal(profile_value(a, b, r, s, cfg),
-                          evaluate_batch(a, b, r, s, cfg).value)
+    # one assembly of B: the value alone and the value beside the partials
+    # are the same bits, for B and for H4 at a K given from outside
+    for Q in (1.0, 2.0, 16.0, 256.0):
+        cfg = bs.BellmanConfig(Q=Q)
+        a, b, r, s = _bank(cfg, n=3000, seed=2)
+        k = kn_of_t(r * s, Q)[0][0]
+        q = len(a) // 4
+        a[:q] = b[:q] * k[:q] / s[:q]
+        b[q:2 * q] = a[q:2 * q] * k[q:2 * q] / r[q:2 * q]
+        assert b4_batch(a, b, r, s, cfg).cut[:2 * q].all()
+        assert (profile_value(a, b, r, s, cfg).tobytes()
+                == evaluate_batch(a, b, r, s, cfg).value.tobytes()), Q
+        assert (h4_value(a, b, r, s, k).tobytes()
+                == b4_batch(a, b, r, s, cfg).value.tobytes()), Q
 
 
 @pytest.mark.parametrize("dim", (1, 2, 3))

@@ -10,7 +10,9 @@ the slow path back:
   that hold vector coordinates (or a Hessian's row) in this package.
 
 The one allowed use is `row_sum`'s own fallback to `np.sum`, for the rows of
-8 or more that numpy sums pairwise.
+8 or more that numpy sums pairwise.  Where numpy's summation order changes
+(`PAIRWISE_MIN`) is likewise known to `weights` alone: a module that named it
+would be working round `row_sum` instead of handing it a `lead`.
 """
 
 import ast
@@ -93,3 +95,30 @@ def test_allow_list_names_live_uses():
     for module, name in ALLOWED:
         owners = {use[1] for use in reduction_uses(SRC / module)}
         assert name in owners, f"{module}:{name} no longer reduces with numpy"
+
+
+def names_pairwise_min(path):
+    """Lines of a source file that name PAIRWISE_MIN: imported, read or
+    reached as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if "PAIRWISE_MIN" in (getattr(node, "id", None), getattr(node, "attr", None))
+                   or (isinstance(node, ast.ImportFrom)
+                       and any(alias.name == "PAIRWISE_MIN" for alias in node.names))})
+
+
+def test_pairwise_guard_recognizes_each_spelling(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from .weights import PAIRWISE_MIN as P\n"
+                   "from . import weights\n"
+                   "def f(d):\n"
+                   "    return d < weights.PAIRWISE_MIN or d < PAIRWISE_MIN\n")
+    assert names_pairwise_min(src) == [1, 4]
+
+
+def test_only_weights_names_pairwise_min():
+    stray = {path.name: names_pairwise_min(path) for path in sorted(SRC.glob("*.py"))
+             if path.name != "weights.py"}
+    assert not any(stray.values()), "PAIRWISE_MIN outside weights: " + "; ".join(
+        f"{mod}:{lines}" for mod, lines in stray.items() if lines)
+    assert names_pairwise_min(SRC / "weights.py")
