@@ -30,9 +30,9 @@ from .coefficients import DEFAULT_COEFFICIENTS
 from .errors import ConfigError, DomainError, InvalidInputError
 from .weights import row_norm, row_sum
 
-# Relative slack accepted on the 1 <= rs <= Q check; float products of
-# admissible (r, s) can land an ulp outside the exact interval.
-_RS_SLACK = 1e-9
+# Relative slack of every face of D_Q^{eps,ell} in `domain_masks`: float
+# products and averages of admissible (r, s) land ulps outside the exact faces.
+_RS_SLACK = 1e-12
 
 CUT_TOLERANCE = 1e-8
 
@@ -276,37 +276,43 @@ def _unit_weights(i):
 # scalar building blocks
 # ---------------------------------------------------------------------------
 
-def _check_rs(r, s, Q):
-    if r <= 0.0 or s <= 0.0:
-        raise DomainError(f"r, s must be positive, got r={r}, s={s}")
+def domain_masks(a, b, r, s, cfg: BellmanConfig):
+    """The only membership rule: the nested masks of D_Q (r, s > 0, 1 <= rs
+    <= Q), D_Q^eps (eps <= r, s <= 1/eps) and D_Q^{eps,ell} (a, b >= ell) on
+    arrays or scalars, every face widened by the relative slack `_RS_SLACK`."""
+    lo, hi = 1.0 - _RS_SLACK, 1.0 + _RS_SLACK
     t = r * s
-    if t < 1.0 - _RS_SLACK or t > Q * (1.0 + _RS_SLACK):
-        raise DomainError(f"rs={t} outside [1, Q] with Q={Q}")
-    return min(max(t, 1.0), Q)
+    in_dq = (r > 0.0) & (t >= lo) & (t <= cfg.Q * hi)
+    e_lo, e_hi = cfg.eps * lo, hi / cfg.eps
+    in_eps = in_dq & (r >= e_lo) & (r <= e_hi) & (s >= e_lo) & (s <= e_hi)
+    return in_dq, in_eps, in_eps & (a >= cfg.ell * lo) & (b >= cfg.ell * lo)
+
+
+def domain_check(V: StatePoint, cfg: BellmanConfig) -> DomainFlags:
+    """`domain_masks` at the single point V."""
+    return DomainFlags(*map(bool, domain_masks(V.xnorm, V.ynorm, V.r, V.s, cfg)))
+
+
+def _kn_in_dq(r, s, cfg):
+    """The t-jets of K and N at t = rs (`kn_of_t`), for (r, s) in D_Q."""
+    if not domain_masks(0.0, 0.0, r, s, cfg)[0]:
+        raise DomainError(f"(r, s) = ({r}, {s}) not in D_Q: rs={r * s}, Q={cfg.Q}")
+    return kn_of_t(r * s, cfg.Q)
 
 
 def eval_K(r, s, Q):
     """K(r,s) = sqrt(rs/Q) (1 - sqrt(rs)/(8 sqrt(Q)));  0 <= K < sqrt(rs/Q) <= 1."""
-    return kn_of_t(_check_rs(r, s, Q), Q)[0][0]
+    return _kn_in_dq(r, s, BellmanConfig(Q=Q))[0][0]
 
 
 def eval_N(r, s, Q):
     """N(r,s) = sqrt(rs/Q) (1 - (rs)^2/(128 Q^2));  0 <= N < sqrt(rs/Q) <= 1."""
-    return kn_of_t(_check_rs(r, s, Q), Q)[1][0]
+    return _kn_in_dq(r, s, BellmanConfig(Q=Q))[1][0]
 
 
 def eval_M(r, s, Q):
     """M(r,s) = r - 1/(s(N(r,s)+1)), which satisfies 0 <= M <= r on the domain."""
     return r - 1.0 / (s * (eval_N(r, s, Q) + 1.0))
-
-
-def domain_check(V: StatePoint, cfg: BellmanConfig) -> DomainFlags:
-    """Strict membership flags for D_Q, D_Q^eps and D_Q^{eps,ell}."""
-    t = V.r * V.s
-    in_dq = 1.0 <= t <= cfg.Q
-    in_eps = in_dq and (cfg.eps <= V.r <= 1.0 / cfg.eps) and (cfg.eps <= V.s <= 1.0 / cfg.eps)
-    in_ell = in_eps and V.xnorm >= cfg.ell and V.ynorm >= cfg.ell
-    return DomainFlags(in_dq, in_eps, in_ell)
 
 
 def eval_B1(V: StatePoint) -> float:
@@ -316,9 +322,7 @@ def eval_B1(V: StatePoint) -> float:
 
 def _block_value(V, cfg, i):
     """Value of the block B_i (i = 2..6) alone at V in D_Q."""
-    if not domain_check(V, cfg).in_DQ:
-        raise DomainError(f"point with rs={V.r * V.s} not in D_Q for Q={cfg.Q}")
-    k, n = kn_of_t(V.r * V.s, cfg.Q)
+    k, n = _kn_in_dq(V.r, V.s, cfg)
     return float(_fill(V.xnorm, V.ynorm, V.r, V.s, k, n, _unit_weights(i)))
 
 

@@ -36,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import (BellmanConfig, StatePoint, Perturbation, _tangential_coeff,
-                      b4_batch, bellman_value, domain_check, evaluate_batch,
-                      evaluate_point, hessian_quadratic_form, kn_of_t, one_leg_margin,
-                      partial_xx_form, partial_yy_form, profile_value)
+from .bellman import (BellmanConfig, StatePoint, Perturbation, _tangential_coeff, b4_batch,
+                      evaluate_batch, evaluate_point, hessian_quadratic_form, kn_of_t,
+                      one_leg_margin, partial_xx_form, partial_yy_form, profile_value)
 from .errors import CertificationError, ConfigError, DomainError
 from .coefficients import validate_coefficients
 from .weights import row_norm, row_sum
@@ -184,15 +183,13 @@ def check_hessian_lower(V: StatePoint, dV: Perturbation, cfg: BellmanConfig):
 def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig):
     """B(V) - B(V0) - dB(V0)(V - V0) - (2/Q)|x-x0||y-y0| (`one_leg_margin`).
 
-    B(V0) comes with dB(V0) from V0's batch and B(V) from `bellman_value`;
-    both are `bellman._fill`'s value, so the margin is exactly zero at V = V0.
+    B(V0), dB(V0) and B(V) come from `evaluate_point`, which refuses either
+    point outside D_Q^eps; at V = V0 the margin is exactly zero.
     """
-    if not domain_check(V, cfg).in_DQ_eps:
-        raise DomainError("one-leg check requires V in D_Q^eps")
+    value = evaluate_point(V, cfg)[0].value
     batch, xhat, yhat = evaluate_point(V0, cfg)
     margin, _, _ = one_leg_margin(
-        batch.g, batch.value, xhat, yhat,
-        bellman_value(V.x, V.y, V.r, V.s, cfg), (V.x - V0.x)[None, :],
+        batch.g, batch.value, xhat, yhat, value, (V.x - V0.x)[None, :],
         (V.y - V0.y)[None, :], V.r - V0.r, V.s - V0.s, cfg.Q)
     return float(margin[0])
 

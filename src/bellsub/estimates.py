@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bellman import BellmanConfig, evaluate_batch, one_leg_margin, profile_value
+from .bellman import BellmanConfig, domain_masks, evaluate_batch, one_leg_margin, profile_value
 from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
@@ -71,26 +71,27 @@ def _check_c_target(C_target):
 def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None):
     """Pathwise one-leg verification and the telescoped dissipation bound.
 
-    Requires the weight truncated into [eps, 1/eps] leaf-wise and
-    Q2[w] <= cfg.Q.  The anchor a >= ell is a constant leading coordinate
-    of X and Z, so that |X^a|, |Z^a| >= ell keeps the state inside the
-    regularized domain.  It is never stored: at every dim it is the `lead`
-    of `row_norm` in the state norms, and its increment 0 the `lead` of the
-    one-leg sums, which keeps the bits of the anchored rows without copying
-    X and Z.  B and its first partials (`evaluate_batch` at order 1) are
-    evaluated on each parent level, B alone on the leaves; at most two
-    levels' evaluations are alive at once.
+    Requires the leaf states (1/w, w) in the eps box and Q2[w], the largest
+    node product uw, at most Q (the state (Q2, 1) in D_Q), by the rule of
+    `domain_masks` that every level's states meet.  The anchor a >= ell is
+    a constant leading coordinate of X and Z, so that |X^a|, |Z^a| >= ell
+    keeps the state inside the regularized domain.  It is never stored: at
+    every dim it is the `lead` of `row_norm` in the state norms, and its
+    increment 0 the `lead` of the one-leg sums, which keeps the bits of the
+    anchored rows without copying X and Z.  B and its first partials
+    (`evaluate_batch` at order 1) are evaluated on each parent level, B
+    alone on the leaves; at most two levels' evaluations are alive at once.
     """
     n = X.depth
     if Z.depth != n or w_tree.depth != n:
         raise InvalidInputError("X, Z and the weight must share the depth")
-    lo, hi = w_tree.leaf_values.min(), w_tree.leaf_values.max()
-    if lo < cfg.eps * (1.0 - 1e-12) or hi > (1.0 + 1e-12) / cfg.eps:
-        raise DomainError(
-            f"weight leaves in [{lo:.4g}, {hi:.4g}] not truncated into "
-            f"[eps, 1/eps] = [{cfg.eps:.4g}, {1.0 / cfg.eps:.4g}]")
+    us, ws = w_tree.node_avg_u, w_tree.node_avg_w
+    if not domain_masks(0.0, 0.0, us[n], ws[n], cfg)[1].all():
+        raise DomainError(f"weight leaves in [{ws[n].min():.4g}, {ws[n].max():.4g}] not "
+                          "truncated into [eps, 1/eps] = "
+                          f"[{cfg.eps:.4g}, {1.0 / cfg.eps:.4g}]")
     q2 = a2_characteristic(w_tree)
-    if q2 > cfg.Q * (1.0 + 1e-12):
+    if not domain_masks(0.0, 0.0, q2, 1.0, cfg)[0]:
         raise DomainError(f"Q2[w] = {q2:.6g} exceeds configured Q = {cfg.Q}")
     a = cfg.ell if anchor is None else float(anchor)
     if not (np.isfinite(a) and a >= cfg.ell):
@@ -98,7 +99,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
                           "states would leave the regularized domain")
 
     xs, ys = X.levels, Z.levels
-    us, ws = w_tree.node_avg_u, w_tree.node_avg_w
 
     def bellman_at(k):
         """B on level k: with its first partials on a parent level, the
@@ -168,16 +168,15 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
 
 
 def _check_states(a, b, r, s, cfg, anchor, level):
-    t = r * s
-    if (t < 1.0 - 1e-12).any() or (t > cfg.Q * (1.0 + 1e-12)).any():
+    """Refuse states outside D_Q^{eps,ell}, naming the first mask that fails."""
+    in_dq, in_eps, in_ell = domain_masks(a, b, r, s, cfg)
+    if not in_dq.all():
         raise DomainError(f"level {level}: node (u,w) product leaves [1, Q]")
-    if ((r < cfg.eps * (1 - 1e-12)) | (r > (1 + 1e-12) / cfg.eps)
-            | (s < cfg.eps * (1 - 1e-12)) | (s > (1 + 1e-12) / cfg.eps)).any():
+    if not in_eps.all():
         raise DomainError(f"level {level}: node weight average outside the eps box")
-    if (a < cfg.ell).any() or (b < cfg.ell).any():
-        raise DomainError(
-            f"level {level}: |x| or |y| below ell = {cfg.ell}; the anchor "
-            f"a = {anchor} is too small to keep states in the regularized domain")
+    if not in_ell.all():
+        raise DomainError(f"level {level}: |x| or |y| below ell = {cfg.ell}; the anchor a = "
+                          f"{anchor} is too small to keep states in the regularized domain")
 
 
 def anchor_sensitivity(X, Z, w_tree, cfg, multipliers=(1.0, 2.0, 10.0)):

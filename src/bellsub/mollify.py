@@ -35,8 +35,8 @@ import numpy as np
 from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
 
-from .bellman import (BellmanConfig, b4_batch, evaluate_batch, h4_value, kn_of_t,
-                      one_leg_margin)
+from .bellman import (BellmanConfig, b4_batch, domain_masks, evaluate_batch, h4_value,
+                      kn_of_t, one_leg_margin)
 from .errors import ConfigError, DomainError
 
 VAR_NAMES = ("x", "y", "r", "s", "K")
@@ -268,12 +268,11 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     """
     rng = np.random.default_rng(seed)
     axx, axy, axr, axs, axk = moll.axes
-    # keep (r, s) pairs admissible for the Bellman domain: 1 <= rs <= Q
     idx = rng.integers(0, [len(axx), len(axy), len(axr), len(axs)],
                        size=(2 * n_pairs, 4))
     x, y = axx[idx[:, 0]], axy[idx[:, 1]]
     r, s = axr[idx[:, 2]], axs[idx[:, 3]]
-    keep = (r * s >= 1.0) & (r * s <= cfg.Q)
+    keep = domain_masks(x, y, r, s, cfg)[0]      # (r, s) pairs in D_Q
     x, y, r, s = x[keep], y[keep], r[keep], s[keep]
     t = r * s
     (k, kp), _ = kn_of_t(t, cfg.Q, order=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bellsub as bs
+from bellsub import bellman as bm, estimates as est
 from bellsub.bellman import (bellman_value, evaluate_batch, hessian_quadratic_form,
                              profile_value)
 from bellsub.certify import _sample_arrays
@@ -65,6 +66,58 @@ def test_domain_check_cases():
     assert f.in_DQ_eps and not f.in_DQ_eps_ell
     with pytest.raises(bs.InvalidInputError):
         bs.StatePoint(x=[np.nan], y=[1.0], r=1.0, s=1.0)
+
+
+# One point on each face of D_Q^{eps,ell} at Q = 16, eps = 0.1, ell = 0.05,
+# as (a, b, r, s) and the coordinate pushed off the face, down or up.  The
+# face r = eps meets D_Q only at its corner s = 1/eps, rs = 1.
+FACES = {
+    "rs=1": ((1.0, 1.0, 2.0, 0.5), 3, True),
+    "rs=Q": ((1.0, 1.0, 2.0, 8.0), 3, False),
+    "r=eps": ((1.0, 1.0, 0.1, 10.0), 2, True),
+    "s=eps": ((1.0, 1.0, 10.0, 0.1), 3, True),
+    "r=1/eps": ((1.0, 1.0, 10.0, 0.5), 2, False),
+    "s=1/eps": ((1.0, 1.0, 0.5, 10.0), 3, False),
+    "|x|=ell": ((0.05, 1.0, 1.0, 1.0), 0, True),
+    "|y|=ell": ((1.0, 0.05, 1.0, 1.0), 1, True),
+}
+
+
+def _accepts(call):
+    try:
+        call()
+    except bs.DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("face", FACES)
+def test_entry_points_agree_on_each_face(face):
+    # one ulp off a face lies in the slack band, which every entry point
+    # takes; 1e-6 off it lies beyond, which every entry point refuses
+    cfg = bs.BellmanConfig(Q=16.0, eps=0.1, ell=0.05)
+    point, moved, down = FACES[face]
+    kind = face.split("=")[0]
+    flag = {"rs": "in_DQ", "r": "in_DQ_eps", "s": "in_DQ_eps"}.get(kind, "in_DQ_eps_ell")
+    for step, inside in (("ulp", True), (1e-6, False)):
+        v = list(point)
+        v[moved] = (np.nextafter(v[moved], 0.0 if down else np.inf) if step == "ulp"
+                    else v[moved] * (1.0 - step if down else 1.0 + step))
+        a, b, r, s = v
+        V = bs.StatePoint(x=[a], y=[b], r=r, s=s)
+        verdicts = {
+            "domain_check": getattr(bs.domain_check(V, cfg), flag),
+            "telescope": _accepts(lambda: est._check_states(
+                *(np.array([c]) for c in v), cfg, anchor=cfg.ell, level=0)),
+        }
+        if kind in ("rs", "r", "s"):
+            verdicts["evaluate_point"] = _accepts(lambda: bm.evaluate_point(V, cfg))
+        if kind == "rs":
+            verdicts["eval_K"] = _accepts(lambda: bs.eval_K(r, s, cfg.Q))
+            if inside:      # no clamp: K is the batch path's K(rs)
+                assert bs.eval_K(r, s, cfg.Q) == bm.kn_of_t(r * s, cfg.Q)[0][0]
+                assert bs.eval_N(r, s, cfg.Q) == bm.kn_of_t(r * s, cfg.Q)[1][0]
+        assert verdicts == dict.fromkeys(verdicts, inside), step
 
 
 def test_b1_values():

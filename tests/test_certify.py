@@ -29,11 +29,25 @@ def test_sample_domain_deterministic():
     assert p1.r == p2.r and p1.s == p2.s
 
 
-def test_sampled_points_satisfy_domain_flags():
-    pts = sample(CFG, 10_000, seed=3)
-    for V in pts:
-        flags = bs.domain_check(V, CFG)
+@pytest.mark.parametrize("Q", (1.0, 16.0))
+def test_sampled_points_satisfy_domain_flags(Q):
+    cfg = bs.BellmanConfig(Q=Q)
+    for V in sample(cfg, 10_000, seed=3):
+        flags = bs.domain_check(V, cfg)
         assert flags.in_DQ_eps_ell
+
+
+def test_single_point_checks_take_the_q1_samples_below_rs_1():
+    # at Q = 1 every sample has rs = 1, and about one in seven float
+    # products r*s reads 1 - 2^-53; those points lie in the slack band of
+    # D_Q, which the batch path certifies and the single-point checks take
+    cfg = bs.BellmanConfig(Q=1.0)
+    below = [V for V in sample(cfg, 2000, seed=1) if V.r * V.s < 1.0]
+    assert below and all(V.r * V.s == 1.0 - 2.0 ** -53 for V in below)
+    V = next(V for V in below if bs.eval_B(V, cfg).region.tag != "CUT")
+    dV = bs.Perturbation(dx=[1.0, 0.0], dy=[0.0, 1.0], dr=0.1, ds=-0.1)
+    assert ct.extract_tau(V, cfg) > 0.0
+    assert ct.check_hessian_lower(V, dV, cfg) is not None
 
 
 def test_log_rs_uniformity_chi2():

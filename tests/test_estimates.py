@@ -229,14 +229,15 @@ def test_telescope_peak_memory_at_depth_14():
     # (measured here on the same level), the telescope then holds, in floats
     # of 8 bytes: level n-1's norms, 2 * 2^(n-1); level n-2's batch (value,
     # a, b, four gradient rows, region), 8 * 2^(n-2), and its 2^(n-2) cut
-    # flags of one byte; the last step's margins, linear terms and jumps,
-    # 3 * 2^(n-2), and conditional means, 2^(n-3); that step's increments
-    # of x, y, u and w, (2d + 2) * 2^(n-2).  64 KiB covers the loop's Python
-    # objects.  A Hessian of level n-2 alone adds 16 * 2^(n-2) floats, and
-    # anchored copies of X and Z about 4 (d + 1) * 2^n.
+    # flags of one byte.  The last step's margins, linear terms, jumps,
+    # conditional means and increments are freed before level n-1 is
+    # evaluated.  64 KiB covers the loop's Python objects.  Holding that
+    # step's arrays again adds (3 + 2d + 2) * 2^(n-2) + 2^(n-3) floats, a
+    # Hessian of level n-2 16 * 2^(n-2), and anchored copies of X and Z
+    # about 4 (d + 1) * 2^n.
     n, d = 14, 2
     cfg, X, Z, w = tele_setup(depth=n, seed=5, rotate=True, dim=d)
-    held = 2 * 2 ** (n - 1) + (8 + 3 + 2 * d + 2) * 2 ** (n - 2) + 2 ** (n - 3)
+    held = 2 * 2 ** (n - 1) + 8 * 2 ** (n - 2)
     a, b = wt.row_norm(X.levels[n - 1], cfg.ell), wt.row_norm(Z.levels[n - 1], cfg.ell)
     r, s = w.node_avg_u[n - 1], w.node_avg_w[n - 1]
     peaks = []
@@ -290,8 +291,12 @@ def test_telescope_q_must_dominate_characteristic():
     cfg = bs.BellmanConfig(Q=1.0001)
     X, Z, rng = make_pair(6, 2, 12)
     w = wt.truncate_two_sided(wt.power_weight_family(-0.5, 6), 1.0 / cfg.eps)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="exceeds configured Q"):
         est.bellman_telescope(X, Z, w, cfg)
+    # Q2[w] is the largest node product rs: a relative 1e-14 above Q it lies
+    # in the slack band of D_Q, which the telescope takes at every level
+    q2 = wt.a2_characteristic(w)
+    assert est.bellman_telescope(X, Z, w, bs.BellmanConfig(Q=q2 * (1.0 - 1e-14)))["pass"]
 
 
 def test_anchor_sensitivity_all_pass():
