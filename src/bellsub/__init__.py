@@ -3,19 +3,14 @@ subordination, its numerical certification, and dyadic-filtration
 martingale experiments around the sharp weighted L2 estimate."""
 
 from .bellman import (BellmanConfig, StatePoint, Perturbation, Region,
-                      EvalResult, DomainFlags, domain_check, classify_region,
-                      eval_K, eval_N, eval_M, eval_B1, eval_B2, eval_B3,
-                      eval_H4, eval_B4, eval_B5, eval_B6, eval_B7, eval_B,
-                      bellman_value)
+                      EvalResult, eval_B)
 from .coefficients import (DEFAULT_COEFFICIENTS, determine_coefficients,
                            minimal_coefficients, validate_coefficients)
 from .certify import (SampleSpec, CertReport, CheckRecord, TauStats,
-                      sample_domain, check_hessian_lower, check_one_leg,
-                      check_partial_xx_bound, check_partial_yy_bound,
-                      extract_tau, tau_sweep, check_c1_across_cuts,
+                      tau_sweep, check_c1_across_cuts,
                       run_certification, report_to_text, report_to_csv)
-from .errors import (CertificationError, ConfigError, DomainError,
-                     InvalidInputError, SubordinationError)
+from .errors import (ConfigError, DomainError, InvalidInputError,
+                     SubordinationError)
 from .martingales import (DyadicMartingale, SimConfig, SubordinatePair,
                           random_martingale, transform, rotation_transform,
                           constant_multiplier, check_subordination,
@@ -24,7 +19,7 @@ from .estimates import (verify_bilinear_estimate, bellman_telescope,
                         anchor_sensitivity, verify_main_theorem,
                         projection_consistency)
 from .mollify import (GridSpec, MollifiedH4, mollify_h4, default_grid_spec,
-                      bump_kernel, h4_raw, composite_one_leg_margins)
+                      bump_kernel, composite_one_leg_margins)
 from .sharpness import sharpness_experiment, worst_ratio, fitted_slope
 from .weights import (WeightTree, a2_characteristic, truncate_above,
                       truncate_two_sided, power_weight_family,

@@ -131,13 +131,6 @@ class Perturbation:
 
 
 @dataclass(frozen=True)
-class DomainFlags:
-    in_DQ: bool
-    in_DQ_eps: bool
-    in_DQ_eps_ell: bool
-
-
-@dataclass(frozen=True)
 class Region:
     """Branch tag of H4 at a point: R1 interior, R2/R3 boundary branches, CUT near a cut."""
 
@@ -170,7 +163,7 @@ class EvalResult:
 def kn_of_t(t, Q, order=0):
     """K(t) = sqrt(t/Q)(1 - sqrt(t)/(8 sqrt(Q))) and
     N(t) = sqrt(t/Q)(1 - t^2/(128 Q^2)), each with its t-derivatives up to
-    `order` (0, 1 or 2)."""
+    `order` (0, 1 or 2).  On 1 <= t <= Q, 0 <= K, N < sqrt(t/Q) <= 1."""
     st = np.sqrt(t)
     iq = 1.0 / np.sqrt(Q)
     rq = st * iq
@@ -273,7 +266,7 @@ def _unit_weights(i):
 
 
 # ---------------------------------------------------------------------------
-# scalar building blocks
+# the domain, and H4 at a given K
 # ---------------------------------------------------------------------------
 
 def domain_masks(a, b, r, s, cfg: BellmanConfig):
@@ -288,73 +281,6 @@ def domain_masks(a, b, r, s, cfg: BellmanConfig):
     return in_dq, in_eps, in_eps & (a >= cfg.ell * lo) & (b >= cfg.ell * lo)
 
 
-def domain_check(V: StatePoint, cfg: BellmanConfig) -> DomainFlags:
-    """`domain_masks` at the single point V."""
-    return DomainFlags(*map(bool, domain_masks(V.xnorm, V.ynorm, V.r, V.s, cfg)))
-
-
-def _kn_in_dq(r, s, cfg):
-    """The t-jets of K and N at t = rs (`kn_of_t`), for (r, s) in D_Q."""
-    if not domain_masks(0.0, 0.0, r, s, cfg)[0]:
-        raise DomainError(f"(r, s) = ({r}, {s}) not in D_Q: rs={r * s}, Q={cfg.Q}")
-    return kn_of_t(r * s, cfg.Q)
-
-
-def eval_K(r, s, Q):
-    """K(r,s) = sqrt(rs/Q) (1 - sqrt(rs)/(8 sqrt(Q)));  0 <= K < sqrt(rs/Q) <= 1."""
-    return _kn_in_dq(r, s, BellmanConfig(Q=Q))[0][0]
-
-
-def eval_N(r, s, Q):
-    """N(r,s) = sqrt(rs/Q) (1 - (rs)^2/(128 Q^2));  0 <= N < sqrt(rs/Q) <= 1."""
-    return _kn_in_dq(r, s, BellmanConfig(Q=Q))[1][0]
-
-
-def eval_M(r, s, Q):
-    """M(r,s) = r - 1/(s(N(r,s)+1)), which satisfies 0 <= M <= r on the domain."""
-    return r - 1.0 / (s * (eval_N(r, s, Q) + 1.0))
-
-
-def eval_B1(V: StatePoint) -> float:
-    """<x,x>/r + <y,y>/s."""
-    return float(V.x @ V.x / V.r + V.y @ V.y / V.s)
-
-
-def _block_value(V, cfg, i):
-    """Value of the block B_i (i = 2..6) alone at V in D_Q."""
-    k, n = _kn_in_dq(V.r, V.s, cfg)
-    return float(_fill(V.xnorm, V.ynorm, V.r, V.s, k, n, _unit_weights(i)))
-
-
-def eval_B2(V: StatePoint, cfg: BellmanConfig) -> float:
-    return _block_value(V, cfg, 2)
-
-
-def eval_B3(V: StatePoint, cfg: BellmanConfig) -> float:
-    return _block_value(V, cfg, 3)
-
-
-def classify_region(x, y, r, s, K) -> Region:
-    """Branch of H4 at (x, y, r, s, K):
-
-    R1 when |y|r - |x|K > 0 and |x|s - |y|K > 0 (interior critical point),
-    R2 when |x|s - |y|K <= 0 (supremum at the |y| boundary),
-    R3 when |y|r - |x|K <= 0 (supremum at the |x| boundary),
-    CUT within CUT_TOLERANCE * max(|x|,|y|,1) of either boundary.
-
-    Both quantities strictly negative is impossible unless x = y = 0.
-    """
-    a = float(np.linalg.norm(np.atleast_1d(x)))
-    b = float(np.linalg.norm(np.atleast_1d(y)))
-    q1, q2, (in_r1, in_r2, _) = _branches(a, b, r, s, K)
-    if q1 < 0.0 and q2 < 0.0:
-        # the positivity identity a*q2 + b*q1 >= 2ab(sqrt(rs)-K)/sqrt(rs) rules this out
-        raise DomainError("both H4 sign quantities negative with x, y nonzero")
-    if _near_cut(q1, q2, a, b):
-        return Region("CUT")
-    return Region("R1" if in_r1 else "R2" if in_r2 else "R3")
-
-
 def h4_value(a, b, r, s, K):
     """H4 at radii a = |x|, b = |y| for a given K, vectorized.
 
@@ -363,38 +289,6 @@ def h4_value(a, b, r, s, K):
     agree in the limit at the cuts.
     """
     return _fill(a, b, r, s, (K,), None, _unit_weights(4))
-
-
-def eval_H4(x, y, r, s, K) -> float:
-    """H4 (see `h4_value`) at vector arguments x, y."""
-    if K < 0.0 or K * K >= r * s:
-        raise DomainError(f"need 0 <= K < sqrt(rs), got K={K}, rs={r * s}")
-    return float(h4_value(float(np.linalg.norm(np.atleast_1d(x))),
-                          float(np.linalg.norm(np.atleast_1d(y))), r, s, K))
-
-
-def eval_B4(V: StatePoint, cfg: BellmanConfig) -> float:
-    return _block_value(V, cfg, 4)
-
-
-def eval_B5(V: StatePoint, cfg: BellmanConfig) -> float:
-    return _block_value(V, cfg, 5)
-
-
-def eval_B6(V: StatePoint, cfg: BellmanConfig) -> float:
-    return _block_value(V, cfg, 6)
-
-
-def eval_B7(V: StatePoint, cfg: BellmanConfig) -> float:
-    return eval_B4(V, cfg) + eval_B5(V, cfg) + eval_B6(V, cfg)
-
-
-def bellman_value(x, y, r, s, cfg: BellmanConfig) -> float:
-    """Plain value of B at vector arguments, without derivative bookkeeping."""
-    a = float(np.linalg.norm(np.atleast_1d(x)))
-    b = float(np.linalg.norm(np.atleast_1d(y)))
-    return float(profile_value(np.array([a]), np.array([b]),
-                                np.array([r]), np.array([s]), cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +316,21 @@ class BatchEval:
     cut: np.ndarray
 
 
-def profile_value(a, b, r, s, cfg):
-    """Value of B on arrays of (|x|, |y|, r, s), without partials."""
-    k, n = kn_of_t(r * s, cfg.Q)
-    return _fill(a, b, r, s, k, n, _block_weights(cfg))
-
-
-# points per pass of `_batch`: keeps its temporaries cache-resident
+# points per pass of `profile_value` and `_batch`: keeps their temporaries
+# cache-resident
 _CHUNK = 8192
+
+
+def profile_value(a, b, r, s, cfg):
+    """Value of B on arrays of (|x|, |y|, r, s), without partials, chunk by
+    chunk into one output."""
+    a, b, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, r, s)))
+    value, weights = np.empty(a.shape), _block_weights(cfg)
+    for lo in range(0, len(a), _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        k, n = kn_of_t(r[part] * s[part], cfg.Q)
+        value[part] = _fill(a[part], b[part], r[part], s[part], k, n, weights)
+    return value
 
 
 def _batch(a, b, r, s, Q, weights, order=2):
@@ -574,10 +475,10 @@ def partial_yy_form(batch: BatchEval, yhat, dy):
 def evaluate_point(V: StatePoint, cfg: BellmanConfig):
     """`evaluate_batch` at the single point V, with the unit directions
     xhat, yhat of x, y as (1, d) rows (zero rows where x or y is 0).  A V
-    outside D_Q^eps, which no single-point check covers, is a DomainError."""
-    if not domain_check(V, cfg).in_DQ_eps:
-        raise DomainError(f"V (r={V.r}, s={V.s}) not in D_Q^eps for Q={cfg.Q}, eps={cfg.eps}")
+    outside D_Q^eps (`domain_masks`) is a DomainError."""
     a, b = V.xnorm, V.ynorm
+    if not domain_masks(a, b, V.r, V.s, cfg)[1]:
+        raise DomainError(f"V (r={V.r}, s={V.s}) not in D_Q^eps for Q={cfg.Q}, eps={cfg.eps}")
     batch = evaluate_batch(np.array([a]), np.array([b]),
                            np.array([V.r]), np.array([V.s]), cfg)
     xhat = (V.x / a if a > 0.0 else np.zeros_like(V.x))[None, :]

@@ -36,10 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import (BellmanConfig, StatePoint, Perturbation, _tangential_coeff, b4_batch,
-                      evaluate_batch, evaluate_point, hessian_quadratic_form, kn_of_t,
-                      one_leg_margin, partial_xx_form, partial_yy_form, profile_value)
-from .errors import CertificationError, ConfigError, DomainError
+# unused here: perfbench/tracing.py wraps the three *_form functions as attributes of this module
+from .bellman import (BellmanConfig, _tangential_coeff, b4_batch, evaluate_batch,
+                      hessian_quadratic_form, kn_of_t, one_leg_margin, partial_xx_form,
+                      partial_yy_form, profile_value)
+from .errors import ConfigError
 from .coefficients import validate_coefficients
 from .weights import row_norm, row_sum
 
@@ -159,60 +160,6 @@ def _point_batches(cfg: BellmanConfig, spec: SampleSpec):
             yield _sample_arrays(cfg, np.random.default_rng(streams["points"][b]), size)
 
 
-def sample_domain(cfg: BellmanConfig, spec: SampleSpec):
-    """Deterministic list of StatePoints satisfying the D_Q^{eps,ell} flags."""
-    return [StatePoint(x=x[i], y=y[i], r=float(r[i]), s=float(s[i]))
-            for x, y, r, s in _point_batches(cfg, spec) for i in range(len(r))]
-
-
-# ---------------------------------------------------------------------------
-# single-point check API
-# ---------------------------------------------------------------------------
-
-def check_hessian_lower(V: StatePoint, dV: Perturbation, cfg: BellmanConfig):
-    """hessian_form(dV) - (2/Q)|dx||dy|; None when V sits on a cut (skipped)."""
-    batch, xhat, yhat = evaluate_point(V, cfg)
-    if batch.cut[0]:
-        return None
-    form = hessian_quadratic_form(batch, xhat, yhat,
-                                  dV.dx[None, None, :], dV.dy[None, None, :],
-                                  np.array([[dV.dr]]), np.array([[dV.ds]]))[0, 0]
-    return float(form - (2.0 / cfg.Q) * np.linalg.norm(dV.dx) * np.linalg.norm(dV.dy))
-
-
-def check_one_leg(V0: StatePoint, V: StatePoint, cfg: BellmanConfig):
-    """B(V) - B(V0) - dB(V0)(V - V0) - (2/Q)|x-x0||y-y0| (`one_leg_margin`).
-
-    B(V0), dB(V0) and B(V) come from `evaluate_point`, which refuses either
-    point outside D_Q^eps; at V = V0 the margin is exactly zero.
-    """
-    value = evaluate_point(V, cfg)[0].value
-    batch, xhat, yhat = evaluate_point(V0, cfg)
-    margin, _, _ = one_leg_margin(
-        batch.g, batch.value, xhat, yhat, value, (V.x - V0.x)[None, :],
-        (V.y - V0.y)[None, :], V.r - V0.r, V.s - V0.s, cfg.Q)
-    return float(margin[0])
-
-
-def check_partial_xx_bound(V: StatePoint, dx, cfg: BellmanConfig):
-    """C_xx eps^-1 |dx|^2 - (d^2_x B dx, dx) (symmetric helper for y below)."""
-    batch, xhat, _ = evaluate_point(V, cfg)
-    if batch.cut[0]:
-        return None
-    dx = np.asarray(dx, dtype=float)
-    form = partial_xx_form(batch, xhat, dx[None, None, :])[0, 0]
-    return float(cfg.dxx_constant / cfg.eps * dx @ dx - form)
-
-
-def check_partial_yy_bound(V: StatePoint, dy, cfg: BellmanConfig):
-    batch, _, yhat = evaluate_point(V, cfg)
-    if batch.cut[0]:
-        return None
-    dy = np.asarray(dy, dtype=float)
-    form = partial_yy_form(batch, yhat, dy[None, None, :])[0, 0]
-    return float(cfg.dxx_constant / cfg.eps * dy @ dy - form)
-
-
 # ---------------------------------------------------------------------------
 # the per-point ellipse certificate
 # ---------------------------------------------------------------------------
@@ -318,26 +265,6 @@ def _witness(h, tan, xhat, yhat, tau, Q):
                                   - (t / Q)[:, None, None] * eye)
     vals, vecs = np.linalg.eigh(full)
     return vecs[:, :, 0], Q * vals[:, 0]
-
-
-def extract_tau(V: StatePoint, cfg: BellmanConfig):
-    """tau with Q (d^2B dV,dV) >= tau |dx|^2 + tau^-1 |dy|^2 for every dV,
-    reported inside [eps/(10Q), 10Q/eps] (the best tau, clipped to the band).
-
-    Raises CertificationError with the violating direction when the
-    inequality fails at the reported tau.
-    """
-    batch, xhat, yhat = evaluate_point(V, cfg)
-    if batch.cut[0]:
-        raise DomainError("tau extraction needs a C^2 point (V lies on a cut)")
-    h, tan = _radial(batch, V.x.shape[0])
-    _, tau, feas = _ellipse(h, tan, cfg)
-    if feas[0] < -TAU_FEAS_TOL:
-        witness, _ = _witness(h, tan, xhat, yhat, tau, cfg.Q)
-        raise CertificationError(
-            f"no feasible tau in the reporting band at this point "
-            f"(worst margin {feas[0]:.3e})", witness=witness[0])
-    return float(tau[0])
 
 
 def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):

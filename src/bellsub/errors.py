@@ -13,13 +13,5 @@ class ConfigError(ValueError):
     """Inconsistent configuration (grid, sampling or coefficient setup)."""
 
 
-class CertificationError(RuntimeError):
-    """A certified property could not be established; carries the worst witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class SubordinationError(ValueError):
     """A martingale pair fails the differential subordination precondition."""

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import bellsub as bs
 from bellsub import bellman as bm, estimates as est
-from bellsub.bellman import (bellman_value, evaluate_batch, hessian_quadratic_form,
-                             profile_value)
+from bellsub.bellman import evaluate_batch, hessian_quadratic_form, kn_of_t, profile_value
 from bellsub.certify import _sample_arrays
+from oracles import brute_force_h4
 
 
 CFG = bs.BellmanConfig(Q=4.0)
@@ -15,22 +17,45 @@ def _points(cfg, n, seed=0):
     return _sample_arrays(cfg, np.random.default_rng(seed), n)
 
 
+def _norms(x, y):
+    return np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+
+
+def _value(x, y, r, s, cfg):
+    """B at rows x, y (n, d) of vectors and r, s (n,), through `profile_value`."""
+    return profile_value(*_norms(x, y), r, s, cfg)
+
+
+def _block(i, a, b, r, s, Q):
+    """The block B_i alone at radii a, b: `_fill` with unit weights."""
+    k, n = kn_of_t(r * s, Q)
+    return bm._fill(a, b, r, s, k, n, bm._unit_weights(i))
+
+
+def _region(a, b, r, s, k):
+    """H4's branch at a given K: 1, 2, 3 for R1, R2, R3, and 0 on a cut."""
+    q1, q2, (in_r1, in_r2, _) = bm._branches(a, b, r, s, k)
+    return np.where(bm._near_cut(q1, q2, a, b), 0, np.where(in_r1, 1, np.where(in_r2, 2, 3)))
+
+
 # ---------------------------------------------------------------------------
-# scalar building blocks
+# K, N, M and the domain
 # ---------------------------------------------------------------------------
 
 def test_k_n_worked_values():
-    assert bs.eval_K(2.0, 2.0, 4.0) == pytest.approx(7.0 / 8.0, abs=1e-15)
-    assert bs.eval_N(2.0, 2.0, 4.0) == pytest.approx(127.0 / 128.0, abs=1e-15)
-    assert bs.eval_K(1.0, 1.0, 4.0) == pytest.approx(15.0 / 32.0, abs=1e-15)
-    assert bs.eval_N(1.0, 1.0, 1.0) == pytest.approx(127.0 / 128.0, abs=1e-15)
+    assert kn_of_t(2.0 * 2.0, 4.0)[0][0] == pytest.approx(7.0 / 8.0, abs=1e-15)
+    assert kn_of_t(2.0 * 2.0, 4.0)[1][0] == pytest.approx(127.0 / 128.0, abs=1e-15)
+    assert kn_of_t(1.0 * 1.0, 4.0)[0][0] == pytest.approx(15.0 / 32.0, abs=1e-15)
+    assert kn_of_t(1.0 * 1.0, 1.0)[1][0] == pytest.approx(127.0 / 128.0, abs=1e-15)
 
 
 def test_k_n_domain_error():
-    with pytest.raises(bs.DomainError):
-        bs.eval_K(0.5, 1.0, 4.0)
-    with pytest.raises(bs.DomainError):
-        bs.eval_N(3.0, 3.0, 4.0)
+    # (r, s) outside D_Q: rs < 1 and rs > Q; the single-point entry refuses them
+    cfg = bs.BellmanConfig(Q=4.0)
+    for r, s in ((0.5, 1.0), (3.0, 3.0)):
+        assert not bm.domain_masks(0.0, 0.0, r, s, cfg)[0]
+        with pytest.raises(bs.DomainError):
+            bm.evaluate_point(bs.StatePoint(x=[1.0], y=[1.0], r=r, s=s), cfg)
 
 
 def test_k_n_range_and_denominator_bound():
@@ -38,32 +63,34 @@ def test_k_n_range_and_denominator_bound():
     for Q in (1.5, 4.0, 64.0):
         t = np.exp(rng.uniform(0, np.log(Q), 2000))
         r = np.sqrt(t)
-        k = np.array([bs.eval_K(ri, ri, Q) for ri in r])
-        n = np.array([bs.eval_N(ri, ri, Q) for ri in r])
+        (k,), (n,) = kn_of_t(r * r, Q)
         assert (0 <= k).all() and (k < np.sqrt(t / Q) + 1e-15).all() and (k < 1).all()
         assert (0 <= n).all() and (n < np.sqrt(t / Q) + 1e-15).all() and (n < 1).all()
         assert (t - k * k > t * (1 - 1 / Q)).all()
 
 
+def _m(r, s, Q):
+    """M = r - 1/(s(N+1)), the shrunk x leg of B2."""
+    return r - 1.0 / (s * (kn_of_t(r * s, Q)[1][0] + 1.0))
+
+
 def test_m_exact_value_and_positivity():
-    assert bs.eval_M(1.0, 1.0, 1.0) == pytest.approx(1.0 - 128.0 / 255.0, abs=1e-15)
+    assert _m(1.0, 1.0, 1.0) == pytest.approx(1.0 - 128.0 / 255.0, abs=1e-15)
     rng = np.random.default_rng(1)
     for Q in (2.0, 16.0):
         t = np.exp(rng.uniform(0, np.log(Q), 10000))
         r = np.exp(rng.uniform(-1, 1, 10000)) * np.sqrt(t)
         s = t / r
-        m = np.array([bs.eval_M(ri, si, Q) for ri, si in zip(r, s)])
+        m = _m(r, s, Q)
         assert (m >= 0).all() and (m <= r).all()
 
 
 def test_domain_check_cases():
     cfg = bs.BellmanConfig(Q=4.0, eps=0.1, ell=0.05)
-    f = bs.domain_check(bs.StatePoint(x=[1.0], y=[1.0], r=1.0, s=1.0), cfg)
-    assert (f.in_DQ, f.in_DQ_eps, f.in_DQ_eps_ell) == (True, True, True)
-    f = bs.domain_check(bs.StatePoint(x=[1.0], y=[1.0], r=0.5, s=1.0), cfg)
-    assert not f.in_DQ
-    f = bs.domain_check(bs.StatePoint(x=[0.01], y=[1.0], r=1.0, s=2.0), cfg)
-    assert f.in_DQ_eps and not f.in_DQ_eps_ell
+    assert [bool(f) for f in bm.domain_masks(1.0, 1.0, 1.0, 1.0, cfg)] == [True] * 3
+    assert not bm.domain_masks(1.0, 1.0, 0.5, 1.0, cfg)[0]
+    _, in_eps, in_ell = bm.domain_masks(0.01, 1.0, 1.0, 2.0, cfg)
+    assert in_eps and not in_ell
     with pytest.raises(bs.InvalidInputError):
         bs.StatePoint(x=[np.nan], y=[1.0], r=1.0, s=1.0)
 
@@ -98,7 +125,7 @@ def test_entry_points_agree_on_each_face(face):
     cfg = bs.BellmanConfig(Q=16.0, eps=0.1, ell=0.05)
     point, moved, down = FACES[face]
     kind = face.split("=")[0]
-    flag = {"rs": "in_DQ", "r": "in_DQ_eps", "s": "in_DQ_eps"}.get(kind, "in_DQ_eps_ell")
+    mask = {"rs": 0, "r": 1, "s": 1}.get(kind, 2)
     for step, inside in (("ulp", True), (1e-6, False)):
         v = list(point)
         v[moved] = (np.nextafter(v[moved], 0.0 if down else np.inf) if step == "ulp"
@@ -106,96 +133,78 @@ def test_entry_points_agree_on_each_face(face):
         a, b, r, s = v
         V = bs.StatePoint(x=[a], y=[b], r=r, s=s)
         verdicts = {
-            "domain_check": getattr(bs.domain_check(V, cfg), flag),
+            "domain_masks": bool(bm.domain_masks(a, b, r, s, cfg)[mask]),
             "telescope": _accepts(lambda: est._check_states(
                 *(np.array([c]) for c in v), cfg, anchor=cfg.ell, level=0)),
         }
         if kind in ("rs", "r", "s"):
             verdicts["evaluate_point"] = _accepts(lambda: bm.evaluate_point(V, cfg))
-        if kind == "rs":
-            verdicts["eval_K"] = _accepts(lambda: bs.eval_K(r, s, cfg.Q))
-            if inside:      # no clamp: K is the batch path's K(rs)
-                assert bs.eval_K(r, s, cfg.Q) == bm.kn_of_t(r * s, cfg.Q)[0][0]
-                assert bs.eval_N(r, s, cfg.Q) == bm.kn_of_t(r * s, cfg.Q)[1][0]
+            verdicts["eval_B"] = _accepts(lambda: bs.eval_B(V, cfg))
         assert verdicts == dict.fromkeys(verdicts, inside), step
 
 
+# ---------------------------------------------------------------------------
+# the blocks, H4 and its regions
+# ---------------------------------------------------------------------------
+
 def test_b1_values():
-    assert bs.eval_B1(bs.StatePoint(x=[1.0], y=[1.0], r=1.0, s=1.0)) == 2.0
-    assert bs.eval_B1(bs.StatePoint(x=[0.0, 0.0], y=[0.0, 0.0], r=2.0, s=3.0)) == 0.0
-    assert bs.eval_B1(bs.StatePoint(x=[3.0, 4.0], y=[0.0, 0.0], r=5.0, s=1.0)) == 5.0
+    a = np.array([1.0, 0.0, 5.0])
+    b = np.array([1.0, 0.0, 0.0])
+    r, s = np.array([1.0, 2.0, 5.0]), np.array([1.0, 3.0, 1.0])
+    assert _block(1, a, b, r, s, 16.0).tolist() == [2.0, 0.0, 5.0]
 
 
 def test_b2_b3_special_cases_and_bounds():
     cfg = CFG
-    V = bs.StatePoint(x=[0.0, 0.0], y=[1.0, 2.0], r=1.5, s=2.0)
-    assert bs.eval_B2(V, cfg) == pytest.approx((V.y @ V.y) / V.s, rel=1e-14)
+    # x = 0, y = (1, 2): B2 is <y,y>/s
+    assert _block(2, 0.0, np.sqrt(5.0), 1.5, 2.0, cfg.Q) == pytest.approx(5.0 / 2.0, rel=1e-14)
     x, y, r, s = _points(cfg, 3000, seed=5)
-    for i in range(3000):
-        V = bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i])
-        b1 = bs.eval_B1(V)
-        assert 0.0 <= bs.eval_B2(V, cfg) <= b1 + 1e-12 * b1
-        assert 0.0 <= bs.eval_B3(V, cfg) <= b1 + 1e-12 * b1
+    a, b = _norms(x, y)
+    b1 = _block(1, a, b, r, s, cfg.Q)
+    for i in (2, 3):
+        bi = _block(i, a, b, r, s, cfg.Q)
+        assert (0.0 <= bi).all() and (bi <= b1 + 1e-12 * b1).all()
 
-
-# ---------------------------------------------------------------------------
-# H4 and regions
-# ---------------------------------------------------------------------------
 
 def test_classify_region_cases():
-    assert bs.classify_region([1.0], [1.0], 2.0, 2.0, 0.5).tag == "R1"
-    assert bs.classify_region([0.0], [1.0], 1.0, 1.0, 0.5).tag == "R2"
-    assert bs.classify_region([1.0], [0.0], 1.0, 1.0, 0.5).tag == "R3"
-    # on the cut: |x|s = |y|K
-    assert bs.classify_region([0.5], [1.0], 1.0, 1.0, 0.5).tag == "CUT"
-    with pytest.raises(bs.DomainError):
-        bs.classify_region([1.0], [1.0], 1.0, 1.0, 5.0)
+    a, b, r, s, k = (np.array(c) for c in zip(
+        (1.0, 1.0, 2.0, 2.0, 0.5), (0.0, 1.0, 1.0, 1.0, 0.5),
+        (1.0, 0.0, 1.0, 1.0, 0.5), (0.5, 1.0, 1.0, 1.0, 0.5)))   # on the cut |x|s = |y|K
+    assert _region(a, b, r, s, k).tolist() == [1, 2, 3, 0]
 
 
 def test_h4_branch_values():
     # K = 0 collapses to B1
-    assert bs.eval_H4([1.0], [1.0], 1.0, 1.0, 0.0) == pytest.approx(2.0, abs=1e-14)
+    assert bm.h4_value(1.0, 1.0, 1.0, 1.0, 0.0) == pytest.approx(2.0, abs=1e-14)
     # R3: |y|r - |x|K <= 0 and |x|s - |y|K > 0  ->  <x,x>/r
-    assert bs.eval_H4([2.0], [0.1], 1.0, 4.0, 0.9) == pytest.approx(4.0, rel=1e-14)
+    assert bm.h4_value(2.0, 0.1, 1.0, 4.0, 0.9) == pytest.approx(4.0, rel=1e-14)
     # R2 symmetric
-    assert bs.eval_H4([0.1], [2.0], 4.0, 1.0, 0.9) == pytest.approx(4.0, rel=1e-14)
-    with pytest.raises(bs.DomainError):
-        bs.eval_H4([1.0], [1.0], 1.0, 1.0, 1.0)
-
-
-from oracles import brute_force_h4
+    assert bm.h4_value(0.1, 2.0, 4.0, 1.0, 0.9) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_h4_matches_brute_force_supremum():
-    rng = np.random.default_rng(7)
     cfg = bs.BellmanConfig(Q=16.0)
     x, y, r, s = _points(cfg, 2000, seed=11)
-    a = np.linalg.norm(x, axis=1)
-    b = np.linalg.norm(y, axis=1)
-    k = np.array([bs.eval_K(r[i], s[i], cfg.Q) for i in range(2000)])
+    a, b = _norms(x, y)
+    k = kn_of_t(r * s, cfg.Q)[0][0]
     want = brute_force_h4(a, b, r, s, k)
-    regions = set()
-    for i in range(2000):
-        got = bs.eval_H4(x[i], y[i], r[i], s[i], k[i])
-        assert got == pytest.approx(want[i], rel=1e-6)
-        regions.add(bs.classify_region(x[i], y[i], r[i], s[i], k[i]).tag)
-    assert {"R1", "R2", "R3"} <= regions
+    assert bm.h4_value(a, b, r, s, k) == pytest.approx(want, rel=1e-6)
+    batch = bm.b4_batch(a, b, r, s, cfg)
+    assert {1, 2, 3} <= set(batch.region[~batch.cut].tolist())
 
 
 def test_b4_to_b7_identities():
     cfg = CFG
-    V0 = bs.StatePoint(x=[0.0, 0.0], y=[0.0, 0.0], r=1.0, s=2.0)
-    assert bs.eval_B4(V0, cfg) == 0.0
-    assert bs.eval_B5(V0, cfg) == 0.0
-    assert bs.eval_B6(V0, cfg) == 0.0
-    assert bs.eval_B7(V0, cfg) == 0.0
-    x, y, r, s = _points(cfg, 2000, seed=13)
-    for i in range(0, 2000, 7):
-        V = bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i])
-        b7 = bs.eval_B7(V, cfg)
-        parts = bs.eval_B4(V, cfg) + bs.eval_B5(V, cfg) + bs.eval_B6(V, cfg)
-        assert b7 == parts  # definitional identity, exact
-        assert 0.0 <= bs.eval_B5(V, cfg) <= bs.eval_B1(V) * (1 + 1e-12)
+    zero = [_block(i, 0.0, 0.0, 1.0, 2.0, cfg.Q) for i in (4, 5, 6)]
+    assert zero == [0.0] * 3
+    x, y, r, s = (v[::7] for v in _points(cfg, 2000, seed=13))
+    a, b = _norms(x, y)
+    parts = sum(_block(i, a, b, r, s, cfg.Q) for i in (4, 5, 6))
+    k, n = kn_of_t(r * s, cfg.Q)
+    b7 = bm._fill(a, b, r, s, k, n, (0.0, 0.0, 0.0, 1.0, 1.0, 1.0))
+    assert b7 == pytest.approx(parts, rel=1e-14)
+    b5 = _block(5, a, b, r, s, cfg.Q)
+    assert (0.0 <= b5).all() and (b5 <= _block(1, a, b, r, s, cfg.Q) * (1 + 1e-12)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -216,30 +225,24 @@ def test_eval_b_size_bound_and_positivity():
 def test_eval_b_gradient_matches_finite_differences():
     cfg = bs.BellmanConfig(Q=16.0)
     x, y, r, s = _points(cfg, 200, seed=19)
+    # central differences in each of the six coordinates (x, y, r, s), all
+    # points at once
+    v = np.concatenate([x, y, r[:, None], s[:, None]], axis=1)
+    step = 1e-5 * np.concatenate([np.maximum(np.abs(v[:, :4]), 1.0), v[:, 4:]], axis=1)
+    g_fd = np.empty_like(v)
+    for j in range(6):
+        e = np.zeros_like(v)
+        e[:, j] = step[:, j]
+        hi, lo = v + e, v - e
+        g_fd[:, j] = (_value(hi[:, :2], hi[:, 2:4], hi[:, 4], hi[:, 5], cfg)
+                      - _value(lo[:, :2], lo[:, 2:4], lo[:, 4], lo[:, 5], cfg)) / (2 * step[:, j])
     checked = 0
     for i in range(200):
-        V = bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i])
-        k = bs.eval_K(V.r, V.s, cfg.Q)
-        if bs.classify_region(V.x, V.y, V.r, V.s, k).tag == "CUT":
+        res = bs.eval_B(bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i]), cfg)
+        if res.region.tag == "CUT":
             continue
-        res = bs.eval_B(V, cfg)
-        g_fd = np.zeros(6)
-        for j in range(2):
-            h = 1e-5 * max(abs(V.x[j]), 1.0)
-            e = np.zeros(2); e[j] = h
-            g_fd[j] = (bellman_value(V.x + e, V.y, V.r, V.s, cfg)
-                       - bellman_value(V.x - e, V.y, V.r, V.s, cfg)) / (2 * h)
-            h = 1e-5 * max(abs(V.y[j]), 1.0)
-            e = np.zeros(2); e[j] = h
-            g_fd[2 + j] = (bellman_value(V.x, V.y + e, V.r, V.s, cfg)
-                           - bellman_value(V.x, V.y - e, V.r, V.s, cfg)) / (2 * h)
-        hr, hs = 1e-5 * V.r, 1e-5 * V.s
-        g_fd[4] = (bellman_value(V.x, V.y, V.r + hr, V.s, cfg)
-                   - bellman_value(V.x, V.y, V.r - hr, V.s, cfg)) / (2 * hr)
-        g_fd[5] = (bellman_value(V.x, V.y, V.r, V.s + hs, cfg)
-                   - bellman_value(V.x, V.y, V.r, V.s - hs, cfg)) / (2 * hs)
-        scale = np.maximum(np.abs(g_fd), 1.0)
-        assert (np.abs(res.gradient - g_fd) / scale < 1e-4).all()
+        scale = np.maximum(np.abs(g_fd[i]), 1.0)
+        assert (np.abs(res.gradient - g_fd[i]) / scale < 1e-4).all()
         checked += 1
     assert checked > 100
 
@@ -256,13 +259,15 @@ def test_eval_b_rotation_invariance():
     cfg = bs.BellmanConfig(Q=16.0)
     rng = np.random.default_rng(23)
     x, y, r, s = _points(cfg, 50, seed=29)
-    for i in range(50):
-        th1, th2 = rng.uniform(0, 2 * np.pi, 2)
-        U = np.array([[np.cos(th1), -np.sin(th1)], [np.sin(th1), np.cos(th1)]])
-        W = np.array([[np.cos(th2), -np.sin(th2)], [np.sin(th2), np.cos(th2)]])
-        v0 = bellman_value(x[i], y[i], r[i], s[i], cfg)
-        v1 = bellman_value(U @ x[i], W @ y[i], r[i], s[i], cfg)
-        assert v1 == pytest.approx(v0, rel=1e-12)
+    th1, th2 = rng.uniform(0, 2 * np.pi, (50, 2)).T
+
+    def rotate(th, v):
+        c, s_ = np.cos(th), np.sin(th)
+        return np.stack([c * v[:, 0] - s_ * v[:, 1], s_ * v[:, 0] + c * v[:, 1]], axis=1)
+
+    v0 = _value(x, y, r, s, cfg)
+    v1 = _value(rotate(th1, x), rotate(th2, y), r, s, cfg)
+    assert v1 == pytest.approx(v0, rel=1e-12)
 
 
 def test_hessian_form_parity():
@@ -281,7 +286,7 @@ def test_eval_b_cut_band_form_is_its_branch_form():
     cfg = bs.BellmanConfig(Q=4.0)
     # on and within 5e-9 (relative) of the |x|s = |y|K cut
     r, s = 1.3, 1.4
-    k = bs.eval_K(r, s, cfg.Q)
+    k = kn_of_t(r * s, cfg.Q)[0][0]
     dV = bs.Perturbation(dx=[0.1, 0.0], dy=[0.1, 0.0], dr=0.0, ds=0.0)
     forms = {}
     for offset in (-5e-9, 0.0, 5e-9):
@@ -321,11 +326,10 @@ def test_batch_region_and_value_match_pointwise_api():
 
 def test_b2_reduces_to_b1_x_part_as_m_vanishes():
     # M -> 0 along rs = 1 as Q grows; with y = 0, B2 tends to <x,x>/r
-    V = bs.StatePoint(x=[2.0, 0.0], y=[0.0, 0.0], r=1.0, s=1.0)
+    # at x = (2, 0), y = 0, r = s = 1
     for Q, tol in ((1e6, 2e-3), (1e12, 2e-6)):
-        cfg = bs.BellmanConfig(Q=Q)
-        assert bs.eval_B2(V, cfg) == pytest.approx(4.0, rel=tol)
-        assert bs.eval_M(V.r, V.s, Q) == pytest.approx(0.0, abs=2 * Q ** -0.5)
+        assert _block(2, 2.0, 0.0, 1.0, 1.0, Q) == pytest.approx(4.0, rel=tol)
+        assert _m(1.0, 1.0, Q) == pytest.approx(0.0, abs=2 * Q ** -0.5)
 
 
 def test_hessian_form_at_zero_x_matches_finite_differences():
@@ -338,9 +342,26 @@ def test_hessian_form_at_zero_x_matches_finite_differences():
     got = res.hessian_form(dV)
     assert np.isfinite(got)
     h = 1e-4
-    fp = bellman_value(V.x + h * dV.dx, V.y + h * dV.dy, V.r + h * dV.dr,
-                       V.s + h * dV.ds, cfg)
-    fm = bellman_value(V.x - h * dV.dx, V.y - h * dV.dy, V.r - h * dV.dr,
-                       V.s - h * dV.ds, cfg)
+    fp, fm = (_value((V.x + t * dV.dx)[None], (V.y + t * dV.dy)[None],
+                     np.array([V.r + t * dV.dr]), np.array([V.s + t * dV.ds]), cfg)[0]
+              for t in (h, -h))
     fd = (fp - 2 * res.value + fm) / h ** 2
     assert got == pytest.approx(fd, rel=1e-5)
+
+
+def test_profile_value_peak_memory_is_one_chunk_and_its_output():
+    # the leaf values of a depth-16 telescope: evaluated chunk by chunk, the
+    # 2^16 points need their output and what one chunk of `_CHUNK` takes alone
+    cfg = bs.BellmanConfig(Q=16.0)
+    x, y, r, s = _points(cfg, 2 ** 16, seed=41)
+    a, b = _norms(x, y)
+    peaks = []
+    for n in (bm._CHUNK, 2 ** 16):
+        tracemalloc.start()
+        try:
+            profile_value(a[:n], b[:n], r[:n], s[:n], cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    chunk_peak, peak = peaks
+    assert peak <= chunk_peak + 8 * 2 ** 16

@@ -6,7 +6,7 @@ import pytest
 import bellsub as bs
 from bellsub import bellman as bm
 from bellsub import certify as ct
-from bellsub.bellman import (bellman_value, evaluate_batch, hessian_quadratic_form,
+from bellsub.bellman import (evaluate_batch, hessian_quadratic_form, one_leg_margin,
                              partial_xx_form, partial_yy_form)
 from bellsub.errors import ConfigError
 from oracles import direction_bank, split_directions
@@ -15,7 +15,29 @@ CFG = bs.BellmanConfig(Q=16.0)
 
 
 def sample(cfg, count, seed):
-    return ct.sample_domain(cfg, ct.SampleSpec(count=count, seed=seed))
+    """The plan's (x, y, r, s) arrays, its batches joined."""
+    parts = list(ct._point_batches(cfg, ct.SampleSpec(count=count, seed=seed)))
+    return [np.concatenate(v) for v in zip(*parts)]
+
+
+def points(cfg, count, seed):
+    """The plan's samples as StatePoints."""
+    x, y, r, s = sample(cfg, count, seed)
+    return [bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i]) for i in range(count)]
+
+
+def batch_of(cfg, count, seed):
+    """`evaluate_batch` on the plan's samples, with their unit directions."""
+    x, y, r, s = sample(cfg, count, seed)
+    a, b = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
+    return evaluate_batch(a, b, r, s, cfg), x / a[:, None], y / b[:, None]
+
+
+def tau_at(V, cfg):
+    """The in-band tau of `_ellipse` at V and its feasibility."""
+    batch, _, _ = bm.evaluate_point(V, cfg)
+    _, tau, feas = ct._ellipse(*ct._radial(batch, len(V.x)), cfg)
+    return tau[0], feas[0]
 
 
 # ---------------------------------------------------------------------------
@@ -23,31 +45,30 @@ def sample(cfg, count, seed):
 # ---------------------------------------------------------------------------
 
 def test_sample_domain_deterministic():
-    p1 = sample(CFG, 1, seed=7)[0]
-    p2 = sample(CFG, 1, seed=7)[0]
-    assert np.array_equal(p1.x, p2.x) and np.array_equal(p1.y, p2.y)
-    assert p1.r == p2.r and p1.s == p2.s
+    p1, p2 = sample(CFG, 1, seed=7), sample(CFG, 1, seed=7)
+    assert all(np.array_equal(u, v) for u, v in zip(p1, p2))
 
 
 @pytest.mark.parametrize("Q", (1.0, 16.0))
 def test_sampled_points_satisfy_domain_flags(Q):
     cfg = bs.BellmanConfig(Q=Q)
-    for V in sample(cfg, 10_000, seed=3):
-        flags = bs.domain_check(V, cfg)
-        assert flags.in_DQ_eps_ell
+    x, y, r, s = sample(cfg, 10_000, seed=3)
+    assert bm.domain_masks(np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1),
+                           r, s, cfg)[2].all()
 
 
 def test_single_point_checks_take_the_q1_samples_below_rs_1():
     # at Q = 1 every sample has rs = 1, and about one in seven float
     # products r*s reads 1 - 2^-53; those points lie in the slack band of
-    # D_Q, which the batch path certifies and the single-point checks take
+    # D_Q, which the batch path certifies and the single-point entry takes
     cfg = bs.BellmanConfig(Q=1.0)
-    below = [V for V in sample(cfg, 2000, seed=1) if V.r * V.s < 1.0]
+    below = [V for V in points(cfg, 2000, seed=1) if V.r * V.s < 1.0]
     assert below and all(V.r * V.s == 1.0 - 2.0 ** -53 for V in below)
-    V = next(V for V in below if bs.eval_B(V, cfg).region.tag != "CUT")
+    res = [bs.eval_B(V, cfg) for V in below]
+    V, rv = next((V, rv) for V, rv in zip(below, res) if rv.region.tag != "CUT")
     dV = bs.Perturbation(dx=[1.0, 0.0], dy=[0.0, 1.0], dr=0.1, ds=-0.1)
-    assert ct.extract_tau(V, cfg) > 0.0
-    assert ct.check_hessian_lower(V, dV, cfg) is not None
+    assert tau_at(V, cfg)[0] > 0.0
+    assert np.isfinite(rv.hessian_form(dV))
 
 
 def test_log_rs_uniformity_chi2():
@@ -74,9 +95,9 @@ def test_sample_plan_takes_its_domain_from_the_config():
     assert [f.name for f in dataclasses.fields(ct.SampleSpec)] == \
         ["count", "seed"]
     cfg = bs.BellmanConfig(Q=2.0, dim=1)
-    for V in sample(cfg, 200, seed=1):
-        assert V.x.shape == V.y.shape == (1,)
-        assert bs.domain_check(V, cfg).in_DQ_eps_ell
+    x, y, r, s = sample(cfg, 200, seed=1)
+    assert x.shape == y.shape == (200, 1)
+    assert bm.domain_masks(np.abs(x[:, 0]), np.abs(y[:, 0]), r, s, cfg)[2].all()
 
 
 def test_sample_spec_validation():
@@ -87,31 +108,35 @@ def test_sample_spec_validation():
 
 
 # ---------------------------------------------------------------------------
-# single-point checks
+# directional forms, one-leg margins and tau at sample points
 # ---------------------------------------------------------------------------
 
 def test_hessian_margin_zero_direction():
-    V = sample(CFG, 1, seed=5)[0]
+    V = points(CFG, 1, seed=5)[0]
     zero = bs.Perturbation(dx=[0.0, 0.0], dy=[0.0, 0.0], dr=0.0, ds=0.0)
-    assert ct.check_hessian_lower(V, zero, CFG) == 0.0
+    assert bs.eval_B(V, CFG).hessian_form(zero) == 0.0
 
 
 def test_hessian_margin_reduces_to_convexity_when_dy_zero():
+    # with dy = 0 the Hessian margin is the form itself, at every non-cut point
     rng = np.random.default_rng(13)
-    for V in sample(CFG, 50, seed=17):
-        d = rng.standard_normal(2)
-        dV = bs.Perturbation(dx=d, dy=[0.0, 0.0], dr=rng.standard_normal(),
-                             ds=rng.standard_normal())
-        m = ct.check_hessian_lower(V, dV, CFG)
-        if m is not None:
-            assert m >= -1e-10
+    batch, xhat, yhat = batch_of(CFG, 50, seed=17)
+    d = rng.standard_normal((50, 4))      # per point: dx, then dr, ds
+    dx = d[:, None, :2]
+    form = hessian_quadratic_form(batch, xhat, yhat, dx, np.zeros_like(dx),
+                                  d[:, 2:3], d[:, 3:4])[:, 0]
+    assert (form[~batch.cut] >= -1e-10).all()
 
 
 def test_one_leg_same_point_and_taylor_consistency():
-    pts = sample(CFG, 40, seed=19)
+    pts = points(CFG, 40, seed=19)
     rng = np.random.default_rng(23)
     for V in pts[:10]:
-        assert ct.check_one_leg(V, V, CFG) == 0.0
+        batch, xhat, yhat = bm.evaluate_point(V, CFG)
+        margin, _, _ = one_leg_margin(batch.g, batch.value, xhat, yhat, batch.value,
+                                      np.zeros_like(xhat), np.zeros_like(yhat), 0.0, 0.0,
+                                      CFG.Q)
+        assert margin[0] == 0.0
     checked = 0
     for V in pts:
         res = bs.eval_B(V, CFG)
@@ -124,9 +149,9 @@ def test_one_leg_same_point_and_taylor_consistency():
         for t in (1e-2, 1e-3):
             W = bs.StatePoint(x=V.x + t * d[:2], y=V.y + t * d[2:4],
                               r=V.r + t * d[4], s=V.s + t * d[5])
-            if not bs.domain_check(W, CFG).in_DQ_eps:
+            if not bm.domain_masks(W.xnorm, W.ynorm, W.r, W.s, CFG)[1]:
                 continue
-            gap = (bellman_value(W.x, W.y, W.r, W.s, CFG) - res.value
+            gap = (bs.eval_B(W, CFG).value - res.value
                    - res.gradient @ np.concatenate([t * d[:2], t * d[2:4], [t * d[4]], [t * d[5]]]))
             # second-order Taylor: gap / t^2 -> h/2
             if t == 1e-3 and abs(h) > 1e-6:
@@ -136,39 +161,38 @@ def test_one_leg_same_point_and_taylor_consistency():
 
 
 def test_partial_bounds_single_point():
-    V = sample(CFG, 1, seed=29)[0]
-    assert ct.check_partial_xx_bound(V, [0.0, 0.0], CFG) >= 0.0
+    V = points(CFG, 1, seed=29)[0]
+    batch, xhat, yhat = bm.evaluate_point(V, CFG)
+    cap = CFG.dxx_constant / CFG.eps
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        dx = rng.standard_normal(2)
-        mx = ct.check_partial_xx_bound(V, dx, CFG)
-        my = ct.check_partial_yy_bound(V, dx, CFG)
-        assert mx >= -1e-8 and my >= -1e-8
+    dx = np.concatenate([np.zeros((1, 2)), rng.standard_normal((20, 2))])[None]
+    sq = np.sum(dx * dx, axis=-1)
+    assert cap * sq[0, 0] - partial_xx_form(batch, xhat, dx)[0, 0] >= 0.0
+    assert (cap * sq - partial_xx_form(batch, xhat, dx) >= -1e-8).all()
+    assert (cap * sq - partial_yy_form(batch, yhat, dx) >= -1e-8).all()
     # the B1 block alone is the textbook case: d2x = 2|dx|^2 / r <= 2/eps
     assert 2.0 / V.r <= 2.0 / CFG.eps + 1e-12
 
 
 def test_extract_tau_in_band_and_feasible():
-    for V in sample(CFG, 30, seed=37):
-        try:
-            tau = ct.extract_tau(V, CFG)
-        except bs.DomainError:
-            continue
-        lo = ct.KAPPA_LO * CFG.eps / CFG.Q
-        hi = ct.KAPPA_HI * CFG.Q / CFG.eps
-        assert lo <= tau <= hi
+    batch, _, _ = batch_of(CFG, 30, seed=37)
+    _, tau, feas = ct._ellipse(*ct._radial(batch, CFG.dim), CFG)
+    keep = ~batch.cut
+    lo = ct.KAPPA_LO * CFG.eps / CFG.Q
+    hi = ct.KAPPA_HI * CFG.Q / CFG.eps
+    assert ((lo <= tau[keep]) & (tau[keep] <= hi)).all()
+    assert (feas[keep] >= -ct.TAU_FEAS_TOL).all()
 
 
 def test_tau_scaling_recorded_not_asserted(capsys):
     # x -> lam x, y -> y / lam at fixed (r, s); behavior is reported only
-    V = sample(CFG, 1, seed=43)[0]
+    V = points(CFG, 1, seed=43)[0]
     rows = []
     for lam in (0.5, 1.0, 2.0):
         W = bs.StatePoint(x=lam * V.x, y=V.y / lam, r=V.r, s=V.s)
-        try:
-            rows.append((lam, ct.extract_tau(W, CFG)))
-        except (bs.DomainError, bs.CertificationError):
-            rows.append((lam, float("nan")))
+        tau, feas = tau_at(W, CFG)
+        ok = bs.eval_B(W, CFG).region.tag != "CUT" and feas >= -ct.TAU_FEAS_TOL
+        rows.append((lam, float(tau) if ok else float("nan")))
     print("tau scaling under x->lam x, y->y/lam:", rows)
     assert len(rows) == 3
 
@@ -256,19 +280,21 @@ def test_axis_curvatures_equal_the_bank_maximum(Q, dim):
 
 
 def test_extract_tau_failure_names_a_violating_direction():
+    # with a weak c7 the in-band tau fails at some non-cut points, and
+    # `_witness` names a unit direction that attains the negative feasibility
     weak = bs.BellmanConfig(Q=16.0, c7=1e-3)
-    failures = 0
-    for V in sample(weak, 200, seed=79):
-        try:
-            ct.extract_tau(V, weak)
-        except bs.CertificationError as err:
-            batch, xhat, yhat = bm.evaluate_point(V, weak)
-            _, tau, feas = ct._ellipse(*ct._radial(batch, 2), weak)
-            value = _ellipse_form(batch, xhat, yhat, err.witness[None, None, :],
-                                  tau, weak.Q)[0, 0]
-            assert value == pytest.approx(feas[0], rel=1e-9) and value < 0.0
-            failures += 1
-    assert failures > 0
+    batch, xhat, yhat = batch_of(weak, 200, seed=79)
+    _, tau, feas = ct._ellipse(*ct._radial(batch, 2), weak)
+    failed = ~batch.cut & (feas < -ct.TAU_FEAS_TOL)
+    assert failed.any()
+    # the failing points alone, evaluated again
+    sub = evaluate_batch(batch.a[failed], batch.b[failed], batch.r[failed],
+                         batch.s[failed], weak)
+    xhat, yhat, tau = xhat[failed], yhat[failed], tau[failed]
+    witness, _ = ct._witness(*ct._radial(sub, 2), xhat, yhat, tau, weak.Q)
+    value = _ellipse_form(sub, xhat, yhat, witness[:, None, :], tau, weak.Q)[:, 0]
+    assert value == pytest.approx(feas[failed], rel=1e-9)
+    assert (value < 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -375,27 +401,23 @@ def test_n_concavity_constants_reported(capsys):
 @pytest.mark.parametrize("r, s", [(10.0, 10.0), (0.5, 0.5), (0.05, 30.0)],
                          ids=["rs>Q", "rs<1", "r<eps"])
 def test_single_point_checks_refuse_points_outside_the_eps_domain(r, s):
-    # no margin, and no CertificationError, for a point the checks do not cover
+    # no value, and no margin, for a point the checks do not cover
     V = bs.StatePoint(x=[1.0, 0.2], y=[0.4, 0.8], r=r, s=s)
-    dV = bs.Perturbation(dx=[1.0, 0.0], dy=[0.0, 1.0], dr=0.1, ds=-0.1)
-    assert not bm.domain_check(V, CFG).in_DQ_eps
-    for check in (lambda: ct.check_hessian_lower(V, dV, CFG),
-                  lambda: ct.check_partial_xx_bound(V, [1.0, 0.0], CFG),
-                  lambda: ct.check_partial_yy_bound(V, [0.0, 1.0], CFG),
-                  lambda: ct.extract_tau(V, CFG)):
+    assert not bm.domain_masks(V.xnorm, V.ynorm, r, s, CFG)[1]
+    for entry in (lambda: bm.evaluate_point(V, CFG), lambda: bs.eval_B(V, CFG)):
         with pytest.raises(bs.DomainError, match="D_Q\\^eps"):
-            check()
+            entry()
 
 
 def test_cut_adjacent_point_is_skip_marker_not_failure():
+    # a point on the cut |x|s = |y|K is marked as a cut, which the C^2
+    # checks skip; it is still evaluated
     r, s = 1.3, 1.4
-    k = bs.eval_K(r, s, CFG.Q)
+    k = bm.kn_of_t(r * s, CFG.Q)[0][0]
     V = bs.StatePoint(x=[0.8 * k / s, 0.0], y=[0.8, 0.0], r=r, s=s)
-    dV = bs.Perturbation(dx=[1.0, 0.0], dy=[1.0, 0.0], dr=0.0, ds=0.0)
-    assert ct.check_hessian_lower(V, dV, CFG) is None
-    assert ct.check_partial_xx_bound(V, [1.0, 0.0], CFG) is None
-    with pytest.raises(bs.DomainError):
-        ct.extract_tau(V, CFG)
+    batch, _, _ = bm.evaluate_point(V, CFG)
+    assert batch.cut[0] and np.isfinite(batch.h).all()
+    assert bs.eval_B(V, CFG).region.tag == "CUT"
 
 
 def test_failed_checks_propagate_into_report_not_exception():

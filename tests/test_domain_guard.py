@@ -2,8 +2,8 @@
 
 `bellman.domain_masks` holds the rule: r, s > 0 with 1 <= rs <= Q, then
 eps <= r, s <= 1/eps, then |x|, |y| >= ell, every face widened by the one
-relative slack `_RS_SLACK`.  `domain_check`, `eval_K`/`eval_N`, the
-single-point checks, the telescope and the mollified composite all read it.
+relative slack `_RS_SLACK`.  `evaluate_point` (and through it `eval_B`),
+the telescope and the mollified composite all read it.
 This test parses the package sources and flags, outside `bellman`:
 
 - a comparison that reads an attribute `.Q`, `.eps` or `.ell`, such as
