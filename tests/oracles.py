@@ -27,7 +27,10 @@ verbatim, except that the two sums take their increments from
 `repeat_increments`, so no library layout code enters them.  `with_anchor`
 is the anchored martingale X^a = (a, X) that the telescope once built; the
 telescope now keeps the anchor as a virtual leading coordinate at every dim,
-and the per-level oracles measure it on real anchored rows.
+and the per-level oracles measure it on real anchored rows.  The per-node
+rotation transform draws and QR-factors one Gaussian matrix per node with
+`np.linalg.qr`, the reference for the batched draws and the 2x2 Householder
+arithmetic of `rotation_transform`.
 """
 
 from math import gcd
@@ -355,6 +358,28 @@ def repeat_transform(X, sigma, sigma0=1.0):
         dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
         sig = np.repeat(sigma[k - 1], 2)[:, None]
         levels.append(np.repeat(levels[-1], 2, axis=0) + sig * dX)
+    return DyadicMartingale(levels)
+
+
+def qr_rotation(g):
+    """q·sign(diag r) from `np.linalg.qr` of a (d, d) matrix or a stack."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def rotation_transform_per_node(X, rng):
+    """The node-by-node rotation draw that `rotation_transform` batches: the
+    root's matrix, then each node's in level and node order, each factored
+    by `qr_rotation` and applied to both children's increments by einsum."""
+    d = X.dim
+    levels = [X.levels[0] @ qr_rotation(rng.standard_normal((d, d))).T]
+    for k in range(1, X.depth + 1):
+        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
+        rots = np.stack([qr_rotation(rng.standard_normal((d, d)))
+                         for _ in range(2 ** (k - 1))])
+        dY = np.einsum("pij,pcj->pci", rots,
+                       dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
+        levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
     return DyadicMartingale(levels)
 
 

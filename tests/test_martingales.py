@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bellsub import martingales as mg
 from bellsub import weights as wt
 from bellsub.errors import InvalidInputError, SubordinationError
-from oracles import mass_bilinear_form, repeat_increments, repeat_transform
+from oracles import (mass_bilinear_form, qr_rotation, repeat_increments, repeat_transform,
+                     rotation_transform_per_node)
+from test_golden import skip_unless_golden_env
 
 
 def test_martingale_property_exact():
@@ -168,29 +172,96 @@ def test_weighted_norm_is_terminal_supremum():
         assert norm_k <= terminal + 1e-12
 
 
-def _rotation_transform_per_node(X, rng):
-    """The node-by-node rotation draw that `rotation_transform` batches."""
-    d = X.dim
-    q0 = mg._random_orthogonal(d, rng)
-    levels = [X.levels[0] @ q0.T]
-    for k in range(1, X.depth + 1):
-        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
-        rots = np.stack([mg._random_orthogonal(d, rng) for _ in range(2 ** (k - 1))])
-        dY = np.einsum("pij,pcj->pci", rots,
-                       dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
-        levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
-    return mg.DyadicMartingale(levels)
-
-
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_rotation_transform_matches_per_node_draws(dim):
     X = mg.random_martingale(mg.SimConfig(depth=9, dim=dim, seed=17))
     rng_batched, rng_loop = np.random.default_rng(18), np.random.default_rng(18)
     Y = mg.rotation_transform(X, rng_batched)
-    ref = _rotation_transform_per_node(X, rng_loop)
+    ref = rotation_transform_per_node(X, rng_loop)
     assert all(np.array_equal(a, b) for a, b in zip(Y.levels, ref.levels))
     # the generator stream ends at the same position
     assert rng_batched.standard_normal() == rng_loop.standard_normal()
+
+
+def test_rotate_pairs_matches_einsum_with_signed_zeros():
+    rng = np.random.default_rng(21)
+    rots = mg._orthogonal_factors(rng.standard_normal((64, 2, 2)))
+    dX = rng.choice([0.0, -0.0, 1.5, -2.0], (64, 2, 2))
+    want = np.einsum("pij,pcj->pci", rots, dX)
+    assert np.array_equal(mg._rotate_pairs(rots, dX).view(np.int64), want.view(np.int64))
+
+
+def _differing_rows(a, b):
+    """Rows of two (p, 2, 2) stacks that differ in any bit, signed zeros and
+    nan payloads included."""
+    return ~(a.view(np.int64) == b.view(np.int64)).all(axis=(1, 2))
+
+
+def test_householder_2x2_matches_qr_bit_for_bit_on_gaussian_draws():
+    skip_unless_golden_env("simulate-seed1.csv")
+    for seed in range(16):   # 2^20 draws
+        g = np.random.default_rng(seed).standard_normal((2 ** 16, 2, 2))
+        assert mg._householder_exact(g).all()
+        assert not _differing_rows(mg._orthogonal_factors(g), qr_rotation(g)).any(), seed
+
+
+TINY, HUGE = 2.0 ** -200, 2.0 ** 200
+# (matrix, whether `_householder_2x2` computes it) per constructed row
+CONSTRUCTED = [
+    ([[1.0, 2.0], [0.0, 3.0]], False),          # a21 = +0: LAPACK's tau = 0
+    ([[1.0, 2.0], [-0.0, 3.0]], False),         # a21 = -0
+    ([[0.0, 2.0], [1.0, 3.0]], True),           # a11 = +0
+    ([[-0.0, 2.0], [1.0, 3.0]], True),          # a11 = -0
+    ([[-0.0, 2.0], [-1.0, -3.0]], True),
+    ([[0.0, 2.0], [0.0, 3.0]], False),          # zero first column
+    ([[-0.0, 2.0], [0.0, -3.0]], False),
+    ([[0.0, 0.0], [0.0, 0.0]], False),          # all zero
+    ([[-0.0, -0.0], [-0.0, 0.0]], False),
+    ([[1.0, 2.0], [3.0, 6.0]], True),           # rank 1
+    ([[1.0, -2.0], [3.0, -6.0]], True),
+    ([[3.0, 1.0], [-6.0, -2.0]], True),
+    ([[0.1, 0.3], [0.7, 2.1]], True),
+    ([[1.0, 1.0], [1.0, 1.0]], True),
+    ([[1.0, 0.0], [1.0, 0.0]], True),           # zero second column
+    ([[2.0, -0.0], [1.0, 0.0]], True),
+    ([[1e-310, 1.0], [1e-310, 2.0]], False),    # subnormal
+    ([[1.0, 5e-324], [1.0, 2.0]], False),
+    ([[1e300, 1e300], [1e300, -1e300]], False),  # near 1e300
+    ([[1.0, 2.0], [1e300, 3.0]], False),
+    ([[HUGE, TINY], [TINY, -HUGE]], True),       # the ends of the exact range
+    ([[TINY, -TINY], [HUGE, 1.0]], True),
+    ([[np.inf, 1.0], [1.0, 1.0]], False),        # non-finite
+    ([[1.0, np.nan], [1.0, 1.0]], False),
+]
+
+
+def test_householder_2x2_matches_qr_on_constructed_rows():
+    skip_unless_golden_env("simulate-seed1.csv")
+    rows = np.array([m for m, _ in CONSTRUCTED])
+    assert mg._householder_exact(rows).tolist() == [fast for _, fast in CONSTRUCTED]
+    with np.errstate(invalid="ignore"):
+        assert not _differing_rows(mg._orthogonal_factors(rows), qr_rotation(rows)).any()
+        # mixed into Gaussian draws, the other rows go through the QR
+        g = np.random.default_rng(22).standard_normal((3 * len(rows), 2, 2))
+        g[1::3] = rows
+        assert not _differing_rows(mg._orthogonal_factors(g), qr_rotation(g)).any()
+
+
+def test_fma_rounds_once():
+    rng = np.random.default_rng(23)
+    n = 4000
+    a, b = rng.standard_normal((2, n)) * np.exp2(rng.integers(-60, 60, (2, n)))
+    c = rng.standard_normal(n)
+    # c = -a*b leaves only the product's rounding error; c = 1 is q22's case
+    cases = [(a, b, c), (a, b, -(a * b)), (a, b, np.ones(n))]
+    # a*b just below half an ulp of c in [1, 2): c + p is a tie that the
+    # product's error decides, where a second rounding of t + e goes wrong
+    x = rng.integers(1, 100, n) * 2.0 ** -30
+    c = 1.0 + rng.integers(0, 2 ** 52, n) * 2.0 ** -52
+    cases.append((1.0 + x, rng.choice([-1.0, 1.0], n) * 2.0 ** -53 * (1.0 - x), c))
+    for a, b, c in cases:
+        want = [float(Fraction(x) * Fraction(y) + Fraction(z)) for x, y, z in zip(a, b, c)]
+        assert np.array_equal(mg._fma(a, b, c), want)
 
 
 @pytest.mark.parametrize("dim", (1, 3))
