@@ -13,8 +13,10 @@ five variables and the monotonicity -d/dK H4 >= 0 survive averaging exactly,
 which is what preserves the one-leg convexity of the composite (at the
 weakened constant 1/Q instead of 2/Q).
 
-H4 is sampled on the box padded by the kernel radius m cells, one x-slab at
-a time, straight into a zero-filled buffer whose axes of length n have the
+The kernel radius m is the largest offset that carries weight, 3 cells at
+spacing ell/4: the taps at floor(ell/spacing) = 4 cells weigh exactly 0 and
+are cropped.  H4 is sampled on the box padded by m cells, one x-slab at a
+time, straight into a zero-filled buffer whose axes of length n have the
 fast lengths L = next_fast_len(n) >= n.  The convolution is circular on that
 buffer: one rfftn of the samples times the spectrum of the kernel centred on
 index 0.  The bump is even in every coordinate, so that spectrum is real and
@@ -86,15 +88,23 @@ class GridSpec:
 
 
 def bump_kernel(ell: float, spacing: float):
-    """Discretized normalized bump with support radius ell; weights sum to 1."""
-    m = int(np.floor(ell / spacing))
-    ax = np.arange(-m, m + 1) * spacing
+    """Discretized normalized bump with support radius ell; weights sum to 1.
+
+    Returns the (2m+1)^5 weights and the kernel radius m in cells, the largest
+    offset that carries weight: 3 cells at spacing ell/4, where every tap
+    with a coordinate of 4 cells lies on or outside |u| = ell and weighs 0.
+    The all-zero outer faces of the floor(ell/spacing) box are cropped as the
+    computed weights show them, not as ell/spacing predicts them under roundoff.
+    """
+    n = int(np.floor(ell / spacing))
+    ax = np.arange(-n, n + 1) * spacing
     grids = np.meshgrid(*([ax] * 5), indexing="ij")
     r2 = sum(g * g for g in grids) / (ell * ell)
     w = np.zeros_like(r2)
     inside = r2 < 1.0
     w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-    return w / w.sum(), m
+    m = int(np.abs(np.argwhere(w) - n).max())
+    return (w / w.sum())[(slice(n - m, n + m + 1),) * 5], m
 
 
 def _kernel_spectrum(kernel, m, L):
@@ -189,8 +199,9 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
     """H4 * phi_ell on the grid described by spec.
 
     The grid must be finer than ell/4 and the box, enlarged by the kernel
-    radius, must stay inside {x, y > 0, rs > K^2, K >= 0} so every sample the
-    kernel touches is a valid H4 evaluation.
+    radius (the largest offset with weight, 3 cells at spacing ell/4), must
+    stay inside {x, y > 0, rs > K^2, K >= 0} so every sample the kernel
+    weighs is a valid H4 evaluation.
     """
     if ell <= 0.0:
         raise ConfigError("mollification radius must be positive")
@@ -244,11 +255,14 @@ def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8):
     x0, y0, r0, s0 = 0.45, 0.45, 1.15, 1.15
     lo = [x0 - half, y0 - half, r0 - half, s0 - half]
     hi = [x0 + half, y0 + half, r0 + half, s0 + half]
-    # K(rs) over the padded (r, s) box, with clearance for the kernel radius
+    # K(rs) over the (r, s) box widened by floor(ell/h) + 1 cells, and the K
+    # axis widened by as many again: clearance for the kernel radius.  That is
+    # still floor(ell/h) + 1 cells although the cropped radius m is 3 at
+    # h = ell/4, so the grid does not depend on the crop.
     pad = (int(np.floor(ell / h)) + 1) * h
     ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
     ks = kn_of_t(ts, cfg.Q)[0][0]
-    # mollify_h4 pads K by the kernel radius m h, which must keep K >= 0
+    # mollify_h4 pads K by m h <= floor(ell/h) h, which must keep K >= 0
     k_lo = max(h * np.floor((ks.min() - pad) / h), int(np.floor(ell / h)) * h)
     k_hi = h * np.ceil((ks.max() + pad) / h)
     return GridSpec(lo=tuple(lo + [k_lo]), hi=tuple(hi + [k_hi]), spacing=h)

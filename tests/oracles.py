@@ -30,7 +30,9 @@ telescope now keeps the anchor as a virtual leading coordinate at every dim,
 and the per-level oracles measure it on real anchored rows.  The per-node
 rotation transform draws and QR-factors one Gaussian matrix per node with
 `np.linalg.qr`, the reference for the batched draws and the 2x2 Householder
-arithmetic of `rotation_transform`.
+arithmetic of `rotation_transform`.  The uncropped bump is the kernel on the
+full floor(ell/h) box, zero outer faces included, that the cropped
+`bump_kernel` replaced, kept verbatim.
 """
 
 from math import gcd
@@ -222,6 +224,18 @@ def orthant_directions(grid_size, n_random, rng):
 def valid_convolution(values, kernel):
     """Linear convolution of values with kernel, only where the kernel fits."""
     return fftconvolve(values, kernel, mode="valid")
+
+
+def uncropped_bump_kernel(ell: float, spacing: float):
+    """Discretized normalized bump with support radius ell; weights sum to 1."""
+    m = int(np.floor(ell / spacing))
+    ax = np.arange(-m, m + 1) * spacing
+    grids = np.meshgrid(*([ax] * 5), indexing="ij")
+    r2 = sum(g * g for g in grids) / (ell * ell)
+    w = np.zeros_like(r2)
+    inside = r2 < 1.0
+    w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return w / w.sum(), m
 
 
 def three_transform_convolution(padded_values, kernel, m):

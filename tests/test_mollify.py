@@ -10,7 +10,7 @@ from scipy import fft
 import bellsub as bs
 from bellsub import mollify as mo
 from bellsub.errors import ConfigError
-from oracles import three_transform_convolution, valid_convolution
+from oracles import three_transform_convolution, uncropped_bump_kernel, valid_convolution
 
 CFG = bs.BellmanConfig(Q=16.0)
 
@@ -131,12 +131,44 @@ def test_default_grid_builds_at_q256():
     assert np.diff(moll.values, axis=4).max() <= 1e-12
 
 
-@pytest.mark.parametrize("Q", [2.0, 16.0, None], ids=["Q2", "Q16", "branch_cut"])
+@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],
+                         ids=["Q2", "Q16", "Q256", "branch_cut"])
 def test_circular_convolution_matches_linear_oracle(Q):
+    # the oracle is the uncropped kernel on its own floor(ell/h)-padded box
     spec = (_branch_cut_spec() if Q is None
             else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
     moll = mo.mollify_h4(CFG.ell, spec)
-    padded = np.meshgrid(*spec.axes(pad_cells=moll.pad_cells), indexing="ij")
+    kernel, m = uncropped_bump_kernel(CFG.ell, spec.spacing)
+    padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
+    expect = valid_convolution(mo.h4_raw(*padded), kernel)
+    np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("ell,h,m", [(0.05, 0.0125, 3), (0.025, 0.00625, 3),
+                                     (0.0125, 0.003125, 3), (0.05, 0.012, 4),
+                                     (0.05, 0.05 / 5, 4)])
+def test_bump_kernel_crops_its_zero_faces(ell, h, m):
+    kernel, got_m = mo.bump_kernel(ell, h)
+    assert got_m == m and kernel.shape == (2 * m + 1,) * 5
+    for axis in range(5):
+        assert kernel.take(0, axis=axis).any() and kernel.take(-1, axis=axis).any()
+    full, n = uncropped_bump_kernel(ell, h)
+    centre = (slice(n - m, n + m + 1),) * 5
+    assert np.array_equal(kernel, full[centre])
+    rest = full.copy()
+    rest[centre] = 0.0
+    assert not rest.any()
+    assert abs(kernel.sum() - full.sum()) <= 1e-15
+
+
+def test_padding_by_weighted_taps_only():
+    # padded by the uncropped 4 cells, x would reach -0.01; the taps 4 cells
+    # out weigh 0, so the box builds on the 3 cells that carry weight
+    spec = mo.GridSpec(lo=(0.04, 0.4, 1.1, 1.1, 0.2), hi=(0.1, 0.5, 1.2, 1.2, 0.3),
+                       spacing=0.0125)
+    moll = mo.mollify_h4(CFG.ell, spec)
+    assert moll.values.shape == (6, 9, 9, 9, 9)
+    padded = np.meshgrid(*spec.axes(pad_cells=moll.pad_cells), indexing="ij", sparse=True)
     expect = valid_convolution(mo.h4_raw(*padded), moll.kernel)
     np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
 
@@ -166,6 +198,11 @@ def _padded_box(Q):
     axes = spec.axes(pad_cells=mo.bump_kernel(cfg.ell, spec.spacing)[1])
     n = tuple(len(a) for a in axes)
     return spec, axes, n, tuple(fft.next_fast_len(k, real=True) for k in n)
+
+
+@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
+def test_default_padded_box_is_15_wide(Q):
+    assert _padded_box(Q)[2][:4] == (15, 15, 15, 15)
 
 
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
