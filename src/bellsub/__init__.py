@@ -4,8 +4,7 @@ martingale experiments around the sharp weighted L2 estimate."""
 
 from .bellman import (BellmanConfig, StatePoint, Perturbation, Region,
                       EvalResult, eval_B)
-from .coefficients import (DEFAULT_COEFFICIENTS, determine_coefficients,
-                           minimal_coefficients, validate_coefficients)
+from .coefficients import DEFAULT_COEFFICIENTS, validate_coefficients
 from .certify import (SampleSpec, CertReport, CheckRecord, TauStats,
                       tau_sweep, check_c1_across_cuts,
                       run_certification, report_to_text, report_to_csv)
@@ -13,8 +12,7 @@ from .errors import (ConfigError, DomainError, InvalidInputError,
                      SubordinationError)
 from .martingales import (DyadicMartingale, SimConfig, SubordinatePair,
                           random_martingale, transform, rotation_transform,
-                          constant_multiplier, check_subordination,
-                          weighted_norm, bilinear_form, unweighted_norm)
+                          check_subordination, weighted_norm, bilinear_form)
 from .estimates import (verify_bilinear_estimate, bellman_telescope,
                         anchor_sensitivity, verify_main_theorem,
                         projection_consistency)

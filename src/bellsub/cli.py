@@ -14,7 +14,6 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -47,7 +46,7 @@ def build_parser():
     c.add_argument("--out", default=None)
     c.add_argument("--format", choices=("csv", "structured-text"),
                    default="structured-text")
-    c.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    c.add_argument("--jobs", type=int, default=1)
 
     t = sub.add_parser("tau-sweep", help="per-sample ellipse constants as CSV")
     add_cfg(t)

@@ -40,11 +40,6 @@ SQ3H = np.sqrt(3.0) / 2.0
 DEFAULT_COEFFICIENTS = (0.5, 2.4, 2.4, 600.0)
 
 
-def minimal_coefficients():
-    """Boundary point of the feasible region (zero margin along flat directions)."""
-    return (0.5, 4.0 / np.sqrt(3.0), 4.0 / np.sqrt(3.0), 512.0)
-
-
 def reduced_margin(coeffs, P, T, R, S):
     """g(P,T,R,S) above, vectorized over direction arrays."""
     c1, c2, c3, c7 = coeffs
@@ -85,22 +80,3 @@ def validate_coefficients(coeffs, tol=0.0):
             f"{margin:.3e} at direction (|dx|/|x|,|dy|/|y|,|dr|/r,|ds|/s)="
             f"({worst[0]:.6f},{worst[1]:.6f},{worst[2]:.6f},{worst[3]:.6f})")
     return float(margin), worst
-
-
-def determine_coefficients(cfg_draft=None):
-    """Return certified coefficients (c1, c2, c3, c7).
-
-    A draft carrying coefficients (object with c1..c7 attributes, or a
-    4-tuple) is validated as-is; with no draft the library defaults are
-    validated and returned.  Infeasible drafts raise ConfigError with the
-    violated direction.
-    """
-    if cfg_draft is None:
-        coeffs = DEFAULT_COEFFICIENTS
-    elif isinstance(cfg_draft, (tuple, list)):
-        coeffs = tuple(float(c) for c in cfg_draft)
-    else:
-        coeffs = (float(cfg_draft.c1), float(cfg_draft.c2),
-                  float(cfg_draft.c3), float(cfg_draft.c7))
-    validate_coefficients(coeffs)
-    return coeffs

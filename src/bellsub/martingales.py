@@ -12,14 +12,13 @@ any path are then nonnegative and nondecreasing.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, SubordinationError
 from .weights import (WeightTree, dyadic_averages, levels_from_increments,
-                      pair_increments, parent_average, row_norm, row_sum)
+                      pair_increments, row_norm, row_sum)
 
 # relative slack for |dY| <= |dX| checks: rotation-built pairs are
 # norm-preserving only up to float rounding
@@ -64,9 +63,6 @@ class DyadicMartingale:
             raise InvalidInputError(f"d_sub must be in [1, {self.dim}]")
         return DyadicMartingale([lev[:, :d_sub] for lev in self.levels])
 
-    def scaled(self, c: float) -> "DyadicMartingale":
-        return DyadicMartingale([c * lev for lev in self.levels])
-
 
 @dataclass
 class SubordinatePair:
@@ -96,11 +92,6 @@ def random_martingale(cfg: SimConfig, rng=None) -> DyadicMartingale:
     rng = np.random.default_rng(cfg.seed) if rng is None else rng
     leaves = rng.standard_normal((2 ** cfg.depth, cfg.dim))
     return DyadicMartingale.from_leaves(leaves)
-
-
-def constant_multiplier(depth: int, value: float):
-    """(sigma0, per-level sigma arrays) all equal to value."""
-    return float(value), [np.full(2 ** k, float(value)) for k in range(depth)]
 
 
 def transform(X: DyadicMartingale, sigma, sigma0=1.0) -> DyadicMartingale:
@@ -315,61 +306,3 @@ def bilinear_form(Y: DyadicMartingale, Z: DyadicMartingale) -> float:
     for dy, dz in zip(Y.increments(), Z.increments()):
         total += float(np.mean(np.abs(row_sum(dy * dz))))
     return total
-
-
-def unweighted_norm(X: DyadicMartingale) -> float:
-    return terminal_norm(X.leaves, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# serialization: header "depth n dim d", node values level by level
-# ---------------------------------------------------------------------------
-
-def dumps(X: DyadicMartingale) -> str:
-    out = io.StringIO()
-    out.write(f"depth {X.depth} dim {X.dim}\n")
-    for lev in X.levels:
-        for row in lev:
-            out.write(" ".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()
-
-
-# a level must equal the average of its children to this relative slack:
-# transforms rebuild levels from increments, exact only up to rounding
-AVERAGE_RTOL = 1e-9
-
-
-def loads(text: str) -> DyadicMartingale:
-    """Parse `dumps` output; structural or numeric defects raise InvalidInputError."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInputError("empty martingale file")
-    head = lines[0].split()
-    try:
-        if len(head) != 4 or head[0] != "depth" or head[2] != "dim":
-            raise ValueError
-        depth, dim = int(head[1]), int(head[3])
-        if depth < 0 or dim < 1:
-            raise ValueError
-    except ValueError:
-        raise InvalidInputError("martingale file must start with 'depth n dim d', "
-                                "n >= 0, d >= 1") from None
-    if len(lines) - 1 != 2 ** (depth + 1) - 1:
-        raise InvalidInputError("node count does not match declared depth")
-    try:
-        rows = np.array([[float(v) for v in ln.split()] for ln in lines[1:]])
-    except ValueError:
-        raise InvalidInputError("node rows must hold numbers, as many on every row") from None
-    if rows.ndim != 2 or rows.shape[1] != dim:
-        raise InvalidInputError("vector dimension does not match declared dim")
-    if not np.isfinite(rows).all():
-        raise InvalidInputError("non-finite node value")
-    levels = [rows[2 ** k - 1:2 ** (k + 1) - 1] for k in range(depth + 1)]
-    for k in range(depth):
-        parent, children = levels[k], levels[k + 1]
-        gap = np.abs(parent_average(children) - parent).max()
-        scale = max(np.abs(children).max(), np.abs(parent).max())
-        if gap > AVERAGE_RTOL * scale:
-            raise InvalidInputError(f"level {k} is not the average of its children "
-                                    f"(off by {gap:.3g})")
-    return DyadicMartingale(levels)

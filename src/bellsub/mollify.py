@@ -41,8 +41,6 @@ from .bellman import (BellmanConfig, b4_batch, domain_masks, evaluate_batch, h4_
                       kn_of_t, one_leg_margin)
 from .errors import ConfigError, DomainError
 
-VAR_NAMES = ("x", "y", "r", "s", "K")
-
 
 def h4_raw(x, y, r, s, K):
     """H4 of five real variables (x, y scalars > 0), vectorized; the
@@ -142,10 +140,6 @@ class MollifiedH4:
         self._itp = RegularGridInterpolator(axes, values, method="linear",
                                             bounds_error=True)
         self._grad_itps = None
-
-    def kernel_integral(self):
-        """Mass of the discrete kernel (unit by normalization)."""
-        return float(self.kernel.sum())
 
     def raw_values(self):
         return _h4_samples(self.axes, self.values.shape)

@@ -26,7 +26,6 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, DomainError, InvalidInputError
-from .martingales import DyadicMartingale, transform
 from .weights import (WeightTree, a2_characteristic, dyadic_averages, pair_increments,
                       power_weight_family, row_sum)
 
@@ -215,11 +214,3 @@ def rows_to_csv(rows, slope) -> str:
         out.write(f"{r['delta']!r},{r['depth']},{r['Q2']!r},{r['worst_ratio']!r}\n")
     out.write(f"# slope {slope!r}\n")
     return out.getvalue()
-
-
-def realized_transform(w: WeightTree):
-    """The explicit (f, T_sigma f) pair behind worst_ratio, as martingales."""
-    ratio, det = worst_ratio(w)
-    X = DyadicMartingale.from_leaves(det["f"])
-    Y = transform(X, det["sigma"], det["sigma0"])
-    return ratio, X, Y

@@ -48,9 +48,6 @@ class WeightTree:
     def __len__(self):
         return len(self.leaf_values)
 
-    def inverse(self) -> "WeightTree":
-        return WeightTree(1.0 / self.leaf_values)
-
 
 def child_pairs(level):
     """View of a level (first axis 2^k) with the children 2i and 2i+1 of
@@ -221,7 +218,9 @@ def loads(text: str) -> WeightTree:
         vals = np.array([float(ln) for ln in lines[1:]])
     except (IndexError, ValueError) as exc:
         raise InvalidInputError(f"malformed weight file: {exc}") from None
-    if len(vals) != 2 ** depth:
+    # compare bit lengths: 2 ** depth of an unchecked depth may not fit in memory
+    n = len(vals)
+    if depth < 0 or n & (n - 1) or n.bit_length() != depth + 1:
         raise InvalidInputError(
             f"weight file declares depth {depth} but carries {len(vals)} leaves")
     return WeightTree(vals)
@@ -233,5 +232,9 @@ def save(w: WeightTree, path):
 
 
 def load(path) -> WeightTree:
-    with open(path) as fh:
-        return loads(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"not text: {exc}") from None
+    return loads(text)

@@ -50,6 +50,16 @@ def test_certify_deterministic_across_jobs(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def test_certify_runs_on_one_thread_by_default(tmp_path, monkeypatch):
+    # two threads certify slower than one on a two-core host, so --jobs
+    # defaults to 1, whatever the core count
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool built without --jobs")
+    monkeypatch.setattr(cli.cert, "ThreadPoolExecutor", no_pool)
+    assert run(["certify", "--Q", "4", "--samples", "3000", "--seed", "9",
+                "--out", str(tmp_path / "r.txt")]) == 0
+
+
 def test_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
     missing = str(tmp_path / "missing" / "x.txt")
     for argv in (["certify", "--Q", "4", "--samples", "10", "--seed", "1"],
@@ -99,6 +109,43 @@ def test_truncate_malformed_file(tmp_path):
     assert run(["truncate", "--weight-file", str(bad), "--a", "2"]) == 2
     assert run(["truncate", "--weight-file", str(tmp_path / "none.txt"),
                 "--a", "2"]) == 2
+
+
+def test_truncate_one_sided_caps_from_above_only(tmp_path, capsys):
+    leaves = np.exp(np.random.default_rng(5).normal(0, 2, 16))
+    wfile, out = tmp_path / "w.txt", tmp_path / "wt.txt"
+    wt.save(wt.WeightTree(leaves), wfile)
+    assert run(["truncate", "--weight-file", str(wfile), "--a", "2", "--one-sided",
+                "--out", str(out)]) == 0
+    before, after = (float(ln.split()[1]) for ln in capsys.readouterr().out.splitlines())
+    assert after <= before
+    assert np.array_equal(wt.load(out).leaf_values, np.minimum(leaves, 2.0))
+
+
+@pytest.mark.parametrize("argv", [["--a", "0.5"], ["--a", "nan"], ["--a", "nan", "--one-sided"]],
+                         ids=("two-sided-below-one", "nan", "one-sided-nan"))
+def test_truncate_rejects_a_bad_level_with_one_line(tmp_path, capsys, argv):
+    wfile, out = tmp_path / "w.txt", tmp_path / "wt.txt"
+    wt.save(wt.WeightTree([1.0, 3.0]), wfile)
+    assert run(["truncate", "--weight-file", str(wfile), "--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"depth 1\n1.0\n\xff\xfe\n",     # not text
+    b"depth 99999999999\n1.0\n2.0\n",  # 2 ** depth would not fit in memory
+], ids=("undecodable", "huge-depth"))
+def test_truncate_malformed_weight_file_exits_2_promptly(tmp_path, content):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "bellsub", "truncate", "--weight-file",
+                           str(bad), "--a", "2"], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "weight file" in proc.stderr
 
 
 def test_sharpness_command(tmp_path):

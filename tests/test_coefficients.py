@@ -3,15 +3,16 @@ import re
 import numpy as np
 import pytest
 
-from bellsub.coefficients import (DEFAULT_COEFFICIENTS, determine_coefficients,
-                                  minimal_coefficients, reduced_margin,
-                                  validate_coefficients)
+from bellsub.bellman import BellmanConfig
+from bellsub.coefficients import DEFAULT_COEFFICIENTS, reduced_margin, validate_coefficients
 from bellsub.errors import ConfigError
 from oracles import orthant_directions
 
+# boundary point of the feasible region: zero margin along flat directions
+MINIMAL = (0.5, 4.0 / np.sqrt(3.0), 4.0 / np.sqrt(3.0), 512.0)
 DRAFTS = {
     "doubled": tuple(2.0 * c for c in DEFAULT_COEFFICIENTS),
-    "minimal": minimal_coefficients(),
+    "minimal": MINIMAL,
     "no_c7": (0.5, 2.4, 2.4, 0.0),
     "small_c1": (0.4, 2.4, 2.4, 600.0),
     "small_c2_c3": (0.5, 0.05, 0.05, 600.0),
@@ -46,15 +47,16 @@ def test_exact_minimum_below_a_million_sampled_directions(name):
 @pytest.mark.parametrize("name", INFEASIBLE)
 def test_infeasible_drafts_name_a_violating_direction(name):
     with pytest.raises(ConfigError) as err:
-        determine_coefficients(DRAFTS[name])
+        validate_coefficients(DRAFTS[name])
     named = re.search(r"=\(([^)]*)\)", str(err.value)).group(1)
     direction = [float(v) for v in named.split(",")]
     assert reduced_margin(DRAFTS[name], *direction) < 0.0
 
 
-def test_determine_returns_validated_defaults():
-    assert determine_coefficients() == DEFAULT_COEFFICIENTS
-    assert determine_coefficients(DEFAULT_COEFFICIENTS) == DEFAULT_COEFFICIENTS
+def test_default_config_carries_the_validated_defaults():
+    coeffs = BellmanConfig().coefficients
+    assert coeffs == DEFAULT_COEFFICIENTS
+    assert validate_coefficients(coeffs)[0] == 0.0
 
 
 def test_homogeneity_doubling_preserves_feasibility():
@@ -64,14 +66,14 @@ def test_homogeneity_doubling_preserves_feasibility():
 
 
 def test_minimal_coefficients_sit_on_the_boundary():
-    margin, _ = validate_coefficients(minimal_coefficients(), tol=1e-12)
+    margin, _ = validate_coefficients(MINIMAL, tol=1e-12)
     assert -1e-12 <= margin <= 1e-9   # zero up to float rounding of sqrt(3)
 
 
 def test_dropping_c7_fails_on_a_pure_rs_direction():
     draft = (0.5, 2.4, 2.4, 0.0)
     with pytest.raises(ConfigError) as err:
-        determine_coefficients(draft)
+        validate_coefficients(draft)
     assert "direction" in str(err.value)
     # the violating mechanism is explicit: no |dx|, |dy| content
     m = reduced_margin(draft, 0.0, 0.0, 1.0, 1.0)
@@ -80,7 +82,7 @@ def test_dropping_c7_fails_on_a_pure_rs_direction():
 
 def test_too_small_c1_is_rejected():
     with pytest.raises(ConfigError):
-        determine_coefficients((0.4, 2.4, 2.4, 600.0))
+        validate_coefficients((0.4, 2.4, 2.4, 600.0))
 
 
 def test_validation_rejects_nonpositive():

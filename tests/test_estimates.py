@@ -52,8 +52,9 @@ def test_bilinear_requires_subordination():
     X, Y, rng = make_pair(4, 2, 3)
     Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2, seed=4), rng)
     w = wt.power_weight_family(-0.5, 4)
+    tripled = mg.DyadicMartingale([3.0 * lev for lev in X.levels])
     with pytest.raises(SubordinationError):
-        est.verify_bilinear_estimate(X, X.scaled(3.0), Z, w, 10.0)
+        est.verify_bilinear_estimate(X, tripled, Z, w, 10.0)
 
 
 def test_bilinear_power_weight_instances():

@@ -22,7 +22,7 @@ def moll():
 
 
 def test_kernel_normalization(moll):
-    assert abs(moll.kernel_integral() - 1.0) <= 1e-8
+    assert abs(moll.kernel.sum() - 1.0) <= 1e-8
     assert (moll.kernel >= 0.0).all()
 
 

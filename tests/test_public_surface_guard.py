@@ -11,10 +11,10 @@ of each one:
 - a mention in the code of `README.md`, its code blocks and inline code;
 - a mention in `perfbench/*.py`, whose tracing names targets by string.
 
-Five names stay exported without such a use: the acceptance tests call
-`anchor_sensitivity` and `projection_consistency`, and `unweighted_norm`,
-`constant_multiplier` and `minimal_coefficients` are left for a later
-change of the surface.
+Two names stay exported without such a use: acceptance criterion 7 calls
+`anchor_sensitivity`, and `projection_consistency` is the projection check
+of the Hilbert-valued setting, which no acceptance test calls and
+`tests/test_estimates.py` alone reaches.
 
 The README's "Library quick start" block is run as well: it is the surface
 a reader meets first.
@@ -29,11 +29,9 @@ SRC = ROOT / "src" / "bellsub"
 README = ROOT / "README.md"
 
 ALLOWED = {
-    "anchor_sensitivity": "called by the acceptance tests (criterion 6)",
-    "projection_consistency": "called by the acceptance tests (criterion 7)",
-    "unweighted_norm": "left for a later change of the surface",
-    "constant_multiplier": "left for a later change of the surface",
-    "minimal_coefficients": "left for a later change of the surface",
+    "anchor_sensitivity": "called by acceptance criterion 7",
+    "projection_consistency": "the Hilbert-valued projection check, reached by "
+                              "tests/test_estimates.py only",
 }
 
 
