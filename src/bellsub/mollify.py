@@ -34,8 +34,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.interpolate import RegularGridInterpolator
 
 from .bellman import (BellmanConfig, b4_batch, domain_masks, evaluate_batch, h4_value,
                       kn_of_t, one_leg_margin)
@@ -137,6 +135,7 @@ class MollifiedH4:
         self.values = values
         self.kernel = kernel
         self.pad_cells = pad_cells
+        from scipy.interpolate import RegularGridInterpolator
         self._itp = RegularGridInterpolator(axes, values, method="linear",
                                             bounds_error=True)
         self._grad_itps = None
@@ -150,6 +149,7 @@ class MollifiedH4:
     def gradient(self, pts):
         """Interpolated gradient in the five variables (from grid central differences)."""
         if self._grad_itps is None:
+            from scipy.interpolate import RegularGridInterpolator
             grads = np.gradient(self.values, *[ax for ax in self.axes], edge_order=2)
             self._grad_itps = [RegularGridInterpolator(self.axes, g, method="linear",
                                                        bounds_error=True)
@@ -218,6 +218,8 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
+    # scipy is imported where it is called: tests/test_import_guard.py
+    from scipy import fft
     n = tuple(len(a) for a in padded_axes)
     L = tuple(fft.next_fast_len(k, real=True) for k in n)
     spectrum = fft.rfftn(_h4_samples(padded_axes, L))

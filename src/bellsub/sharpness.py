@@ -23,7 +23,6 @@ from __future__ import annotations
 import io
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import ConfigError, DomainError, InvalidInputError
 from .weights import (WeightTree, a2_characteristic, dyadic_averages, pair_increments,
@@ -59,6 +58,8 @@ def _wnorm2(vals, w):
 def _top_eigvec(apply, w_leaves):
     """Top generalized eigenvector of the symmetric operator `apply` against
     D = diag(w_leaves)/2^n: ARPACK on D^-1/2 apply D^-1/2, mapped back."""
+    # scipy is imported where it is called: tests/test_import_guard.py
+    from scipy.sparse.linalg import LinearOperator, eigsh
     sqD = np.sqrt(w_leaves / float(len(w_leaves)))
     op = LinearOperator((len(w_leaves),) * 2,
                         matvec=lambda g: apply(g / sqD) / sqD, dtype=float)

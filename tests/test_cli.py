@@ -157,6 +157,16 @@ def test_sharpness_command(tmp_path):
     assert len(lines) == 5 and lines[-1].startswith("# slope")
 
 
+def test_sharpness_seed_is_optional_and_ignored(capsys):
+    # the search draws nothing, so --seed may be left out and changes nothing
+    argv = ["sharpness", "--delta-grid", "-0.8:-0.5:3", "--depth", "6"]
+    outputs = []
+    for extra in ([], ["--seed", "1"]):
+        assert run(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_python_dash_m_bellsub_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
