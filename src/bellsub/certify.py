@@ -206,47 +206,113 @@ def _best_shift(h, tan, Q):
     V = min(m22, ty - lam), has (m11 - u)(m22 - 1/(Q^2 u)) >= m12^2.  The left
     side is concave in u and peaks at sqrt(m11/m22)/Q, so its clipped peak
     decides.  Gershgorin less 1/Q is reachable (at u = 1/Q); no lam > min diag h is.
+
+    The steps run in place on contiguous copies of the entries they read,
+    with the three cross terms of the Schur complement hoisted.  Every
+    operation keeps its operands and their grouping, and the clip is
+    np.clip's max-then-min, so u is the same bits as with fresh arrays at
+    each step.
     """
     diag = np.diagonal(h, axis1=1, axis2=2)
     lo = np.minimum(np.min(2.0 * diag - row_sum(np.abs(h)), axis=1),
                     np.minimum(*tan)) - 1.0 / Q
     hi = np.min(diag, axis=1)
     u = np.full(len(h), 1.0 / Q)
-    p0, p1, q0, q1 = h[:, 0, 2], h[:, 0, 3], h[:, 1, 2], h[:, 1, 3]
-    c12 = h[:, 2, 3]
+    h00, h11, h01, h22, h33, p0, p1, q0, q1, c12 = (
+        np.ascontiguousarray(h[:, i, j]) for i, j in
+        ((0, 0), (1, 1), (0, 1), (2, 2), (3, 3), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    tx, ty = np.ascontiguousarray(tan[0]), np.ascontiguousarray(tan[1])
+    c12sq = c12 * c12
+    pp, qq, pq = p0 * p1 + p1 * p0, q0 * q1 + q1 * q0, p0 * q1 + p1 * q0
+    QQ = Q * Q
+    lam, c11, c22, det, m11, m22, m12, top, side, floor, cand, t, t2 = np.empty((13, len(h)))
+    ok, test = np.empty((2, len(h)), dtype=bool)
+    mask, bits = np.empty((2, len(h)), dtype=np.int64)
+
+    def inv_form(x0, x1, y0, y1, cross, out):
+        # (c22 x0 y0 - c12 cross + c11 x1 y1) / det
+        np.multiply(c22, x0, out=out)
+        out *= y0
+        out -= np.multiply(c12, cross, out=t)
+        out += np.multiply(np.multiply(c11, x1, out=t), y1, out=t)
+        out /= det
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(64):     # the bracket shrinks to the float spacing
-            lam = 0.5 * (lo + hi)
-            c11, c22 = h[:, 2, 2] - lam, h[:, 3, 3] - lam
-            det = c11 * c22 - c12 * c12
-
-            def inv_form(x0, x1, y0, y1):
-                return (c22 * x0 * y0 - c12 * (x0 * y1 + x1 * y0) + c11 * x1 * y1) / det
-
-            m11 = h[:, 0, 0] - lam - inv_form(p0, p1, p0, p1)
-            m22 = h[:, 1, 1] - lam - inv_form(q0, q1, q0, q1)
-            m12 = h[:, 0, 1] - inv_form(p0, p1, q0, q1)
-            top, side = np.minimum(m11, tan[0] - lam), np.minimum(m22, tan[1] - lam)
-            floor = 1.0 / (Q * Q * side)
-            cand = np.clip(np.sqrt(m11 / m22) / Q, floor, top)
-            ok = ((c11 > 0.0) & (det > 0.0) & (top > 0.0) & (side > 0.0)
-                  & (floor <= top)
-                  & ((m11 - cand) * (m22 - 1.0 / (Q * Q * cand)) >= m12 * m12))
-            lo = np.where(ok, lam, lo)
-            hi = np.where(ok, hi, lam)
-            u = np.where(ok, cand, u)
+        # 64 steps leave a valid u, not the optimum: at step 64 the bracket
+        # still moves at a fifth to a half of the points
+        for _ in range(64):
+            np.add(lo, hi, out=lam)
+            lam *= 0.5
+            # M, the Schur complement of h_rs - lam I
+            np.subtract(h22, lam, out=c11)
+            np.subtract(h33, lam, out=c22)
+            np.multiply(c11, c22, out=det)
+            det -= c12sq
+            inv_form(p0, p1, p0, p1, pp, t2)
+            np.subtract(h00, lam, out=m11)
+            m11 -= t2
+            inv_form(q0, q1, q0, q1, qq, t2)
+            np.subtract(h11, lam, out=m22)
+            m22 -= t2
+            inv_form(p0, p1, q0, q1, pq, t2)
+            np.subtract(h01, t2, out=m12)
+            # the peak sqrt(m11/m22)/Q clipped into [floor, top], and its test
+            np.minimum(m11, np.subtract(tx, lam, out=t), out=top)
+            np.minimum(m22, np.subtract(ty, lam, out=t), out=side)
+            np.multiply(QQ, side, out=floor)
+            np.divide(1.0, floor, out=floor)
+            np.divide(m11, m22, out=cand)
+            np.sqrt(cand, out=cand)
+            cand /= Q
+            np.maximum(cand, floor, out=cand)
+            np.minimum(cand, top, out=cand)
+            np.greater(c11, 0.0, out=ok)
+            ok &= np.greater(det, 0.0, out=test)
+            ok &= np.greater(top, 0.0, out=test)
+            ok &= np.greater(side, 0.0, out=test)
+            ok &= np.less_equal(floor, top, out=test)
+            np.multiply(QQ, cand, out=t)
+            np.divide(1.0, t, out=t)
+            np.subtract(m22, t, out=t)
+            t *= np.subtract(m11, cand, out=t2)
+            ok &= np.greater_equal(t, np.multiply(m12, m12, out=t2), out=test)
+            # lo and u move where ok, hi where not
+            np.negative(ok, out=mask, dtype=np.int64)
+            _blend(lo, lam, mask, bits)
+            _blend(u, cand, mask, bits)
+            np.invert(mask, out=mask)
+            _blend(hi, lam, mask, bits)
     return u
+
+
+def _blend(dst, src, mask, scratch):
+    """dst = src where the int64 mask is all ones, kept where it is zero, as
+    bit operations.  numpy's masked copies (where, putmask, copyto) branch on
+    each mask entry, and a bisection's masks are coin flips."""
+    d, s = dst.view(np.int64), src.view(np.int64)
+    np.bitwise_xor(d, s, out=scratch)
+    scratch &= mask
+    d ^= scratch
 
 
 def _ellipse(h, tan, cfg):
     """Per point: the Hessian lower bound at the best tau found, that tau
     clipped into the band [eps/(10Q), 10Q/eps], and the exact feasibility
-    min over unit dV of Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 there."""
+    min over unit dV of Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 there.
+
+    Where tau/Q is u bit for bit, the level at tau/Q is the one at u, since
+    eigvalsh of a batch is eigvalsh of each matrix: only the other rows (the
+    band-clipped ones, and any NaN) are evaluated again."""
     Q = cfg.Q
     u = _best_shift(h, tan, Q)
     lower = _ellipse_level(h, tan, u, Q)
     tau = np.clip(Q * u, KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps)
-    return lower, tau, Q * _ellipse_level(h, tan, tau / Q, Q)
+    feas = Q * lower
+    moved = tau / Q != u
+    if moved.any():
+        feas[moved] = Q * _ellipse_level(h[moved], (tan[0][moved], tan[1][moved]),
+                                         tau[moved] / Q, Q)
+    return lower, tau, feas
 
 
 def _witness(h, tan, xhat, yhat, tau, Q):

@@ -32,7 +32,11 @@ rotation transform draws and QR-factors one Gaussian matrix per node with
 `np.linalg.qr`, the reference for the batched draws and the 2x2 Householder
 arithmetic of `rotation_transform`.  The uncropped bump is the kernel on the
 full floor(ell/h) box, zero outer faces included, that the cropped
-`bump_kernel` replaced, kept verbatim.
+`bump_kernel` replaced, kept verbatim.  `two_level_ellipse` is the ellipse
+certificate that evaluated its level twice, at u and at the band-clipped
+tau/Q, with `allocating_best_shift`, the bisection that allocated fresh
+arrays at every step: both kept verbatim as bit-for-bit references of
+`certify._ellipse`, with the `_ellipse_level` they called.
 """
 
 from math import gcd
@@ -42,9 +46,10 @@ from scipy import fft
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
+from bellsub.certify import KAPPA_HI, KAPPA_LO
 from bellsub.errors import InvalidInputError, SubordinationError
 from bellsub.martingales import DyadicMartingale
-from bellsub.weights import dyadic_averages
+from bellsub.weights import dyadic_averages, row_sum
 
 
 def brute_force_h4(a, b, r, s, k, iters=220):
@@ -419,3 +424,65 @@ def with_anchor(X, a):
     return DyadicMartingale(
         [np.concatenate([np.full((lev.shape[0], 1), float(a)), lev], axis=1)
          for lev in X.levels])
+
+
+def two_level_ellipse_level(h, tan, u, Q):
+    """The bound above at u = tau/Q, per point (one batched eigvalsh)."""
+    w = 1.0 / (Q * Q * u)
+    shifted = h.copy()
+    shifted[:, 0, 0] -= u
+    shifted[:, 1, 1] -= w
+    low = np.linalg.eigvalsh(shifted)[:, 0]
+    return np.minimum(low, np.minimum(tan[0] - u, tan[1] - w))
+
+
+def allocating_best_shift(h, tan, Q):
+    """u = tau/Q for a near-best bound, by bisection on the level lam.
+
+    lam is reachable iff, for some u > 0, h - lam I - diag(u, 1/(Q^2 u), 0, 0)
+    >= 0, tx - u >= lam and ty - 1/(Q^2 u) >= lam: with h_rs - lam I > 0 and M
+    its Schur complement, iff some u in [1/(Q^2 V), U], U = min(m11, tx - lam),
+    V = min(m22, ty - lam), has (m11 - u)(m22 - 1/(Q^2 u)) >= m12^2.  The left
+    side is concave in u and peaks at sqrt(m11/m22)/Q, so its clipped peak
+    decides.  Gershgorin less 1/Q is reachable (at u = 1/Q); no lam > min diag h is.
+    """
+    diag = np.diagonal(h, axis1=1, axis2=2)
+    lo = np.minimum(np.min(2.0 * diag - row_sum(np.abs(h)), axis=1),
+                    np.minimum(*tan)) - 1.0 / Q
+    hi = np.min(diag, axis=1)
+    u = np.full(len(h), 1.0 / Q)
+    p0, p1, q0, q1 = h[:, 0, 2], h[:, 0, 3], h[:, 1, 2], h[:, 1, 3]
+    c12 = h[:, 2, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):     # the bracket shrinks to the float spacing
+            lam = 0.5 * (lo + hi)
+            c11, c22 = h[:, 2, 2] - lam, h[:, 3, 3] - lam
+            det = c11 * c22 - c12 * c12
+
+            def inv_form(x0, x1, y0, y1):
+                return (c22 * x0 * y0 - c12 * (x0 * y1 + x1 * y0) + c11 * x1 * y1) / det
+
+            m11 = h[:, 0, 0] - lam - inv_form(p0, p1, p0, p1)
+            m22 = h[:, 1, 1] - lam - inv_form(q0, q1, q0, q1)
+            m12 = h[:, 0, 1] - inv_form(p0, p1, q0, q1)
+            top, side = np.minimum(m11, tan[0] - lam), np.minimum(m22, tan[1] - lam)
+            floor = 1.0 / (Q * Q * side)
+            cand = np.clip(np.sqrt(m11 / m22) / Q, floor, top)
+            ok = ((c11 > 0.0) & (det > 0.0) & (top > 0.0) & (side > 0.0)
+                  & (floor <= top)
+                  & ((m11 - cand) * (m22 - 1.0 / (Q * Q * cand)) >= m12 * m12))
+            lo = np.where(ok, lam, lo)
+            hi = np.where(ok, hi, lam)
+            u = np.where(ok, cand, u)
+    return u
+
+
+def two_level_ellipse(h, tan, cfg):
+    """Per point: the Hessian lower bound at the best tau found, that tau
+    clipped into the band [eps/(10Q), 10Q/eps], and the exact feasibility
+    min over unit dV of Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 there."""
+    Q = cfg.Q
+    u = allocating_best_shift(h, tan, Q)
+    lower = two_level_ellipse_level(h, tan, u, Q)
+    tau = np.clip(Q * u, KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps)
+    return lower, tau, Q * two_level_ellipse_level(h, tan, tau / Q, Q)

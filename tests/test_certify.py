@@ -9,7 +9,9 @@ from bellsub import certify as ct
 from bellsub.bellman import (evaluate_batch, hessian_quadratic_form, one_leg_margin,
                              partial_xx_form, partial_yy_form)
 from bellsub.errors import ConfigError
-from oracles import direction_bank, split_directions
+import oracles
+from oracles import (allocating_best_shift, direction_bank, split_directions,
+                     two_level_ellipse)
 
 CFG = bs.BellmanConfig(Q=16.0)
 
@@ -295,6 +297,80 @@ def test_extract_tau_failure_names_a_violating_direction():
     value = _ellipse_form(sub, xhat, yhat, witness[:, None, :], tau, weak.Q)[:, 0]
     assert value == pytest.approx(feas[failed], rel=1e-9)
     assert (value < 0.0).all()
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("Q", (1.0, 1.5, 2.0, 10.0, 16.0, 256.0, 1e4))
+def test_ellipse_is_the_two_level_oracle_bit_for_bit(Q, dim):
+    cfg = bs.BellmanConfig(Q=Q, dim=dim)
+    for seed in (1, 2, 3):
+        batch, _, _ = batch_of(cfg, 1024, seed)
+        h, tan = ct._radial(batch, dim)
+        u = ct._best_shift(h, tan, Q)
+        assert np.array_equal(u, allocating_best_shift(h, tan, Q), equal_nan=True)
+        _, tau, _ = got = ct._ellipse(h, tan, cfg)
+        for mine, ref in zip(got, two_level_ellipse(h, tan, cfg)):
+            assert np.array_equal(mine, ref, equal_nan=True)
+        if Q <= 2.0:     # the rows evaluated twice are there to compare
+            assert (tau != Q * u).any()
+
+
+def test_ellipse_evaluates_again_where_tau_over_q_rounds_off_u(monkeypatch):
+    # (10 u)/10 is not u for about one u in seven, though no u the bisection
+    # returned on the samples so far was one of them; entries of h the size
+    # of u let that last bit reach the level
+    cfg = bs.BellmanConfig(Q=10.0)
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(512, 4, 4))
+    h = 0.3 * np.eye(4) + 0.01 * (g + np.swapaxes(g, 1, 2))
+    tan = (np.full(512, 0.3), np.full(512, 0.3))
+    u = rng.uniform(0.05, 0.2, 512)      # tau = 10 u in the band
+    assert ((10.0 * u) / 10.0 != u).sum() > 20
+    monkeypatch.setattr(ct, "_best_shift", lambda h, tan, Q: u)
+    monkeypatch.setattr(oracles, "allocating_best_shift", lambda h, tan, Q: u)
+    got, ref = ct._ellipse(h, tan, cfg), two_level_ellipse(h, tan, cfg)
+    assert not np.array_equal(ref[0] * 10.0, ref[2])     # the level moved
+    for mine, theirs in zip(got, ref):
+        assert np.array_equal(mine, theirs)
+
+
+def test_eigvalsh_of_a_batch_is_eigvalsh_of_each_matrix():
+    # `_ellipse` reuses the level at u for every row whose tau/Q is u, so
+    # a row's eigenvalues must not depend on the rows batched with it
+    batch, _, _ = batch_of(bs.BellmanConfig(Q=2.0), 2048, seed=5)
+    h, _ = ct._radial(batch, 2)
+    full = np.linalg.eigvalsh(h)
+    rng = np.random.default_rng(0)
+    for rows in (np.arange(2048)[::-1], rng.permutation(2048)[:777],
+                 np.flatnonzero(rng.random(2048) < 0.1), [3], [2047, 0, 1]):
+        assert np.array_equal(np.linalg.eigvalsh(h[rows]), full[rows])
+
+
+@pytest.mark.parametrize("Q", (2.0, 16.0))
+def test_ellipse_evaluates_the_level_again_only_on_clipped_rows(Q, monkeypatch):
+    cfg = bs.BellmanConfig(Q=Q)
+    batch, _, _ = batch_of(cfg, 2048, seed=1)
+    h, tan = ct._radial(batch, 2)
+    u = allocating_best_shift(h, tan, Q)
+    clipped = two_level_ellipse(h, tan, cfg)[1] != Q * u     # Q * u / Q is u
+    if Q == 16.0:       # a batch of unclipped rows alone
+        keep = ~clipped
+        h, tan, clipped = h[keep], (tan[0][keep], tan[1][keep]), clipped[keep]
+    calls = []
+    level = ct._ellipse_level
+
+    def counted(h, tan, u, Q):
+        calls.append(h)
+        return level(h, tan, u, Q)
+
+    monkeypatch.setattr(ct, "_ellipse_level", counted)
+    ct._ellipse(h, tan, cfg)
+    assert calls[0] is h
+    if Q == 16.0:
+        assert len(calls) == 1 and len(h) > 2000
+    else:
+        assert len(calls) == 2 and clipped.sum() > 100
+        assert np.array_equal(calls[1], h[clipped])
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,11 @@ CASES = {
                                  "--depth", "6", "--num", "4"],
     "sharpness-depth10.csv": ["sharpness", "--delta-grid", "-0.9:-0.1:5",
                               "--depth", "10", "--seed", "0"],
+    # at Q = 2 about one tau in nine is clipped to an edge of the band
+    "tau-sweep-Q2.csv": ["tau-sweep", "--Q", "2", "--samples", "256", "--seed", "3"],
 }
 CASES.update({f"certify-Q{q}.txt": ["certify", "--samples", "4096", "--seed", "3",
-                                    "--Q", str(q)] for q in (2, 16, 256)})
+                                    "--Q", str(q)] for q in (2, 10, 16, 256)})
 
 
 def env_line():
