@@ -33,6 +33,7 @@ import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,6 +50,12 @@ TAU_FEAS_TOL = 1e-6
 KAPPA_LO = 0.1
 KAPPA_HI = 10.0
 BATCH = 2048
+
+# each check: its name, the roundoff floor its least margin must clear, and
+# whether it skips the cut points (the C^2 checks do)
+CHECKS = (("hessian_lower", MARGIN_TOL, True), ("one_leg", MARGIN_TOL, False),
+          ("size_bound", 0.0, False), ("dxx_bound", MARGIN_TOL, True),
+          ("dyy_bound", MARGIN_TOL, True))
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,10 @@ class TauStats:
     within_bounds: bool
     min_feasibility: float
 
+    @property
+    def passed(self):
+        return self.within_bounds and self.min_feasibility >= -TAU_FEAS_TOL
+
 
 @dataclass
 class CertReport:
@@ -98,26 +109,20 @@ class CertReport:
 
     @property
     def overall_pass(self):
-        ok = self.coefficients_ok and all(c.passed for c in self.checks)
-        if self.tau_stats is not None:
-            ok = ok and self.tau_stats.within_bounds \
-                 and self.tau_stats.min_feasibility >= -TAU_FEAS_TOL
-        return ok
+        return (self.coefficients_ok and all(c.passed for c in self.checks)
+                and (self.tau_stats is None or self.tau_stats.passed))
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def _sample_arrays(cfg: BellmanConfig, rng, count):
-    """Points of D_Q^{eps, ell}: log(rs) uniform on [0, log t_max], log r
-    uniform on the feasible slice, sphere directions with log-uniform radii.
-
-    t_max = min(Q, eps^-2): the eps box caps rs at eps^-2, so for Q beyond
-    that the admissible product range saturates.
-    """
-    tmax = min(cfg.Q, cfg.eps ** -2)
-    t = np.exp(rng.uniform(0.0, np.log(tmax), count))
+def _sample_arrays(cfg: BellmanConfig, seed, count):
+    """Points of D_Q^{eps, ell}, drawn from `np.random.default_rng(seed)`:
+    log(rs) uniform on [0, log t_max], log r uniform on the feasible slice,
+    sphere directions with log-uniform radii."""
+    rng = np.random.default_rng(seed)
+    t = np.exp(rng.uniform(0.0, np.log(_t_max(cfg)), count))
     r = np.exp(_slice_log_r(t, cfg.eps, rng.random(count)))
     s = t / r
     radius_x = np.exp(rng.uniform(np.log(cfg.ell), np.log(1.0 / cfg.eps), count))
@@ -125,6 +130,12 @@ def _sample_arrays(cfg: BellmanConfig, rng, count):
     x = _sphere(rng, count, cfg.dim) * radius_x[:, None]
     y = _sphere(rng, count, cfg.dim) * radius_y[:, None]
     return x, y, r, s
+
+
+def _t_max(cfg):
+    """min(Q, eps^-2), the cap on rs; an eps^-2 past the float range is inf."""
+    with np.errstate(over="ignore"):
+        return min(cfg.Q, np.float64(cfg.eps) ** -2)
 
 
 def _slice_log_r(t, eps, u):
@@ -140,24 +151,14 @@ def _sphere(rng, n, d):
     return v / row_norm(v)[:, None]
 
 
-def _streams(spec: SampleSpec):
-    """Per-purpose, per-batch seed streams; fixed layout independent of workers."""
-    n_batches = max(1, -(-spec.count // BATCH))
-    root = np.random.SeedSequence(spec.seed)
-    points, pairs = root.spawn(2)
-    return {
-        "points": points.spawn(n_batches),
-        "pairs": pairs.spawn(n_batches),
-    }, n_batches
-
-
-def _point_batches(cfg: BellmanConfig, spec: SampleSpec):
-    """(x, y, r, s) of each sample batch, in sample order."""
-    streams, n_batches = _streams(spec)
-    for b in range(n_batches):
-        size = min(BATCH, spec.count - b * BATCH)
-        if size > 0:
-            yield _sample_arrays(cfg, np.random.default_rng(streams["points"][b]), size)
+def _batches(spec: SampleSpec):
+    """(size, point seed, pair seed) of each sample batch, in sample order;
+    seeds are spawned by batch index, whatever the number of workers.  An
+    empty plan is one empty batch."""
+    n = max(1, -(-spec.count // BATCH))
+    points, pairs = np.random.SeedSequence(spec.seed).spawn(2)
+    return [(min(BATCH, spec.count - b * BATCH), pt, pr)
+            for b, (pt, pr) in enumerate(zip(points.spawn(n), pairs.spawn(n)))]
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +341,10 @@ def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
     skipping cut-adjacent points; ok is False when any point has no feasible
     in-band tau.
     """
-    rows = []
-    ok = True
-    idx = 0
-    for x, y, r, s in _point_batches(cfg, spec):
-        a, b = row_norm(x), row_norm(y)
-        batch = evaluate_batch(a, b, r, s, cfg)
-        _, tau, feas = _ellipse(*_radial(batch, cfg.dim), cfg)
-        ok &= bool((feas[~batch.cut] >= -TAU_FEAS_TOL).all())
-        rows += [(idx + i, float(r[i]), float(s[i]), float(a[i]), float(b[i]),
-                  float(tau[i])) for i in range(len(r)) if not batch.cut[i]]
-        idx += len(r)
-    return rows, ok
+    kept = _records(cfg, spec)[1]
+    a, b, r, s = kept["point"].T.tolist()
+    rows = list(zip(kept["index"].tolist(), r, s, a, b, kept["tau"].tolist()))
+    return rows, bool((kept["feas"] >= -TAU_FEAS_TOL).all())
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +389,7 @@ def _c1_grid(cfg, n, *radii):
     log r in its slice (as in `_sample_arrays`), and log of each radius on
     its (lo, hi) range."""
     m = max(2, round(n ** (1.0 / 3.0)))
-    axes = [np.linspace(0.0, np.log(min(cfg.Q, cfg.eps ** -2)), m),
-            np.linspace(0.0, 1.0, m)]
+    axes = [np.linspace(0.0, np.log(_t_max(cfg)), m), np.linspace(0.0, 1.0, m)]
     axes += [np.linspace(np.log(lo), np.log(hi), m) for lo, hi in radii]
     logt, u, *logs = (g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
     t = np.exp(logt)
@@ -440,8 +432,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
     report, which is produced either way; only malformed inputs raise.
     """
     t0 = time.perf_counter()
-    note = ""
-    coeffs_ok = True
+    note, coeffs_ok = "", True
     try:
         validate_coefficients(cfg.coefficients)
     except ConfigError as exc:
@@ -453,32 +444,19 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
                           note=note or "no samples: checks pass vacuously",
                           coefficients_ok=coeffs_ok)
 
-    streams, n_batches = _streams(spec)
-    sizes = [min(BATCH, spec.count - b * BATCH) for b in range(n_batches)]
-
-    def work(b):
-        return _certify_batch(cfg, sizes[b], streams["points"][b], streams["pairs"][b])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(work, range(n_batches)))
-    else:
-        parts = [work(b) for b in range(n_batches)]
-
+    merged, kept = _records(cfg, spec, jobs)
     checks = []
-    for name in ("hessian_lower", "one_leg", "size_bound", "dxx_bound", "dyy_bound"):
-        margins = np.concatenate([p[name][0] for p in parts])
-        points = np.concatenate([p[name][1] for p in parts], axis=0)
-        skipped = sum(p[name][2] for p in parts)
+    for name, floor, skips_cut in CHECKS:
+        rows = kept if skips_cut else merged
+        margins = rows[name]
         i = int(np.argmin(margins)) if len(margins) else 0
         checks.append(CheckRecord(
-            name=name, samples=len(margins), skipped=skipped,
+            name=name, samples=len(margins), skipped=spec.count - len(margins),
             min_margin=float(margins[i]) if len(margins) else 0.0,
-            worst_point=_fmt_point(points[i]) if len(margins) else "",
-            passed=bool(len(margins) == 0 or margins[i] >= -_tolerance(name))))
+            worst_point=_fmt_point(rows["point"][i]) if len(margins) else "",
+            passed=bool(len(margins) == 0 or margins[i] >= -floor)))
 
-    taus = np.concatenate([p["tau"][0] for p in parts])
-    feas = np.concatenate([p["tau"][1] for p in parts])
+    taus, feas = kept["tau"], kept["feas"]
     band_lo, band_hi = KAPPA_LO * cfg.eps / cfg.Q, KAPPA_HI * cfg.Q / cfg.eps
     # with every sample excluded near the cuts the tau band holds vacuously:
     # min and max of the empty set read inf and -inf
@@ -492,44 +470,52 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
                       coefficients_ok=coeffs_ok)
 
 
-def _tolerance(name):
-    return 0.0 if name == "size_bound" else MARGIN_TOL
+def _records(cfg, spec, jobs=1):
+    """The records of the plan's batches joined in sample order, and their
+    rows away from the cuts (the rows of the C^2 checks and of tau)."""
+    work = partial(_certify_batch, cfg)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            parts = list(ex.map(work, _batches(spec)))
+    else:
+        parts = list(map(work, _batches(spec)))
+    merged = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    merged["index"] = np.arange(spec.count)
+    return merged, {k: v[~merged["cut"]] for k, v in merged.items()}
 
 
-def _certify_batch(cfg, size, pt_stream, pair_stream):
-    x, y, r, s = _sample_arrays(cfg, np.random.default_rng(pt_stream), size)
-    a, b = row_norm(x), row_norm(y)
-    batch = evaluate_batch(a, b, r, s, cfg)
-    pts = np.stack([a, b, r, s], axis=1)
-    keep = ~batch.cut                   # the C^2 checks skip cut points
-    skipped = int(batch.cut.sum())
-
-    h, tan = _radial(batch, cfg.dim)
+def _certify_batch(cfg, job):
+    """One batch's record: per sample, in sample order, the point (a, b, r, s),
+    the cut flag, each check's margin, tau and its feasibility."""
+    size, pt_seed, pair_seed = job
+    x, y, r, s = _sample_arrays(cfg, pt_seed, size)
+    # eps and ell far below 1 put h past the float range, where eigvalsh
+    # fails: that config is refused in one line, without overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = row_norm(x), row_norm(y)
+        batch = evaluate_batch(a, b, r, s, cfg)
+        h, tan = _radial(batch, cfg.dim)
+    if not np.isfinite(h).all():
+        raise ConfigError(f"eps {cfg.eps!r} and ell {cfg.ell!r} put the radial "
+                          "Hessian beyond the float64 range")
     lower, tau, feas = _ellipse(h, tan, cfg)
-    out = {"hessian_lower": (lower[keep], pts[keep], skipped),
-           "tau": (tau[keep], feas[keep])}
 
     # one-leg pairs: independent second sample, gradient at the first point
-    x2, y2, r2, s2 = _sample_arrays(cfg, np.random.default_rng(pair_stream), size)
-    a2, b2 = row_norm(x2), row_norm(y2)
-    val2 = profile_value(a2, b2, r2, s2, cfg)
-    ol_margin, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
-                                     val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)
-    out["one_leg"] = (ol_margin, pts, 0)
-
-    size_margin = cfg.size_constant * (a * a / r + b * b / s) - batch.value
-    out["size_bound"] = (size_margin, pts, 0)
+    x2, y2, r2, s2 = _sample_arrays(cfg, pair_seed, size)
+    val2 = profile_value(row_norm(x2), row_norm(y2), r2, s2, cfg)
+    one_leg, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
+                                   val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)
 
     cx, cy = _axis_curvatures(h, tan)
     cap = cfg.dxx_constant / cfg.eps
-    out["dxx_bound"] = ((cap - cx)[keep], pts[keep], skipped)
-    out["dyy_bound"] = ((cap - cy)[keep], pts[keep], skipped)
-    return out
+    return {"point": np.stack([a, b, r, s], axis=1), "cut": batch.cut,
+            "hessian_lower": lower, "one_leg": one_leg,
+            "size_bound": cfg.size_constant * (a * a / r + b * b / s) - batch.value,
+            "dxx_bound": cap - cx, "dyy_bound": cap - cy, "tau": tau, "feas": feas}
 
 
 def _fmt_point(p):
-    return (f"a={float(p[0])!r} b={float(p[1])!r} "
-            f"r={float(p[2])!r} s={float(p[3])!r}")
+    return "a={!r} b={!r} r={!r} s={!r}".format(*map(float, p))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +554,6 @@ def report_to_csv(rep: CertReport) -> str:
                   f"\"{c.worst_point}\",{str(c.passed).lower()}\n")
     if rep.tau_stats is not None:
         ts = rep.tau_stats
-        ok = ts.within_bounds and ts.min_feasibility >= -TAU_FEAS_TOL
         out.write(f"tau_band,{rep.spec.count},0,{ts.min_feasibility!r},"
-                  f"\"tau in [{ts.min!r}, {ts.max!r}]\",{str(ok).lower()}\n")
+                  f"\"tau in [{ts.min!r}, {ts.max!r}]\",{str(ts.passed).lower()}\n")
     return out.getvalue()

@@ -7,8 +7,8 @@ plan of certify and tau-sweep holds only --samples and --seed; the domain it
 samples is the one --Q, --eps, --ell and --dim set.  sharpness draws nothing:
 its --seed is optional, still accepted, and changes nothing.  Exit codes:
 0 all checks pass / output written, 1 a verified property failed,
-2 bad flags or malformed input files.  Reports go to --out (default stdout);
-diagnostics go to stderr.
+2 bad flags (values past float64 or the memory included) or malformed
+input files.  Reports go to --out (default stdout); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -155,17 +155,14 @@ def cmd_simulate(args):
 
 
 def _parse_delta_grid(text):
-    usage = "delta grid must be start:stop:count or a comma list"
     try:
         if "," in text:
             return [float(v) for v in text.split(",")]
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(usage)
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(start, stop, count))
+        start, stop, count = text.split(":")
+        return list(np.linspace(float(start), float(stop), int(count)))
     except ValueError as exc:
-        raise ConfigError(f"{usage}, got {text!r} ({exc})") from None
+        raise ConfigError("delta grid must be start:stop:count or a comma list, "
+                          f"got {text!r} ({exc})") from None
 
 
 def cmd_sharpness(args):
@@ -240,8 +237,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return COMMANDS[args.command](args)
-    # OSError: --out names a path that cannot be written
-    except (DomainError, InvalidInputError, ConfigError, OSError) as exc:
+    # OSError: --out names a path that cannot be written; MemoryError: numpy
+    # refuses an array past the memory (a huge --dim) before allocating it
+    except (DomainError, InvalidInputError, ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,8 +37,16 @@ certificate that evaluated its level twice, at u and at the band-clipped
 tau/Q, with `allocating_best_shift`, the bisection that allocated fresh
 arrays at every step: both kept verbatim as bit-for-bit references of
 `certify._ellipse`, with the `_ellipse_level` they called.
+`triple_run_certification` is the certification run whose batches each
+returned a (margins, points, skipped) triple per check, already cut, with
+`triple_certify_batch`, `triple_tolerance` and `triple_fmt_point` as they
+were: kept verbatim as the byte-for-byte reference of the per-sample record
+and its one merge, except that the batch sizes and seeds come from
+`certify._batches` (the goldens hold the seed layout).
 """
 
+import time
+from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
@@ -46,10 +54,14 @@ from scipy import fft
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
-from bellsub.certify import KAPPA_HI, KAPPA_LO
-from bellsub.errors import InvalidInputError, SubordinationError
+from bellsub.bellman import evaluate_batch, one_leg_margin, profile_value
+from bellsub.certify import (KAPPA_HI, KAPPA_LO, MARGIN_TOL, CertReport, CheckRecord,
+                             TauStats, _axis_curvatures, _batches, _ellipse, _radial,
+                             _sample_arrays)
+from bellsub.coefficients import validate_coefficients
+from bellsub.errors import ConfigError, InvalidInputError, SubordinationError
 from bellsub.martingales import DyadicMartingale
-from bellsub.weights import dyadic_averages, row_sum
+from bellsub.weights import dyadic_averages, row_norm, row_sum
 
 
 def brute_force_h4(a, b, r, s, k, iters=220):
@@ -486,3 +498,102 @@ def two_level_ellipse(h, tan, cfg):
     lower = two_level_ellipse_level(h, tan, u, Q)
     tau = np.clip(Q * u, KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps)
     return lower, tau, Q * two_level_ellipse_level(h, tan, tau / Q, Q)
+
+
+def triple_run_certification(cfg, spec, jobs=1):
+    """Execute every check over spec.count samples; deterministic per seed.
+
+    Check failures (including an infeasible coefficient draft) land in the
+    report, which is produced either way; only malformed inputs raise.
+    """
+    t0 = time.perf_counter()
+    note = ""
+    coeffs_ok = True
+    try:
+        validate_coefficients(cfg.coefficients)
+    except ConfigError as exc:
+        coeffs_ok = False
+        note = f"coefficient validation failed: {exc}"
+    if spec.count == 0:
+        return CertReport(cfg=cfg, spec=spec, checks=[], tau_stats=None,
+                          runtime=time.perf_counter() - t0,
+                          note=note or "no samples: checks pass vacuously",
+                          coefficients_ok=coeffs_ok)
+
+    batches = _batches(spec)
+    n_batches = len(batches)
+
+    def work(b):
+        return triple_certify_batch(cfg, *batches[b])
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as ex:
+            parts = list(ex.map(work, range(n_batches)))
+    else:
+        parts = [work(b) for b in range(n_batches)]
+
+    checks = []
+    for name in ("hessian_lower", "one_leg", "size_bound", "dxx_bound", "dyy_bound"):
+        margins = np.concatenate([p[name][0] for p in parts])
+        points = np.concatenate([p[name][1] for p in parts], axis=0)
+        skipped = sum(p[name][2] for p in parts)
+        i = int(np.argmin(margins)) if len(margins) else 0
+        checks.append(CheckRecord(
+            name=name, samples=len(margins), skipped=skipped,
+            min_margin=float(margins[i]) if len(margins) else 0.0,
+            worst_point=triple_fmt_point(points[i]) if len(margins) else "",
+            passed=bool(len(margins) == 0 or margins[i] >= -triple_tolerance(name))))
+
+    taus = np.concatenate([p["tau"][0] for p in parts])
+    feas = np.concatenate([p["tau"][1] for p in parts])
+    band_lo, band_hi = KAPPA_LO * cfg.eps / cfg.Q, KAPPA_HI * cfg.Q / cfg.eps
+    # with every sample excluded near the cuts the tau band holds vacuously:
+    # min and max of the empty set read inf and -inf
+    tau_stats = TauStats(
+        min=float(taus.min(initial=np.inf)), max=float(taus.max(initial=-np.inf)),
+        band_lo=band_lo, band_hi=band_hi,
+        within_bounds=bool((taus >= band_lo).all() and (taus <= band_hi).all()),
+        min_feasibility=float(feas.min(initial=np.inf)))
+    return CertReport(cfg=cfg, spec=spec, checks=checks, tau_stats=tau_stats,
+                      runtime=time.perf_counter() - t0, note=note,
+                      coefficients_ok=coeffs_ok)
+
+
+def triple_tolerance(name):
+    return 0.0 if name == "size_bound" else MARGIN_TOL
+
+
+def triple_certify_batch(cfg, size, pt_stream, pair_stream):
+    x, y, r, s = _sample_arrays(cfg, np.random.default_rng(pt_stream), size)
+    a, b = row_norm(x), row_norm(y)
+    batch = evaluate_batch(a, b, r, s, cfg)
+    pts = np.stack([a, b, r, s], axis=1)
+    keep = ~batch.cut                   # the C^2 checks skip cut points
+    skipped = int(batch.cut.sum())
+
+    h, tan = _radial(batch, cfg.dim)
+    lower, tau, feas = _ellipse(h, tan, cfg)
+    out = {"hessian_lower": (lower[keep], pts[keep], skipped),
+           "tau": (tau[keep], feas[keep])}
+
+    # one-leg pairs: independent second sample, gradient at the first point
+    x2, y2, r2, s2 = _sample_arrays(cfg, np.random.default_rng(pair_stream), size)
+    a2, b2 = row_norm(x2), row_norm(y2)
+    val2 = profile_value(a2, b2, r2, s2, cfg)
+    ol_margin, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
+                                     val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)
+    out["one_leg"] = (ol_margin, pts, 0)
+
+    size_margin = cfg.size_constant * (a * a / r + b * b / s) - batch.value
+    out["size_bound"] = (size_margin, pts, 0)
+
+    cx, cy = _axis_curvatures(h, tan)
+    cap = cfg.dxx_constant / cfg.eps
+    out["dxx_bound"] = ((cap - cx)[keep], pts[keep], skipped)
+    out["dyy_bound"] = ((cap - cy)[keep], pts[keep], skipped)
+    return out
+
+
+def triple_fmt_point(p):
+    return (f"a={float(p[0])!r} b={float(p[1])!r} "
+            f"r={float(p[2])!r} s={float(p[3])!r}")

@@ -71,12 +71,10 @@ def test_criterion_1_bellman_certification(cert_reports):
 def test_criterion_2_h4_supremum_oracle():
     cfg = bs.BellmanConfig(Q=16.0, eps=EPS, ell=ELL, dim=DIM)
     spec = ct.SampleSpec(count=N_SAMPLES, seed=2)
-    streams, nb = ct._streams(spec)
     worst = 0.0
     regions = set()
-    for bidx in range(nb):
-        size = min(ct.BATCH, spec.count - bidx * ct.BATCH)
-        x, y, r, s = ct._sample_arrays(cfg, np.random.default_rng(streams["points"][bidx]), size)
+    for size, seed, _ in ct._batches(spec):
+        x, y, r, s = ct._sample_arrays(cfg, seed, size)
         a = np.linalg.norm(x, axis=1)
         b = np.linalg.norm(y, axis=1)
         t = r * s

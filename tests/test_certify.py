@@ -11,14 +11,15 @@ from bellsub.bellman import (evaluate_batch, hessian_quadratic_form, one_leg_mar
 from bellsub.errors import ConfigError
 import oracles
 from oracles import (allocating_best_shift, direction_bank, split_directions,
-                     two_level_ellipse)
+                     triple_run_certification, two_level_ellipse)
 
 CFG = bs.BellmanConfig(Q=16.0)
 
 
 def sample(cfg, count, seed):
     """The plan's (x, y, r, s) arrays, its batches joined."""
-    parts = list(ct._point_batches(cfg, ct.SampleSpec(count=count, seed=seed)))
+    parts = [ct._sample_arrays(cfg, pt_seed, size)
+             for size, pt_seed, _ in ct._batches(ct.SampleSpec(count=count, seed=seed))]
     return [np.concatenate(v) for v in zip(*parts)]
 
 
@@ -75,18 +76,12 @@ def test_single_point_checks_take_the_q1_samples_below_rs_1():
 
 def test_log_rs_uniformity_chi2():
     from scipy.stats import chi2
-    spec = ct.SampleSpec(count=100_000, seed=11)
-    streams, nb = ct._streams(spec)
-    ts = []
-    for b in range(nb):
-        size = min(ct.BATCH, spec.count - b * ct.BATCH)
-        x, y, r, s = ct._sample_arrays(CFG, np.random.default_rng(streams["points"][b]), size)
-        ts.append(r * s)
-    logt = np.log(np.concatenate(ts))
-    tmax = min(CFG.Q, CFG.eps ** -2)
+    count = 100_000
+    _, _, r, s = sample(CFG, count, seed=11)
     k = 40
-    counts, _ = np.histogram(logt, bins=k, range=(0.0, np.log(tmax)))
-    expect = spec.count / k
+    # rs <= min(Q, eps^-2) = Q here
+    counts, _ = np.histogram(np.log(r * s), bins=k, range=(0.0, np.log(CFG.Q)))
+    expect = count / k
     stat = float(((counts - expect) ** 2 / expect).sum())
     assert stat < chi2.ppf(0.999, k - 1)
 
@@ -205,8 +200,7 @@ def test_tau_scaling_recorded_not_asserted(capsys):
 
 def _bank(Q, dim, n=2048, seed=1):
     cfg = bs.BellmanConfig(Q=Q, dim=dim)
-    spec = ct.SampleSpec(count=n, seed=seed)
-    x, y, r, s = next(ct._point_batches(cfg, spec))
+    x, y, r, s = sample(cfg, n, seed)
     a, b = np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1)
     xhat, yhat = x / a[:, None], y / b[:, None]
     batch = evaluate_batch(a, b, r, s, cfg)
@@ -425,10 +419,27 @@ def test_certify_and_tau_sweep_skip_the_same_cut_points(monkeypatch):
     for name in ("hessian_lower", "dxx_bound", "dyy_bound"):
         assert by_name[name].skipped == skipped
         assert by_name[name].samples == len(rows) == spec.count - skipped
-    cut = np.concatenate([evaluate_batch(np.linalg.norm(x, axis=1), np.linalg.norm(y, axis=1),
-                                         r, s, CFG).cut
-                          for x, y, r, s in ct._point_batches(CFG, spec)])
+    cut = batch_of(CFG, spec.count, spec.seed)[0].cut
     assert [row[0] for row in rows] == list(np.flatnonzero(~cut))
+
+
+@pytest.mark.parametrize("cut_tolerance", (None, 2e-2), ids=("cut_1e-8", "cut_2e-2"))
+@pytest.mark.parametrize("dim", (1, 2, 3))
+@pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
+def test_record_merge_is_the_triple_merge_byte_for_byte(Q, dim, cut_tolerance, monkeypatch):
+    # 5000 samples end in a part batch; the widened cut rule skips many
+    # points, which no golden does
+    if cut_tolerance is not None:
+        monkeypatch.setattr(bm, "CUT_TOLERANCE", cut_tolerance)
+    cfg = bs.BellmanConfig(Q=Q, dim=dim)
+    spec = ct.SampleSpec(count=5000, seed=3)
+    want = triple_run_certification(cfg, spec)
+    for jobs in (1, 2):
+        got = ct.run_certification(cfg, spec, jobs)
+        assert ct.report_to_text(got) == ct.report_to_text(want)
+        assert ct.report_to_csv(got) == ct.report_to_csv(want)
+    if cut_tolerance is not None:
+        assert got.checks[0].skipped > spec.count // 50
 
 
 def test_run_certification_deterministic_and_jobs_independent():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,13 +189,14 @@ def test_sharpness_rejects_an_empty_grid(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", [",", "a:b:3", "-0.5:-0.1:-2"])
+@pytest.mark.parametrize("grid", [",", "a:b:3", "-0.5:-0.1:-2", "-0.5"])
 def test_sharpness_rejects_a_malformed_grid(tmp_path, capsys, grid):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--delta-grid", grid, "--depth", "4",
                 "--seed", "4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and grid in err
+    assert err.count("start:stop:count") == 1      # the usage, once
     assert not out.exists()
 
 
@@ -271,4 +273,38 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, argv):
     assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "--seed" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps, ell", [("1e-100", "1e-101"), ("1e-200", "1e-201")])
+@pytest.mark.parametrize("command", ("certify", "tau-sweep"))
+def test_tiny_eps_exits_2_with_one_line(tmp_path, capsys, command, eps, ell):
+    # eps^-2 overflowed the float range at 1e-200 (OverflowError), and at
+    # 1e-100 the radial Hessian did (eigvalsh did not converge): both ended
+    # in a traceback and exit 1, after a screen of overflow warnings
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--eps", eps, "--ell", ell, "--samples", "100",
+                    "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert f"eps {eps} and ell {ell}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--samples", "10"],
+    ["tau-sweep", "--samples", "10"],
+    ["simulate", "--depth", "3", "--num", "1"],
+    ["telescope", "--depth", "3", "--num", "1"],
+], ids=lambda argv: argv[0])
+def test_dim_beyond_memory_exits_2_with_one_line(tmp_path, capsys, argv):
+    # numpy refuses a request of petabytes before it touches any memory;
+    # the refusal used to end in a traceback and exit 1
+    out = tmp_path / "out"
+    assert run(argv + ["--dim", "100000000000000", "--seed", "1",
+                       "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "allocate" in err
     assert not out.exists()
