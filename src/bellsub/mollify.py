@@ -126,7 +126,7 @@ _STEP = {1: (slice(2, None), slice(1, -1), slice(0, -2)),
 
 
 class MollifiedH4:
-    """H4 * phi_ell sampled on a uniform 5-D grid, with interpolation access."""
+    """H4 * phi_ell sampled on a uniform 5-D grid: its axes and node values."""
 
     def __init__(self, ell, spec, axes, values, kernel, pad_cells):
         self.ell = ell
@@ -135,27 +135,6 @@ class MollifiedH4:
         self.values = values
         self.kernel = kernel
         self.pad_cells = pad_cells
-        from scipy.interpolate import RegularGridInterpolator
-        self._itp = RegularGridInterpolator(axes, values, method="linear",
-                                            bounds_error=True)
-        self._grad_itps = None
-
-    def raw_values(self):
-        return _h4_samples(self.axes, self.values.shape)
-
-    def __call__(self, pts):
-        return self._itp(np.asarray(pts, dtype=float))
-
-    def gradient(self, pts):
-        """Interpolated gradient in the five variables (from grid central differences)."""
-        if self._grad_itps is None:
-            from scipy.interpolate import RegularGridInterpolator
-            grads = np.gradient(self.values, *[ax for ax in self.axes], edge_order=2)
-            self._grad_itps = [RegularGridInterpolator(self.axes, g, method="linear",
-                                                       bounds_error=True)
-                               for g in grads]
-        pts = np.asarray(pts, dtype=float)
-        return np.stack([g(pts) for g in self._grad_itps], axis=-1)
 
     def cut_distance(self):
         """Per grid node, the normalized distance to the nearer H4 branch cut."""
@@ -166,7 +145,7 @@ class MollifiedH4:
 
     def deviation_from_raw(self):
         """(max |moll - raw| overall, max over nodes farther than ell from cuts)."""
-        dev = np.abs(self.values - self.raw_values())
+        dev = np.abs(self.values - _h4_samples(self.axes, self.values.shape))
         far = self.cut_distance() > self.ell
         far_max = float(dev[far].max()) if far.any() else float("nan")
         return float(dev.max()), far_max
@@ -269,12 +248,15 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     """One-leg margins of B with the H4 block replaced by its mollification,
     at the weakened constant 1/Q.
 
-    Pairs are drawn on grid nodes of the (x, y, r, s) box (only the K
-    coordinate is interpolated), with scalar positive x, y as in the real-
-    variable mollification setting.  Returns the array of margins
-    B(V) - B(V0) - dB(V0)(V - V0) - (1/Q)|x - x0||y - y0| over the pairs
-    with V != V0; a pair drawn on one node twice has margin 0 identically and
-    is dropped, so it cannot mask the least real margin.
+    Pairs are drawn on grid nodes of the (x, y, r, s) box, with scalar
+    positive x, y as in the real-variable mollification setting, so K = K(rs)
+    is the only coordinate that is interpolated: the values and the grid
+    gradient (np.gradient, edge_order=2) are read at the node, linearly
+    between the two K nodes around K.  The one bounds check is that K stays
+    on the K axis; x, y, r and s are nodes by construction.  Returns the
+    array of margins B(V) - B(V0) - dB(V0)(V - V0) - (1/Q)|x - x0||y - y0|
+    over the pairs with V != V0; a pair drawn on one node twice has margin 0
+    identically and is dropped, so it cannot mask the least real margin.
     """
     rng = np.random.default_rng(seed)
     axx, axy, axr, axs, axk = moll.axes
@@ -284,22 +266,24 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     r, s = axr[idx[:, 2]], axs[idx[:, 3]]
     keep = domain_masks(x, y, r, s, cfg)[0]      # (r, s) pairs in D_Q
     x, y, r, s = x[keep], y[keep], r[keep], s[keep]
+    node = tuple(idx[keep].T)
     t = r * s
     (k, kp), _ = kn_of_t(t, cfg.Q, order=1)
     if (k < axk[0]).any() or (k > axk[-1]).any():
         raise ConfigError("K(rs) leaves the grid's K axis; widen it")
+    j = np.minimum(np.searchsorted(axk, k, side="right") - 1, len(axk) - 2)
+    f = (k - axk[j]) / (axk[j + 1] - axk[j])
+    fields = (moll.values, *np.gradient(moll.values, *moll.axes, edge_order=2))
+    m_val, *m_grad = (g[node + (j,)] * (1 - f) + g[node + (j + 1,)] * f for g in fields)
 
     full = evaluate_batch(x, y, r, s, cfg, order=1)
     raw4 = b4_batch(x, y, r, s, cfg, order=1)
-    pts5 = np.stack([x, y, r, s, k], axis=1)
-    m_val = moll(pts5)
-    m_grad = moll.gradient(pts5)
     value = full.value + cfg.c7 * (m_val - raw4.value)
     grad = np.empty((len(x), 4))
-    grad[:, 0] = full.g[0] - cfg.c7 * raw4.g[0] + cfg.c7 * m_grad[:, 0]
-    grad[:, 1] = full.g[1] - cfg.c7 * raw4.g[1] + cfg.c7 * m_grad[:, 1]
-    grad[:, 2] = full.g[2] - cfg.c7 * raw4.g[2] + cfg.c7 * (m_grad[:, 2] + m_grad[:, 4] * kp * s)
-    grad[:, 3] = full.g[3] - cfg.c7 * raw4.g[3] + cfg.c7 * (m_grad[:, 3] + m_grad[:, 4] * kp * r)
+    grad[:, 0] = full.g[0] - cfg.c7 * raw4.g[0] + cfg.c7 * m_grad[0]
+    grad[:, 1] = full.g[1] - cfg.c7 * raw4.g[1] + cfg.c7 * m_grad[1]
+    grad[:, 2] = full.g[2] - cfg.c7 * raw4.g[2] + cfg.c7 * (m_grad[2] + m_grad[4] * kp * s)
+    grad[:, 3] = full.g[3] - cfg.c7 * raw4.g[3] + cfg.c7 * (m_grad[3] + m_grad[4] * kp * r)
 
     half = len(x) // 2
     i0, i1 = np.arange(half), np.arange(half, 2 * half)

@@ -43,6 +43,10 @@ returned a (margins, points, skipped) triple per check, already cut, with
 were: kept verbatim as the byte-for-byte reference of the per-sample record
 and its one merge, except that the batch sizes and seeds come from
 `certify._batches` (the goldens hold the seed layout).
+`interpolator_composite_one_leg_margins` is the mollified one-leg check as
+it read the grid through `scipy.interpolate.RegularGridInterpolator` (one
+for the values, five for their np.gradient) before it read the grid at its
+nodes and interpolated K alone: kept verbatim as its bit-for-bit reference.
 """
 
 import time
@@ -51,10 +55,12 @@ from math import gcd
 
 import numpy as np
 from scipy import fft
+from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
-from bellsub.bellman import evaluate_batch, one_leg_margin, profile_value
+from bellsub.bellman import (b4_batch, domain_masks, evaluate_batch, kn_of_t,
+                             one_leg_margin, profile_value)
 from bellsub.certify import (KAPPA_HI, KAPPA_LO, MARGIN_TOL, CertReport, CheckRecord,
                              TauStats, _axis_curvatures, _batches, _ellipse, _radial,
                              _sample_arrays)
@@ -263,6 +269,51 @@ def three_transform_convolution(padded_values, kernel, m):
     L = tuple(fft.next_fast_len(k, real=True) for k in n)
     values = fft.irfftn(fft.rfftn(padded_values, L) * fft.rfftn(kernel, L), L)
     return values[tuple(slice(2 * m, k) for k in n)]
+
+
+def interpolator_composite_one_leg_margins(moll, cfg, n_pairs=200, seed=0):
+    """`composite_one_leg_margins` as it read the grid through scipy's 5-D
+    linear interpolators of the values and of their np.gradient, with the
+    `MollifiedH4.__call__` and `gradient` it called."""
+    rng = np.random.default_rng(seed)
+    axx, axy, axr, axs, axk = moll.axes
+    idx = rng.integers(0, [len(axx), len(axy), len(axr), len(axs)],
+                       size=(2 * n_pairs, 4))
+    x, y = axx[idx[:, 0]], axy[idx[:, 1]]
+    r, s = axr[idx[:, 2]], axs[idx[:, 3]]
+    keep = domain_masks(x, y, r, s, cfg)[0]      # (r, s) pairs in D_Q
+    x, y, r, s = x[keep], y[keep], r[keep], s[keep]
+    t = r * s
+    (k, kp), _ = kn_of_t(t, cfg.Q, order=1)
+    if (k < axk[0]).any() or (k > axk[-1]).any():
+        raise ConfigError("K(rs) leaves the grid's K axis; widen it")
+
+    full = evaluate_batch(x, y, r, s, cfg, order=1)
+    raw4 = b4_batch(x, y, r, s, cfg, order=1)
+    pts5 = np.stack([x, y, r, s, k], axis=1)
+    itp = RegularGridInterpolator(moll.axes, moll.values, method="linear",
+                                  bounds_error=True)
+    m_val = itp(np.asarray(pts5, dtype=float))
+    grads = np.gradient(moll.values, *[ax for ax in moll.axes], edge_order=2)
+    grad_itps = [RegularGridInterpolator(moll.axes, g, method="linear",
+                                         bounds_error=True)
+                 for g in grads]
+    m_grad = np.stack([g(np.asarray(pts5, dtype=float)) for g in grad_itps], axis=-1)
+    value = full.value + cfg.c7 * (m_val - raw4.value)
+    grad = np.empty((len(x), 4))
+    grad[:, 0] = full.g[0] - cfg.c7 * raw4.g[0] + cfg.c7 * m_grad[:, 0]
+    grad[:, 1] = full.g[1] - cfg.c7 * raw4.g[1] + cfg.c7 * m_grad[:, 1]
+    grad[:, 2] = full.g[2] - cfg.c7 * raw4.g[2] + cfg.c7 * (m_grad[:, 2] + m_grad[:, 4] * kp * s)
+    grad[:, 3] = full.g[3] - cfg.c7 * raw4.g[3] + cfg.c7 * (m_grad[:, 3] + m_grad[:, 4] * kp * r)
+
+    half = len(x) // 2
+    i0, i1 = np.arange(half), np.arange(half, 2 * half)
+    dv = np.stack([x[i1] - x[i0], y[i1] - y[i0], r[i1] - r[i0], s[i1] - s[i0]], axis=1)
+    unit = np.ones((half, 1))           # the unit directions of scalar x, y > 0
+    margins, _, _ = one_leg_margin(grad[i0].T, value[i0], unit, unit, value[i1],
+                                   dv[:, :1], dv[:, 1:2], dv[:, 2], dv[:, 3], cfg.Q,
+                                   constant=1.0)
+    return margins[(dv != 0.0).any(axis=1)]
 
 
 def random_dual_ratio(y_leaves, w_leaves, rng, n_test=32):

@@ -1,8 +1,9 @@
 """`import bellsub` loads numpy alone; scipy is imported where it is called.
 
-scipy serves two side analyses: the mollified `H4` grid (`scipy.fft` and
-`scipy.interpolate`, in `bellsub.mollify`) and the ARPACK f-steps of the
-sharpness search (`scipy.sparse.linalg`, in `bellsub.sharpness`).  Loading
+scipy serves two side analyses: the mollified `H4` grid (`scipy.fft` alone,
+in `bellsub.mollify`; its one-leg check reads the grid at its nodes, so no
+`scipy.interpolate`) and the ARPACK f-steps of the sharpness search
+(`scipy.sparse.linalg`, in `bellsub.sharpness`).  Loading
 those at import time cost every command, `--help` included, about 0.7 s.
 This test keeps them out of the import path in two ways:
 
@@ -114,8 +115,10 @@ def test_sharpness_loads_only_the_eigensolver():
     assert "scipy.fft" not in loaded and "scipy.interpolate" not in loaded
 
 
-def test_mollification_loads_fft_and_interpolate():
+def test_mollification_and_its_one_leg_check_load_fft_alone():
     loaded = scipy_loaded("import bellsub as bs\n"
-                          "spec = bs.default_grid_spec(bs.BellmanConfig(Q=16.0), cells=2)\n"
-                          "bs.mollify_h4(0.05, spec)")
-    assert "scipy.fft" in loaded and "scipy.interpolate" in loaded
+                          "cfg = bs.BellmanConfig(Q=16.0)\n"
+                          "spec = bs.default_grid_spec(cfg, cells=2)\n"
+                          "moll = bs.mollify_h4(cfg.ell, spec)\n"
+                          "assert len(bs.composite_one_leg_margins(moll, cfg)) > 0")
+    assert "scipy.fft" in loaded and "scipy.interpolate" not in loaded

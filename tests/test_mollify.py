@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from scipy import fft
 import bellsub as bs
 from bellsub import mollify as mo
 from bellsub.errors import ConfigError
-from oracles import three_transform_convolution, uncropped_bump_kernel, valid_convolution
+from oracles import (interpolator_composite_one_leg_margins, three_transform_convolution,
+                     uncropped_bump_kernel, valid_convolution)
 
 CFG = bs.BellmanConfig(Q=16.0)
 
@@ -58,9 +60,9 @@ def test_pointwise_convergence_as_ell_shrinks():
     for ell in (0.05, 0.025, 0.0125):
         spec = mo.default_grid_spec(CFG, ell=ell, cells=8)
         m = mo.mollify_h4(ell, spec)
-        center = tuple(0.5 * (np.array(spec.lo) + np.array(spec.hi)))
-        raw = mo.h4_raw(*center)
-        devs.append(abs(float(m(np.array([center]))[0]) - float(raw)))
+        mid = tuple(len(ax) // 2 for ax in m.axes)
+        raw = mo.h4_raw(*(ax[i] for ax, i in zip(m.axes, mid)))
+        devs.append(abs(float(m.values[mid]) - float(raw)))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] <= 0.05 * 0.0125
 
@@ -89,6 +91,24 @@ def test_coincident_pair_does_not_mask_least_margin(moll, seed, least):
     margins = mo.composite_one_leg_margins(moll, CFG, seed=seed)
     assert len(margins) == 199
     assert margins.min() == pytest.approx(least, abs=5e-4)
+
+
+@functools.lru_cache(maxsize=None)
+def _default_grid(Q):
+    cfg = bs.BellmanConfig(Q=Q)
+    return cfg, mo.mollify_h4(cfg.ell, mo.default_grid_spec(cfg, cells=8))
+
+
+@pytest.mark.parametrize("n_pairs", [200, 300])
+@pytest.mark.parametrize("Q", [1.5, 2.0, 16.0, 256.0])
+def test_composite_equals_interpolator_path_bit_for_bit(Q, n_pairs):
+    # K is the only coordinate off the nodes; seeds 18 and 36 draw a
+    # coincident pair at Q = 16, n_pairs = 200
+    cfg, moll = _default_grid(Q)
+    for seed in (0, 5, 7, 18, 36, 101):
+        got = mo.composite_one_leg_margins(moll, cfg, n_pairs=n_pairs, seed=seed)
+        want = interpolator_composite_one_leg_margins(moll, cfg, n_pairs=n_pairs, seed=seed)
+        assert len(got) >= n_pairs // 3 and np.array_equal(got, want), (seed, len(got))
 
 
 def test_h4_raw_domain_guard():
