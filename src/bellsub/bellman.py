@@ -35,6 +35,8 @@ from .weights import row_norm, row_sum
 _RS_SLACK = 1e-12
 
 CUT_TOLERANCE = 1e-8
+# roundoff floor that a reported margin must clear (certify, estimates)
+MARGIN_TOL = 1e-8
 
 
 @dataclass(frozen=True)

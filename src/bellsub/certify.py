@@ -38,14 +38,13 @@ from functools import partial
 import numpy as np
 
 # unused here: perfbench/tracing.py wraps the three *_form functions as attributes of this module
-from .bellman import (BellmanConfig, _tangential_coeff, b4_batch, evaluate_batch,
+from .bellman import (MARGIN_TOL, BellmanConfig, _tangential_coeff, b4_batch, evaluate_batch,
                       hessian_quadratic_form, kn_of_t, one_leg_margin, partial_xx_form,
                       partial_yy_form, profile_value)
 from .errors import ConfigError
 from .coefficients import validate_coefficients
 from .weights import row_norm, row_sum
 
-MARGIN_TOL = 1e-8
 TAU_FEAS_TOL = 1e-6
 KAPPA_LO = 0.1
 KAPPA_HI = 10.0
@@ -351,32 +350,37 @@ def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
 # C^1 across the H4 cuts
 # ---------------------------------------------------------------------------
 
-def check_c1_across_cuts(cfg: BellmanConfig, n=1000, deltas=(1e-2, 1e-3, 1e-4),
-                         seed=0):
+# the C^1 check's grid size (about C1_POINTS points per cut) and displacements
+C1_POINTS = 1000
+C1_DELTAS = (1e-2, 1e-3, 1e-4)
+
+
+def check_c1_across_cuts(cfg: BellmanConfig, seed=0):
     """One-sided gradients of the H4 block merge linearly at both cuts.
 
-    For each cut and each delta, about n points of a fixed grid (see
-    `_c1_grid`) are placed on the cut and displaced to both sides by a
-    relative delta; the report carries the mean gradient mismatch normalized
-    by the local gradient scale, the fitted log-log decay rate (expected ~1),
-    and the corner behavior |grad| = O(delta) when both |x|, |y| <~ delta.
+    For each cut and each delta of C1_DELTAS, about C1_POINTS points of a
+    fixed grid (see `_c1_grid`) are placed on the cut and displaced to both
+    sides by a relative delta; the report carries the mean gradient mismatch
+    normalized by the local gradient scale, the fitted log-log decay rate
+    (expected ~1), and the corner behavior |grad| = O(delta) when both |x|,
+    |y| <~ delta.
 
     `seed` is ignored: the grid draws nothing.  It stays in the signature so
     that callers which still pass it keep working.
     """
-    report = {"deltas": list(deltas), "cuts": {}, "corner": {}, "rates": {}}
+    report = {"deltas": list(C1_DELTAS), "cuts": {}, "corner": {}, "rates": {}}
     for cut in ("xs_yk", "yr_xk"):
         mis = []
-        for delta in deltas:
-            m, scale = _cut_mismatch(cfg, n, delta, cut)
+        for delta in C1_DELTAS:
+            m, scale = _cut_mismatch(cfg, C1_POINTS, delta, cut)
             mis.append({"delta": delta, "mean_mismatch": m, "gradient_scale": scale,
                         "normalized": m / scale})
         report["cuts"][cut] = mis
         lg = np.log([row["delta"] for row in mis])
         lm = np.log([max(row["mean_mismatch"], 1e-300) for row in mis])
         report["rates"][cut] = float(np.polyfit(lg, lm, 1)[0])
-    for delta in deltas:
-        report["corner"][delta] = _corner_gradient(cfg, max(n // 4, 16), delta)
+    for delta in C1_DELTAS:
+        report["corner"][delta] = _corner_gradient(cfg, C1_POINTS // 4, delta)
     report["pass"] = all(r >= 0.9 for r in report["rates"].values()) and all(
         row["normalized"] <= 1e-2 for row in report["cuts"]["xs_yk"][-1:]
         + report["cuts"]["yr_xk"][-1:])

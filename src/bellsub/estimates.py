@@ -22,15 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bellman import BellmanConfig, domain_masks, evaluate_batch, one_leg_margin, profile_value
+from .bellman import (MARGIN_TOL, BellmanConfig, domain_masks, evaluate_batch,
+                      one_leg_margin, profile_value)
 from .errors import DomainError, InvalidInputError, SubordinationError
-from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
-                          terminal_norm, weighted_norm)
+from .martingales import bilinear_form, check_subordination, terminal_norm, weighted_norm
 from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
                       parent_average, row_norm, row_sum)
 
-MARGIN_TOL = 1e-8
 LINEAR_TERM_TOL = 1e-10
+# the anchors a / ell at which `anchor_sensitivity` runs the telescope
+ANCHOR_MULTIPLIERS = (1.0, 2.0, 10.0)
 
 
 def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
@@ -58,8 +59,6 @@ def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
         "ratio": lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf),
         "pass": lhs <= C_target * rhs + MARGIN_TOL,
         "lambda2": float(lam2),
-        "sum_unoptimized": EF + EG,
-        "sum_optimized": 2.0 * np.sqrt(EF * EG),
     }
 
 
@@ -162,7 +161,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         "min_margin": float(min_margin) if n > 0 else 0.0,
         "linear_term_max": linear_term_max,
         "anchor": a,
-        "q2": q2,
         "pass": bool(ok),
     }
 
@@ -179,10 +177,11 @@ def _check_states(a, b, r, s, cfg, anchor, level):
                           f"{anchor} is too small to keep states in the regularized domain")
 
 
-def anchor_sensitivity(X, Z, w_tree, cfg, multipliers=(1.0, 2.0, 10.0)):
-    """Telescope results for a in ell * multipliers (reported, not asserted)."""
+def anchor_sensitivity(X, Z, w_tree, cfg):
+    """Telescope results for a in ell * ANCHOR_MULTIPLIERS (reported, not
+    asserted)."""
     return {m: bellman_telescope(X, Z, w_tree, cfg, anchor=cfg.ell * m)
-            for m in multipliers}
+            for m in ANCHOR_MULTIPLIERS}
 
 
 def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
@@ -220,18 +219,16 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
         "ratio": lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf),
         "dual_lhs": dual,
         "duality_gap": abs(dual - lhs),
-        "q2": q2,
         "pass": lhs <= C_target * rhs + MARGIN_TOL,
     }
 
 
-def projection_consistency(X, Y, w: WeightTree, d_sub: int):
+def projection_consistency(X, Y, w: WeightTree):
     """Finite-dimensional projection comparison: norms, bilinear forms and the
-    dissipation sum of the first-d' coordinate projections are dominated by
-    (and increase monotonically to) their full-dimension values.
+    dissipation sum of the first-d' coordinate projections, for every d' up
+    to X's dimension, are dominated by (and increase monotonically to) their
+    full-dimension values.
     """
-    if not 1 <= d_sub <= X.dim:
-        raise InvalidInputError(f"d_sub must be in [1, {X.dim}]")
     full_bil = bilinear_form(Y, X)
     rows = []
     prev = None
@@ -245,9 +242,11 @@ def projection_consistency(X, Y, w: WeightTree, d_sub: int):
             "bilinear": bilinear_form(Yp, Xp),
             "dissipation": _dissipation_sum(Xp, Yp),
         }
-        # residual-based bound: |<dY^m,dZ^m>| <= |<dY,dZ>| + |dY_perp||dZ_perp|
-        tail_y = _tail_norm(Y, min(d, Y.dim))
-        tail_x = _tail_norm(X, d)
+        # residual-based bound: |<dY^m,dZ^m>| <= |<dY,dZ>| + |dY_perp||dZ_perp|,
+        # with the unweighted L2 bracket norms of the coordinates beyond d
+        # (exactly 0.0 on an empty slice)
+        tail_y = terminal_norm(Y.leaves[:, d:], 1.0)
+        tail_x = terminal_norm(X.leaves[:, d:], 1.0)
         row["bilinear_bound"] = full_bil + tail_y * tail_x
         row["bilinear_ok"] = row["bilinear"] <= row["bilinear_bound"] + MARGIN_TOL
         if prev is not None:
@@ -259,19 +258,10 @@ def projection_consistency(X, Y, w: WeightTree, d_sub: int):
     exact_at_full = (abs(rows[-1]["bilinear"] - full_bil) <= 1e-12 * max(1.0, full_bil))
     return {
         "rows": rows,
-        "requested": rows[d_sub - 1],
         "monotone": bool(monotone),
-        "bounds_ok": all(r["bilinear_ok"] for r in rows),
         "exact_at_full_dim": bool(exact_at_full),
         "pass": bool(monotone and all(r["bilinear_ok"] for r in rows) and exact_at_full),
     }
-
-
-def _tail_norm(M: DyadicMartingale, d):
-    """Unweighted L2 bracket norm of the coordinates beyond d."""
-    if d >= M.dim:
-        return 0.0
-    return terminal_norm(M.leaves[:, d:], 1.0)
 
 
 def _dissipation_sum(X, Z):

@@ -128,9 +128,8 @@ _STEP = {1: (slice(2, None), slice(1, -1), slice(0, -2)),
 class MollifiedH4:
     """H4 * phi_ell sampled on a uniform 5-D grid: its axes and node values."""
 
-    def __init__(self, ell, spec, axes, values, kernel, pad_cells):
+    def __init__(self, ell, axes, values, kernel, pad_cells):
         self.ell = ell
-        self.spec = spec
         self.axes = axes
         self.values = values
         self.kernel = kernel
@@ -213,18 +212,17 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
     expect = tuple(len(a) for a in axes)
     if values.shape != expect:
         raise ConfigError(f"convolution shape {values.shape} != grid shape {expect}")
-    return MollifiedH4(ell=ell, spec=spec, axes=axes, values=values,
-                       kernel=kernel, pad_cells=m)
+    return MollifiedH4(ell=ell, axes=axes, values=values, kernel=kernel, pad_cells=m)
 
 
-def default_grid_spec(cfg: BellmanConfig, ell=None, cells=8):
+def default_grid_spec(cfg: BellmanConfig, cells=8):
     """A compact box around (x, y, r, s) = (0.45, 0.45, 1.15, 1.15), `cells`
-    cells of ell/4 wide on each of those axes (centred, so `cells` must be
-    even), with the K axis matched to the range of K(rs) over the (r, s) box
-    (plus kernel clearance)."""
+    cells of cfg.ell/4 wide on each of those axes (centred, so `cells` must
+    be even), with the K axis matched to the range of K(rs) over the (r, s)
+    box (plus kernel clearance)."""
     if cells % 2:
         raise ConfigError(f"grid cells must be even, got {cells}")
-    ell = cfg.ell if ell is None else ell
+    ell = cfg.ell
     h = ell / 4.0
     half = cells // 2 * h
     x0, y0, r0, s0 = 0.45, 0.45, 1.15, 1.15

@@ -30,6 +30,9 @@ from .weights import (WeightTree, a2_characteristic, dyadic_averages, pair_incre
 
 # weights with Q2 at or below this are flat and carry no slope information
 _FLAT_Q2 = 1.0 + 1e-12
+# search caps: f-step rounds of `worst_ratio`, sign sweeps per ascent
+ROUNDS = 6
+SWEEPS = 8
 
 
 def _apply_tsigma(f, sig0, sigs):
@@ -109,9 +112,10 @@ def _best_f_given_sigma(w_leaves, sig0, sigs):
                        w_leaves)
 
 
-def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
+def _ascend_sigma(f, w, sig0, sigs):
     """Coordinate ascent over the +-1 multipliers; each node takes the sign of
-    its increment's weighted correlation with the rest of the transform.
+    its increment's weighted correlation with the rest of the transform, for
+    at most SWEEPS sweeps.
 
     At level k+1 the leaves are viewed as (2^(k+1), span) blocks, one row per
     child node, and that level's increments broadcast along the rows; no
@@ -120,7 +124,7 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
     lev = dyadic_averages(f)
     dfs = [df.reshape(-1, 1) for df in pair_increments(lev)]
     y = _apply_tsigma(f, sig0, sigs)
-    for _ in range(sweeps):
+    for _ in range(SWEEPS):
         changed = False
         rest = y - sig0 * lev[0][0]
         new0 = 1.0 if float(np.mean(w * rest)) * lev[0][0] >= 0.0 else -1.0
@@ -144,12 +148,13 @@ def _ascend_sigma(f, w, sig0, sigs, sweeps=8):
     return sig0, sigs
 
 
-def worst_ratio(w: WeightTree, rounds=6):
+def worst_ratio(w: WeightTree):
     """Best realized ||T_sigma f||_{2,w} / ||f||_{2,w} found by the search.
 
     Returns (ratio, details) with the achieved (sigma, f) ratio; the search
     starts from the square-function eigenfunction and all-ones signs, then
-    alternates exact f-steps with sign ascent.  It draws nothing.
+    alternates exact f-steps with sign ascent for at most ROUNDS rounds.  It
+    draws nothing.
     """
     wl = w.leaf_values
     n = w.depth
@@ -160,7 +165,7 @@ def worst_ratio(w: WeightTree, rounds=6):
     sig0, sigs = _ascend_sigma(fcur, wl, 1.0, [np.ones(2 ** k) for k in range(n)])
     best = _wnorm2(_apply_tsigma(fcur, sig0, sigs), wl) / _wnorm2(fcur, wl)
     used = 0
-    for used in range(1, rounds + 1):
+    for used in range(1, ROUNDS + 1):
         fnew = _best_f_given_sigma(wl, sig0, sigs)
         sig0, sigs = _ascend_sigma(fnew, wl, sig0, sigs)
         val = _wnorm2(_apply_tsigma(fnew, sig0, sigs), wl) / _wnorm2(fnew, wl)
@@ -171,7 +176,7 @@ def worst_ratio(w: WeightTree, rounds=6):
                                   "sigma0": sig0, "sigma": sigs}
 
 
-def sharpness_experiment(delta_grid, depth, seed=0, rounds=6):
+def sharpness_experiment(delta_grid, depth, seed=0):
     """Table of (delta, depth, Q2, worst_ratio) over the power-weight family,
     plus the least-squares slope of log worst_ratio against log Q2.
 
@@ -192,7 +197,7 @@ def sharpness_experiment(delta_grid, depth, seed=0, rounds=6):
                           "to fit a slope")
     rows = []
     for d, w, q2 in zip(deltas, ws, q2s):
-        ratio, _ = worst_ratio(w, rounds=rounds)
+        ratio, _ = worst_ratio(w)
         rows.append({"delta": float(d), "depth": depth, "Q2": q2,
                      "worst_ratio": ratio})
     slope = fitted_slope(rows)

@@ -45,9 +45,6 @@ class WeightTree:
         self.node_avg_w = dyadic_averages(leaves)
         self.node_avg_u = dyadic_averages(1.0 / leaves)
 
-    def __len__(self):
-        return len(self.leaf_values)
-
 
 def child_pairs(level):
     """View of a level (first axis 2^k) with the children 2i and 2i+1 of

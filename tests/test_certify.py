@@ -374,8 +374,8 @@ def test_ellipse_evaluates_the_level_again_only_on_clipped_rows(Q, monkeypatch):
 @pytest.mark.parametrize("Q", [1.0, 2.0, 16.0, 256.0, 1e4])
 def test_c1_across_cuts_linear_decay(Q):
     cfg = bs.BellmanConfig(Q=Q)
-    rep = ct.check_c1_across_cuts(cfg, n=300, seed=0)
-    assert rep == ct.check_c1_across_cuts(cfg, n=300, seed=53)    # draws nothing
+    rep = ct.check_c1_across_cuts(cfg, seed=0)
+    assert rep == ct.check_c1_across_cuts(cfg, seed=53)    # draws nothing
     assert rep["pass"]
     for cut in ("xs_yk", "yr_xk"):
         assert rep["rates"][cut] >= 0.9

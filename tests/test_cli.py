@@ -134,6 +134,19 @@ def test_truncate_rejects_a_bad_level_with_one_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"depth 1\n1.0\nabc\n", "malformed weight file: "),
+    (b"depth 1\n1.0\n\xff\xfe\n", "not text: "),
+], ids=("non-numeric-leaf", "undecodable"))
+def test_truncate_unreadable_weight_file_exits_2_with_one_line(tmp_path, capsys,
+                                                                content, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    assert run(["truncate", "--weight-file", str(bad), "--a", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("content", [
     b"depth 1\n1.0\n\xff\xfe\n",     # not text
     b"depth 99999999999\n1.0\n2.0\n",  # 2 ** depth would not fit in memory

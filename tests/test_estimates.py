@@ -57,6 +57,22 @@ def test_bilinear_requires_subordination():
         est.verify_bilinear_estimate(X, tripled, Z, w, 10.0)
 
 
+def test_violation_below_the_root_is_named_by_every_check():
+    # Y copies X's increments but doubles those of node 1's children at
+    # level 3: subordinate at the root, first violated at node 2 of level 3
+    X = mg.random_martingale(mg.SimConfig(depth=4, dim=2), np.random.default_rng(3))
+    incs = list(wt.pair_increments(X.levels))
+    incs[2][1] *= 2.0
+    Y = mg.DyadicMartingale(wt.levels_from_increments(X.levels[0], incs))
+    assert mg.check_subordination(X, Y) == mg.SubordinatePair(False, (3, 2))
+    Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2, seed=4))
+    w = wt.power_weight_family(-0.5, 4)
+    with pytest.raises(SubordinationError, match=r"violation at \(3, 2\)"):
+        est.verify_bilinear_estimate(X, Y, Z, w, 10.0)
+    with pytest.raises(SubordinationError, match=r"violation at \(3, 2\)"):
+        est.verify_main_theorem(X, Y, w, 10.0)
+
+
 def test_bilinear_power_weight_instances():
     for delta in (-0.5, 0.0, 1.0):
         w = wt.power_weight_family(delta, 8)
@@ -365,9 +381,7 @@ def test_projection_consistency():
     X = mg.random_martingale(mg.SimConfig(depth=6, dim=4, seed=29), rng)
     Y = mg.rotation_transform(X, rng)
     w = wt.power_weight_family(-0.3, 6)
-    rep = est.projection_consistency(X, Y, w, 2)
+    rep = est.projection_consistency(X, Y, w)
     assert rep["pass"] and rep["monotone"] and rep["exact_at_full_dim"]
     norms = [r["norm_X_w"] for r in rep["rows"]]
     assert all(b >= a for a, b in zip(norms, norms[1:]))
-    with pytest.raises(Exception):
-        est.projection_consistency(X, Y, w, 9)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import subprocess
@@ -58,7 +59,7 @@ def test_deviation_bounded_by_ell(moll):
 def test_pointwise_convergence_as_ell_shrinks():
     devs = []
     for ell in (0.05, 0.025, 0.0125):
-        spec = mo.default_grid_spec(CFG, ell=ell, cells=8)
+        spec = mo.default_grid_spec(dataclasses.replace(CFG, ell=ell), cells=8)
         m = mo.mollify_h4(ell, spec)
         mid = tuple(len(ax) // 2 for ax in m.axes)
         raw = mo.h4_raw(*(ax[i] for ax, i in zip(m.axes, mid)))
@@ -149,6 +150,20 @@ def test_default_grid_builds_at_q256():
     assert len(margins) >= 100
     assert margins.min() >= -1e-6
     assert np.diff(moll.values, axis=4).max() <= 1e-12
+
+
+@pytest.mark.parametrize("Q", [476.0, 478.0])
+def test_composite_refuses_k_off_the_axis_from_q478(Q):
+    # the K axis's lower clamp floor(ell/h) h lies above K(rs) from Q ~ 478
+    # on; the check refuses the grid instead of extrapolating past its end
+    cfg = bs.BellmanConfig(Q=Q)
+    moll = mo.mollify_h4(cfg.ell, mo.default_grid_spec(cfg, cells=8))
+    for seed in (0, 1):
+        if Q < 478.0:
+            assert mo.composite_one_leg_margins(moll, cfg, seed=seed).min() >= -1e-6
+        else:
+            with pytest.raises(ConfigError, match=r"K\(rs\) leaves the grid's K axis"):
+                mo.composite_one_leg_margins(moll, cfg, seed=seed)
 
 
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],

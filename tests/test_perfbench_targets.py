@@ -38,7 +38,7 @@ def test_every_tracing_target_resolves():
 
 def test_benchmark_keyword_forms_are_accepted():
     cfg = bs.BellmanConfig(Q=16.0)
-    assert ct.check_c1_across_cuts(cfg, n=8, seed=3) == ct.check_c1_across_cuts(cfg, n=8)
+    assert ct.check_c1_across_cuts(cfg, seed=3) == ct.check_c1_across_cuts(cfg)
     rows, _ = sh.sharpness_experiment([-0.5, -0.8], 4, seed=3)
     assert rows == sh.sharpness_experiment([-0.5, -0.8], 4)[0]
     rng = np.random.default_rng(3)

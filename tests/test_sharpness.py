@@ -67,7 +67,7 @@ def test_worst_ratio_is_realized_by_an_explicit_pair():
 
 def test_ratio_growth_with_characteristic():
     deltas = [wt.delta_for_characteristic(q) for q in (2.0, 8.0, 32.0)]
-    rows, slope = sh.sharpness_experiment(deltas, depth=10, rounds=3)
+    rows, slope = sh.sharpness_experiment(deltas, depth=10)
     ratios = [r["worst_ratio"] for r in rows]
     assert ratios[0] < ratios[1] < ratios[2]
     assert slope > 0.3
@@ -77,12 +77,12 @@ def test_ratio_never_exceeds_linear_bound():
     # consistency with the weighted estimate at a generous numeric constant
     for q2 in (2.0, 16.0, 64.0):
         w = wt.power_weight_family(wt.delta_for_characteristic(q2), 8)
-        ratio, _ = sh.worst_ratio(w, rounds=2)
+        ratio, _ = sh.worst_ratio(w)
         assert ratio <= 10.0 * q2
 
 
 def test_csv_table_shape():
-    rows, slope = sh.sharpness_experiment([-0.6, -0.8], depth=6, rounds=2)
+    rows, slope = sh.sharpness_experiment([-0.6, -0.8], depth=6)
     text = sh.rows_to_csv(rows, slope)
     lines = text.strip().splitlines()
     assert lines[0] == "delta,depth,Q2,worst_ratio"
