@@ -201,8 +201,6 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
     if not sub.ok:
         raise SubordinationError(f"Y is not subordinate to X (first violation at "
                                  f"{sub.first_violation})")
-    if Y.depth != w.depth:
-        raise InvalidInputError("martingale and weight depths differ")
     lhs = weighted_norm(Y, w)
     q2 = a2_characteristic(w)
     rhs = q2 * weighted_norm(X, w)
@@ -266,6 +264,6 @@ def projection_consistency(X, Y, w: WeightTree):
 
 def _dissipation_sum(X, Z):
     total = 0.0
-    for dx, dz in zip(X.increments(), Z.increments()):
+    for dx, dz in zip(pair_increments(X.levels), pair_increments(Z.levels)):
         total += float(np.mean(row_norm(dx) * row_norm(dz)))
     return total

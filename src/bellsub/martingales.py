@@ -53,10 +53,6 @@ class DyadicMartingale:
     def initial(self):
         return self.levels[0][0]
 
-    def increments(self):
-        """df per level: list over k = 1..n of (2^k, d) arrays, child - parent."""
-        return [inc.reshape(-1, self.dim) for inc in pair_increments(self.levels)]
-
     def project(self, d_sub: int) -> "DyadicMartingale":
         """Projection onto the first d_sub coordinates."""
         if not 1 <= d_sub <= self.dim:
@@ -271,10 +267,12 @@ def check_subordination(X: DyadicMartingale, Y: DyadicMartingale) -> Subordinate
     n0y = np.linalg.norm(Y.initial)
     if n0y > n0x * (1.0 + SUBORDINATION_RTOL) + 1e-15:
         return SubordinatePair(ok=False, first_violation=(0, 0))
-    for k, (dx, dy) in enumerate(zip(X.increments(), Y.increments()), start=1):
+    steps = zip(pair_increments(X.levels), pair_increments(Y.levels))
+    for k, (dx, dy) in enumerate(steps, start=1):
         nx, ny = row_norm(dx), row_norm(dy)
         lev_ok = ny <= nx * (1.0 + SUBORDINATION_RTOL) + 1e-15
         if not lev_ok.all():
+            # the flat index of a (2^(k-1), 2) pair array is the node index
             return SubordinatePair(ok=False, first_violation=(k, int(np.argmin(lev_ok))))
     return SubordinatePair(ok=True, first_violation=None)
 
@@ -303,6 +301,6 @@ def bilinear_form(Y: DyadicMartingale, Z: DyadicMartingale) -> float:
     if Y.depth != Z.depth or Y.dim != Z.dim:
         raise InvalidInputError("bilinear form needs matching depth and dimension")
     total = abs(float(Y.initial @ Z.initial))
-    for dy, dz in zip(Y.increments(), Z.increments()):
+    for dy, dz in zip(pair_increments(Y.levels), pair_increments(Z.levels)):
         total += float(np.mean(np.abs(row_sum(dy * dz))))
     return total

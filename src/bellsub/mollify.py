@@ -231,12 +231,13 @@ def default_grid_spec(cfg: BellmanConfig, cells=8):
     # K(rs) over the (r, s) box widened by floor(ell/h) + 1 cells, and the K
     # axis widened by as many again: clearance for the kernel radius.  That is
     # still floor(ell/h) + 1 cells although the cropped radius m is 3 at
-    # h = ell/4, so the grid does not depend on the crop.
+    # h = ell/4, so the box does not depend on the crop.
     pad = (int(np.floor(ell / h)) + 1) * h
     ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
     ks = kn_of_t(ts, cfg.Q)[0][0]
-    # mollify_h4 pads K by m h <= floor(ell/h) h, which must keep K >= 0
-    k_lo = max(h * np.floor((ks.min() - pad) / h), int(np.floor(ell / h)) * h)
+    # mollify_h4 pads K by the kernel radius of m cells, which must keep K >= 0
+    m = bump_kernel(ell, h)[1]
+    k_lo = max(h * np.floor((ks.min() - pad) / h), m * h)
     k_hi = h * np.ceil((ks.max() + pad) / h)
     return GridSpec(lo=tuple(lo + [k_lo]), hi=tuple(hi + [k_hi]), spacing=h)
 

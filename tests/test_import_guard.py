@@ -18,13 +18,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from bellsub import weights as wt
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from source_rules import SRC, sources
 
 
 def _is_scipy(name):
@@ -55,7 +53,7 @@ def scipy_loaded(code):
              "print(json.dumps(sorted(k for k in sys.modules if k == 'scipy' "
              "or k.startswith('scipy.'))))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -82,8 +80,7 @@ def test_guard_recognizes_each_spelling(tmp_path):
 
 
 def test_no_module_imports_scipy_at_import_time():
-    found = [hit for path in sorted((SRC / "bellsub").glob("*.py"))
-             for hit in import_time_scipy(path)]
+    found = [hit for path in sources() for hit in import_time_scipy(path)]
     assert not found, f"scipy imported at module level: {', '.join(found)}"
 
 

@@ -20,15 +20,15 @@ def test_martingale_property_exact():
 
 def test_constant_leaves_have_zero_increments():
     X = mg.DyadicMartingale.from_leaves(np.tile([2.0, -1.0], (8, 1)))
-    for inc in X.increments():
+    for inc in wt.pair_increments(X.levels):
         assert np.array_equal(inc, np.zeros_like(inc))
 
 
 def test_sibling_increments_are_opposite():
     X = mg.random_martingale(mg.SimConfig(depth=5, dim=2, seed=2))
-    for inc in X.increments():
+    for inc in wt.pair_increments(X.levels):
         # equal up to the rounding residue of the parent average
-        assert np.allclose(inc[0::2], -inc[1::2], rtol=0, atol=1e-14)
+        assert np.allclose(inc[:, 0], -inc[:, 1], rtol=0, atol=1e-14)
 
 
 def test_terminal_second_moment_close_to_dim():
@@ -40,7 +40,7 @@ def test_terminal_second_moment_close_to_dim():
 def test_square_bracket_identity():
     X = mg.random_martingale(mg.SimConfig(depth=8, dim=2, seed=4))
     total = float(np.sum(X.initial ** 2))
-    for k, inc in enumerate(X.increments(), start=1):
+    for k, inc in enumerate(wt.pair_increments(X.levels), start=1):
         total += float(np.sum(inc ** 2)) * 2.0 ** (-k)
     assert mg.terminal_norm(X.leaves, 1.0) ** 2 == pytest.approx(total, rel=1e-12)
 
@@ -78,8 +78,8 @@ def test_rotation_transform_subordinate_but_not_multiplier():
     Y = mg.rotation_transform(X, rng)
     assert mg.check_subordination(X, Y).ok
     # some increment is not a scalar multiple of its source
-    ddx = X.increments()[2][0]
-    ddy = Y.increments()[2][0]
+    ddx = list(wt.pair_increments(X.levels))[2][0, 0]
+    ddy = list(wt.pair_increments(Y.levels))[2][0, 0]
     cross = abs(ddx[0] * ddy[1] - ddx[1] * ddy[0])
     assert cross > 1e-10
 
@@ -135,7 +135,7 @@ def test_bracket_difference_running_sums():
     Y = mg.DyadicMartingale([0.5 * lev for lev in Y.levels])
     assert mg.check_subordination(X, Y).ok
     n = X.depth
-    dXs, dYs = X.increments(), Y.increments()
+    dXs, dYs = ([inc.reshape(-1, 2) for inc in wt.pair_increments(M.levels)] for M in (X, Y))
     for leaf in range(2 ** n):
         run = float(X.initial @ X.initial - Y.initial @ Y.initial)
         assert run >= -1e-12
@@ -259,7 +259,8 @@ def test_layout_forms_match_repeat_oracles_bit_for_bit(depth, dim):
     rng = np.random.default_rng(20 + depth + dim)
     X = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
     Z = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
-    got, want = X.increments(), repeat_increments(X)
+    got = [inc.reshape(-1, dim) for inc in wt.pair_increments(X.levels)]
+    want = repeat_increments(X)
     assert len(got) == len(want) == depth
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     sig = [rng.uniform(-1.0, 1.0, 2 ** k) for k in range(depth)]

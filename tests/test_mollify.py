@@ -152,14 +152,14 @@ def test_default_grid_builds_at_q256():
     assert np.diff(moll.values, axis=4).max() <= 1e-12
 
 
-@pytest.mark.parametrize("Q", [476.0, 478.0])
-def test_composite_refuses_k_off_the_axis_from_q478(Q):
-    # the K axis's lower clamp floor(ell/h) h lies above K(rs) from Q ~ 478
-    # on; the check refuses the grid instead of extrapolating past its end
+@pytest.mark.parametrize("Q", [852.0, 853.0])
+def test_composite_refuses_k_off_the_axis_from_q853(Q):
+    # the K axis's lower clamp, the kernel radius m h, lies above K(rs) from
+    # Q = 853 on; the check refuses the grid instead of extrapolating past its end
     cfg = bs.BellmanConfig(Q=Q)
     moll = mo.mollify_h4(cfg.ell, mo.default_grid_spec(cfg, cells=8))
     for seed in (0, 1):
-        if Q < 478.0:
+        if Q < 853.0:
             assert mo.composite_one_leg_margins(moll, cfg, seed=seed).min() >= -1e-6
         else:
             with pytest.raises(ConfigError, match=r"K\(rs\) leaves the grid's K axis"):

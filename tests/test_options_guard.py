@@ -10,9 +10,8 @@ not listed and on a listed one that is gone.
 """
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "bellsub"
+from source_rules import sources
 
 IGNORED_SEED = "perfbench/workloads.py passes it; ignored"
 
@@ -101,12 +100,12 @@ def test_scan_finds_every_kind_of_default(tmp_path):
 
 
 def test_every_default_has_a_reason():
-    found = set().union(*(defaulted(p) for p in SRC.glob("*.py")))
+    found = set().union(*map(defaulted, sources()))
     unlisted = sorted(found - set(ALLOWED))
     assert not unlisted, f"defaulted parameters without a reason: {unlisted}"
 
 
 def test_allow_list_has_no_stale_entry():
-    found = set().union(*(defaulted(p) for p in SRC.glob("*.py")))
+    found = set().union(*map(defaulted, sources()))
     stale = sorted(set(ALLOWED) - found)
     assert not stale, f"listed, but no longer a defaulted parameter: {stale}"

@@ -22,10 +22,9 @@ a reader meets first.
 
 import ast
 import re
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "bellsub"
+from source_rules import ROOT, SRC, sources
+
 README = ROOT / "README.md"
 
 ALLOWED = {
@@ -74,7 +73,7 @@ def quick_start(text):
 def unused_exports():
     """Re-exported names with no use outside the tests."""
     used = set()
-    for path in SRC.glob("*.py"):
+    for path in sources():
         if path.name != "__init__.py":
             used |= references(path)
     texts = [readme_code(README.read_text())]
