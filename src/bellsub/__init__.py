@@ -2,8 +2,7 @@
 subordination, its numerical certification, and dyadic-filtration
 martingale experiments around the sharp weighted L2 estimate."""
 
-from .bellman import (BellmanConfig, StatePoint, Perturbation, Region,
-                      EvalResult, eval_B)
+from .bellman import BellmanConfig, StatePoint, Perturbation, EvalResult, eval_B
 from .coefficients import DEFAULT_COEFFICIENTS, validate_coefficients
 from .certify import (SampleSpec, CertReport, CheckRecord, TauStats,
                       tau_sweep, check_c1_across_cuts,

@@ -21,7 +21,7 @@ coefficient functions and their (r, s) partials (see `_coefficients`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -132,19 +132,12 @@ class Perturbation:
             raise InvalidInputError("non-finite perturbation")
 
 
-@dataclass(frozen=True)
-class Region:
-    """Branch tag of H4 at a point: R1 interior, R2/R3 boundary branches, CUT near a cut."""
-
-    tag: str  # one of R1, R2, R3, CUT
-
-
 @dataclass
 class EvalResult:
     value: float
     gradient: np.ndarray                       # (2*dim + 2,): d/dx, d/dy, d/dr, d/ds
     hessian_form: Callable[[Perturbation], float]
-    region: Region = field(default=Region("R1"))
+    region: str     # H4's branch: R1 interior, R2/R3 boundary branches, CUT near a cut
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +490,7 @@ def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
     cut that is the non-R1 side, the smaller of the two.
     """
     batch, xhat, yhat = evaluate_point(V, cfg)
-    region = Region("CUT") if batch.cut[0] else Region(f"R{int(batch.region[0])}")
+    region = "CUT" if batch.cut[0] else f"R{int(batch.region[0])}"
 
     def hessian_form(dV: Perturbation) -> float:
         return float(hessian_quadratic_form(

@@ -24,7 +24,9 @@ bellman.CUT_TOLERANCE of an H4 branch cut) are excluded from the C^2 checks
 skipped.  All randomness flows through numpy SeedSequence spawns keyed by the
 sample batch index, so reports are byte-identical for a given (cfg, spec) no
 matter how many worker threads evaluate the batches.  The plan (spec) fixes
-only the sample count and the seed; the domain sampled is cfg's.
+only the sample count and the seed; the domain sampled is cfg's.  `_records`
+draws each batch and `_check`, which draws nothing, turns its points into a
+per-sample record; tau_sweep draws no one-leg partners.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import io
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -340,7 +341,7 @@ def tau_sweep(cfg: BellmanConfig, spec: SampleSpec):
     skipping cut-adjacent points; ok is False when any point has no feasible
     in-band tau.
     """
-    kept = _records(cfg, spec)[1]
+    kept = _records(cfg, spec, 1, pairs=False)[1]
     a, b, r, s = kept["point"].T.tolist()
     rows = list(zip(kept["index"].tolist(), r, s, a, b, kept["tau"].tolist()))
     return rows, bool((kept["feas"] >= -TAU_FEAS_TOL).all())
@@ -448,7 +449,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
                           note=note or "no samples: checks pass vacuously",
                           coefficients_ok=coeffs_ok)
 
-    merged, kept = _records(cfg, spec, jobs)
+    merged, kept = _records(cfg, spec, jobs, pairs=True)
     checks = []
     for name, floor, skips_cut in CHECKS:
         rows = kept if skips_cut else merged
@@ -474,10 +475,15 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
                       coefficients_ok=coeffs_ok)
 
 
-def _records(cfg, spec, jobs=1):
+def _records(cfg, spec, jobs, pairs):
     """The records of the plan's batches joined in sample order, and their
-    rows away from the cuts (the rows of the C^2 checks and of tau)."""
-    work = partial(_certify_batch, cfg)
+    rows away from the cuts (the rows of the C^2 checks and of tau).  Each
+    batch draws its points, and their one-leg partners if `pairs`."""
+    def work(job):
+        size, pt_seed, pair_seed = job
+        return _check(cfg, _sample_arrays(cfg, pt_seed, size),
+                      _sample_arrays(cfg, pair_seed, size) if pairs else None)
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
             parts = list(ex.map(work, _batches(spec)))
@@ -488,11 +494,11 @@ def _records(cfg, spec, jobs=1):
     return merged, {k: v[~merged["cut"]] for k, v in merged.items()}
 
 
-def _certify_batch(cfg, job):
-    """One batch's record: per sample, in sample order, the point (a, b, r, s),
-    the cut flag, each check's margin, tau and its feasibility."""
-    size, pt_seed, pair_seed = job
-    x, y, r, s = _sample_arrays(cfg, pt_seed, size)
+def _check(cfg, points, pairs):
+    """The record of the points (x, y, r, s), row by row: the point (a, b, r, s),
+    the cut flag, the Hessian and second x/y margins, tau and its feasibility;
+    with one-leg partners pairs = (x2, y2, r2, s2), the one-leg and size margins."""
+    x, y, r, s = points
     # eps and ell far below 1 put h past the float range, where eigvalsh
     # fails: that config is refused in one line, without overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -503,19 +509,19 @@ def _certify_batch(cfg, job):
         raise ConfigError(f"eps {cfg.eps!r} and ell {cfg.ell!r} put the radial "
                           "Hessian beyond the float64 range")
     lower, tau, feas = _ellipse(h, tan, cfg)
-
-    # one-leg pairs: independent second sample, gradient at the first point
-    x2, y2, r2, s2 = _sample_arrays(cfg, pair_seed, size)
-    val2 = profile_value(row_norm(x2), row_norm(y2), r2, s2, cfg)
-    one_leg, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
-                                   val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)
-
     cx, cy = _axis_curvatures(h, tan)
     cap = cfg.dxx_constant / cfg.eps
-    return {"point": np.stack([a, b, r, s], axis=1), "cut": batch.cut,
-            "hessian_lower": lower, "one_leg": one_leg,
-            "size_bound": cfg.size_constant * (a * a / r + b * b / s) - batch.value,
-            "dxx_bound": cap - cx, "dyy_bound": cap - cy, "tau": tau, "feas": feas}
+    record = {"point": np.stack([a, b, r, s], axis=1), "cut": batch.cut,
+              "hessian_lower": lower, "dxx_bound": cap - cx, "dyy_bound": cap - cy,
+              "tau": tau, "feas": feas}
+    if pairs is not None:
+        # one-leg from each point to its partner, gradient at the point
+        x2, y2, r2, s2 = pairs
+        val2 = profile_value(row_norm(x2), row_norm(y2), r2, s2, cfg)
+        record["one_leg"] = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
+                                           val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)[0]
+        record["size_bound"] = cfg.size_constant * (a * a / r + b * b / s) - batch.value
+    return record
 
 
 def _fmt_point(p):

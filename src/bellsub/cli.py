@@ -28,19 +28,25 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _add_cfg(sp):
+    sp.add_argument("--Q", type=float, default=16.0)
+    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--ell", type=float, default=0.05)
+    sp.add_argument("--dim", type=int, default=2)
+
+
+def _cfg(args):
+    """The BellmanConfig of the flags `_add_cfg` adds."""
+    return BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="bellsub", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_cfg(sp):
-        sp.add_argument("--Q", type=float, default=16.0)
-        sp.add_argument("--eps", type=float, default=0.1)
-        sp.add_argument("--ell", type=float, default=0.05)
-        sp.add_argument("--dim", type=int, default=2)
-
     c = sub.add_parser("certify", help="run the full certification suite")
-    add_cfg(c)
+    _add_cfg(c)
     c.add_argument("--samples", type=int, required=True)
     c.add_argument("--seed", type=int, required=True)
     c.add_argument("--out", default=None)
@@ -49,7 +55,7 @@ def build_parser():
     c.add_argument("--jobs", type=int, default=1)
 
     t = sub.add_parser("tau-sweep", help="per-sample ellipse constants as CSV")
-    add_cfg(t)
+    _add_cfg(t)
     t.add_argument("--samples", type=int, required=True)
     t.add_argument("--seed", type=int, required=True)
     t.add_argument("--out", default=None)
@@ -78,7 +84,7 @@ def build_parser():
     r.add_argument("--out", default=None)
 
     e = sub.add_parser("telescope", help="pathwise dissipation verification")
-    add_cfg(e)
+    _add_cfg(e)
     e.add_argument("--depth", type=int, default=8)
     e.add_argument("--delta", type=float, default=-0.5)
     e.add_argument("--num", type=int, default=20)
@@ -106,7 +112,7 @@ def cmd_certify(args):
     _check_seed(args)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
+    cfg = _cfg(args)
     spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rep = cert.run_certification(cfg, spec, jobs=args.jobs)
     text = cert.report_to_csv(rep) if args.format == "csv" else cert.report_to_text(rep)
@@ -117,7 +123,7 @@ def cmd_certify(args):
 
 def cmd_tau_sweep(args):
     _check_seed(args)
-    cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
+    cfg = _cfg(args)
     spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rows, ok = cert.tau_sweep(cfg, spec)
     lines = ["sample,r,s,x_norm,y_norm,tau"]
@@ -191,7 +197,7 @@ def cmd_truncate(args):
 def cmd_telescope(args):
     _check_num(args)
     _check_seed(args)
-    cfg = BellmanConfig(Q=args.Q, eps=args.eps, ell=args.ell, dim=args.dim)
+    cfg = _cfg(args)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     raw = weights.power_weight_family(args.delta, args.depth)
     w = weights.truncate_two_sided(raw, 1.0 / cfg.eps)

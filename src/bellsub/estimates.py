@@ -42,29 +42,36 @@ def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
     balances lam^2 EF + lam^-2 EG into 2 sqrt(EF EG), the step that turns the
     dissipation bound into a product bound.
     """
-    _check_c_target(C_target)
-    sub = check_subordination(X, Y)
-    if not sub.ok:
-        raise SubordinationError(f"Y is not subordinate to X (first violation at "
-                                 f"{sub.first_violation})")
+    _require_subordinate(X, Y, C_target)
     lhs = bilinear_form(Y, Z)
     q2 = a2_characteristic(w)
     nx, nz = weighted_norm(X, w), terminal_norm(Z.leaves, 1.0 / w.leaf_values)
     rhs = q2 * nx * nz
     EF, EG = nx * nx, nz * nz
     lam2 = np.sqrt(EG / EF) if EF > 0.0 else np.inf
+    return {**_verdict(lhs, rhs, C_target), "lambda2": float(lam2)}
+
+
+def _require_subordinate(X, Y, C_target):
+    """The precondition of both estimates: a finite positive C_target and Y
+    subordinate to X."""
+    if not (np.isfinite(C_target) and C_target > 0.0):
+        raise DomainError(f"C_target must be finite and positive, got {C_target}")
+    sub = check_subordination(X, Y)
+    if not sub.ok:
+        raise SubordinationError(f"Y is not subordinate to X (first violation at "
+                                 f"{sub.first_violation})")
+
+
+def _verdict(lhs, rhs, C_target):
+    """Both sides of an estimate lhs <= C_target * rhs, their ratio and whether
+    it holds up to roundoff."""
     return {
         "lhs": lhs,
         "rhs": rhs,
         "ratio": lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf),
         "pass": lhs <= C_target * rhs + MARGIN_TOL,
-        "lambda2": float(lam2),
     }
-
-
-def _check_c_target(C_target):
-    if not (np.isfinite(C_target) and C_target > 0.0):
-        raise DomainError(f"C_target must be finite and positive, got {C_target}")
 
 
 def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None):
@@ -196,11 +203,7 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
     `seed` is ignored: the exact dual draws no random test martingales.  It
     stays in the signature so that callers which still pass it keep working.
     """
-    _check_c_target(C_target)
-    sub = check_subordination(X, Y)
-    if not sub.ok:
-        raise SubordinationError(f"Y is not subordinate to X (first violation at "
-                                 f"{sub.first_violation})")
+    _require_subordinate(X, Y, C_target)
     lhs = weighted_norm(Y, w)
     q2 = a2_characteristic(w)
     rhs = q2 * weighted_norm(X, w)
@@ -211,14 +214,7 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
     pairing = abs(float(np.mean(row_sum(Y.leaves * z))))
     dual = pairing / nz if nz > 0.0 else 0.0
 
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "ratio": lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf),
-        "dual_lhs": dual,
-        "duality_gap": abs(dual - lhs),
-        "pass": lhs <= C_target * rhs + MARGIN_TOL,
-    }
+    return {**_verdict(lhs, rhs, C_target), "dual_lhs": dual, "duality_gap": abs(dual - lhs)}
 
 
 def projection_consistency(X, Y, w: WeightTree):

@@ -128,12 +128,10 @@ _STEP = {1: (slice(2, None), slice(1, -1), slice(0, -2)),
 class MollifiedH4:
     """H4 * phi_ell sampled on a uniform 5-D grid: its axes and node values."""
 
-    def __init__(self, ell, axes, values, kernel, pad_cells):
+    def __init__(self, ell, axes, values):
         self.ell = ell
         self.axes = axes
         self.values = values
-        self.kernel = kernel
-        self.pad_cells = pad_cells
 
     def cut_distance(self):
         """Per grid node, the normalized distance to the nearer H4 branch cut."""
@@ -212,7 +210,7 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
     expect = tuple(len(a) for a in axes)
     if values.shape != expect:
         raise ConfigError(f"convolution shape {values.shape} != grid shape {expect}")
-    return MollifiedH4(ell=ell, axes=axes, values=values, kernel=kernel, pad_cells=m)
+    return MollifiedH4(ell=ell, axes=axes, values=values)
 
 
 def default_grid_spec(cfg: BellmanConfig, cells=8):

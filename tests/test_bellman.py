@@ -239,7 +239,7 @@ def test_eval_b_gradient_matches_finite_differences():
     checked = 0
     for i in range(200):
         res = bs.eval_B(bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i]), cfg)
-        if res.region.tag == "CUT":
+        if res.region == "CUT":
             continue
         scale = np.maximum(np.abs(g_fd[i]), 1.0)
         assert (np.abs(res.gradient - g_fd[i]) / scale < 1e-4).all()
@@ -292,7 +292,7 @@ def test_eval_b_cut_band_form_is_its_branch_form():
     for offset in (-5e-9, 0.0, 5e-9):
         a = 0.8 * k / s * (1.0 + offset)
         res = bs.eval_B(bs.StatePoint(x=[a, 0.0], y=[0.8, 0.0], r=r, s=s), cfg)
-        assert res.region.tag == "CUT"
+        assert res.region == "CUT"
         batch = evaluate_batch(np.array([a]), np.array([0.8]), np.array([r]),
                                np.array([s]), cfg)
         unit = np.array([[1.0, 0.0]])

@@ -68,7 +68,7 @@ def test_single_point_checks_take_the_q1_samples_below_rs_1():
     below = [V for V in points(cfg, 2000, seed=1) if V.r * V.s < 1.0]
     assert below and all(V.r * V.s == 1.0 - 2.0 ** -53 for V in below)
     res = [bs.eval_B(V, cfg) for V in below]
-    V, rv = next((V, rv) for V, rv in zip(below, res) if rv.region.tag != "CUT")
+    V, rv = next((V, rv) for V, rv in zip(below, res) if rv.region != "CUT")
     dV = bs.Perturbation(dx=[1.0, 0.0], dy=[0.0, 1.0], dr=0.1, ds=-0.1)
     assert tau_at(V, cfg)[0] > 0.0
     assert np.isfinite(rv.hessian_form(dV))
@@ -137,7 +137,7 @@ def test_one_leg_same_point_and_taylor_consistency():
     checked = 0
     for V in pts:
         res = bs.eval_B(V, CFG)
-        if res.region.tag == "CUT":
+        if res.region == "CUT":
             continue
         d = rng.standard_normal(6)
         d /= np.linalg.norm(d)
@@ -188,7 +188,7 @@ def test_tau_scaling_recorded_not_asserted(capsys):
     for lam in (0.5, 1.0, 2.0):
         W = bs.StatePoint(x=lam * V.x, y=V.y / lam, r=V.r, s=V.s)
         tau, feas = tau_at(W, CFG)
-        ok = bs.eval_B(W, CFG).region.tag != "CUT" and feas >= -ct.TAU_FEAS_TOL
+        ok = bs.eval_B(W, CFG).region != "CUT" and feas >= -ct.TAU_FEAS_TOL
         rows.append((lam, float(tau) if ok else float("nan")))
     print("tau scaling under x->lam x, y->y/lam:", rows)
     assert len(rows) == 3
@@ -423,6 +423,37 @@ def test_certify_and_tau_sweep_skip_the_same_cut_points(monkeypatch):
     assert [row[0] for row in rows] == list(np.flatnonzero(~cut))
 
 
+def test_tau_sweep_draws_once_per_batch(monkeypatch):
+    # tau_sweep reads no one-leg or size margin, so it draws no partners;
+    # certify draws points and partners for each batch
+    calls = []
+    draw = ct._sample_arrays
+    monkeypatch.setattr(ct, "_sample_arrays", lambda *args: calls.append(args) or draw(*args))
+    spec = ct.SampleSpec(count=2 * ct.BATCH + 5, seed=1)
+    ct.tau_sweep(CFG, spec)
+    assert len(calls) == len(ct._batches(spec)) == 3
+    ct.run_certification(CFG, spec)
+    assert len(calls) == 3 + 2 * 3
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 7))
+@pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
+def test_check_replays_a_batch_row_alone_bit_for_bit(Q, dim):
+    # _check draws nothing and a row depends on its own point and partner
+    # alone, so a (seed, index) key replays any reported sample exactly
+    cfg = bs.BellmanConfig(Q=Q, dim=dim)
+    (size, pt_seed, pair_seed), = ct._batches(ct.SampleSpec(count=ct.BATCH, seed=5))
+    points, pairs = ct._sample_arrays(cfg, pt_seed, size), ct._sample_arrays(cfg, pair_seed, size)
+    batch = ct._check(cfg, points, pairs)
+    for i in range(0, size, 7):
+        row = ct._check(cfg, *([v[i:i + 1] for v in arrays] for arrays in (points, pairs)))
+        assert row.keys() == batch.keys()
+        for name, got in row.items():
+            want = batch[name][i:i + 1]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (i, name)
+
+
 @pytest.mark.parametrize("cut_tolerance", (None, 2e-2), ids=("cut_1e-8", "cut_2e-2"))
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
@@ -504,7 +535,7 @@ def test_cut_adjacent_point_is_skip_marker_not_failure():
     V = bs.StatePoint(x=[0.8 * k / s, 0.0], y=[0.8, 0.0], r=r, s=s)
     batch, _, _ = bm.evaluate_point(V, CFG)
     assert batch.cut[0] and np.isfinite(batch.h).all()
-    assert bs.eval_B(V, CFG).region.tag == "CUT"
+    assert bs.eval_B(V, CFG).region == "CUT"
 
 
 def test_failed_checks_propagate_into_report_not_exception():

@@ -32,8 +32,6 @@ ALLOWED = {
                                            "increment 0",
     ("certify", "check_c1_across_cuts", "seed"): IGNORED_SEED,
     ("certify", "run_certification", "jobs"): "the certify command's --jobs",
-    ("certify", "_records", "jobs"): "run_certification passes --jobs; "
-                                     "tau_sweep runs one thread",
     ("cli", "main", "argv"): "None reads sys.argv; tests and perfbench pass a list",
     ("coefficients", "validate_coefficients", "tol"): "tests read the exact margin "
                                                       "of infeasible drafts with it",
