@@ -22,11 +22,13 @@ Samples that `evaluate_batch` marks as cut points (within
 bellman.CUT_TOLERANCE of an H4 branch cut) are excluded from the C^2 checks
 (they are handled by the dedicated C^1 convergence check) and counted as
 skipped.  All randomness flows through numpy SeedSequence spawns keyed by the
-sample batch index, so reports are byte-identical for a given (cfg, spec) no
-matter how many worker threads evaluate the batches.  The plan (spec) fixes
-only the sample count and the seed; the domain sampled is cfg's.  `_records`
-draws each batch and `_check`, which draws nothing, turns its points into a
-per-sample record; tau_sweep draws no one-leg partners.
+index of the BATCH-sample batch, so reports are byte-identical for a given
+(cfg, spec) no matter how many worker threads evaluate them.  The plan (spec)
+fixes only the sample count and the seed; the domain sampled is cfg's.
+`_records` draws each batch and joins up to SLICE consecutive batches into a
+slice; `_check`, which draws nothing, turns a slice's points into a
+per-sample record, and the threads share the slices.  tau_sweep draws no
+one-leg partners.
 """
 
 from __future__ import annotations
@@ -49,7 +51,12 @@ from .weights import row_norm, row_sum
 TAU_FEAS_TOL = 1e-6
 KAPPA_LO = 0.1
 KAPPA_HI = 10.0
+# BATCH samples share a pair of seeds, SLICE batches one `_check` call: at
+# one batch per call the per-call overhead of its ~4700 numpy calls, spent
+# holding the GIL, sets the time and idles a second thread (8 measured best
+# against 4 and 16)
 BATCH = 2048
+SLICE = 8
 
 # each check: its name, the roundoff floor its least margin must clear, and
 # whether it skips the cut points (the C^2 checks do)
@@ -478,17 +485,26 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
 def _records(cfg, spec, jobs, pairs):
     """The records of the plan's batches joined in sample order, and their
     rows away from the cuts (the rows of the C^2 checks and of tau).  Each
-    batch draws its points, and their one-leg partners if `pairs`."""
-    def work(job):
-        size, pt_seed, pair_seed = job
-        return _check(cfg, _sample_arrays(cfg, pt_seed, size),
-                      _sample_arrays(cfg, pair_seed, size) if pairs else None)
+    batch draws its points, and their one-leg partners if `pairs`; each
+    slice of up to SLICE consecutive batches is checked in one `_check`
+    call, and `jobs` threads share the slices.  `_check` is row-wise, so the
+    slicing moves no bit."""
+    def draw(seeds, sizes):
+        # each batch from its own seed, the batches joined
+        arrays = [_sample_arrays(cfg, seed, size) for seed, size in zip(seeds, sizes)]
+        return [np.concatenate(v) for v in zip(*arrays)]
 
-    if jobs > 1:
+    def work(part):
+        sizes, pt_seeds, pair_seeds = zip(*part)
+        return _check(cfg, draw(pt_seeds, sizes), draw(pair_seeds, sizes) if pairs else None)
+
+    batches = _batches(spec)
+    slices = [batches[i:i + SLICE] for i in range(0, len(batches), SLICE)]
+    if jobs > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(work, _batches(spec)))
+            parts = list(ex.map(work, slices))
     else:
-        parts = list(map(work, _batches(spec)))
+        parts = list(map(work, slices))
     merged = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
     merged["index"] = np.arange(spec.count)
     return merged, {k: v[~merged["cut"]] for k, v in merged.items()}

@@ -154,7 +154,10 @@ def worst_ratio(w: WeightTree):
     Returns (ratio, details) with the achieved (sigma, f) ratio; the search
     starts from the square-function eigenfunction and all-ones signs, then
     alternates exact f-steps with sign ascent for at most ROUNDS rounds.  It
-    draws nothing.
+    draws nothing.  The search ends when a round does not improve the ratio,
+    or when its ascent leaves the signs as they were: the next f-step would
+    build the same operator, and ARPACK, started from ones, returns the same
+    f bit for bit.  `rounds_used` counts the f-steps run.
     """
     wl = w.leaf_values
     n = w.depth
@@ -167,11 +170,15 @@ def worst_ratio(w: WeightTree):
     used = 0
     for used in range(1, ROUNDS + 1):
         fnew = _best_f_given_sigma(wl, sig0, sigs)
+        old0, old = sig0, list(sigs)
         sig0, sigs = _ascend_sigma(fnew, wl, sig0, sigs)
         val = _wnorm2(_apply_tsigma(fnew, sig0, sigs), wl) / _wnorm2(fnew, wl)
         if val <= best * (1.0 + 1e-10):
             break
         best, fcur = val, fnew
+        if sig0 == old0 and all(map(np.array_equal, sigs, old)):
+            # the next f-step would rebuild this operator and return fnew again
+            break
     return float(np.sqrt(best)), {"rounds_used": used, "f": fcur,
                                   "sigma0": sig0, "sigma": sigs}
 

@@ -473,6 +473,28 @@ def test_record_merge_is_the_triple_merge_byte_for_byte(Q, dim, cut_tolerance, m
         assert got.checks[0].skipped > spec.count // 50
 
 
+def test_slices_merge_to_the_batch_by_batch_report_byte_for_byte():
+    # two slices, the second ending in a part batch: the oracle checks each
+    # batch alone, the library a slice of batches per call
+    spec = ct.SampleSpec(count=ct.SLICE * ct.BATCH + 1000, seed=7)
+    want = triple_run_certification(CFG, spec)
+    for jobs in (1, 2, 3):
+        got = ct.run_certification(CFG, spec, jobs)
+        assert ct.report_to_text(got) == ct.report_to_text(want)
+        assert ct.report_to_csv(got) == ct.report_to_csv(want)
+
+
+def test_a_one_slice_plan_builds_no_thread_pool(monkeypatch):
+    built = []
+    pool = ct.ThreadPoolExecutor
+    monkeypatch.setattr(ct, "ThreadPoolExecutor",
+                        lambda *args, **kwargs: built.append(args) or pool(*args, **kwargs))
+    ct.run_certification(CFG, ct.SampleSpec(count=ct.SLICE * ct.BATCH, seed=2), jobs=2)
+    assert built == []
+    ct.run_certification(CFG, ct.SampleSpec(count=ct.SLICE * ct.BATCH + 1, seed=2), jobs=2)
+    assert len(built) == 1
+
+
 def test_run_certification_deterministic_and_jobs_independent():
     spec = ct.SampleSpec(count=3000, seed=59)
     r1 = ct.run_certification(CFG, spec, jobs=1)

@@ -52,8 +52,8 @@ def test_certify_deterministic_across_jobs(tmp_path):
 
 
 def test_certify_runs_on_one_thread_by_default(tmp_path, monkeypatch):
-    # two threads certify slower than one on a two-core host, so --jobs
-    # defaults to 1, whatever the core count
+    # --jobs defaults to 1, whatever the core count; 3000 samples are one
+    # slice, which runs in the calling thread at any --jobs
     def no_pool(*args, **kwargs):
         raise AssertionError("thread pool built without --jobs")
     monkeypatch.setattr(cli.cert, "ThreadPoolExecutor", no_pool)

@@ -194,3 +194,26 @@ def test_sqfun_operator_is_the_square_function_form(depth):
         assert f @ nf == pytest.approx(sqfun_form(f, w), rel=1e-12)
         assert g @ ng == pytest.approx(sqfun_form(g, w), rel=1e-12)
         assert abs(g @ nf - f @ ng) <= 1e-12 * np.sqrt((f @ nf) * (g @ ng))
+
+
+@pytest.mark.parametrize("q2", (4.0, 32.0))
+def test_worst_ratio_skips_the_f_step_that_repeats_the_last(q2, monkeypatch):
+    # at depth 6 the last ascent leaves the signs as they were: the f-step
+    # after it would rebuild the same operator and return the same f bit
+    # for bit, so the search ends without running it
+    w = wt.power_weight_family(wt.delta_for_characteristic(q2), 6)
+    wl = w.leaf_values
+    tops = []
+    top = sh._top_eigvec
+    monkeypatch.setattr(sh, "_top_eigvec", lambda *args: tops.append(top(*args)) or tops[-1])
+    _, det = sh.worst_ratio(w)
+    assert len(tops) == 1 + det["rounds_used"]
+    assert det["rounds_used"] < sh.ROUNDS
+    # no f-step returns the f of the step before it
+    assert not any(np.array_equal(a, b) for a, b in zip(tops[1:], tops[2:]))
+    assert np.array_equal(tops[-1].view(np.uint8), det["f"].view(np.uint8))
+    f = sh._best_f_given_sigma(wl, det["sigma0"], det["sigma"])
+    assert np.array_equal(f.view(np.uint8), det["f"].view(np.uint8))
+    sig0, sigs = sh._ascend_sigma(f, wl, det["sigma0"], list(det["sigma"]))
+    assert sig0 == det["sigma0"]
+    assert all(map(np.array_equal, sigs, det["sigma"]))
