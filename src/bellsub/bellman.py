@@ -11,6 +11,9 @@ from seven building blocks:
     B6 = <x,x>/r + <y,y>/(2s - 1/(r(K+1)))
     B  = c1 B1 + c2 B2 + c3 B3 + c7 (B4 + B5 + B6)
 
+with the constants c1, c2, c3, c7 of `coefficients.DEFAULT_COEFFICIENTS`, whose
+reduced inequality `validate_coefficients` decides exactly.
+
 H4 is the supremum over lam > 0 of <x,x>/(r + lam K) + <y,y>/(s + K/lam); it is
 piecewise C^2 with three branches separated by the cuts |y|r - |x|K = 0 and
 |x|s - |y|K = 0.  Everything depends on x, y only through a = |x|, b = |y|,
@@ -38,19 +41,18 @@ CUT_TOLERANCE = 1e-8
 # roundoff floor that a reported margin must clear (certify, estimates)
 MARGIN_TOL = 1e-8
 
+# B's weights on B1 .. B6: (c1, c2, c3, c7, c7, c7)
+BLOCK_WEIGHTS = DEFAULT_COEFFICIENTS + DEFAULT_COEFFICIENTS[3:] * 2
+
 
 @dataclass(frozen=True)
 class BellmanConfig:
-    """Parameters of the Bellman function and its certification domain."""
+    """The domain D_Q^{eps,ell} in dimension dim on which B is evaluated."""
 
     Q: float = 16.0
     eps: float = 0.1
     ell: float = 0.05
     dim: int = 2
-    c1: float = DEFAULT_COEFFICIENTS[0]
-    c2: float = DEFAULT_COEFFICIENTS[1]
-    c3: float = DEFAULT_COEFFICIENTS[2]
-    c7: float = DEFAULT_COEFFICIENTS[3]
 
     def __post_init__(self):
         if not np.isfinite([self.Q, self.eps, self.ell]).all():
@@ -63,17 +65,11 @@ class BellmanConfig:
             raise ConfigError(f"ell must lie in (0, eps/2], got {self.ell}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if min(self.c1, self.c2, self.c3, self.c7) <= 0.0:
-            raise ConfigError("all component coefficients must be positive")
-
-    @property
-    def coefficients(self):
-        return (self.c1, self.c2, self.c3, self.c7)
 
     @property
     def size_constant(self):
         """C with B <= C (|x|^2/r + |y|^2/s): each block is bounded by B1."""
-        return self.c1 + self.c2 + self.c3 + 3.0 * self.c7
+        return sum(BLOCK_WEIGHTS)
 
     @property
     def dxx_constant(self):
@@ -85,7 +81,7 @@ class BellmanConfig:
         qfac finite for every Q >= 1.
         """
         qfac = 1.0 / (1.0 - (1.0 - 1.0 / (8.0 * np.sqrt(self.Q))) ** 2 / self.Q)
-        return 2.0 * (self.c1 + self.c2 + self.c3) + 2.0 * self.c7 * (qfac + 2.0)
+        return 2.0 * sum(BLOCK_WEIGHTS[:3]) + 2.0 * BLOCK_WEIGHTS[3] * (qfac + 2.0)
 
 
 @dataclass(frozen=True)
@@ -251,11 +247,6 @@ def _coefficients(t, k, n, masks, weights):
             tuple(w * f for f in kh))
 
 
-def _block_weights(cfg):
-    c1, c2, c3, c7 = cfg.coefficients
-    return (c1, c2, c3, c7, c7, c7)
-
-
 def _unit_weights(i):
     return tuple(float(j == i) for j in range(1, 7))
 
@@ -320,11 +311,11 @@ def profile_value(a, b, r, s, cfg):
     """Value of B on arrays of (|x|, |y|, r, s), without partials, chunk by
     chunk into one output."""
     a, b, r, s = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, r, s)))
-    value, weights = np.empty(a.shape), _block_weights(cfg)
+    value = np.empty(a.shape)
     for lo in range(0, len(a), _CHUNK):
         part = slice(lo, lo + _CHUNK)
         k, n = kn_of_t(r[part] * s[part], cfg.Q)
-        value[part] = _fill(a[part], b[part], r[part], s[part], k, n, weights)
+        value[part] = _fill(a[part], b[part], r[part], s[part], k, n, BLOCK_WEIGHTS)
     return value
 
 
@@ -409,7 +400,7 @@ def evaluate_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
     """B with its radial partials on arrays of (|x|, |y|, r, s): first and
     second at order 2, first only at order 1 (`h` is None; value, g, region
     and cut are the order-2 ones bit for bit)."""
-    return _batch(a, b, r, s, cfg.Q, _block_weights(cfg), order)
+    return _batch(a, b, r, s, cfg.Q, BLOCK_WEIGHTS, order)
 
 
 def b4_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:

@@ -16,7 +16,8 @@ At each point the Hessian, second x/y and ellipse margins hold over every
 direction dV: they come from the 4x4 radial Hessian in (|x|, |y|, r, s) and
 the two tangential curvatures, with tau chosen in closed form (see "the
 per-point ellipse certificate" below), not from sampled directions.  The
-one-leg margin is a minimum over random pairs of points.
+one-leg margin is a minimum over random pairs of points.  B's coefficients are
+constants, whose inequality `coefficients` decides exactly; no run repeats it.
 
 Samples that `evaluate_batch` marks as cut points (within
 bellman.CUT_TOLERANCE of an H4 branch cut) are excluded from the C^2 checks
@@ -40,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# unused here: perfbench/tracing.py wraps the three *_form functions as attributes of this module
+# unused here: perfbench/tracing.py wraps the three *_form functions and
+# validate_coefficients as attributes of this module
 from .bellman import (MARGIN_TOL, BellmanConfig, _tangential_coeff, b4_batch, evaluate_batch,
                       hessian_quadratic_form, kn_of_t, one_leg_margin, partial_xx_form,
                       partial_yy_form, profile_value)
+from .coefficients import DEFAULT_COEFFICIENTS, validate_coefficients
 from .errors import ConfigError
-from .coefficients import validate_coefficients
 from .weights import row_norm, row_sum
 
 TAU_FEAS_TOL = 1e-6
@@ -110,13 +112,12 @@ class CertReport:
     spec: SampleSpec
     checks: list
     tau_stats: TauStats | None
-    runtime: float = 0.0
-    note: str = ""
-    coefficients_ok: bool = True
+    runtime: float
+    note: str
 
     @property
     def overall_pass(self):
-        return (self.coefficients_ok and all(c.passed for c in self.checks)
+        return (all(c.passed for c in self.checks)
                 and (self.tau_stats is None or self.tau_stats.passed))
 
 
@@ -440,21 +441,14 @@ def _corner_gradient(cfg, n, delta):
 def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertReport:
     """Execute every check over spec.count samples; deterministic per seed.
 
-    Check failures (including an infeasible coefficient draft) land in the
-    report, which is produced either way; only malformed inputs raise.
+    Check failures land in the report, which is produced either way; only
+    malformed inputs raise.
     """
     t0 = time.perf_counter()
-    note, coeffs_ok = "", True
-    try:
-        validate_coefficients(cfg.coefficients)
-    except ConfigError as exc:
-        coeffs_ok = False
-        note = f"coefficient validation failed: {exc}"
     if spec.count == 0:
         return CertReport(cfg=cfg, spec=spec, checks=[], tau_stats=None,
                           runtime=time.perf_counter() - t0,
-                          note=note or "no samples: checks pass vacuously",
-                          coefficients_ok=coeffs_ok)
+                          note="no samples: checks pass vacuously")
 
     merged, kept = _records(cfg, spec, jobs, pairs=True)
     checks = []
@@ -478,8 +472,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
         within_bounds=bool((taus >= band_lo).all() and (taus <= band_hi).all()),
         min_feasibility=float(feas.min(initial=np.inf)))
     return CertReport(cfg=cfg, spec=spec, checks=checks, tau_stats=tau_stats,
-                      runtime=time.perf_counter() - t0, note=note,
-                      coefficients_ok=coeffs_ok)
+                      runtime=time.perf_counter() - t0, note="")
 
 
 def _records(cfg, spec, jobs, pairs):
@@ -516,7 +509,8 @@ def _check(cfg, points, pairs):
     with one-leg partners pairs = (x2, y2, r2, s2), the one-leg and size margins."""
     x, y, r, s = points
     # eps and ell far below 1 put h past the float range, where eigvalsh
-    # fails: that config is refused in one line, without overflow warnings
+    # fails, and a Q near it puts Q times the Hessian bound there: either
+    # config is refused in one line, without overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = row_norm(x), row_norm(y)
         batch = evaluate_batch(a, b, r, s, cfg)
@@ -524,7 +518,10 @@ def _check(cfg, points, pairs):
     if not np.isfinite(h).all():
         raise ConfigError(f"eps {cfg.eps!r} and ell {cfg.ell!r} put the radial "
                           "Hessian beyond the float64 range")
-    lower, tau, feas = _ellipse(h, tan, cfg)
+    with np.errstate(over="ignore"):
+        lower, tau, feas = _ellipse(h, tan, cfg)
+    if np.isinf(feas).any():
+        raise ConfigError(f"Q {cfg.Q!r} puts Q d^2B beyond the float64 range")
     cx, cy = _axis_curvatures(h, tan)
     cap = cfg.dxx_constant / cfg.eps
     record = {"point": np.stack([a, b, r, s], axis=1), "cut": batch.cut,
@@ -553,7 +550,7 @@ def report_to_text(rep: CertReport) -> str:
     out.write("certification-report\n")
     out.write(f"Q {rep.cfg.Q!r}\neps {rep.cfg.eps!r}\nell {rep.cfg.ell!r}\n")
     out.write(f"dim {rep.cfg.dim}\nsamples {rep.spec.count}\nseed {rep.spec.seed}\n")
-    out.write("coefficients " + " ".join(repr(c) for c in rep.cfg.coefficients) + "\n")
+    out.write("coefficients " + " ".join(map(repr, DEFAULT_COEFFICIENTS)) + "\n")
     if rep.note:
         out.write(f"note {rep.note}\n")
     for c in rep.checks:

@@ -8,7 +8,8 @@ samples is the one --Q, --eps, --ell and --dim set.  sharpness draws nothing:
 its --seed is optional, still accepted, and changes nothing.  Exit codes:
 0 all checks pass / output written, 1 a verified property failed,
 2 bad flags (values past float64 or the memory included) or malformed
-input files.  Reports go to --out (default stdout); diagnostics go to stderr.
+input files, each reported on one stderr line.  Reports go to --out
+(default stdout); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # each argparse error is `main`'s one line
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_cfg(sp):
     sp.add_argument("--Q", type=float, default=16.0)
     sp.add_argument("--eps", type=float, default=0.1)
@@ -41,8 +47,8 @@ def _cfg(args):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="bellsub", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="bellsub", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("certify", help="run the full certification suite")
@@ -179,11 +185,7 @@ def cmd_sharpness(args):
 
 
 def cmd_truncate(args):
-    try:
-        w = weights.load(args.weight_file)
-    except (OSError, InvalidInputError) as exc:
-        print(f"cannot read weight file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    w = weights.load(args.weight_file)
     before = weights.a2_characteristic(w)
     wt = (weights.truncate_above(w, args.a) if args.one_sided
           else weights.truncate_two_sided(w, args.a))
@@ -229,26 +231,20 @@ COMMANDS = {
 
 def main(argv=None):
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     # argparse mistakes "-0.8:-0.5:3" for an option; glue the grid to its flag
-    argv = list(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     for i, tok in enumerate(argv[:-1]):
         if tok == "--delta-grid":
             argv[i:i + 2] = [f"--delta-grid={argv[i + 1]}"]
             break
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         return COMMANDS[args.command](args)
-    # OSError: --out names a path that cannot be written; MemoryError: numpy
-    # refuses an array past the memory (a huge --dim) before allocating it
+    except SystemExit:      # --help; argparse's errors raise ConfigError
+        return EXIT_OK
+    # OSError: --out or --weight-file names a path that cannot be written or
+    # read; MemoryError: numpy refuses an array past the memory (a huge
+    # --dim) before allocating it
     except (DomainError, InvalidInputError, ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

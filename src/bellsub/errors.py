@@ -10,7 +10,7 @@ class InvalidInputError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Inconsistent configuration (grid, sampling or coefficient setup)."""
+    """Inconsistent configuration (flags, grid, sampling or a coefficient draft)."""
 
 
 class SubordinationError(ValueError):

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellman import (BellmanConfig, b4_batch, domain_masks, evaluate_batch, h4_value,
-                      kn_of_t, one_leg_margin)
+from .bellman import (BLOCK_WEIGHTS, BellmanConfig, b4_batch, domain_masks, evaluate_batch,
+                      h4_value, kn_of_t, one_leg_margin)
 from .errors import ConfigError, DomainError
 
 
@@ -275,12 +275,13 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
 
     full = evaluate_batch(x, y, r, s, cfg, order=1)
     raw4 = b4_batch(x, y, r, s, cfg, order=1)
-    value = full.value + cfg.c7 * (m_val - raw4.value)
+    c7 = BLOCK_WEIGHTS[3]      # B4's weight
+    value = full.value + c7 * (m_val - raw4.value)
     grad = np.empty((len(x), 4))
-    grad[:, 0] = full.g[0] - cfg.c7 * raw4.g[0] + cfg.c7 * m_grad[0]
-    grad[:, 1] = full.g[1] - cfg.c7 * raw4.g[1] + cfg.c7 * m_grad[1]
-    grad[:, 2] = full.g[2] - cfg.c7 * raw4.g[2] + cfg.c7 * (m_grad[2] + m_grad[4] * kp * s)
-    grad[:, 3] = full.g[3] - cfg.c7 * raw4.g[3] + cfg.c7 * (m_grad[3] + m_grad[4] * kp * r)
+    grad[:, 0] = full.g[0] - c7 * raw4.g[0] + c7 * m_grad[0]
+    grad[:, 1] = full.g[1] - c7 * raw4.g[1] + c7 * m_grad[1]
+    grad[:, 2] = full.g[2] - c7 * raw4.g[2] + c7 * (m_grad[2] + m_grad[4] * kp * s)
+    grad[:, 3] = full.g[3] - c7 * raw4.g[3] + c7 * (m_grad[3] + m_grad[4] * kp * r)
 
     half = len(x) // 2
     i0, i1 = np.arange(half), np.arange(half, 2 * half)

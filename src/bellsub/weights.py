@@ -233,5 +233,5 @@ def load(path) -> WeightTree:
         with open(path) as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise InvalidInputError(f"not text: {exc}") from None
+        raise InvalidInputError(f"weight file is not text: {exc}") from None
     return loads(text)

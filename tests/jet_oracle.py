@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from bellsub.coefficients import DEFAULT_COEFFICIENTS
+
 NVARS = 4  # order of variables: a, b, r, s
 
 
@@ -127,5 +129,5 @@ def bellman_jets(a, b, r, s, cfg):
     h4_r1 = (ja * ja * js - 2.0 * (ja * jb * k) + jb * jb * jr) / (t - k * k)
     phi4 = Jet.where((q1 > 0.0) & (q2 > 0.0), h4_r1,
                      Jet.where(q2 <= 0.0, jb * jb / js, ja * ja / jr))
-    c1, c2, c3, c7 = cfg.coefficients
+    c1, c2, c3, c7 = DEFAULT_COEFFICIENTS
     return c1 * phi1 + c2 * phi2 + c3 * phi3 + c7 * (phi4 + phi5 + phi6), phi4

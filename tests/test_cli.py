@@ -321,3 +321,45 @@ def test_dim_beyond_memory_exits_2_with_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and "allocate" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--samples", "x", "--seed", "1"],
+    ["certify", "--seed", "1"],
+    ["certify", "--samples", "10", "--seed", "1", "--format", "bogus"],
+    ["frobnicate"],
+    [],
+], ids=("bad-int", "missing-flag", "bad-choice", "unknown-command", "no-command"))
+def test_argparse_errors_exit_2_with_one_line(capsys, argv):
+    # argparse printed its usage block above the error: 3 or 4 lines
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: bellsub")
+
+
+def test_help_exits_0(capsys):
+    assert run(["certify", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: bellsub certify")
+
+
+@pytest.mark.parametrize("Q", ("1e306", "1e308"))
+@pytest.mark.parametrize("command", ("certify", "tau-sweep"))
+def test_q_past_the_float_range_exits_2_with_one_line(tmp_path, capsys, command, Q):
+    # Q times the Hessian bound overflowed: an overflow warning and exit 0,
+    # and at 1e308 a report reading band_hi inf
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--Q", Q, "--samples", "2000", "--seed", "1",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: Q {float(Q)!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("certify", "tau-sweep"))
+def test_q_1e300_still_passes(tmp_path, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--Q", "1e300", "--samples", "2000", "--seed", "1",
+                    "--out", str(tmp_path / "out")]) == 0

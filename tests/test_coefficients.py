@@ -1,9 +1,10 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from bellsub.bellman import BellmanConfig
+from bellsub.bellman import BLOCK_WEIGHTS, BellmanConfig
 from bellsub.coefficients import DEFAULT_COEFFICIENTS, reduced_margin, validate_coefficients
 from bellsub.errors import ConfigError
 from oracles import orthant_directions
@@ -54,9 +55,14 @@ def test_infeasible_drafts_name_a_violating_direction(name):
 
 
 def test_default_config_carries_the_validated_defaults():
-    coeffs = BellmanConfig().coefficients
-    assert coeffs == DEFAULT_COEFFICIENTS
-    assert validate_coefficients(coeffs)[0] == 0.0
+    # B's block weights are the defaults, c7 on each of B4, B5, B6, and a
+    # BellmanConfig names the domain alone
+    c7 = DEFAULT_COEFFICIENTS[3]
+    assert BLOCK_WEIGHTS == DEFAULT_COEFFICIENTS + (c7, c7)
+    assert validate_coefficients(BLOCK_WEIGHTS[:4])[0] == 0.0
+    assert [f.name for f in dataclasses.fields(BellmanConfig)] == ["Q", "eps", "ell", "dim"]
+    with pytest.raises(TypeError):
+        BellmanConfig(c7=1.0)
 
 
 def test_homogeneity_doubling_preserves_feasibility():

@@ -1,22 +1,30 @@
-"""Every parameter with a default in `src/bellsub` has a stated reason.
+"""Every parameter and dataclass field with a default in `src/bellsub` has
+a stated reason.
 
 A parameter with a default is a setting.  When every caller leaves it at
 one value it is a constant in disguise, and each such setting doubles the
 configurations that tests must cover.  This test parses `src/bellsub/*.py`
 for every parameter with a default, positional or keyword-only, in
-functions, methods and lambdas, and compares them with ALLOWED, which gives
-the caller that sets each one.  It fails on a defaulted parameter that is
-not listed and on a listed one that is gone.
+functions, methods and lambdas, and for every field with a default of a
+dataclass (a parameter of its generated constructor), and compares them
+with ALLOWED, which gives the caller that sets each one.  It fails on a
+defaulted parameter or field that is not listed and on a listed one that
+is gone.
 """
 
 import ast
 
-from source_rules import sources
+from source_rules import names, sources
 
 IGNORED_SEED = "perfbench/workloads.py passes it; ignored"
 
-# (module, qualified function name, parameter) -> why it stays settable
+# (module, qualified function or dataclass name, parameter or field) -> why it
+# stays settable
 ALLOWED = {
+    ("bellman", "BellmanConfig", "Q"): "the CLI's --Q",
+    ("bellman", "BellmanConfig", "eps"): "the CLI's --eps",
+    ("bellman", "BellmanConfig", "ell"): "the CLI's --ell",
+    ("bellman", "BellmanConfig", "dim"): "the CLI's --dim",
     ("bellman", "kn_of_t", "order"): "_batch passes its order, mollify 1 for K'; "
                                      "the value paths use 0",
     ("bellman", "_batch", "order"): "evaluate_batch and b4_batch pass theirs; "
@@ -40,6 +48,10 @@ ALLOWED = {
     ("estimates", "verify_main_theorem", "seed"): IGNORED_SEED,
     ("martingales", "random_martingale", "rng"): "commands share one generator "
                                                  "between draws; None seeds from cfg",
+    ("martingales", "SimConfig", "depth"): "the CLI's --depth",
+    ("martingales", "SimConfig", "dim"): "the CLI's --dim",
+    ("martingales", "SimConfig", "seed"): "the README quick start; the commands "
+                                          "pass a generator instead",
     ("martingales", "transform", "sigma0"): "the commands pass 1, tests -1 and -0.75",
     ("mollify", "GridSpec.axes", "pad_cells"): "mollify_h4 pads by the kernel radius",
     ("mollify", "default_grid_spec", "cells"): "perfbench's smoke size passes 2",
@@ -55,14 +67,24 @@ ALLOWED = {
 }
 
 
+def is_dataclass(node):
+    return any(names(d.func if isinstance(d, ast.Call) else d, "dataclass")
+               for d in node.decorator_list)
+
+
 def defaulted(path):
-    """(module, qualified name, parameter) for each parameter with a default."""
+    """(module, qualified name, parameter) for each parameter with a default,
+    and (module, qualified class name, field) for each dataclass field with one."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = set()
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if is_dataclass(child):
+                    found.update((path.stem, prefix + child.name, f.target.id)
+                                 for f in child.body if isinstance(f, ast.AnnAssign)
+                                 and f.value is not None)
                 visit(child, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 qual = prefix + getattr(child, "name", "<lambda>")
@@ -90,11 +112,21 @@ def test_scan_finds_every_kind_of_default(tmp_path):
                    "    def method(self, g, /, h=5):\n"
                    "        return h\n"
                    "def required(i, j):\n"
-                   "    return i\n")
+                   "    return i\n"
+                   "@dataclass(frozen=True)\n"
+                   "class Config:\n"
+                   "    k: int\n"
+                   "    m: int = 6\n"
+                   "@dataclasses.dataclass\n"
+                   "class Record:\n"
+                   "    n: str = ''\n"
+                   "class Plain:\n"
+                   "    o: int = 7\n")
     assert defaulted(src) == {("m", "plain", "b"), ("m", "plain", "d"),
                               ("m", "plain.inner", "e"),
                               ("m", "plain.inner.<lambda>", "f"),
-                              ("m", "Box.method", "h")}
+                              ("m", "Box.method", "h"), ("m", "Config", "m"),
+                              ("m", "Record", "n")}
 
 
 def test_every_default_has_a_reason():
