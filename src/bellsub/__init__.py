@@ -17,7 +17,7 @@ from .estimates import (verify_bilinear_estimate, bellman_telescope,
                         projection_consistency)
 from .mollify import (GridSpec, MollifiedH4, mollify_h4, default_grid_spec,
                       bump_kernel, composite_one_leg_margins)
-from .sharpness import sharpness_experiment, worst_ratio, fitted_slope
+from .sharpness import sharpness_experiment, worst_ratio
 from .weights import (WeightTree, a2_characteristic, truncate_above,
                       truncate_two_sided, power_weight_family,
                       delta_for_characteristic)

@@ -4,16 +4,19 @@ A2 characteristic, on power weights.
 For a weight w and test function f on the leaves, independent random signs
 average to the weighted square-function form,
 
-    E_sigma ||T_sigma f||_{2,w}^2 = <f>^2 <w> + sum_A (df_A)^2 2^-|A| <w>_A,
+    E_sigma ||T_sigma f||_{2,w}^2 = <f>^2 <w> + sum_A (df_A)^2 2^-|A| <w>_A
+                                  = S(f).
 
-so the best test function for that average is a generalized eigenvector of a
-PSD quadratic form; an explicit sign choice at least as good as the average
-is then found by coordinate ascent over the +-1 multipliers, started from
-all-ones signs and alternating with exact re-optimization of f for the
-current signs (for fixed sigma, T_sigma is linear and self-adjoint in the
-unweighted inner product).  The search draws nothing: an ascent from random
-signs never ends above the one from all ones (tests/test_sharpness.py).
-The reported ratios are realized by explicit (sigma, f) pairs, so they are
+The search alternates two exact steps: for fixed sigma, T_sigma is linear
+and self-adjoint in the unweighted inner product, so the best f is a
+generalized eigenvector; for fixed f, coordinate ascent flips single +-1
+multipliers while the norm grows.  A sign pattern that no single flip
+improves keeps every cross term of ||T_sigma f||^2 nonnegative on the sum,
+so it ends at least at the average S(f) of its f.  The search starts from
+signs that alternate by generation and draws nothing: an ascent from random
+signs never ends above the one from that start, and at depths 3 and 4 the
+search meets the exhaustive supremum (tests/test_sharpness.py).  The
+reported ratios are realized by explicit (sigma, f) pairs, so they are
 honest lower bounds for the supremum; the search cannot certify the exact
 supremum.
 """
@@ -71,39 +74,6 @@ def _top_eigvec(apply, w_leaves):
     return vecs[:, 0] / sqD
 
 
-def _sqfun_operator(w_leaves):
-    """Matvec of the weighted square-function form S(f) = <f, N f>.
-
-    The per-level factors 2^-k <w>_k are fixed by the weight and computed
-    once.  Each application builds N f from coarse to fine at every level's
-    resolution, so it costs O(2^n).
-    """
-    n = int(np.log2(len(w_leaves)))
-    wavg = dyadic_averages(w_leaves)
-    coef = [2.0 ** (-k) * wavg[k] for k in range(n + 1)]
-
-    def n_apply(f):
-        lev = dyadic_averages(f)
-        grad = np.array([lev[0][0] * wavg[0][0] / 2.0 ** n])
-        for k in range(1, n + 1):
-            parent = lev[k - 1]
-            t0 = coef[k][0::2] * (lev[k][0::2] - parent)
-            t1 = coef[k][1::2] * (lev[k][1::2] - parent)
-            tp = (t0 + t1) * 2.0 ** (-(n - k + 1))
-            child = np.empty(2 ** k)
-            child[0::2] = grad + t0 * 2.0 ** (-(n - k)) - tp
-            child[1::2] = grad + t1 * 2.0 ** (-(n - k)) - tp
-            grad = child
-        return grad
-
-    return n_apply
-
-
-def _sqfun_eigen_f(w_leaves):
-    """Maximizer of the Rademacher-averaged quotient (weighted square function)."""
-    return _top_eigvec(_sqfun_operator(w_leaves), w_leaves)
-
-
 def _best_f_given_sigma(w_leaves, sig0, sigs):
     """Exact top test function for fixed signs: generalized eigenvector of
     T_sigma^T W T_sigma against W (T_sigma self-adjoint unweighted)."""
@@ -152,22 +122,21 @@ def worst_ratio(w: WeightTree):
     """Best realized ||T_sigma f||_{2,w} / ||f||_{2,w} found by the search.
 
     Returns (ratio, details) with the achieved (sigma, f) ratio; the search
-    starts from the square-function eigenfunction and all-ones signs, then
-    alternates exact f-steps with sign ascent for at most ROUNDS rounds.  It
-    draws nothing.  The search ends when a round does not improve the ratio,
-    or when its ascent leaves the signs as they were: the next f-step would
-    build the same operator, and ARPACK, started from ones, returns the same
-    f bit for bit.  `rounds_used` counts the f-steps run.
+    starts from signs that alternate by generation (sigma0 = +1, then -1, +1,
+    ... on levels 1, 2, ...), then alternates exact f-steps with sign ascent
+    for at most ROUNDS rounds.  It draws nothing.  The search ends when a
+    round does not improve the ratio, or when its ascent leaves the signs as
+    they were: the next f-step would build the same operator, and ARPACK,
+    started from ones, returns the same f bit for bit.  `rounds_used` counts
+    the f-steps run.
     """
     wl = w.leaf_values
     n = w.depth
     if n == 0:
         # T_sigma f = sigma0 f on a single leaf: the trivial pair is optimal
         return 1.0, {"rounds_used": 0, "f": np.ones(1), "sigma0": 1.0, "sigma": []}
-    fcur = _sqfun_eigen_f(wl)
-    sig0, sigs = _ascend_sigma(fcur, wl, 1.0, [np.ones(2 ** k) for k in range(n)])
-    best = _wnorm2(_apply_tsigma(fcur, sig0, sigs), wl) / _wnorm2(fcur, wl)
-    used = 0
+    sig0, sigs = 1.0, [np.full(2 ** k, (-1.0) ** (k + 1)) for k in range(n)]
+    best, fcur = 0.0, None
     for used in range(1, ROUNDS + 1):
         fnew = _best_f_given_sigma(wl, sig0, sigs)
         old0, old = sig0, list(sigs)
@@ -198,26 +167,19 @@ def sharpness_experiment(delta_grid, depth, seed=0):
     if depth > 14:
         raise InvalidInputError("sharpness experiment capped at depth 14")
     ws = [power_weight_family(float(d), depth) for d in deltas]
-    q2s = [a2_characteristic(w) for w in ws]
-    if sum(q > _FLAT_Q2 for q in q2s) < 2:
-        raise ConfigError("sharpness delta grid needs two weights with Q2 > 1 "
+    q2s = np.array([a2_characteristic(w) for w in ws])
+    steep = q2s > _FLAT_Q2
+    if len(np.unique(q2s[steep])) < 2:
+        raise ConfigError("sharpness delta grid needs two distinct Q2 > 1 "
                           "to fit a slope")
     rows = []
     for d, w, q2 in zip(deltas, ws, q2s):
         ratio, _ = worst_ratio(w)
-        rows.append({"delta": float(d), "depth": depth, "Q2": q2,
+        rows.append({"delta": float(d), "depth": depth, "Q2": float(q2),
                      "worst_ratio": ratio})
-    slope = fitted_slope(rows)
+    ratios = np.array([r["worst_ratio"] for r in rows])
+    slope = float(np.polyfit(np.log(q2s[steep]), np.log(ratios[steep]), 1)[0])
     return rows, slope
-
-
-def fitted_slope(rows):
-    pts = [(r["Q2"], r["worst_ratio"]) for r in rows if r["Q2"] > _FLAT_Q2]
-    if len(pts) < 2:
-        return float("nan")
-    lq = np.log([p[0] for p in pts])
-    lr = np.log([p[1] for p in pts])
-    return float(np.polyfit(lq, lr, 1)[0])
 
 
 def rows_to_csv(rows, slope) -> str:

@@ -3,10 +3,11 @@
 The layout is defined here once: node i of level k has the children 2i and
 2i+1, and each node of level k has mass 2^-k, so a node is the average of
 its children and a level's expectation is the mean of its entries.  Other
-modules reach it through the four helpers below; only the sharpness kernels
-keep their own even/odd loops, as the fast path of the sign search.  Node
-values carry their vector coordinates on the last axis, and every module
-sums or measures them there with `row_sum` and `row_norm`.
+modules reach it through the four helpers below; only the two sharpness
+kernels, T_sigma and the sign ascent, keep their own even/odd loops, as the
+fast path of the sign search.  Node values carry their vector coordinates on
+the last axis, and every module sums or measures them there with `row_sum`
+and `row_norm`.
 
 A weight is a positive function on the 2^n leaves of a depth-n dyadic tree,
 identified with the closure w_infty of the martingale of its conditional

@@ -12,11 +12,16 @@ of the nonnegative orthant.  The mollification oracle is the linear
 convolution of scipy.signal, which the library no longer imports.  The dual
 oracle is the random search over test martingales that the exact dual
 extremal Z = Y w replaced.  The sign-start oracle is the search over random
-sign starts that the sharpness search dropped for its all-ones start; it
-evaluates T_sigma f from reshaped block means.  The repeat-based sharpness
-kernels are the leaf-size forms of T_sigma, of the square-function matvec and
-of the sign ascent that the per-level-resolution kernels replaced, kept
-verbatim as bit-for-bit references (they use the library's node averages).
+sign starts that the sharpness search dropped for its fixed alternating
+start; it evaluates T_sigma f from reshaped block means.  The exhaustive
+multiplier oracle takes the operator norm of every T_sigma of a depth <= 4
+tree, built from dense conditional-expectation matrices.  The repeat-based
+sharpness kernels are the leaf-size forms of T_sigma and of the sign ascent
+that the per-level-resolution kernels replaced, kept verbatim as bit-for-bit
+references (they use the library's node averages); the leaf-size
+square-function matvec is the one the library kept until its search stopped
+starting from the square-function eigenfunction, and gives criterion 8 its
+||S||_w.
 The three-transform mollification is the circular convolution that the
 real kernel spectrum and the pruned inverse replaced, kept verbatim.  The
 repeat-based martingale forms are the increments, the predictable transform,
@@ -357,6 +362,38 @@ def random_start_ratio(f, w, ascend, rng, restarts=3):
     return best
 
 
+def exhaustive_multiplier_norm(w):
+    """sup over sigma of ||T_sigma||_(2,w) on a depth-n tree (n <= 4), by
+    enumeration.  sigma0 = +1 loses nothing, since flipping every sign
+    negates T_sigma; the other 2^n - 1 signs take every value.  T_sigma is
+    the root mean plus one signed increment block per node, built from the
+    matrices of the conditional expectations, and its norm is the top
+    singular value of W^1/2 T_sigma W^-1/2, in batches of sign patterns."""
+    w = np.asarray(w, dtype=float)
+    size = len(w)
+    n = size.bit_length() - 1
+    if n > 4:
+        raise ValueError("exhaustive multiplier oracle capped at depth 4")
+    means = [np.kron(np.eye(2 ** k), np.full((2 ** (n - k),) * 2, 2.0 ** (k - n)))
+             for k in range(n + 1)]
+    blocks = []
+    for k in range(1, n + 1):
+        span = 2 ** (n - k + 1)
+        for i in range(2 ** (k - 1)):
+            block = np.zeros((size, size))
+            block[i * span:(i + 1) * span] = (means[k] - means[k - 1])[i * span:(i + 1) * span]
+            blocks.append(block)
+    blocks = np.array(blocks)
+    scale = np.sqrt(w)
+    patterns = np.arange(2 ** len(blocks))[:, None] >> np.arange(len(blocks)) & 1
+    best = 0.0
+    for chunk in np.array_split(1.0 - 2.0 * patterns, max(1, len(patterns) // 4096)):
+        ops = means[0] + np.einsum("pa,aij->pij", chunk, blocks)
+        norms = np.linalg.norm(scale[:, None] * ops / scale, ord=2, axis=(1, 2))
+        best = max(best, float(norms.max()))
+    return best
+
+
 def repeat_apply_tsigma(f, sig0, sigs):
     """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
     lev = dyadic_averages(f)
@@ -369,7 +406,8 @@ def repeat_apply_tsigma(f, sig0, sigs):
 
 
 def repeat_sqfun_operator(w_leaves):
-    """Matvec of the weighted square-function form, at leaf size per level."""
+    """Matvec of the weighted square-function form S(f) = <f, N f>, at leaf
+    size per level; its top generalized eigenvector attains ||S||_w."""
     n = int(np.log2(len(w_leaves)))
     wavg = dyadic_averages(w_leaves)
 

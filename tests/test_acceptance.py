@@ -13,8 +13,8 @@ The slope >= 0.8 first asked of the ratio itself is out of reach at depth
 12.  ||S||_w reads 1.675 ... 12.242 over the seven weights, the same to three
 decimals at every depth from 6 to 14, so the ceiling sqrt(13) ||S||_w has a
 log-log slope of 0.507; with the pairs the search realizes at Q2 = 2, 4 and 8
-as lower bounds, the fitted slope of the true supremum is at most 0.675
-(0.619 at the depth cap 14).  The test prints that bound next to the target.
+as lower bounds, the fitted slope of the true supremum is at most 0.610
+(0.617 at the depth cap 14).  The test prints that bound next to the target.
 """
 
 import numpy as np
@@ -28,7 +28,7 @@ from bellsub import martingales as mg
 from bellsub import mollify as mo
 from bellsub import sharpness as sh
 from bellsub import weights as wt
-from oracles import brute_force_h4, q2_not_increased, sqfun_rayleigh
+from oracles import brute_force_h4, q2_not_increased, repeat_sqfun_operator, sqfun_rayleigh
 
 EPS, ELL, DIM = 0.1, 0.05, 2
 QS = (2.0, 16.0, 256.0)
@@ -215,7 +215,7 @@ def test_criterion_8_sharpness_slope():
     s_norm = np.empty(len(rows))
     for i, r in enumerate(rows):
         w = wt.power_weight_family(r["delta"], depth).leaf_values
-        s_norm[i] = sqfun_rayleigh(sh._sqfun_eigen_f(w), w)
+        s_norm[i] = sqfun_rayleigh(sh._top_eigvec(repeat_sqfun_operator(w), w), w)
     ceiling = np.sqrt(depth + 1) * s_norm
     for r, s_i, c_i in zip(rows, s_norm, ceiling):
         print(f"    delta={r['delta']:.5f} Q2={r['Q2']:8.3f} "

@@ -7,11 +7,16 @@ from bellsub import martingales as mg
 from bellsub import sharpness as sh
 from bellsub import weights as wt
 from bellsub.errors import ConfigError, DomainError, InvalidInputError
-from oracles import (random_start_ratio, repeat_apply_tsigma, repeat_ascend_sigma,
-                     repeat_sqfun_operator, signed_transform, sqfun_form,
-                     sqfun_norm_dense, sqfun_rayleigh)
+from oracles import (exhaustive_multiplier_norm, random_start_ratio, repeat_apply_tsigma,
+                     repeat_ascend_sigma, repeat_sqfun_operator, signed_transform,
+                     sqfun_form, sqfun_norm_dense, sqfun_rayleigh)
 
 CRITERION_8_TARGETS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
+
+
+def alternating(depth):
+    """worst_ratio's start below sigma0 = +1: signs -1, +1, ... by generation."""
+    return [np.full(2 ** k, (-1.0) ** (k + 1)) for k in range(depth)]
 
 
 def realized_pair(w):
@@ -90,18 +95,37 @@ def test_csv_table_shape():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_random_sign_starts_never_beat_all_ones(seed):
-    # the restarts worst_ratio dropped: no ascent from a random sign start
-    # ends above the ascent from all-ones signs on the criterion-8 weights
+def test_random_sign_starts_never_beat_the_alternating_start(seed):
+    # the restarts worst_ratio dropped: for the first f-step's f, no ascent
+    # from a random sign start ends above the ascent from alternating signs
+    # on the criterion-8 weights
     depth = 8
     for i, q2 in enumerate(CRITERION_8_TARGETS):
         w = wt.power_weight_family(wt.delta_for_characteristic(q2), depth).leaf_values
-        f = sh._sqfun_eigen_f(w)
-        y = signed_transform(f, *sh._ascend_sigma(
-            f, w, 1.0, [np.ones(2 ** k) for k in range(depth)]))
-        ones = float(np.mean(w * y * y) / np.mean(w * f * f))
+        f = sh._best_f_given_sigma(w, 1.0, alternating(depth))
+        y = signed_transform(f, *sh._ascend_sigma(f, w, 1.0, alternating(depth)))
+        start = float(np.mean(w * y * y) / np.mean(w * f * f))
         rng = np.random.default_rng([seed, i])
-        assert random_start_ratio(f, w, sh._ascend_sigma, rng) <= ones * (1 + 1e-12)
+        assert random_start_ratio(f, w, sh._ascend_sigma, rng) <= start * (1 + 1e-12)
+
+
+def test_worst_ratio_does_not_fall_with_depth():
+    # a depth-m pair embeds exactly at depth n > m (the depth-m power weight
+    # is the conditional expectation of the depth-n one), so the supremum is
+    # nondecreasing in depth; the search's ratios are asked to be too
+    for q2 in CRITERION_8_TARGETS:
+        delta = wt.delta_for_characteristic(q2)
+        ratios = [sh.worst_ratio(wt.power_weight_family(delta, n))[0] for n in range(1, 15)]
+        assert all(a <= b for a, b in zip(ratios, ratios[1:])), (q2, ratios)
+
+
+@pytest.mark.parametrize("depth, q2", [(3, q) for q in CRITERION_8_TARGETS]
+                         + [(4, 2.0), (4, 100.0)])
+def test_worst_ratio_meets_the_exhaustive_supremum(depth, q2):
+    # every sign pattern's operator norm, against the search's realized pair
+    w = wt.power_weight_family(wt.delta_for_characteristic(q2), depth)
+    assert sh.worst_ratio(w)[0] == pytest.approx(exhaustive_multiplier_norm(w.leaf_values),
+                                                 rel=1e-9)
 
 
 def test_signed_transform_oracle_matches_library():
@@ -118,7 +142,7 @@ def test_sqfun_eigen_rayleigh_matches_dense_oracle(depth):
     weights = [wt.power_weight_family(d, depth).leaf_values for d in (-0.5, -0.9)]
     weights += [np.exp(rng.normal(0.0, 1.5, 2 ** depth)) for _ in range(2)]
     for w in weights:
-        got = sqfun_rayleigh(sh._sqfun_eigen_f(w), w)
+        got = sqfun_rayleigh(sh._top_eigvec(repeat_sqfun_operator(w), w), w)
         assert got == pytest.approx(sqfun_norm_dense(w), rel=1e-10)
 
 
@@ -173,8 +197,7 @@ def test_level_resolution_kernels_match_repeat_oracles_bit_for_bit(depth):
         sigs = [rng.choice([-1.0, 1.0], 2 ** k) for k in range(depth)]
         assert np.array_equal(sh._apply_tsigma(f, sig0, sigs),
                               repeat_apply_tsigma(f, sig0, sigs))
-        assert np.array_equal(sh._sqfun_operator(w)(f), repeat_sqfun_operator(w)(f))
-        for start0, start in ((sig0, sigs), (1.0, [np.ones(2 ** k) for k in range(depth)])):
+        for start0, start in ((sig0, sigs), (1.0, alternating(depth))):
             got0, got = sh._ascend_sigma(f, w, start0, [s.copy() for s in start])
             want0, want = repeat_ascend_sigma(f, w, start0, [s.copy() for s in start])
             assert got0 == want0
@@ -188,7 +211,7 @@ def test_sqfun_operator_is_the_square_function_form(depth):
     # form; the symmetry gap is measured on the Cauchy-Schwarz scale
     rng = np.random.default_rng([18, depth])
     for w in _kernel_weights(depth, rng):
-        apply = sh._sqfun_operator(w)
+        apply = repeat_sqfun_operator(w)
         f, g = rng.standard_normal((2, 2 ** depth))
         nf, ng = apply(f), apply(g)
         assert f @ nf == pytest.approx(sqfun_form(f, w), rel=1e-12)
@@ -207,10 +230,10 @@ def test_worst_ratio_skips_the_f_step_that_repeats_the_last(q2, monkeypatch):
     top = sh._top_eigvec
     monkeypatch.setattr(sh, "_top_eigvec", lambda *args: tops.append(top(*args)) or tops[-1])
     _, det = sh.worst_ratio(w)
-    assert len(tops) == 1 + det["rounds_used"]
+    assert len(tops) == det["rounds_used"]
     assert det["rounds_used"] < sh.ROUNDS
     # no f-step returns the f of the step before it
-    assert not any(np.array_equal(a, b) for a, b in zip(tops[1:], tops[2:]))
+    assert not any(np.array_equal(a, b) for a, b in zip(tops, tops[1:]))
     assert np.array_equal(tops[-1].view(np.uint8), det["f"].view(np.uint8))
     f = sh._best_f_given_sigma(wl, det["sigma0"], det["sigma"])
     assert np.array_equal(f.view(np.uint8), det["f"].view(np.uint8))

@@ -90,13 +90,11 @@ def domain(node):
 
 
 Rule = namedtuple("Rule", "spell home allowed sample found plant")
-SIGN_SEARCH = "the O(2^n) fast path of the sharpness sign search keeps its even/odd loops"
 
 RULES = {
     "layout": Rule(layout, "weights.py", {
-        ("sharpness.py", "_apply_tsigma", "step-2 slice"): SIGN_SEARCH,
-        ("sharpness.py", "_sqfun_operator", "step-2 slice"): SIGN_SEARCH,
-        ("sharpness.py", "_sqfun_operator", "2 ** (-k) level mass"): SIGN_SEARCH,
+        ("sharpness.py", "_apply_tsigma", "step-2 slice"):
+            "T_sigma, the O(2^n) operator of the sharpness search, keeps its even/odd loop",
         ("sharpness.py", "_ascend_sigma", "np.repeat(..., 2)"):
             "the sign ascent spreads its signs to the children",
     }, "def f(a, k):\n"
