@@ -9,9 +9,9 @@ from .certify import (SampleSpec, CertReport, CheckRecord, TauStats,
                       run_certification, report_to_text, report_to_csv)
 from .errors import (ConfigError, DomainError, InvalidInputError,
                      SubordinationError)
-from .martingales import (DyadicMartingale, SimConfig, SubordinatePair,
-                          random_martingale, transform, rotation_transform,
-                          check_subordination, weighted_norm, bilinear_form)
+from .martingales import (DyadicMartingale, SimConfig, random_martingale, transform,
+                          rotation_transform, check_subordination, weighted_norm,
+                          bilinear_form)
 from .estimates import (verify_bilinear_estimate, bellman_telescope,
                         anchor_sensitivity, verify_main_theorem,
                         projection_consistency)

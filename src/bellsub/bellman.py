@@ -86,7 +86,8 @@ class BellmanConfig:
 
 @dataclass(frozen=True)
 class StatePoint:
-    """The quadruplet V = (x, y, r, s); x, y vectors, r, s positive scalars."""
+    """The quadruplet V = (x, y, r, s); x, y vectors, r, s positive scalars.
+    |x| and |y| are `row_norm`s, as on the rows of a batch."""
 
     x: np.ndarray
     y: np.ndarray
@@ -104,11 +105,11 @@ class StatePoint:
 
     @property
     def xnorm(self):
-        return float(np.linalg.norm(self.x))
+        return float(row_norm(self.x))
 
     @property
     def ynorm(self):
-        return float(np.linalg.norm(self.y))
+        return float(row_norm(self.y))
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,6 @@ class BatchEval:
 
     a: np.ndarray
     b: np.ndarray
-    r: np.ndarray
-    s: np.ndarray
     value: np.ndarray
     g: np.ndarray
     h: np.ndarray | None
@@ -335,7 +334,7 @@ def _batch(a, b, r, s, Q, weights, order=2):
         value[part], region[part], cut[part] = _fill(
             a[part], b[part], r[part], s[part], k, n, weights, g[:, part],
             None if h is None else h[:, :, part])
-    return BatchEval(a=a, b=b, r=r, s=s, value=value, g=g, h=h, region=region, cut=cut)
+    return BatchEval(a=a, b=b, value=value, g=g, h=h, region=region, cut=cut)
 
 
 def _fill(a, b, r, s, k, n, weights, g=None, h=None):
@@ -409,13 +408,6 @@ def b4_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
     return _batch(a, b, r, s, cfg.Q, _unit_weights(4), order)
 
 
-def gradient_vectors(batch: BatchEval, xhat, yhat):
-    """Full-space gradient rows [phi_a xhat, phi_b yhat, phi_r, phi_s]; (n, 2d+2)."""
-    ga = batch.g[0][..., None] * xhat
-    gb = batch.g[1][..., None] * yhat
-    return np.concatenate([ga, gb, batch.g[2][..., None], batch.g[3][..., None]], axis=-1)
-
-
 def _tangential_coeff(g, h_diag, radius):
     """phi_a / a with its a -> 0 limit: the profile is an even function of the
     radius there, so the tangential curvature tends to the radial one."""
@@ -482,6 +474,7 @@ def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
     """
     batch, xhat, yhat = evaluate_point(V, cfg)
     region = "CUT" if batch.cut[0] else f"R{int(batch.region[0])}"
+    g = batch.g[:, 0]
 
     def hessian_form(dV: Perturbation) -> float:
         return float(hessian_quadratic_form(
@@ -489,7 +482,7 @@ def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
             np.array([[dV.dr]]), np.array([[dV.ds]]))[0, 0])
 
     return EvalResult(value=float(batch.value[0]),
-                      gradient=gradient_vectors(batch, xhat, yhat)[0],
+                      gradient=np.concatenate([g[0] * xhat[0], g[1] * yhat[0], g[2:]]),
                       hessian_form=hessian_form, region=region)
 
 

@@ -35,10 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_cfg(sp):
-    sp.add_argument("--Q", type=float, default=16.0)
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--ell", type=float, default=0.05)
-    sp.add_argument("--dim", type=int, default=2)
+    sp.add_argument("--Q", type=float, default=BellmanConfig.Q)
+    sp.add_argument("--eps", type=float, default=BellmanConfig.eps)
+    sp.add_argument("--ell", type=float, default=BellmanConfig.ell)
+    sp.add_argument("--dim", type=int, default=BellmanConfig.dim)
 
 
 def _cfg(args):

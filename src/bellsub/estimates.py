@@ -25,7 +25,8 @@ import numpy as np
 from .bellman import (MARGIN_TOL, BellmanConfig, domain_masks, evaluate_batch,
                       one_leg_margin, profile_value)
 from .errors import DomainError, InvalidInputError, SubordinationError
-from .martingales import bilinear_form, check_subordination, terminal_norm, weighted_norm
+from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
+                          terminal_norm, weighted_norm)
 from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
                       parent_average, row_norm, row_sum)
 
@@ -57,10 +58,9 @@ def _require_subordinate(X, Y, C_target):
     subordinate to X."""
     if not (np.isfinite(C_target) and C_target > 0.0):
         raise DomainError(f"C_target must be finite and positive, got {C_target}")
-    sub = check_subordination(X, Y)
-    if not sub.ok:
-        raise SubordinationError(f"Y is not subordinate to X (first violation at "
-                                 f"{sub.first_violation})")
+    where = check_subordination(X, Y)
+    if where is not None:
+        raise SubordinationError(f"Y is not subordinate to X (first violation at {where})")
 
 
 def _verdict(lhs, rhs, C_target):
@@ -130,7 +130,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         return (float(margins.min()), float(np.abs(parent_average(lin.reshape(-1))).max()),
                 float(np.mean(jump)))
 
-    min_margin = np.inf
     per_step_margins = []
     linear_term_max = 0.0
     dissipation = 0.0
@@ -141,7 +140,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         margin, lin_max, jump_mean = one_leg_step(
             k, parent, child.value if k + 1 < n else child)
         per_step_margins.append(margin)
-        min_margin = min(min_margin, margin)
         linear_term_max = max(linear_term_max, lin_max)
         dissipation += (2.0 / cfg.Q) * jump_mean
         parent = child
@@ -155,6 +153,7 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     size_bound = cfg.size_constant * (EF + EG + 2.0 * a * a / cfg.eps)
 
     scale = max(abs(eb_term), abs(eb_root), 1.0)
+    min_margin = min(per_step_margins, default=0.0)
     ok = (min_margin >= -MARGIN_TOL
           and linear_term_max <= LINEAR_TERM_TOL * max(scale, 1.0)
           and dissipation <= gap + MARGIN_TOL * scale
@@ -165,7 +164,7 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         "bellman_terminal": eb_term,
         "bellman_bound": size_bound,
         "per_step_margins": per_step_margins,
-        "min_margin": float(min_margin) if n > 0 else 0.0,
+        "min_margin": min_margin,
         "linear_term_max": linear_term_max,
         "anchor": a,
         "pass": bool(ok),
@@ -228,7 +227,7 @@ def projection_consistency(X, Y, w: WeightTree):
     prev = None
     monotone = True
     for d in range(1, X.dim + 1):
-        Xp, Yp = X.project(d), Y.project(min(d, Y.dim))
+        Xp, Yp = (DyadicMartingale([lev[:, :d] for lev in M.levels]) for M in (X, Y))
         row = {
             "d_sub": d,
             "norm_X_w": weighted_norm(Xp, w),

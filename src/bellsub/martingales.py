@@ -5,14 +5,16 @@ A depth-n dyadic martingale is stored as its node values: level k holds a
 the martingale property is exact by construction.  Increments df_k at level
 k >= 1 are child minus parent; the two children of a node carry opposite
 increments.  The tree layout comes from `bellsub.weights`.  Discrete
-differential subordination of Y to X reduces to |Y_0| <= |X_0| together with
-|dY_k| <= |dX_k| at every node: the running sums of |dX|^2 - |dY|^2 along
-any path are then nonnegative and nondecreasing.
+differential subordination of Y to X reduces to |dY_k| <= |dX_k| at every
+node, the roots Y_0, X_0 being the increments of level 0 (the time-0 term
+of the square bracket): the running sums of |dX|^2 - |dY|^2 along any path
+are then nonnegative and nondecreasing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,20 +54,6 @@ class DyadicMartingale:
     @property
     def initial(self):
         return self.levels[0][0]
-
-    def project(self, d_sub: int) -> "DyadicMartingale":
-        """Projection onto the first d_sub coordinates."""
-        if not 1 <= d_sub <= self.dim:
-            raise InvalidInputError(f"d_sub must be in [1, {self.dim}]")
-        return DyadicMartingale([lev[:, :d_sub] for lev in self.levels])
-
-
-@dataclass
-class SubordinatePair:
-    """Verdict of `check_subordination` on a pair (X, Y)."""
-
-    ok: bool
-    first_violation: tuple | None   # (level, node_index) or None
 
 
 @dataclass
@@ -257,24 +245,21 @@ def _odd_sum(a, b):
     return np.where((err != 0.0) & even, np.nextafter(s, np.copysign(np.inf, err)), s)
 
 
-def check_subordination(X: DyadicMartingale, Y: DyadicMartingale) -> SubordinatePair:
-    """|Y_0| <= |X_0| and |dY_k| <= |dX_k| node-wise (up to rotation-level
-    float slack); reports the first violating node in (level, index) order.
+def check_subordination(X: DyadicMartingale, Y: DyadicMartingale):
+    """None if |dY_k| <= |dX_k| at every node of every level (up to
+    rotation-level float slack), the roots counting as level 0; else the
+    first violating (level, node index) in that order.
     """
     if X.depth != Y.depth:
         raise InvalidInputError("martingales must share the filtration depth")
-    n0x = np.linalg.norm(X.initial)
-    n0y = np.linalg.norm(Y.initial)
-    if n0y > n0x * (1.0 + SUBORDINATION_RTOL) + 1e-15:
-        return SubordinatePair(ok=False, first_violation=(0, 0))
-    steps = zip(pair_increments(X.levels), pair_increments(Y.levels))
-    for k, (dx, dy) in enumerate(steps, start=1):
-        nx, ny = row_norm(dx), row_norm(dy)
-        lev_ok = ny <= nx * (1.0 + SUBORDINATION_RTOL) + 1e-15
+    steps = chain([(X.levels[0], Y.levels[0])],
+                  zip(pair_increments(X.levels), pair_increments(Y.levels)))
+    for k, (dx, dy) in enumerate(steps):
+        lev_ok = row_norm(dy) <= row_norm(dx) * (1.0 + SUBORDINATION_RTOL) + 1e-15
         if not lev_ok.all():
             # the flat index of a (2^(k-1), 2) pair array is the node index
-            return SubordinatePair(ok=False, first_violation=(k, int(np.argmin(lev_ok))))
-    return SubordinatePair(ok=True, first_violation=None)
+            return k, int(np.argmin(lev_ok))
+    return None
 
 
 def weighted_norm(X: DyadicMartingale, w: WeightTree) -> float:

@@ -33,6 +33,9 @@ from .weights import (WeightTree, a2_characteristic, dyadic_averages, pair_incre
 
 # weights with Q2 at or below this are flat and carry no slope information
 _FLAT_Q2 = 1.0 + 1e-12
+# the logs of the steep Q2 must span more than this to fit a slope: a
+# narrower span fits a line through rounding
+_MIN_LOG_SPAN = float(np.sqrt(np.finfo(float).eps))
 # search caps: f-step rounds of `worst_ratio`, sign sweeps per ascent
 ROUNDS = 6
 SWEEPS = 8
@@ -169,16 +172,17 @@ def sharpness_experiment(delta_grid, depth, seed=0):
     ws = [power_weight_family(float(d), depth) for d in deltas]
     q2s = np.array([a2_characteristic(w) for w in ws])
     steep = q2s > _FLAT_Q2
-    if len(np.unique(q2s[steep])) < 2:
-        raise ConfigError("sharpness delta grid needs two distinct Q2 > 1 "
-                          "to fit a slope")
+    logq = np.log(q2s[steep])
+    if logq.size == 0 or np.ptp(logq) <= _MIN_LOG_SPAN:
+        raise ConfigError("sharpness delta grid needs Q2 > 1 values whose logs span "
+                          f"more than {_MIN_LOG_SPAN:.2g} to fit a slope")
     rows = []
     for d, w, q2 in zip(deltas, ws, q2s):
         ratio, _ = worst_ratio(w)
         rows.append({"delta": float(d), "depth": depth, "Q2": float(q2),
                      "worst_ratio": ratio})
     ratios = np.array([r["worst_ratio"] for r in rows])
-    slope = float(np.polyfit(np.log(q2s[steep]), np.log(ratios[steep]), 1)[0])
+    slope = float(np.polyfit(logq, np.log(ratios[steep]), 1)[0])
     return rows, slope
 
 

@@ -7,6 +7,7 @@ import bellsub as bs
 from bellsub import bellman as bm, estimates as est
 from bellsub.bellman import evaluate_batch, hessian_quadratic_form, kn_of_t, profile_value
 from bellsub.certify import _sample_arrays
+from bellsub.weights import row_norm
 from oracles import brute_force_h4
 
 
@@ -313,15 +314,17 @@ def test_eval_b_outside_domain_raises():
         bs.eval_B(bs.StatePoint(x=[1.0, 0.0], y=[1.0, 0.0], r=0.01, s=120.0), cfg)
 
 
-def test_batch_region_and_value_match_pointwise_api():
-    cfg = bs.BellmanConfig(Q=16.0)
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 9])
+def test_batch_region_and_value_match_pointwise_api(dim):
+    # certify's rows measure |x|, |y| with row_norm; eval_B must see the same
+    # radii, so its value and r/s partials are the batch row's bits
+    cfg = bs.BellmanConfig(Q=16.0, dim=dim)
     x, y, r, s = _points(cfg, 500, seed=37)
-    a = np.linalg.norm(x, axis=1)
-    b = np.linalg.norm(y, axis=1)
-    batch = evaluate_batch(a, b, r, s, cfg)
-    for i in range(0, 500, 11):
-        V = bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i])
-        assert batch.value[i] == pytest.approx(bs.eval_B(V, cfg).value, rel=1e-13)
+    batch = evaluate_batch(row_norm(x), row_norm(y), r, s, cfg)
+    for i in range(500):
+        res = bs.eval_B(bs.StatePoint(x=x[i], y=y[i], r=r[i], s=s[i]), cfg)
+        assert res.value == batch.value[i]
+        assert list(res.gradient[-2:]) == [batch.g[2, i], batch.g[3, i]]
 
 
 def test_b2_reduces_to_b1_x_part_as_m_vanishes():

@@ -293,7 +293,7 @@ def test_extract_tau_failure_names_a_violating_direction():
     assert (feas < -ct.TAU_FEAS_TOL).all()
     xhat, yhat = (w / np.linalg.norm(w, axis=1)[:, None] for w in rng.normal(size=(2, n, 2)))
     ones, zeros = np.ones(n), np.zeros(n)
-    batch = bm.BatchEval(a=ones, b=ones, r=ones, s=ones, value=zeros,
+    batch = bm.BatchEval(a=ones, b=ones, value=zeros,
                          g=np.stack([tan[0], tan[1], zeros, zeros]), h=np.moveaxis(h, 0, -1),
                          region=np.ones(n, dtype=int), cut=np.zeros(n, dtype=bool))
     witness, _ = ct._witness(h, tan, xhat, yhat, tau, Q)

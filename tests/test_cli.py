@@ -213,7 +213,8 @@ def test_sharpness_rejects_a_malformed_grid(tmp_path, capsys, grid):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["-0.5:-0.1:1", "0,0", "-0.5,-0.5"])
+@pytest.mark.parametrize("grid", ["-0.5:-0.1:1", "0,0", "-0.5,-0.5",
+                                  "-0.5,-0.5000000000000001", "-0.5,-0.500000000001"])
 def test_sharpness_rejects_a_grid_without_a_slope(tmp_path, capsys, grid):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--delta-grid", grid, "--depth", "4",

@@ -61,7 +61,7 @@ def test_transform_alternating_signs_subordinate():
     X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=6))
     sig = [np.where(np.arange(2 ** k) % 2 == 0, 1.0, -1.0) for k in range(X.depth)]
     Y = mg.transform(X, sig, sigma0=-1.0)
-    assert mg.check_subordination(X, Y).ok
+    assert mg.check_subordination(X, Y) is None
 
 
 def test_transform_rejects_large_sigma():
@@ -76,7 +76,7 @@ def test_rotation_transform_subordinate_but_not_multiplier():
     rng = np.random.default_rng(8)
     X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=8), rng)
     Y = mg.rotation_transform(X, rng)
-    assert mg.check_subordination(X, Y).ok
+    assert mg.check_subordination(X, Y) is None
     # some increment is not a scalar multiple of its source
     ddx = list(wt.pair_increments(X.levels))[2][0, 0]
     ddy = list(wt.pair_increments(Y.levels))[2][0, 0]
@@ -84,11 +84,42 @@ def test_rotation_transform_subordinate_but_not_multiplier():
     assert cross > 1e-10
 
 
-def test_check_subordination_reports_first_violation():
+def _doubled_at(level):
+    """Y copying X's increments, with the roots (level 0) or, at a level
+    k >= 1, the last parent's two children doubled: siblings carry opposite
+    increments, so the even child 2^k - 2 is the first violation."""
+    def build(X, rng):
+        root, incs = X.levels[0].copy(), list(wt.pair_increments(X.levels))
+        if level:
+            incs[level - 1][-1] *= 2.0
+        else:
+            root *= 2.0
+        return mg.DyadicMartingale(wt.levels_from_increments(root, incs))
+    return build
+
+
+def _signs(X, rng):
+    return mg.transform(X, [rng.choice((-1.0, 1.0), 2 ** k) for k in range(X.depth)],
+                        sigma0=-1.0)
+
+
+SUBORDINATION_CASES = {**{f"level{k}": (_doubled_at(k), (k, max(2 ** k - 2, 0)))
+                          for k in range(5)},
+                       "transform": (_signs, None),
+                       "rotation": (mg.rotation_transform, None)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+@pytest.mark.parametrize("build, expected", SUBORDINATION_CASES.values(),
+                         ids=list(SUBORDINATION_CASES))
+def test_check_subordination_reports_first_violation(build, expected, dim):
+    rng = np.random.default_rng(9)
+    X = mg.random_martingale(mg.SimConfig(depth=4, dim=dim), rng)
+    assert mg.check_subordination(X, build(X, rng)) == expected
+
+
+def test_check_subordination_needs_one_depth():
     X = mg.random_martingale(mg.SimConfig(depth=4, dim=2, seed=9))
-    doubled = mg.DyadicMartingale([2.0 * lev for lev in X.levels])
-    pair = mg.check_subordination(X, doubled)
-    assert not pair.ok and pair.first_violation == (0, 0)
     with pytest.raises(InvalidInputError):
         mg.check_subordination(X, mg.random_martingale(mg.SimConfig(depth=3, dim=2, seed=9)))
 
@@ -133,7 +164,7 @@ def test_bracket_difference_running_sums():
     X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=15), rng)
     Y = mg.rotation_transform(X, rng)
     Y = mg.DyadicMartingale([0.5 * lev for lev in Y.levels])
-    assert mg.check_subordination(X, Y).ok
+    assert mg.check_subordination(X, Y) is None
     n = X.depth
     dXs, dYs = ([inc.reshape(-1, 2) for inc in wt.pair_increments(M.levels)] for M in (X, Y))
     for leaf in range(2 ** n):

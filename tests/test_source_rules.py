@@ -48,7 +48,8 @@ def reduction(node):
     per inner-loop call, several times slower than the column additions of
     `weights.row_sum`/`row_norm`, which give the same bits.  Spelled as:
 
-    - `np.linalg.norm(..., axis=...)`, whatever the axis;
+    - `np.linalg.norm(...)`, with or without an axis: on one vector it takes
+      a dot product, whose bits differ from `row_norm`'s on the same row;
     - `np.sum(..., axis=k)` or `a.sum(axis=k)` with k in {1, -1, 2}, the axes
       that hold vector coordinates (or a Hessian's row) in this package.
     """
@@ -56,8 +57,8 @@ def reduction(node):
         def axis(position):   # by keyword, or at a positional index
             given = [kw.value for kw in node.keywords if kw.arg == "axis"]
             return (given + node.args[position:position + 1] + [None])[0]
-        if node.func.attr == "norm" and axis(2) is not None:
-            yield "norm(..., axis=...)"
+        if node.func.attr == "norm":
+            yield "norm(...)"
         # np.sum(a, axis) against the method a.sum(axis)
         np_call = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
         if node.func.attr == "sum" and number(axis(1 if np_call else 0)) in {1, -1, 2}:
@@ -115,7 +116,7 @@ RULES = {
        "    c = np.sum(a, axis=1) + np.sum(a, -1) + a.sum(axis=2) + a.sum(1)\n"
        "    d = np.linalg.norm(a) + np.sum(a, axis=0) + a.sum() + a.sum(0)\n"
        "    return np.sum(a * a, axis=-1)\n",
-       [(2, "norm(..., axis=...)")] * 2 + [(3, "sum(axis=1|-1|2)")] * 4
+       [(2, "norm(...)")] * 2 + [(3, "sum(axis=1|-1|2)")] * 4 + [(4, "norm(...)")]
        + [(5, "sum(axis=1|-1|2)")],
        ("estimates.py", "np.sum(a, axis=-1)", "sum(axis=1|-1|2)")),
     "pairwise": Rule(pairwise, "weights.py", {},
