@@ -95,8 +95,7 @@ class StatePoint:
     s: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=float)))
+        _set_shapes(self, ("x", "y"), ("r", "s"))
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()
                 and np.isfinite(self.r) and np.isfinite(self.s)):
             raise InvalidInputError("non-finite state point")
@@ -122,11 +121,26 @@ class Perturbation:
     ds: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dx", np.atleast_1d(np.asarray(self.dx, dtype=float)))
-        object.__setattr__(self, "dy", np.atleast_1d(np.asarray(self.dy, dtype=float)))
+        _set_shapes(self, ("dx", "dy"), ("dr", "ds"))
         if not (np.isfinite(self.dx).all() and np.isfinite(self.dy).all()
                 and np.isfinite(self.dr) and np.isfinite(self.ds)):
             raise InvalidInputError("non-finite perturbation")
+
+
+def _set_shapes(obj, vectors, scalars):
+    """Store the vector fields of a frozen point or direction as non-empty
+    1-D float arrays (a scalar is one coordinate); refuse any other shape,
+    and a scalar field that is not a scalar."""
+    for name in vectors:
+        v = np.atleast_1d(np.asarray(getattr(obj, name), dtype=float))
+        if v.ndim != 1 or v.size == 0:
+            raise InvalidInputError(f"{name} must be a non-empty 1-D vector, "
+                                    f"got shape {v.shape}")
+        object.__setattr__(obj, name, v)
+    for name in scalars:
+        if np.ndim(getattr(obj, name)) != 0:
+            raise InvalidInputError(f"{name} must be a scalar, got shape "
+                                    f"{np.shape(getattr(obj, name))}")
 
 
 @dataclass
@@ -477,6 +491,9 @@ def eval_B(V: StatePoint, cfg: BellmanConfig) -> EvalResult:
     g = batch.g[:, 0]
 
     def hessian_form(dV: Perturbation) -> float:
+        if dV.dx.shape != V.x.shape or dV.dy.shape != V.y.shape:
+            raise InvalidInputError(f"dx {dV.dx.shape} and dy {dV.dy.shape} do not match "
+                                    f"x {V.x.shape} and y {V.y.shape}")
         return float(hessian_quadratic_form(
             batch, xhat, yhat, dV.dx[None, None, :], dV.dy[None, None, :],
             np.array([[dV.dr]]), np.array([[dV.ds]]))[0, 0])

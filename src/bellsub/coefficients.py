@@ -35,8 +35,9 @@ from .errors import ConfigError
 
 SQ3H = np.sqrt(3.0) / 2.0
 
-#: defaults embedded in BellmanConfig; their exact minimum margin is 0,
-#: attained along every coordinate axis.
+#: B's coefficients (c1, c2, c3, c7), from which `bellman.BLOCK_WEIGHTS`
+#: is built; their exact minimum margin is 0, attained along every
+#: coordinate axis.
 DEFAULT_COEFFICIENTS = (0.5, 2.4, 2.4, 600.0)
 
 

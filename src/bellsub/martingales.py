@@ -62,7 +62,6 @@ class SimConfig:
 
     depth: int = 8
     dim: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.depth < 0 or self.depth > 20:
@@ -71,9 +70,9 @@ class SimConfig:
             raise InvalidInputError("dim must be >= 1")
 
 
-def random_martingale(cfg: SimConfig, rng=None) -> DyadicMartingale:
-    """Martingale with i.i.d. standard normal leaf coordinates."""
-    rng = np.random.default_rng(cfg.seed) if rng is None else rng
+def random_martingale(cfg: SimConfig, rng) -> DyadicMartingale:
+    """Martingale with i.i.d. standard normal leaf coordinates, drawn from
+    the generator rng."""
     leaves = rng.standard_normal((2 ** cfg.depth, cfg.dim))
     return DyadicMartingale.from_leaves(leaves)
 

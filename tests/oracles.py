@@ -1,78 +1,54 @@
-"""Independent oracles shared by the test modules.
+"""Oracles shared by the test modules, in two groups.
 
-These deliberately avoid the library's own evaluation paths: the H4 oracle
-maximizes the inner function by golden-section search, the A2 oracle
-compares characteristics in exact big-integer arithmetic over the float leaf
-values, and the square-function oracles build the martingale increments of a
-leaf vector from reshaped block means (and, densely, from the matrices of the
-conditional expectations).  The direction banks are the sampled searches the
-exact ellipse and copositivity certificates replaced: per point, 64 random
-unit directions plus 10 structured ones, and a grid plus random directions
-of the nonnegative orthant.  The mollification oracle is the linear
-convolution of scipy.signal, which the library no longer imports.  The dual
-oracle is the random search over test martingales that the exact dual
-extremal Z = Y w replaced.  The sign-start oracle is the search over random
-sign starts that the sharpness search dropped for its fixed alternating
-start; it evaluates T_sigma f from reshaped block means.  The exhaustive
-multiplier oracle takes the operator norm of every T_sigma of a depth <= 4
-tree, built from dense conditional-expectation matrices.  The repeat-based
-sharpness kernels are the leaf-size forms of T_sigma and of the sign ascent
-that the per-level-resolution kernels replaced, kept verbatim as bit-for-bit
-references (they use the library's node averages); the leaf-size
-square-function matvec is the one the library kept until its search stopped
-starting from the square-function eigenfunction, and gives criterion 8 its
-||S||_w.
-The three-transform mollification is the circular convolution that the
-real kernel spectrum and the pruned inverse replaced, kept verbatim.  The
-repeat-based martingale forms are the increments, the predictable transform,
-the bracket bilinear form and the dissipation sum as they were before the
-dyadic layout moved into `bellsub.weights`: parents spread to their children
-by `np.repeat`, levels weighted by their masses 2^-k.  They are kept
-verbatim, except that the two sums take their increments from
-`repeat_increments`, so no library layout code enters them.  `with_anchor`
-is the anchored martingale X^a = (a, X) that the telescope once built; the
-telescope now keeps the anchor as a virtual leading coordinate at every dim,
-and the per-level oracles measure it on real anchored rows.  The per-node
-rotation transform draws and QR-factors one Gaussian matrix per node with
-`np.linalg.qr`, the reference for the batched draws and the 2x2 Householder
-arithmetic of `rotation_transform`.  The uncropped bump is the kernel on the
-full floor(ell/h) box, zero outer faces included, that the cropped
-`bump_kernel` replaced, kept verbatim.  `two_level_ellipse` is the ellipse
-certificate that evaluated its level twice, at u and at the band-clipped
-tau/Q, with `allocating_best_shift`, the bisection that allocated fresh
-arrays at every step: both kept verbatim as bit-for-bit references of
-`certify._ellipse`, with the `_ellipse_level` they called.
-`triple_run_certification` is the certification run whose batches each
-returned a (margins, points, skipped) triple per check, already cut, with
-`triple_certify_batch`, `triple_tolerance` and `triple_fmt_point` as they
-were: kept verbatim as the byte-for-byte reference of the per-sample record
-and its one merge, except that the batch sizes and seeds come from
-`certify._batches` (the goldens hold the seed layout).
-`interpolator_composite_one_leg_margins` is the mollified one-leg check as
-it read the grid through `scipy.interpolate.RegularGridInterpolator` (one
-for the values, five for their np.gradient) before it read the grid at its
-nodes and interpolated K alone: kept verbatim as its bit-for-bit reference.
+The independent oracles compute what the library computes, another way.
+`brute_force_h4` maximizes H4's inner function by golden-section search.
+`exact_q2_scaled` and `q2_not_increased*` compare A2 characteristics in
+exact big-integer arithmetic over the float leaf values.  `sqfun_form`,
+`sqfun_rayleigh` and `signed_transform` take node means by reshaping the
+leaf vector; `sqfun_norm_dense` (depth <= 8) and
+`exhaustive_multiplier_norm` (depth <= 4, every sign) build dense
+conditional-expectation matrices; `repeat_sqfun_operator`, the leaf-size
+square-function matvec, gives criterion 8 its ||S||_w.  The direction
+banks (`direction_bank`, `split_directions`, `orthant_directions`) are the
+sampled searches that the exact ellipse and copositivity certificates
+replaced.  `valid_convolution` is scipy.signal's linear convolution, which
+the library no longer imports.  `random_dual_ratio` searches random test
+martingales for the dual extremal Z = Y w, and `random_start_ratio` random
+sign starts for the sharpness search.  `qr_rotation` and
+`rotation_transform_per_node` draw and QR-factor one Gaussian matrix per
+node with `np.linalg.qr`, against the batched draws and the 2x2
+Householder arithmetic of `rotation_transform`.
+
+The kept references are verbatim copies of library code that a refactor
+replaced.  Each is the only bit-for-bit pin of its successor on some
+inputs, which no golden runs and no independent oracle matches to the bit;
+the comment above each names them:
+
+* `allocating_best_shift`, of `certify._best_shift`;
+* `interpolator_composite_one_leg_margins`, of
+  `mollify.composite_one_leg_margins`;
+* `repeat_apply_tsigma` and `repeat_ascend_sigma`, of the per-level
+  sharpness kernels;
+* `repeat_increments`, `repeat_transform`, `mass_bilinear_form` and
+  `mass_dissipation_sum`, of the pair layout of `bellsub.weights` and of
+  `transform`, `bilinear_form` and `estimates._dissipation_sum`;
+* `uncropped_bump_kernel`, of the cropped `mollify.bump_kernel`;
+* `with_anchor`, the anchored martingale X^a = (a, X) that the telescope
+  once built, of its virtual anchor coordinate.
 """
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
-from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh
 from scipy.signal import fftconvolve
 
-from bellsub.bellman import (b4_batch, domain_masks, evaluate_batch, kn_of_t,
-                             one_leg_margin, profile_value)
-from bellsub.certify import (KAPPA_HI, KAPPA_LO, MARGIN_TOL, CertReport, CheckRecord,
-                             TauStats, _axis_curvatures, _batches, _ellipse, _radial,
-                             _sample_arrays)
+from bellsub.bellman import b4_batch, domain_masks, evaluate_batch, kn_of_t, one_leg_margin
 from bellsub.coefficients import DEFAULT_COEFFICIENTS
 from bellsub.errors import ConfigError, InvalidInputError, SubordinationError
 from bellsub.martingales import DyadicMartingale
-from bellsub.weights import dyadic_averages, row_norm, row_sum
+from bellsub.weights import dyadic_averages, row_sum
 
 
 def brute_force_h4(a, b, r, s, k, iters=220):
@@ -254,6 +230,8 @@ def valid_convolution(values, kernel):
     return fftconvolve(values, kernel, mode="valid")
 
 
+# kept: the only check that the crop drops zero-weight taps alone, at five
+# (ell, h), and that the uncropped box mollifies to the same grid on four boxes
 def uncropped_bump_kernel(ell: float, spacing: float):
     """Discretized normalized bump with support radius ell; weights sum to 1."""
     m = int(np.floor(ell / spacing))
@@ -266,16 +244,8 @@ def uncropped_bump_kernel(ell: float, spacing: float):
     return w / w.sum(), m
 
 
-def three_transform_convolution(padded_values, kernel, m):
-    """Valid part of the circular convolution on the fast lengths L, as
-    irfftn(rfftn(values, L) * rfftn(kernel, L)); the uncentred kernel of
-    2m + 1 taps leaves entries 2m .. n-1 of each axis exact."""
-    n = padded_values.shape
-    L = tuple(fft.next_fast_len(k, real=True) for k in n)
-    values = fft.irfftn(fft.rfftn(padded_values, L) * fft.rfftn(kernel, L), L)
-    return values[tuple(slice(2 * m, k) for k in n)]
-
-
+# kept: no golden runs the mollified one-leg check; it pins the margins' bits
+# at Q in {1.5, 2, 16, 256}, 200 and 300 pairs, six seeds
 def interpolator_composite_one_leg_margins(moll, cfg, n_pairs=200, seed=0):
     """`composite_one_leg_margins` as it read the grid through scipy's 5-D
     linear interpolators of the values and of their np.gradient, with the
@@ -394,17 +364,6 @@ def exhaustive_multiplier_norm(w):
     return best
 
 
-def repeat_apply_tsigma(f, sig0, sigs):
-    """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
-    lev = dyadic_averages(f)
-    n = len(lev) - 1
-    y = np.full(len(f), sig0 * lev[0][0])
-    for k in range(1, n + 1):
-        df = lev[k] - np.repeat(lev[k - 1], 2)
-        y += np.repeat(np.repeat(sigs[k - 1], 2) * df, 2 ** (n - k))
-    return y
-
-
 def repeat_sqfun_operator(w_leaves):
     """Matvec of the weighted square-function form S(f) = <f, N f>, at leaf
     size per level; its top generalized eigenvector attains ||S||_w."""
@@ -423,6 +382,20 @@ def repeat_sqfun_operator(w_leaves):
         return grad
 
     return n_apply
+
+
+# kept: the sharpness golden runs power weights from the alternating start at
+# depth 10; these pin the kernels from random starts, on log-normal weights,
+# at depths 1 to 12
+def repeat_apply_tsigma(f, sig0, sigs):
+    """Leaf values of T_sigma f; sigs[k] has 2^k entries acting on level k+1."""
+    lev = dyadic_averages(f)
+    n = len(lev) - 1
+    y = np.full(len(f), sig0 * lev[0][0])
+    for k in range(1, n + 1):
+        df = lev[k] - np.repeat(lev[k - 1], 2)
+        y += np.repeat(np.repeat(sigs[k - 1], 2) * df, 2 ** (n - k))
+    return y
 
 
 def repeat_ascend_sigma(f, w, sig0, sigs, sweeps=8):
@@ -456,6 +429,31 @@ def repeat_ascend_sigma(f, w, sig0, sigs, sweeps=8):
     return sig0, sigs
 
 
+def qr_rotation(g):
+    """q·sign(diag r) from `np.linalg.qr` of a (d, d) matrix or a stack."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
+def rotation_transform_per_node(X, rng):
+    """The node-by-node rotation draw that `rotation_transform` batches: the
+    root's matrix, then each node's in level and node order, each factored
+    by `qr_rotation` and applied to both children's increments by einsum."""
+    d = X.dim
+    levels = [X.levels[0] @ qr_rotation(rng.standard_normal((d, d))).T]
+    for k in range(1, X.depth + 1):
+        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
+        rots = np.stack([qr_rotation(rng.standard_normal((d, d)))
+                         for _ in range(2 ** (k - 1))])
+        dY = np.einsum("pij,pcj->pci", rots,
+                       dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
+        levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
+    return DyadicMartingale(levels)
+
+
+# kept: the simulate golden runs signs +-1 with sigma0 = 1 at depth 10, dim 2,
+# and no command runs `_dissipation_sum`; these pin depths 0, 1 and 12 at
+# dims 1 and 3, fractional signs with sigma0 = -0.75, and both sums
 def repeat_increments(X):
     """df per level: list over k = 1..n of (2^k, d) arrays, child - parent."""
     return [X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
@@ -482,28 +480,6 @@ def repeat_transform(X, sigma, sigma0=1.0):
     return DyadicMartingale(levels)
 
 
-def qr_rotation(g):
-    """q·sign(diag r) from `np.linalg.qr` of a (d, d) matrix or a stack."""
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-
-
-def rotation_transform_per_node(X, rng):
-    """The node-by-node rotation draw that `rotation_transform` batches: the
-    root's matrix, then each node's in level and node order, each factored
-    by `qr_rotation` and applied to both children's increments by einsum."""
-    d = X.dim
-    levels = [X.levels[0] @ qr_rotation(rng.standard_normal((d, d))).T]
-    for k in range(1, X.depth + 1):
-        dX = X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
-        rots = np.stack([qr_rotation(rng.standard_normal((d, d)))
-                         for _ in range(2 ** (k - 1))])
-        dY = np.einsum("pij,pcj->pci", rots,
-                       dX.reshape(2 ** (k - 1), 2, d)).reshape(2 ** k, d)
-        levels.append(np.repeat(levels[-1], 2, axis=0) + dY)
-    return DyadicMartingale(levels)
-
-
 def mass_bilinear_form(Y, Z):
     """E sum_k |<dY_k, dZ_k>| including the time-0 term |<Y_0, Z_0>|."""
     total = abs(float(Y.initial @ Z.initial))
@@ -521,6 +497,9 @@ def mass_dissipation_sum(X, Z):
     return total
 
 
+# kept: the per-level telescope oracle compares bits on its real anchored rows
+# at depths 1, 6, 12 and dims 1, 2, 3, 7, 8; the goldens run one seed each
+# at dims 2, 3 and 7
 def with_anchor(X, a):
     """Prepend a constant coordinate a, so |X^a_k|^2 = |X_k|^2 + a^2 >= a^2."""
     return DyadicMartingale(
@@ -528,16 +507,8 @@ def with_anchor(X, a):
          for lev in X.levels])
 
 
-def two_level_ellipse_level(h, tan, u, Q):
-    """The bound above at u = tau/Q, per point (one batched eigvalsh)."""
-    w = 1.0 / (Q * Q * u)
-    shifted = h.copy()
-    shifted[:, 0, 0] -= u
-    shifted[:, 1, 1] -= w
-    low = np.linalg.eigvalsh(shifted)[:, 0]
-    return np.minimum(low, np.minimum(tan[0] - u, tan[1] - w))
-
-
+# kept: the goldens run dim 2 at Q in {2, 10, 16, 256}; it pins u's bits at
+# dims 1 and 3 and at Q in {1, 1.5, 1e4}, seeds 1 to 3
 def allocating_best_shift(h, tan, Q):
     """u = tau/Q for a near-best bound, by bisection on the level lam.
 
@@ -577,104 +548,3 @@ def allocating_best_shift(h, tan, Q):
             hi = np.where(ok, hi, lam)
             u = np.where(ok, cand, u)
     return u
-
-
-def two_level_ellipse(h, tan, cfg):
-    """Per point: the Hessian lower bound at the best tau found, that tau
-    clipped into the band [eps/(10Q), 10Q/eps], and the exact feasibility
-    min over unit dV of Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 there."""
-    Q = cfg.Q
-    u = allocating_best_shift(h, tan, Q)
-    lower = two_level_ellipse_level(h, tan, u, Q)
-    tau = np.clip(Q * u, KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps)
-    return lower, tau, Q * two_level_ellipse_level(h, tan, tau / Q, Q)
-
-
-def triple_run_certification(cfg, spec, jobs=1):
-    """Execute every check over spec.count samples; deterministic per seed.
-
-    Check failures land in the report, which is produced either way; only
-    malformed inputs raise.
-    """
-    t0 = time.perf_counter()
-    if spec.count == 0:
-        return CertReport(cfg=cfg, spec=spec, checks=[], tau_stats=None,
-                          runtime=time.perf_counter() - t0,
-                          note="no samples: checks pass vacuously")
-
-    batches = _batches(spec)
-    n_batches = len(batches)
-
-    def work(b):
-        return triple_certify_batch(cfg, *batches[b])
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(work, range(n_batches)))
-    else:
-        parts = [work(b) for b in range(n_batches)]
-
-    checks = []
-    for name in ("hessian_lower", "one_leg", "size_bound", "dxx_bound", "dyy_bound"):
-        margins = np.concatenate([p[name][0] for p in parts])
-        points = np.concatenate([p[name][1] for p in parts], axis=0)
-        skipped = sum(p[name][2] for p in parts)
-        i = int(np.argmin(margins)) if len(margins) else 0
-        checks.append(CheckRecord(
-            name=name, samples=len(margins), skipped=skipped,
-            min_margin=float(margins[i]) if len(margins) else 0.0,
-            worst_point=triple_fmt_point(points[i]) if len(margins) else "",
-            passed=bool(len(margins) == 0 or margins[i] >= -triple_tolerance(name))))
-
-    taus = np.concatenate([p["tau"][0] for p in parts])
-    feas = np.concatenate([p["tau"][1] for p in parts])
-    band_lo, band_hi = KAPPA_LO * cfg.eps / cfg.Q, KAPPA_HI * cfg.Q / cfg.eps
-    # with every sample excluded near the cuts the tau band holds vacuously:
-    # min and max of the empty set read inf and -inf
-    tau_stats = TauStats(
-        min=float(taus.min(initial=np.inf)), max=float(taus.max(initial=-np.inf)),
-        band_lo=band_lo, band_hi=band_hi,
-        within_bounds=bool((taus >= band_lo).all() and (taus <= band_hi).all()),
-        min_feasibility=float(feas.min(initial=np.inf)))
-    return CertReport(cfg=cfg, spec=spec, checks=checks, tau_stats=tau_stats,
-                      runtime=time.perf_counter() - t0, note="")
-
-
-def triple_tolerance(name):
-    return 0.0 if name == "size_bound" else MARGIN_TOL
-
-
-def triple_certify_batch(cfg, size, pt_stream, pair_stream):
-    x, y, r, s = _sample_arrays(cfg, np.random.default_rng(pt_stream), size)
-    a, b = row_norm(x), row_norm(y)
-    batch = evaluate_batch(a, b, r, s, cfg)
-    pts = np.stack([a, b, r, s], axis=1)
-    keep = ~batch.cut                   # the C^2 checks skip cut points
-    skipped = int(batch.cut.sum())
-
-    h, tan = _radial(batch, cfg.dim)
-    lower, tau, feas = _ellipse(h, tan, cfg)
-    out = {"hessian_lower": (lower[keep], pts[keep], skipped),
-           "tau": (tau[keep], feas[keep])}
-
-    # one-leg pairs: independent second sample, gradient at the first point
-    x2, y2, r2, s2 = _sample_arrays(cfg, np.random.default_rng(pair_stream), size)
-    a2, b2 = row_norm(x2), row_norm(y2)
-    val2 = profile_value(a2, b2, r2, s2, cfg)
-    ol_margin, _, _ = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
-                                     val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)
-    out["one_leg"] = (ol_margin, pts, 0)
-
-    size_margin = cfg.size_constant * (a * a / r + b * b / s) - batch.value
-    out["size_bound"] = (size_margin, pts, 0)
-
-    cx, cy = _axis_curvatures(h, tan)
-    cap = cfg.dxx_constant / cfg.eps
-    out["dxx_bound"] = ((cap - cx)[keep], pts[keep], skipped)
-    out["dyy_bound"] = ((cap - cy)[keep], pts[keep], skipped)
-    return out
-
-
-def triple_fmt_point(p):
-    return (f"a={float(p[0])!r} b={float(p[1])!r} "
-            f"r={float(p[2])!r} s={float(p[3])!r}")

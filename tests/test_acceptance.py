@@ -141,7 +141,7 @@ def test_criterion_6_telescope():
     worst_linear = 0.0
     ok = True
     for i in range(100):
-        scfg = mg.SimConfig(depth=8, dim=DIM, seed=600 + i)
+        scfg = mg.SimConfig(depth=8, dim=DIM)
         X = mg.random_martingale(scfg, rng)
         if i % 2 == 0:
             Z = mg.rotation_transform(X, rng)      # non-multiplier pair
@@ -168,7 +168,7 @@ def test_criterion_7_main_estimate_with_reports():
     for delta in (-0.5, 0.0, 1.0):
         w = wt.power_weight_family(delta, 10)
         for i in range(100):
-            scfg = mg.SimConfig(depth=10, dim=DIM, seed=7000 + i)
+            scfg = mg.SimConfig(depth=10, dim=DIM)
             X = mg.random_martingale(scfg, rng)
             if i % 2 == 0:
                 Y = mg.rotation_transform(X, rng)
@@ -191,8 +191,8 @@ def test_criterion_7_main_estimate_with_reports():
     ok &= margins.min() >= -1e-6
 
     # anchor sensitivity of the telescope bound
-    X = mg.random_martingale(mg.SimConfig(depth=8, dim=DIM, seed=77), rng)
-    Z = mg.random_martingale(mg.SimConfig(depth=8, dim=DIM, seed=78), rng)
+    X = mg.random_martingale(mg.SimConfig(depth=8, dim=DIM), rng)
+    Z = mg.random_martingale(mg.SimConfig(depth=8, dim=DIM), rng)
     w8 = wt.truncate_two_sided(wt.power_weight_family(-0.5, 8), 1.0 / cfg.eps)
     sens = est.anchor_sensitivity(X, Z, w8, cfg)
     for m, res in sens.items():

@@ -96,6 +96,26 @@ def test_domain_check_cases():
         bs.StatePoint(x=[np.nan], y=[1.0], r=1.0, s=1.0)
 
 
+def _form_at(x=(1.0, 0.5), r=1.0, dx=(0.1, 0.0)):
+    """The Hessian form at V = (x, (0.5, 0.2), r, 2) in the direction
+    (dx, (0, 0.1), 0.01, 0): x, r or dx of a bad shape is refused."""
+    res = bs.eval_B(bs.StatePoint(x=x, y=[0.5, 0.2], r=r, s=2.0), bs.BellmanConfig())
+    return res.hessian_form(bs.Perturbation(dx=dx, dy=[0.0, 0.1], dr=0.01, ds=0.0))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"x": [[1.0, 0.5]]}, r"x must be a non-empty 1-D vector, got shape \(1, 2\)"),
+    ({"r": [1.0, 2.0]}, r"r must be a scalar, got shape \(2,\)"),
+    ({"x": []}, r"x must be a non-empty 1-D vector, got shape \(0,\)"),
+    ({"dx": [0.1, 0.0, 0.0]}, r"dx \(3,\) and dy \(2,\) do not match x \(2,\) and y \(2,\)"),
+    ({"dx": [[0.1, 0.0]]}, r"dx must be a non-empty 1-D vector, got shape \(1, 2\)"),
+], ids=["x_row", "r_vector", "x_empty", "dx_long", "dx_row"])
+def test_bad_shapes_are_invalid_input(bad, message):
+    assert np.isfinite(_form_at())
+    with pytest.raises(bs.InvalidInputError, match=message):
+        _form_at(**bad)
+
+
 # One point on each face of D_Q^{eps,ell} at Q = 16, eps = 0.1, ell = 0.05,
 # as (a, b, r, s) and the coordinate pushed off the face, down or up.  The
 # face r = eps meets D_Q only at its corner s = 1/eps, rs = 1.

@@ -9,17 +9,17 @@ from bellsub import certify as ct
 from bellsub.bellman import (evaluate_batch, hessian_quadratic_form, one_leg_margin,
                              partial_xx_form, partial_yy_form)
 from bellsub.errors import ConfigError
-import oracles
-from oracles import (allocating_best_shift, direction_bank, split_directions,
-                     triple_run_certification, two_level_ellipse)
+from bellsub.weights import row_norm
+from oracles import allocating_best_shift, direction_bank, split_directions
 
 CFG = bs.BellmanConfig(Q=16.0)
 
 
-def sample(cfg, count, seed):
-    """The plan's (x, y, r, s) arrays, its batches joined."""
-    parts = [ct._sample_arrays(cfg, pt_seed, size)
-             for size, pt_seed, _ in ct._batches(ct.SampleSpec(count=count, seed=seed))]
+def sample(cfg, count, seed, pairs=False):
+    """The plan's (x, y, r, s) arrays, its batches joined; with `pairs`, the
+    one-leg partners' arrays."""
+    parts = [ct._sample_arrays(cfg, seeds[pairs], size)
+             for size, *seeds in ct._batches(ct.SampleSpec(count=count, seed=seed))]
     return [np.concatenate(v) for v in zip(*parts)]
 
 
@@ -306,15 +306,20 @@ def test_extract_tau_failure_names_a_violating_direction():
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("Q", (1.0, 1.5, 2.0, 10.0, 16.0, 256.0, 1e4))
 def test_ellipse_is_the_two_level_oracle_bit_for_bit(Q, dim):
+    # the two levels: the bound is `_ellipse_level` at u, the feasibility Q
+    # times it at tau/Q, every row at full batch, whichever rows it reuses
     cfg = bs.BellmanConfig(Q=Q, dim=dim)
     for seed in (1, 2, 3):
         batch, _, _ = batch_of(cfg, 1024, seed)
         h, tan = ct._radial(batch, dim)
         u = ct._best_shift(h, tan, Q)
         assert np.array_equal(u, allocating_best_shift(h, tan, Q), equal_nan=True)
-        _, tau, _ = got = ct._ellipse(h, tan, cfg)
-        for mine, ref in zip(got, two_level_ellipse(h, tan, cfg)):
-            assert np.array_equal(mine, ref, equal_nan=True)
+        lower, tau, feas = ct._ellipse(h, tan, cfg)
+        band = (ct.KAPPA_LO * cfg.eps / Q, ct.KAPPA_HI * Q / cfg.eps)
+        for got, want in ((lower, ct._ellipse_level(h, tan, u, Q)),
+                          (tau, np.clip(Q * u, *band)),
+                          (feas, Q * ct._ellipse_level(h, tan, tau / Q, Q))):
+            assert np.array_equal(got, want, equal_nan=True)
         if Q <= 2.0:     # the rows evaluated twice are there to compare
             assert (tau != Q * u).any()
 
@@ -331,11 +336,10 @@ def test_ellipse_evaluates_again_where_tau_over_q_rounds_off_u(monkeypatch):
     u = rng.uniform(0.05, 0.2, 512)      # tau = 10 u in the band
     assert ((10.0 * u) / 10.0 != u).sum() > 20
     monkeypatch.setattr(ct, "_best_shift", lambda h, tan, Q: u)
-    monkeypatch.setattr(oracles, "allocating_best_shift", lambda h, tan, Q: u)
-    got, ref = ct._ellipse(h, tan, cfg), two_level_ellipse(h, tan, cfg)
-    assert not np.array_equal(ref[0] * 10.0, ref[2])     # the level moved
-    for mine, theirs in zip(got, ref):
-        assert np.array_equal(mine, theirs)
+    lower, tau, feas = ct._ellipse(h, tan, cfg)
+    assert not np.array_equal(lower * 10.0, feas)     # the level moved
+    assert np.array_equal(lower, ct._ellipse_level(h, tan, u, 10.0))
+    assert np.array_equal(feas, 10.0 * ct._ellipse_level(h, tan, tau / 10.0, 10.0))
 
 
 def test_eigvalsh_of_a_batch_is_eigvalsh_of_each_matrix():
@@ -355,8 +359,7 @@ def test_ellipse_evaluates_the_level_again_only_on_clipped_rows(Q, monkeypatch):
     cfg = bs.BellmanConfig(Q=Q)
     batch, _, _ = batch_of(cfg, 2048, seed=1)
     h, tan = ct._radial(batch, 2)
-    u = allocating_best_shift(h, tan, Q)
-    clipped = two_level_ellipse(h, tan, cfg)[1] != Q * u     # Q * u / Q is u
+    clipped = ct._ellipse(h, tan, cfg)[1] != Q * ct._best_shift(h, tan, Q)   # Q * u / Q is u
     if Q == 16.0:       # a batch of unclipped rows alone
         keep = ~clipped
         h, tan, clipped = h[keep], (tan[0][keep], tan[1][keep]), clipped[keep]
@@ -468,30 +471,48 @@ def test_check_replays_a_batch_row_alone_bit_for_bit(Q, dim):
 @pytest.mark.parametrize("dim", (1, 2, 3))
 @pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
 def test_record_merge_is_the_triple_merge_byte_for_byte(Q, dim, cut_tolerance, monkeypatch):
-    # 5000 samples end in a part batch; the widened cut rule skips many
-    # points, which no golden does
+    # each check's triple (least margin, worst point, skipped) is read off
+    # the rows of one `_check` record of the whole plan, the C^2 checks
+    # skipping the cut points of `evaluate_batch`; 5000 samples end in a
+    # part batch, and the widened cut rule skips many points, which no
+    # golden does
     if cut_tolerance is not None:
         monkeypatch.setattr(bm, "CUT_TOLERANCE", cut_tolerance)
     cfg = bs.BellmanConfig(Q=Q, dim=dim)
     spec = ct.SampleSpec(count=5000, seed=3)
-    want = triple_run_certification(cfg, spec)
-    for jobs in (1, 2):
-        got = ct.run_certification(cfg, spec, jobs)
-        assert ct.report_to_text(got) == ct.report_to_text(want)
-        assert ct.report_to_csv(got) == ct.report_to_csv(want)
+    x, y, r, s = points = sample(cfg, spec.count, spec.seed)
+    record = ct._check(cfg, points, sample(cfg, spec.count, spec.seed, pairs=True))
+    away = ~evaluate_batch(row_norm(x), row_norm(y), r, s, cfg, order=1).cut
+    got = ct.run_certification(cfg, spec)
+    assert [c.name for c in got.checks] == ["hessian_lower", "one_leg", "size_bound",
+                                            "dxx_bound", "dyy_bound"]
+    for check in got.checks:
+        c2 = check.name in ("hessian_lower", "dxx_bound", "dyy_bound")
+        rows = away if c2 else slice(None)
+        margins, i = record[check.name][rows], np.argmin(record[check.name][rows])
+        floor = 0.0 if check.name == "size_bound" else bm.MARGIN_TOL
+        assert (check.samples, check.skipped) == (len(margins), spec.count - len(margins))
+        assert check.min_margin == margins[i] and check.passed == (margins[i] >= -floor)
+        assert check.worst_point == ct._fmt_point(record["point"][rows][i])
+    ts, tau, feas = got.tau_stats, record["tau"][away], record["feas"][away]
+    assert (ts.min, ts.max, ts.min_feasibility) == (tau.min(), tau.max(), feas.min())
+    assert ts.within_bounds == ((tau >= ts.band_lo) & (tau <= ts.band_hi)).all()
+    again = ct.run_certification(cfg, spec, 2)
+    assert ct.report_to_text(again) == ct.report_to_text(got)
+    assert ct.report_to_csv(again) == ct.report_to_csv(got)
     if cut_tolerance is not None:
         assert got.checks[0].skipped > spec.count // 50
 
 
-def test_slices_merge_to_the_batch_by_batch_report_byte_for_byte():
-    # two slices, the second ending in a part batch: the oracle checks each
-    # batch alone, the library a slice of batches per call
+def test_slices_merge_to_the_batch_by_batch_report_byte_for_byte(monkeypatch):
+    # two slices, the second ending in a part batch: the library checks a
+    # slice of batches per `_check` call, and with SLICE = 1 each batch alone
     spec = ct.SampleSpec(count=ct.SLICE * ct.BATCH + 1000, seed=7)
-    want = triple_run_certification(CFG, spec)
-    for jobs in (1, 2, 3):
-        got = ct.run_certification(CFG, spec, jobs)
-        assert ct.report_to_text(got) == ct.report_to_text(want)
-        assert ct.report_to_csv(got) == ct.report_to_csv(want)
+    reports = [ct.run_certification(CFG, spec, jobs) for jobs in (1, 2, 3)]
+    monkeypatch.setattr(ct, "SLICE", 1)
+    reports.append(ct.run_certification(CFG, spec))
+    texts = {(ct.report_to_text(rep), ct.report_to_csv(rep)) for rep in reports}
+    assert len(texts) == 1
 
 
 def test_a_one_slice_plan_builds_no_thread_pool(monkeypatch):

@@ -15,7 +15,7 @@ from oracles import mass_dissipation_sum, random_dual_ratio, with_anchor
 
 def make_pair(depth, dim, seed, rotate=False):
     rng = np.random.default_rng(seed)
-    X = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim, seed=seed), rng)
+    X = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
     if rotate:
         Y = mg.rotation_transform(X, rng)
     else:
@@ -41,7 +41,7 @@ def test_bilinear_unweighted_ratio_below_one():
     # with w = 1 the bound reduces to Cauchy-Schwarz across the bracket
     for seed in range(10):
         X, Y, rng = make_pair(6, 2, seed, rotate=seed % 2 == 0)
-        Z = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=100 + seed), rng)
+        Z = mg.random_martingale(mg.SimConfig(depth=6, dim=2), rng)
         w = wt.WeightTree(np.ones(2 ** 6))
         res = est.verify_bilinear_estimate(X, Y, Z, w, 1.0)
         assert res["ratio"] <= 1.0 + 1e-12
@@ -50,7 +50,7 @@ def test_bilinear_unweighted_ratio_below_one():
 
 def test_bilinear_requires_subordination():
     X, Y, rng = make_pair(4, 2, 3)
-    Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2, seed=4), rng)
+    Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2), rng)
     w = wt.power_weight_family(-0.5, 4)
     tripled = mg.DyadicMartingale([3.0 * lev for lev in X.levels])
     with pytest.raises(SubordinationError):
@@ -65,7 +65,7 @@ def test_violation_below_the_root_is_named_by_every_check():
     incs[2][1] *= 2.0
     Y = mg.DyadicMartingale(wt.levels_from_increments(X.levels[0], incs))
     assert mg.check_subordination(X, Y) == (3, 2)
-    Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2, seed=4))
+    Z = mg.random_martingale(mg.SimConfig(depth=4, dim=2), np.random.default_rng(4))
     w = wt.power_weight_family(-0.5, 4)
     with pytest.raises(SubordinationError, match=r"violation at \(3, 2\)"):
         est.verify_bilinear_estimate(X, Y, Z, w, 10.0)
@@ -78,7 +78,7 @@ def test_bilinear_power_weight_instances():
         w = wt.power_weight_family(delta, 8)
         for seed in range(20):
             X, Y, rng = make_pair(8, 2, 31 * seed + 7, rotate=seed % 2 == 0)
-            Z = mg.random_martingale(mg.SimConfig(depth=8, dim=2, seed=seed), rng)
+            Z = mg.random_martingale(mg.SimConfig(depth=8, dim=2), rng)
             res = est.verify_bilinear_estimate(X, Y, Z, w, 10.0)
             assert res["pass"], f"delta={delta} seed={seed} ratio={res['ratio']}"
 
@@ -378,7 +378,7 @@ def test_dissipation_sum_matches_mass_oracle_bit_for_bit(depth, dim):
 
 def test_projection_consistency():
     rng = np.random.default_rng(29)
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=4, seed=29), rng)
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=4), rng)
     Y = mg.rotation_transform(X, rng)
     w = wt.power_weight_family(-0.3, 6)
     rep = est.projection_consistency(X, Y, w)

@@ -12,7 +12,7 @@ from test_golden import skip_unless_golden_env
 
 
 def test_martingale_property_exact():
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=3, seed=1))
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=3), np.random.default_rng(1))
     for k in range(X.depth):
         avg = 0.5 * (X.levels[k + 1][0::2] + X.levels[k + 1][1::2])
         assert np.array_equal(avg, X.levels[k])
@@ -25,20 +25,20 @@ def test_constant_leaves_have_zero_increments():
 
 
 def test_sibling_increments_are_opposite():
-    X = mg.random_martingale(mg.SimConfig(depth=5, dim=2, seed=2))
+    X = mg.random_martingale(mg.SimConfig(depth=5, dim=2), np.random.default_rng(2))
     for inc in wt.pair_increments(X.levels):
         # equal up to the rounding residue of the parent average
         assert np.allclose(inc[:, 0], -inc[:, 1], rtol=0, atol=1e-14)
 
 
 def test_terminal_second_moment_close_to_dim():
-    X = mg.random_martingale(mg.SimConfig(depth=10, dim=3, seed=3))
+    X = mg.random_martingale(mg.SimConfig(depth=10, dim=3), np.random.default_rng(3))
     m2 = np.mean(np.sum(X.leaves ** 2, axis=1))
     assert abs(m2 - 3.0) / 3.0 < 0.05
 
 
 def test_square_bracket_identity():
-    X = mg.random_martingale(mg.SimConfig(depth=8, dim=2, seed=4))
+    X = mg.random_martingale(mg.SimConfig(depth=8, dim=2), np.random.default_rng(4))
     total = float(np.sum(X.initial ** 2))
     for k, inc in enumerate(wt.pair_increments(X.levels), start=1):
         total += float(np.sum(inc ** 2)) * 2.0 ** (-k)
@@ -46,7 +46,7 @@ def test_square_bracket_identity():
 
 
 def test_transform_identity_and_negation():
-    X = mg.random_martingale(mg.SimConfig(depth=5, dim=2, seed=5))
+    X = mg.random_martingale(mg.SimConfig(depth=5, dim=2), np.random.default_rng(5))
     Y = mg.transform(X, [np.full(2 ** k, 1.0) for k in range(X.depth)], 1.0)
     # reassembly from increments rounds once per level
     assert all(np.allclose(a, b, rtol=1e-13, atol=1e-14)
@@ -58,14 +58,14 @@ def test_transform_identity_and_negation():
 
 
 def test_transform_alternating_signs_subordinate():
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=6))
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2), np.random.default_rng(6))
     sig = [np.where(np.arange(2 ** k) % 2 == 0, 1.0, -1.0) for k in range(X.depth)]
     Y = mg.transform(X, sig, sigma0=-1.0)
     assert mg.check_subordination(X, Y) is None
 
 
 def test_transform_rejects_large_sigma():
-    X = mg.random_martingale(mg.SimConfig(depth=3, dim=1, seed=7))
+    X = mg.random_martingale(mg.SimConfig(depth=3, dim=1), np.random.default_rng(7))
     sig = [np.ones(1), np.ones(2), np.ones(4)]
     sig[1][0] = 1.5
     with pytest.raises(SubordinationError):
@@ -74,7 +74,7 @@ def test_transform_rejects_large_sigma():
 
 def test_rotation_transform_subordinate_but_not_multiplier():
     rng = np.random.default_rng(8)
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=8), rng)
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2), rng)
     Y = mg.rotation_transform(X, rng)
     assert mg.check_subordination(X, Y) is None
     # some increment is not a scalar multiple of its source
@@ -119,13 +119,14 @@ def test_check_subordination_reports_first_violation(build, expected, dim):
 
 
 def test_check_subordination_needs_one_depth():
-    X = mg.random_martingale(mg.SimConfig(depth=4, dim=2, seed=9))
+    X = mg.random_martingale(mg.SimConfig(depth=4, dim=2), np.random.default_rng(9))
     with pytest.raises(InvalidInputError):
-        mg.check_subordination(X, mg.random_martingale(mg.SimConfig(depth=3, dim=2, seed=9)))
+        mg.check_subordination(X, mg.random_martingale(mg.SimConfig(depth=3, dim=2),
+                                                       np.random.default_rng(9)))
 
 
 def test_weighted_norm_cases():
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=10))
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2), np.random.default_rng(10))
     ones = wt.WeightTree(np.ones(2 ** 6))
     assert mg.weighted_norm(X, ones) == pytest.approx(mg.terminal_norm(X.leaves, 1.0), rel=1e-14)
     w = wt.power_weight_family(-0.5, 6)
@@ -137,7 +138,7 @@ def test_weighted_norm_cases():
 
 
 def test_bilinear_form_polarization_and_flip():
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=11))
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2), np.random.default_rng(11))
     norm2 = mg.terminal_norm(X.leaves, 1.0) ** 2
     assert mg.bilinear_form(X, X) == pytest.approx(norm2, rel=1e-12)
     rng = np.random.default_rng(12)
@@ -150,7 +151,7 @@ def test_bilinear_form_dominates_terminal_pairing():
     rng = np.random.default_rng(13)
     for trial in range(1000):
         depth = int(rng.integers(1, 6))
-        cfgA = mg.SimConfig(depth=depth, dim=2, seed=1000 + trial)
+        cfgA = mg.SimConfig(depth=depth, dim=2)
         Y = mg.random_martingale(cfgA, rng)
         Z = mg.random_martingale(cfgA, rng)
         pairing = abs(float(np.mean(np.sum(Y.leaves * Z.leaves, axis=1))))
@@ -161,7 +162,7 @@ def test_bracket_difference_running_sums():
     """Node-wise |dY| <= |dX| is the same as the running bracket difference
     sums being nonnegative and nondecreasing along every path."""
     rng = np.random.default_rng(15)
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2, seed=15), rng)
+    X = mg.random_martingale(mg.SimConfig(depth=6, dim=2), rng)
     Y = mg.rotation_transform(X, rng)
     Y = mg.DyadicMartingale([0.5 * lev for lev in Y.levels])
     assert mg.check_subordination(X, Y) is None
@@ -182,7 +183,7 @@ def test_bracket_difference_running_sums():
 def test_weighted_norm_is_terminal_supremum():
     from bellsub import weights as wt
     rng = np.random.default_rng(16)
-    X = mg.random_martingale(mg.SimConfig(depth=7, dim=2, seed=16), rng)
+    X = mg.random_martingale(mg.SimConfig(depth=7, dim=2), rng)
     w = wt.WeightTree(np.exp(rng.normal(0, 1, 2 ** 7)))
     terminal = mg.weighted_norm(X, w)
     n = X.depth
@@ -194,7 +195,7 @@ def test_weighted_norm_is_terminal_supremum():
 
 @pytest.mark.parametrize("dim", (1, 2, 3))
 def test_rotation_transform_matches_per_node_draws(dim):
-    X = mg.random_martingale(mg.SimConfig(depth=9, dim=dim, seed=17))
+    X = mg.random_martingale(mg.SimConfig(depth=9, dim=dim), np.random.default_rng(17))
     rng_batched, rng_loop = np.random.default_rng(18), np.random.default_rng(18)
     Y = mg.rotation_transform(X, rng_batched)
     ref = rotation_transform_per_node(X, rng_loop)

@@ -46,12 +46,8 @@ ALLOWED = {
     ("estimates", "bellman_telescope", "anchor"): "anchor_sensitivity passes ell "
                                                   "times each multiplier",
     ("estimates", "verify_main_theorem", "seed"): IGNORED_SEED,
-    ("martingales", "random_martingale", "rng"): "commands share one generator "
-                                                 "between draws; None seeds from cfg",
     ("martingales", "SimConfig", "depth"): "the CLI's --depth",
     ("martingales", "SimConfig", "dim"): "the CLI's --dim",
-    ("martingales", "SimConfig", "seed"): "the README quick start; the commands "
-                                          "pass a generator instead",
     ("martingales", "transform", "sigma0"): "the commands pass 1, tests -1 and -0.75",
     ("mollify", "GridSpec.axes", "pad_cells"): "mollify_h4 pads by the kernel radius",
     ("mollify", "default_grid_spec", "cells"): "perfbench's smoke size passes 2",
