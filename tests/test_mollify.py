@@ -170,8 +170,7 @@ def test_composite_refuses_k_off_the_axis_from_q853(Q):
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],
                          ids=["Q2", "Q16", "Q256", "branch_cut"])
 def test_circular_convolution_matches_linear_oracle(Q):
-    # the oracle is the uncropped kernel on its own floor(ell/h)-padded box;
-    # the pruned pipeline's error stays below 1e-14 of the largest value
+    # the oracle is the uncropped kernel on its own floor(ell/h)-padded box
     spec = (_branch_cut_spec() if Q is None
             else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
     moll = mo.mollify_h4(CFG.ell, spec)
@@ -179,7 +178,6 @@ def test_circular_convolution_matches_linear_oracle(Q):
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
     expect = valid_convolution(mo.h4_raw(*padded), kernel)
     np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
-    assert np.abs(moll.values - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("ell,h,m", [(0.05, 0.0125, 3), (0.025, 0.00625, 3),
@@ -265,6 +263,25 @@ def test_real_kernel_spectrum_matches_rfftn(L):
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.abs(got - want.real).max() <= 1e-15 * kernel.sum()
     assert np.abs(want.imag).max() <= 1e-15
+
+
+@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],
+                         ids=["Q2", "Q16", "Q256", "branch_cut"])
+def test_pruned_pipeline_matches_three_transform_oracle(Q):
+    # the oracle is the circular convolution by three numpy transforms on the
+    # padded box's own lengths n, with no fast-length padding: the 2m + 1 taps
+    # wrap into entries 0 .. 2m-1 only, so entries 2m .. n-1 are exact
+    spec = (_branch_cut_spec() if Q is None
+            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+    moll = mo.mollify_h4(CFG.ell, spec)
+    kernel, m = mo.bump_kernel(CFG.ell, spec.spacing)
+    padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
+    values = mo.h4_raw(*padded)
+    n, axes = values.shape, range(values.ndim)
+    spectrum = np.fft.rfftn(values) * np.fft.rfftn(kernel, n, axes)
+    circular = np.fft.irfftn(spectrum, n, axes)
+    expect = circular[tuple(slice(2 * m, k) for k in n)]
+    assert np.abs(moll.values - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def test_mollify_peak_memory_is_one_buffer_and_two_half_spectra():
