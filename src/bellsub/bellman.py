@@ -44,6 +44,21 @@ MARGIN_TOL = 1e-8
 # B's weights on B1 .. B6: (c1, c2, c3, c7, c7, c7)
 BLOCK_WEIGHTS = DEFAULT_COEFFICIENTS + DEFAULT_COEFFICIENTS[3:] * 2
 
+# C with B <= C (|x|^2/r + |y|^2/s): each block is bounded by B1
+SIZE_CONSTANT = sum(BLOCK_WEIGHTS)
+
+
+def dxx_constant(Q):
+    """C with (d2_x B dx, dx) <= C eps^-1 |dx|^2 (same constant for d2_y).
+
+    B1, B2, B3, B5, B6 contribute at most 2/r each to the second x
+    derivative; H4's interior branch contributes 2s/(rs - K^2), and
+    K <= (1 - 1/(8 sqrt(Q))) sqrt(rs/Q) keeps that below (2/r) qfac with
+    qfac finite for every Q >= 1.
+    """
+    qfac = 1.0 / (1.0 - (1.0 - 1.0 / (8.0 * np.sqrt(Q))) ** 2 / Q)
+    return 2.0 * sum(BLOCK_WEIGHTS[:3]) + 2.0 * BLOCK_WEIGHTS[3] * (qfac + 2.0)
+
 
 @dataclass(frozen=True)
 class BellmanConfig:
@@ -65,23 +80,6 @@ class BellmanConfig:
             raise ConfigError(f"ell must lie in (0, eps/2], got {self.ell}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-
-    @property
-    def size_constant(self):
-        """C with B <= C (|x|^2/r + |y|^2/s): each block is bounded by B1."""
-        return sum(BLOCK_WEIGHTS)
-
-    @property
-    def dxx_constant(self):
-        """C with (d2_x B dx, dx) <= C eps^-1 |dx|^2 (same constant for d2_y).
-
-        B1, B2, B3, B5, B6 contribute at most 2/r each to the second x
-        derivative; H4's interior branch contributes 2s/(rs - K^2), and
-        K <= (1 - 1/(8 sqrt(Q))) sqrt(rs/Q) keeps that below (2/r) qfac with
-        qfac finite for every Q >= 1.
-        """
-        qfac = 1.0 / (1.0 - (1.0 - 1.0 / (8.0 * np.sqrt(self.Q))) ** 2 / self.Q)
-        return 2.0 * sum(BLOCK_WEIGHTS[:3]) + 2.0 * BLOCK_WEIGHTS[3] * (qfac + 2.0)
 
 
 @dataclass(frozen=True)
@@ -332,7 +330,7 @@ def profile_value(a, b, r, s, cfg):
     return value
 
 
-def _batch(a, b, r, s, Q, weights, order=2):
+def _batch(a, b, r, s, Q, weights, order):
     """Value and gradient of a weighted block sum, with its Hessian at
     order 2, chunk by chunk."""
     if order not in (1, 2):
@@ -416,10 +414,10 @@ def evaluate_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
     return _batch(a, b, r, s, cfg.Q, BLOCK_WEIGHTS, order)
 
 
-def b4_batch(a, b, r, s, cfg: BellmanConfig, order=2) -> BatchEval:
-    """H4 composed with K(r,s) (the B4 block alone), with radial partials
-    to `order` as in `evaluate_batch`."""
-    return _batch(a, b, r, s, cfg.Q, _unit_weights(4), order)
+def b4_batch(a, b, r, s, cfg: BellmanConfig) -> BatchEval:
+    """H4 composed with K(r,s) (the B4 block alone), with its value and
+    radial gradient as `evaluate_batch` gives them at order 1."""
+    return _batch(a, b, r, s, cfg.Q, _unit_weights(4), 1)
 
 
 def _tangential_coeff(g, h_diag, radius):

@@ -43,9 +43,9 @@ import numpy as np
 
 # unused here: perfbench/tracing.py wraps the three *_form functions and
 # validate_coefficients as attributes of this module
-from .bellman import (MARGIN_TOL, BellmanConfig, _tangential_coeff, b4_batch, evaluate_batch,
-                      hessian_quadratic_form, kn_of_t, one_leg_margin, partial_xx_form,
-                      partial_yy_form, profile_value)
+from .bellman import (MARGIN_TOL, SIZE_CONSTANT, BellmanConfig, _tangential_coeff, b4_batch,
+                      dxx_constant, evaluate_batch, hessian_quadratic_form, kn_of_t,
+                      one_leg_margin, partial_xx_form, partial_yy_form, profile_value)
 from .coefficients import DEFAULT_COEFFICIENTS, validate_coefficients
 from .errors import ConfigError
 from .weights import row_norm, row_sum
@@ -304,9 +304,14 @@ def _blend(dst, src, mask, scratch):
     d ^= scratch
 
 
+def _tau_band(cfg):
+    """The reporting band [KAPPA_LO eps/Q, KAPPA_HI Q/eps] of tau."""
+    return KAPPA_LO * cfg.eps / cfg.Q, KAPPA_HI * cfg.Q / cfg.eps
+
+
 def _ellipse(h, tan, cfg):
     """Per point: the Hessian lower bound at the best tau found, that tau
-    clipped into the band [eps/(10Q), 10Q/eps], and the exact feasibility
+    clipped into the band `_tau_band`, and the exact feasibility
     min over unit dV of Q (d^2B dV, dV) - tau |dx|^2 - tau^-1 |dy|^2 there.
 
     Where tau/Q is u bit for bit, the level at tau/Q is the one at u, since
@@ -315,7 +320,7 @@ def _ellipse(h, tan, cfg):
     Q = cfg.Q
     u = _best_shift(h, tan, Q)
     lower = _ellipse_level(h, tan, u, Q)
-    tau = np.clip(Q * u, KAPPA_LO * cfg.eps / Q, KAPPA_HI * Q / cfg.eps)
+    tau = np.clip(Q * u, *_tau_band(cfg))
     feas = Q * lower
     moved = tau / Q != u
     if moved.any():
@@ -419,8 +424,8 @@ def _cut_mismatch(cfg, n, delta, cut):
     else:                    # b r = a k, approach R1 (+) vs R3 (-)
         b = rho * k / r
         plus, minus = (rho, b * (1 + delta)), (rho, b * (1 - delta))
-    gp = b4_batch(*plus, r, s, cfg, order=1).g
-    gm = b4_batch(*minus, r, s, cfg, order=1).g
+    gp = b4_batch(*plus, r, s, cfg).g
+    gm = b4_batch(*minus, r, s, cfg).g
     mismatch = row_norm((gp - gm).T)
     scale = np.maximum(row_norm(gp.T), row_norm(gm.T))
     scale = np.maximum(scale, 1e-12)
@@ -430,7 +435,7 @@ def _cut_mismatch(cfg, n, delta, cut):
 def _corner_gradient(cfg, n, delta):
     """Near the double cut both |x|, |y| <~ delta and grad H4 itself is O(delta)."""
     r, s, _, (a, b) = _c1_grid(cfg, n, (0.1 * delta, delta), (0.1 * delta, delta))
-    g = b4_batch(a, b, r, s, cfg, order=1).g
+    g = b4_batch(a, b, r, s, cfg).g
     return float(np.max(row_norm(g.T)) / delta)
 
 
@@ -463,7 +468,7 @@ def run_certification(cfg: BellmanConfig, spec: SampleSpec, jobs=1) -> CertRepor
             passed=bool(len(margins) == 0 or margins[i] >= -floor)))
 
     taus, feas = kept["tau"], kept["feas"]
-    band_lo, band_hi = KAPPA_LO * cfg.eps / cfg.Q, KAPPA_HI * cfg.Q / cfg.eps
+    band_lo, band_hi = _tau_band(cfg)
     # with every sample excluded near the cuts the tau band holds vacuously:
     # min and max of the empty set read inf and -inf
     tau_stats = TauStats(
@@ -523,7 +528,7 @@ def _check(cfg, points, pairs):
     if np.isinf(feas).any():
         raise ConfigError(f"Q {cfg.Q!r} puts Q d^2B beyond the float64 range")
     cx, cy = _axis_curvatures(h, tan)
-    cap = cfg.dxx_constant / cfg.eps
+    cap = dxx_constant(cfg.Q) / cfg.eps
     record = {"point": np.stack([a, b, r, s], axis=1), "cut": batch.cut,
               "hessian_lower": lower, "dxx_bound": cap - cx, "dyy_bound": cap - cy,
               "tau": tau, "feas": feas}
@@ -533,7 +538,7 @@ def _check(cfg, points, pairs):
         val2 = profile_value(row_norm(x2), row_norm(y2), r2, s2, cfg)
         record["one_leg"] = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
                                            val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)[0]
-        record["size_bound"] = cfg.size_constant * (a * a / r + b * b / s) - batch.value
+        record["size_bound"] = SIZE_CONSTANT * (a * a / r + b * b / s) - batch.value
     return record
 
 

@@ -4,8 +4,8 @@ Commands: certify, tau-sweep, simulate, sharpness, truncate, telescope.
 Every randomized command requires --seed and is a deterministic function of
 its flags (including --jobs, which only distributes work).  The sampling
 plan of certify and tau-sweep holds only --samples and --seed; the domain it
-samples is the one --Q, --eps, --ell and --dim set.  sharpness draws nothing:
-its --seed is optional, still accepted, and changes nothing.  Exit codes:
+samples is the one --Q, --eps, --ell and --dim set.  sharpness and truncate
+draw nothing and take no --seed.  Exit codes:
 0 all checks pass / output written, 1 a verified property failed,
 2 bad flags (values past float64 or the memory included) or malformed
 input files, each reported on one stderr line.  Reports go to --out
@@ -79,7 +79,6 @@ def build_parser():
     h.add_argument("--delta-grid", required=True,
                    help="start:stop:count (inclusive linspace) or comma list")
     h.add_argument("--depth", type=int, default=12)
-    h.add_argument("--seed", type=int, help="accepted and ignored")
     h.add_argument("--out", default=None)
 
     r = sub.add_parser("truncate", help="two-sided weight truncation with Q2 report")

@@ -48,15 +48,13 @@ def reduced_margin(coeffs, P, T, R, S):
             + SQ3H * c3 * S * (P - R) + (c7 / 256.0) * R * S - 2.0 * P * T)
 
 
-def validate_coefficients(coeffs, tol=0.0):
-    """Certify the reduced inequality exactly over the nonnegative orthant.
+def validate_coefficients(coeffs):
+    """Decide the reduced inequality exactly over the nonnegative orthant.
 
     Returns (min_margin, worst_direction), the least value of g on unit
-    nonnegative directions and a unit direction attaining it; raises
-    ConfigError when the draft is infeasible, naming that direction.  tol
-    admits margins down to -tol, for drafts sitting exactly on the
-    feasibility boundary where float rounding of sqrt(3) leaves margins a few
-    ulps under zero.
+    nonnegative directions and a unit direction attaining it.  The draft is
+    feasible when min_margin >= 0; a draft on the feasibility boundary may
+    read a few ulps under 0, from the rounding of sqrt(3).
     """
     c1, c2, c3, c7 = coeffs
     if min(c1, c2, c3) <= 0.0 or c7 < 0.0:
@@ -75,9 +73,4 @@ def validate_coefficients(coeffs, tol=0.0):
                 if val < margin and (vec > 0.0).all():
                     margin, worst = val, np.zeros(4)
                     worst[list(face)] = vec
-    if margin < -tol:
-        raise ConfigError(
-            "coefficient draft infeasible: margin "
-            f"{margin:.3e} at direction (|dx|/|x|,|dy|/|y|,|dr|/r,|ds|/s)="
-            f"({worst[0]:.6f},{worst[1]:.6f},{worst[2]:.6f},{worst[3]:.6f})")
     return float(margin), worst

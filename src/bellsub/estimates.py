@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bellman import (MARGIN_TOL, BellmanConfig, domain_masks, evaluate_batch,
-                      one_leg_margin, profile_value)
+from .bellman import (MARGIN_TOL, SIZE_CONSTANT, BellmanConfig, domain_masks,
+                      evaluate_batch, one_leg_margin, profile_value)
 from .errors import DomainError, InvalidInputError, SubordinationError
 from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
                           terminal_norm, weighted_norm)
@@ -150,7 +150,7 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
 
     EF = float(np.mean(row_sum(X.leaves * X.leaves) * w_tree.leaf_values))
     EG = float(np.mean(row_sum(Z.leaves * Z.leaves) / w_tree.leaf_values))
-    size_bound = cfg.size_constant * (EF + EG + 2.0 * a * a / cfg.eps)
+    size_bound = SIZE_CONSTANT * (EF + EG + 2.0 * a * a / cfg.eps)
 
     scale = max(abs(eb_term), abs(eb_root), 1.0)
     min_margin = min(per_step_margins, default=0.0)

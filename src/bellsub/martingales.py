@@ -37,6 +37,8 @@ class DyadicMartingale:
                 raise InvalidInputError(f"level {k} must have shape (2^{k}, d)")
             if lev.shape[1] != self.levels[0].shape[1]:
                 raise InvalidInputError("all levels must share the vector dimension")
+            if not np.isfinite(lev).all():
+                raise InvalidInputError("non-finite node values")
         self.depth = len(self.levels) - 1
         self.dim = self.levels[0].shape[1]
 
@@ -60,8 +62,8 @@ class DyadicMartingale:
 class SimConfig:
     """Knobs for randomized martingale experiments."""
 
-    depth: int = 8
-    dim: int = 2
+    depth: int
+    dim: int
 
     def __post_init__(self):
         if self.depth < 0 or self.depth > 20:
@@ -79,12 +81,14 @@ def random_martingale(cfg: SimConfig, rng) -> DyadicMartingale:
 
 def transform(X: DyadicMartingale, sigma, sigma0=1.0) -> DyadicMartingale:
     """Predictable multiplier: dY at level k+1 is sigma[k] (per parent node)
-    times dX, and Y_0 = sigma0 X_0.  Requires |sigma| <= 1 throughout;
+    times dX, and Y_0 = sigma0 X_0.  Requires finite |sigma| <= 1 throughout;
     the result is differentially subordinate to X by construction.
     """
     sigma = [np.asarray(s, dtype=float) for s in sigma]
     if len(sigma) != X.depth:
         raise InvalidInputError(f"need {X.depth} sigma levels, got {len(sigma)}")
+    if not (np.isfinite(sigma0) and all(np.isfinite(s).all() for s in sigma)):
+        raise InvalidInputError("non-finite multipliers")
     if abs(sigma0) > 1.0 or any((np.abs(s) > 1.0).any() for s in sigma):
         raise SubordinationError("|sigma| > 1 would break subordination")
     for k, s in enumerate(sigma):

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bellman import (BLOCK_WEIGHTS, BellmanConfig, b4_batch, domain_masks, evaluate_batch,
                       h4_value, kn_of_t, one_leg_margin)
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, InvalidInputError
 
 
 def h4_raw(x, y, r, s, K):
@@ -72,6 +72,8 @@ class GridSpec:
     def __post_init__(self):
         if len(self.lo) != 5 or len(self.hi) != 5:
             raise ConfigError("grid bounds must have five entries (x, y, r, s, K)")
+        if not np.isfinite([*self.lo, *self.hi, self.spacing]).all():
+            raise InvalidInputError("non-finite grid bounds or spacing")
         if self.spacing <= 0.0:
             raise ConfigError("grid spacing must be positive")
         if any(h <= l for l, h in zip(self.lo, self.hi)):
@@ -173,6 +175,8 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
     stay inside {x, y > 0, rs > K^2, K >= 0} so every sample the kernel
     weighs is a valid H4 evaluation.
     """
+    if not np.isfinite(ell):
+        raise InvalidInputError(f"non-finite mollification radius {ell!r}")
     if ell <= 0.0:
         raise ConfigError("mollification radius must be positive")
     if spec.spacing > ell / 4.0 + 1e-15:
@@ -274,7 +278,7 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     m_val, *m_grad = (g[node + (j,)] * (1 - f) + g[node + (j + 1,)] * f for g in fields)
 
     full = evaluate_batch(x, y, r, s, cfg, order=1)
-    raw4 = b4_batch(x, y, r, s, cfg, order=1)
+    raw4 = b4_batch(x, y, r, s, cfg)
     c7 = BLOCK_WEIGHTS[3]      # B4's weight
     value = full.value + c7 * (m_val - raw4.value)
     grad = np.empty((len(x), 4))

@@ -90,12 +90,12 @@ def _ascend_sigma(f, w, sig0, sigs):
     its increment's weighted correlation with the rest of the transform, for
     at most SWEEPS sweeps.
 
-    At level k+1 the leaves are viewed as (2^(k+1), span) blocks, one row per
-    child node, and that level's increments broadcast along the rows; no
-    leaf-size copy of an increment is made."""
+    At level k+1 the leaves are viewed as (2^k, 2, span) blocks, one row per
+    child node, and that level's pair-shaped increments broadcast along the
+    rows; no leaf-size copy of an increment is made."""
     n = int(np.log2(len(f)))
     lev = dyadic_averages(f)
-    dfs = [df.reshape(-1, 1) for df in pair_increments(lev)]
+    dfs = [df[:, :, None] for df in pair_increments(lev)]
     y = _apply_tsigma(f, sig0, sigs)
     for _ in range(SWEEPS):
         changed = False
@@ -107,13 +107,13 @@ def _ascend_sigma(f, w, sig0, sigs):
             changed = True
         for k in range(n):
             dfk = dfs[k]
-            yk = y.reshape(2 ** (k + 1), -1)
-            cur = np.repeat(sigs[k], 2)[:, None] * dfk
+            yk = y.reshape(2 ** k, 2, -1)
+            cur = sigs[k][:, None, None] * dfk
             terms = (w.reshape(yk.shape) * (yk - cur) * dfk).reshape(2 ** k, -1)
             corr = row_sum(terms)
             new = np.where(corr >= 0.0, 1.0, -1.0)
             if not np.array_equal(new, sigs[k]):
-                y = (yk - cur + np.repeat(new, 2)[:, None] * dfk).ravel()
+                y = (yk - cur + new[:, None, None] * dfk).ravel()
                 sigs[k] = new
                 changed = True
         if not changed:

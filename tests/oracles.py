@@ -264,7 +264,7 @@ def interpolator_composite_one_leg_margins(moll, cfg, n_pairs=200, seed=0):
         raise ConfigError("K(rs) leaves the grid's K axis; widen it")
 
     full = evaluate_batch(x, y, r, s, cfg, order=1)
-    raw4 = b4_batch(x, y, r, s, cfg, order=1)
+    raw4 = b4_batch(x, y, r, s, cfg)
     pts5 = np.stack([x, y, r, s, k], axis=1)
     itp = RegularGridInterpolator(moll.axes, moll.values, method="linear",
                                   bounds_error=True)

@@ -244,8 +244,7 @@ def test_criterion_9_determinism(tmp_path):
         "certify": ["certify", "--Q", "16", "--samples", "2000", "--seed", "11",
                     "--format", "csv"],
         "tau-sweep": ["tau-sweep", "--Q", "4", "--samples", "40", "--seed", "12"],
-        "sharpness": ["sharpness", "--delta-grid", "-0.8:-0.6:2", "--depth", "6",
-                      "--seed", "13"],
+        "sharpness": ["sharpness", "--delta-grid", "-0.8:-0.6:2", "--depth", "6"],
         "telescope": ["telescope", "--depth", "5", "--num", "4", "--seed", "14"],
         "simulate": ["simulate", "--depth", "6", "--num", "4", "--seed", "15"],
     }

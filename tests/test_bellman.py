@@ -238,7 +238,7 @@ def test_eval_b_size_bound_and_positivity():
     a = np.linalg.norm(x, axis=1)
     b = np.linalg.norm(y, axis=1)
     vals = profile_value(a, b, r, s, cfg)
-    bound = cfg.size_constant * (a * a / r + b * b / s)
+    bound = bm.SIZE_CONSTANT * (a * a / r + b * b / s)
     assert (vals >= 0).all()
     assert (vals <= bound).all()
 

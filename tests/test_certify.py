@@ -160,7 +160,7 @@ def test_one_leg_same_point_and_taylor_consistency():
 def test_partial_bounds_single_point():
     V = points(CFG, 1, seed=29)[0]
     batch, xhat, yhat = bm.evaluate_point(V, CFG)
-    cap = CFG.dxx_constant / CFG.eps
+    cap = bm.dxx_constant(CFG.Q) / CFG.eps
     rng = np.random.default_rng(31)
     dx = np.concatenate([np.zeros((1, 2)), rng.standard_normal((20, 2))])[None]
     sq = np.sum(dx * dx, axis=-1)

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -165,27 +168,27 @@ def test_truncate_malformed_weight_file_exits_2_promptly(tmp_path, content):
 def test_sharpness_command(tmp_path):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--delta-grid", "-0.8:-0.5:3", "--depth", "6",
-                "--seed", "4", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,depth,Q2,worst_ratio"
     assert len(lines) == 5 and lines[-1].startswith("# slope")
 
 
-def test_sharpness_seed_is_optional_and_ignored(capsys):
-    # the search draws nothing, so --seed may be left out and changes nothing
-    argv = ["sharpness", "--delta-grid", "-0.8:-0.5:3", "--depth", "6"]
-    outputs = []
-    for extra in ([], ["--seed", "1"]):
-        assert run(argv + extra) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] and outputs[0] == outputs[1]
+def test_sharpness_refuses_a_seed(capsys):
+    # the search draws nothing, so it takes no --seed
+    assert run(["sharpness", "--delta-grid", "-0.8:-0.5:3", "--depth", "6",
+                "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "--seed" in captured.err
 
 
 def test_python_dash_m_bellsub_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "bellsub", "sharpness", "--delta-grid",
-                           "-0.9:-0.1:3", "--depth", "6", "--seed", "1"],
+                           "-0.9:-0.1:3", "--depth", "6"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
@@ -196,7 +199,7 @@ def test_python_dash_m_bellsub_runs_the_cli():
 def test_sharpness_rejects_an_empty_grid(tmp_path, capsys):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--delta-grid", "-0.5:-0.1:0", "--depth", "4",
-                "--seed", "4", "--out", str(out)]) == 2
+                "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "empty" in err
     assert not out.exists()
@@ -206,7 +209,7 @@ def test_sharpness_rejects_an_empty_grid(tmp_path, capsys):
 def test_sharpness_rejects_a_malformed_grid(tmp_path, capsys, grid):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--delta-grid", grid, "--depth", "4",
-                "--seed", "4", "--out", str(out)]) == 2
+                "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and grid in err
     assert err.count("start:stop:count") == 1      # the usage, once
@@ -218,7 +221,7 @@ def test_sharpness_rejects_a_malformed_grid(tmp_path, capsys, grid):
 def test_sharpness_rejects_a_grid_without_a_slope(tmp_path, capsys, grid):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--delta-grid", grid, "--depth", "4",
-                "--seed", "4", "--out", str(out)]) == 2
+                "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "slope" in err
     assert not out.exists()
@@ -364,3 +367,48 @@ def test_q_1e300_still_passes(tmp_path, command):
         warnings.simplefilter("error")
         assert run([command, "--Q", "1e300", "--samples", "2000", "--seed", "1",
                     "--out", str(tmp_path / "out")]) == 0
+
+
+def subparsers(parser):
+    """{command: its subparser}"""
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def unread_flags(parser):
+    """(command, flag) for each flag of a subcommand that its `cmd_*`
+    function never reads as `args.<dest>`, itself or through a function of
+    `cli` it passes `args` to (`_cfg`, `_check_seed`, `_check_num`)."""
+    tree = ast.parse(inspect.getsource(cli))
+    reads, passes = {}, {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            reads[fn.name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                              and isinstance(n.value, ast.Name) and n.value.id == "args"}
+            passes[fn.name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                               and isinstance(n.func, ast.Name)
+                               and any(isinstance(a, ast.Name) and a.id == "args"
+                                       for a in n.args)}
+
+    def read(name, seen=()):
+        return reads.get(name, set()).union(
+            *(read(h, seen + (name,)) for h in passes.get(name, ()) if h not in seen))
+
+    return sorted((command, action.option_strings[0])
+                  for command, sp in subparsers(parser).items()
+                  for action in sp._actions
+                  if action.option_strings and action.dest != "help"
+                  and action.dest not in read(cli.COMMANDS[command].__name__))
+
+
+def test_every_flag_is_read_by_its_command():
+    assert unread_flags(cli.build_parser()) == []
+
+
+def test_flag_scan_finds_an_ignored_flag():
+    # a flag the command accepts but never reads, as sharpness --seed once was
+    parser = cli.build_parser()
+    subparsers(parser)["sharpness"].add_argument("--seed", type=int)
+    subparsers(parser)["certify"].add_argument("--unused-flag")
+    assert unread_flags(parser) == [("certify", "--unused-flag"), ("sharpness", "--seed")]

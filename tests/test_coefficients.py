@@ -1,5 +1,4 @@
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ def test_defaults_certified_on_large_random_bank():
 @pytest.mark.parametrize("name", sorted(DRAFTS))
 def test_exact_minimum_below_a_million_sampled_directions(name):
     coeffs = DRAFTS[name]
-    margin, worst = validate_coefficients(coeffs, tol=np.inf)
+    margin, worst = validate_coefficients(coeffs)
     sampled = _sampled_minimum(coeffs)
     # the grid holds the minimizers, so the two agree up to rounding
     roundoff = 1e-12 * max(1.0, abs(margin))
@@ -47,11 +46,9 @@ def test_exact_minimum_below_a_million_sampled_directions(name):
 
 @pytest.mark.parametrize("name", INFEASIBLE)
 def test_infeasible_drafts_name_a_violating_direction(name):
-    with pytest.raises(ConfigError) as err:
-        validate_coefficients(DRAFTS[name])
-    named = re.search(r"=\(([^)]*)\)", str(err.value)).group(1)
-    direction = [float(v) for v in named.split(",")]
-    assert reduced_margin(DRAFTS[name], *direction) < 0.0
+    margin, worst = validate_coefficients(DRAFTS[name])
+    assert margin < 0.0
+    assert reduced_margin(DRAFTS[name], *worst) < 0.0
 
 
 def test_default_config_carries_the_validated_defaults():
@@ -61,6 +58,7 @@ def test_default_config_carries_the_validated_defaults():
     assert BLOCK_WEIGHTS == DEFAULT_COEFFICIENTS + (c7, c7)
     assert validate_coefficients(BLOCK_WEIGHTS[:4])[0] == 0.0
     assert [f.name for f in dataclasses.fields(BellmanConfig)] == ["Q", "eps", "ell", "dim"]
+    assert not [v for v in vars(BellmanConfig).values() if isinstance(v, property)]
     with pytest.raises(TypeError):
         BellmanConfig(c7=1.0)
 
@@ -72,23 +70,16 @@ def test_homogeneity_doubling_preserves_feasibility():
 
 
 def test_minimal_coefficients_sit_on_the_boundary():
-    margin, _ = validate_coefficients(MINIMAL, tol=1e-12)
+    margin, _ = validate_coefficients(MINIMAL)
     assert -1e-12 <= margin <= 1e-9   # zero up to float rounding of sqrt(3)
 
 
 def test_dropping_c7_fails_on_a_pure_rs_direction():
     draft = (0.5, 2.4, 2.4, 0.0)
-    with pytest.raises(ConfigError) as err:
-        validate_coefficients(draft)
-    assert "direction" in str(err.value)
+    margin, worst = validate_coefficients(draft)
     # the violating mechanism is explicit: no |dx|, |dy| content
-    m = reduced_margin(draft, 0.0, 0.0, 1.0, 1.0)
-    assert m < 0.0
-
-
-def test_too_small_c1_is_rejected():
-    with pytest.raises(ConfigError):
-        validate_coefficients((0.4, 2.4, 2.4, 600.0))
+    assert margin < 0.0 and (worst[:2] == 0.0).all()
+    assert reduced_margin(draft, 0.0, 0.0, 1.0, 1.0) < 0.0
 
 
 def test_validation_rejects_nonpositive():

@@ -37,7 +37,7 @@ CASES = {
     "telescope-seed4-dim7.csv": ["telescope", "--seed", "4", "--dim", "7",
                                  "--depth", "6", "--num", "4"],
     "sharpness-depth10.csv": ["sharpness", "--delta-grid", "-0.9:-0.1:5",
-                              "--depth", "10", "--seed", "0"],
+                              "--depth", "10"],
     # at Q = 2 about one tau in nine is clipped to an edge of the band
     "tau-sweep-Q2.csv": ["tau-sweep", "--Q", "2", "--samples", "256", "--seed", "3"],
 }

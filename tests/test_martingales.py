@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,33 @@ def test_transform_rejects_large_sigma():
     sig[1][0] = 1.5
     with pytest.raises(SubordinationError):
         mg.transform(X, sig)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_transform_refuses_non_finite_multipliers(bad):
+    # |nan| > 1 is False: without the finiteness check a NaN multiplier
+    # built a NaN Y, which verify_main_theorem called not subordinate
+    X = mg.random_martingale(mg.SimConfig(depth=3, dim=1), np.random.default_rng(7))
+    sig = [np.ones(1), np.ones(2), np.ones(4)]
+    sig[2][1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite multipliers"):
+        mg.transform(X, sig)
+    with pytest.raises(InvalidInputError, match="non-finite multipliers"):
+        mg.transform(X, [np.ones(2 ** k) for k in range(3)], sigma0=bad)
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_martingale_refuses_non_finite_values(bad):
+    leaves = np.random.default_rng(8).standard_normal((8, 2))
+    leaves[5, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="non-finite node values"):
+            mg.DyadicMartingale.from_leaves(leaves)
+        levels = wt.dyadic_averages(np.ones((8, 2)))
+        levels[1][1, 0] = bad
+        with pytest.raises(InvalidInputError, match="non-finite node values"):
+            mg.DyadicMartingale(levels)
 
 
 def test_rotation_transform_subordinate_but_not_multiplier():

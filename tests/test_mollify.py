@@ -11,7 +11,7 @@ from scipy import fft
 
 import bellsub as bs
 from bellsub import mollify as mo
-from bellsub.errors import ConfigError
+from bellsub.errors import ConfigError, InvalidInputError
 from oracles import (interpolator_composite_one_leg_margins, uncropped_bump_kernel,
                      valid_convolution)
 
@@ -35,6 +35,26 @@ def test_too_coarse_grid_rejected():
                        spacing=CFG.ell / 2.0)
     with pytest.raises(ConfigError):
         mo.mollify_h4(CFG.ell, spec)
+
+
+@pytest.mark.parametrize("field,index,bad", [
+    ("lo", 0, np.nan), ("lo", 2, -np.inf), ("hi", 4, np.nan), ("hi", 0, np.inf),
+    ("spacing", None, np.nan), ("spacing", None, np.inf)])
+def test_grid_spec_refuses_non_finite_entries(field, index, bad):
+    # these ended in numpy's bare ValueError while the grid was built
+    spec = dataclasses.asdict(mo.default_grid_spec(CFG, cells=2))
+    if index is None:
+        spec[field] = bad
+    else:
+        spec[field] = spec[field][:index] + (bad,) + spec[field][index + 1:]
+    with pytest.raises(InvalidInputError, match="non-finite grid"):
+        mo.GridSpec(**spec)
+
+
+@pytest.mark.parametrize("ell", (np.nan, np.inf))
+def test_mollify_refuses_a_non_finite_radius(ell):
+    with pytest.raises(InvalidInputError, match="non-finite mollification radius"):
+        mo.mollify_h4(ell, mo.default_grid_spec(CFG, cells=2))
 
 
 def test_padded_box_must_respect_h4_domain():

@@ -27,27 +27,19 @@ ALLOWED = {
     ("bellman", "BellmanConfig", "dim"): "the CLI's --dim",
     ("bellman", "kn_of_t", "order"): "_batch passes its order, mollify 1 for K'; "
                                      "the value paths use 0",
-    ("bellman", "_batch", "order"): "evaluate_batch and b4_batch pass theirs; "
-                                    "tests/test_partials.py uses the default",
     ("bellman", "_fill", "g"): "h4_value and profile_value want the value alone",
     ("bellman", "_fill", "h"): "_batch passes None at order 1",
     ("bellman", "evaluate_batch", "order"): "order 1 in estimates and mollify, "
                                             "2 in certify",
-    ("bellman", "b4_batch", "order"): "order 1 in certify's C1 check and mollify; "
-                                      "the partials tests read order 2",
     ("bellman", "one_leg_margin", "constant"): "mollify checks the weakened 1/Q",
     ("bellman", "one_leg_margin", "lead"): "the telescope passes its anchor's "
                                            "increment 0",
     ("certify", "check_c1_across_cuts", "seed"): IGNORED_SEED,
     ("certify", "run_certification", "jobs"): "the certify command's --jobs",
     ("cli", "main", "argv"): "None reads sys.argv; tests and perfbench pass a list",
-    ("coefficients", "validate_coefficients", "tol"): "tests read the exact margin "
-                                                      "of infeasible drafts with it",
     ("estimates", "bellman_telescope", "anchor"): "anchor_sensitivity passes ell "
                                                   "times each multiplier",
     ("estimates", "verify_main_theorem", "seed"): IGNORED_SEED,
-    ("martingales", "SimConfig", "depth"): "the CLI's --depth",
-    ("martingales", "SimConfig", "dim"): "the CLI's --dim",
     ("martingales", "transform", "sigma0"): "the commands pass 1, tests -1 and -0.75",
     ("mollify", "GridSpec.axes", "pad_cells"): "mollify_h4 pads by the kernel radius",
     ("mollify", "default_grid_spec", "cells"): "perfbench's smoke size passes 2",

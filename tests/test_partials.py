@@ -1,8 +1,8 @@
 """The closed-form radial partials of B against two independent references.
 
-`evaluate_batch` and `b4_batch` assemble values, gradients and Hessians from
+`evaluate_batch` and `_batch` assemble values, gradients and Hessians from
 the coefficient functions of each block; at order 1 they stop at the
-gradient, with the same bits.  The Jet oracle recomputes them by
+gradient, with the same bits, and `b4_batch` is B4's batch at order 1.  The Jet oracle recomputes them by
 forward-mode arithmetic on the textbook block formulas; the sympy check
 differentiates one block per H4 region symbolically and evaluates the exact
 derivatives at 30 digits.
@@ -38,7 +38,7 @@ def test_closed_form_matches_jet_oracle_on_certification_banks(Q):
     a, b, r, s = _bank(cfg)
     full_jet, b4_jet = bellman_jets(a, b, r, s, cfg)
     for got, want in ((evaluate_batch(a, b, r, s, cfg), full_jet),
-                      (b4_batch(a, b, r, s, cfg), b4_jet)):
+                      (_batch(a, b, r, s, Q, _unit_weights(4), 2), b4_jet)):
         away = ~got.cut
         assert {1, 2, 3} <= set(got.region[away].tolist())
         assert (np.abs(got.value - want.val) <= 1e-14 * np.abs(want.val)).all()
@@ -74,8 +74,10 @@ def test_first_order_batch_is_the_second_order_batch_without_h(Q, dim):
     q = len(a) // 4
     a[:q] = b[:q] * k[:q] / s[:q]
     b[q:2 * q] = a[q:2 * q] * k[q:2 * q] / r[q:2 * q]
-    for batch in (evaluate_batch, b4_batch):
-        full, first = batch(a, b, r, s, cfg), batch(a, b, r, s, cfg, order=1)
+    for full, first in ((evaluate_batch(a, b, r, s, cfg),
+                         evaluate_batch(a, b, r, s, cfg, order=1)),
+                        (_batch(a, b, r, s, Q, _unit_weights(4), 2),
+                         b4_batch(a, b, r, s, cfg))):
         assert first.h is None and full.h is not None
         assert full.cut[:2 * q].all() and {1, 2, 3} <= set(full.region.tolist())
         for name in ("value", "g", "region", "cut"):
@@ -118,13 +120,13 @@ def test_one_block_per_region_against_sympy(Q):
 
     a, b, r, s = _bank(cfg, n=2048, seed=3)
     checks = []
-    h4 = b4_batch(a, b, r, s, cfg)
+    h4 = _batch(a, b, r, s, Q, _unit_weights(4), 2)
     for region, expr in h4_branches.items():
         idx = np.flatnonzero((h4.region == region) & ~h4.cut)[:4]
         assert idx.size > 0
         checks.append((expr, h4, idx))
     for block, expr in legs.items():
-        checks.append((expr, _batch(a, b, r, s, Q, _unit_weights(block)), np.arange(4)))
+        checks.append((expr, _batch(a, b, r, s, Q, _unit_weights(block), 2), np.arange(4)))
     for expr, batch, idx in checks:
         pts = np.stack([a[idx], b[idx], r[idx], s[idx]], axis=1)
         for i, (val, g, h) in zip(idx, _symbolic_partials(expr, (A, B, R, S), pts)):

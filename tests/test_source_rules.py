@@ -96,8 +96,6 @@ RULES = {
     "layout": Rule(layout, "weights.py", {
         ("sharpness.py", "_apply_tsigma", "step-2 slice"):
             "T_sigma, the O(2^n) operator of the sharpness search, keeps its even/odd loop",
-        ("sharpness.py", "_ascend_sigma", "np.repeat(..., 2)"):
-            "the sign ascent spreads its signs to the children",
     }, "def f(a, k):\n"
        "    b = np.repeat(a, 2, axis=0)\n"
        "    c = a[0::2] + a[1::2]\n"
