@@ -15,22 +15,29 @@ weakened constant 1/Q instead of 2/Q).
 
 The kernel radius m is the largest offset that carries weight, 3 cells at
 spacing ell/4: the taps at floor(ell/spacing) = 4 cells weigh exactly 0 and
-are cropped.  H4 is sampled on the box padded by m cells, one x-slab at a
-time, straight into a zero-filled buffer whose axes of length n have the
-fast lengths L = next_fast_len(n) >= n.  The convolution is circular on that
-buffer: one rfftn of the samples times the spectrum of the kernel centred on
-index 0.  The bump is even in every coordinate, so that spectrum is real and
-is summed from per-axis cosine tables without a transform.  Along an axis,
-output entry j of the centred kernel of 2m + 1 taps reads the samples
-j-m .. j+m, so entries m .. n-m-1 read no wrapped or zero-filled sample and
-equal the linear convolution's valid part exactly.  The inverse keeps only
-those: it runs axis by axis and drops the other rows of each axis before
+are cropped.  H4 is sampled on the box padded by m cells, whose axes have
+lengths n, and the convolution is circular on that box, transformed with
+numpy.fft at the lengths n themselves.  The complex half-spectrum is filled
+one x-slab at a time: H4 on the slab, then its rfft along K and fft along
+s, r and y while the slab is in cache; one in-place fft along x completes
+it.  It is multiplied by the spectrum of the kernel centred on index 0.  The
+bump is even in every coordinate, so that spectrum is real and is summed
+from per-axis cosine tables without a transform.  Along an axis, output
+entry j of the centred kernel of 2m + 1 taps reads the samples j-m .. j+m,
+so entries m .. n-m-1 read no wrapped sample and equal the linear
+convolution's valid part exactly.  The inverse keeps only those: it runs
+axis by axis, in place, and drops the other rows of each axis before
 transforming the next.
+
+No box of more than MAX_NODES nodes is built: the kernel's and the padded
+grid's node counts are worked out from the spacing first, and a larger box
+is refused with ConfigError.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,16 +56,28 @@ def h4_raw(x, y, r, s, K):
     return h4_value(x, y, r, s, K)
 
 
-def _h4_samples(axes, shape):
-    """H4 on the grid spanned by axes, in the leading corner of a zero-filled
-    array of the given shape.  Evaluated one x-slab at a time, so the
-    temporaries stay slab-sized; elementwise, so equal to h4_raw bit for bit."""
-    out = np.zeros(shape)
+def _h4_slabs(axes):
+    """H4 on the grid spanned by axes, one x-slab at a time, so the
+    temporaries stay slab-sized; elementwise, so each slab equals h4_raw's
+    on the whole grid bit for bit."""
     rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
-    corner = tuple(slice(len(a)) for a in axes[1:])
-    for i, x in enumerate(axes[0]):
-        out[(i,) + corner] = h4_value(x, *rest)
-    return out
+    for x in axes[0]:
+        yield h4_value(x, *rest)
+
+
+# The most nodes a kernel box or a padded grid may have: the complex
+# half-spectrum of a padded grid this size takes about 134 MB.  The default
+# grids have at most 15^4 * 29 nodes, about 1.5 million.
+MAX_NODES = 2 ** 24
+
+
+def _refuse_past_max_nodes(widths, what):
+    """ConfigError for a box of more than MAX_NODES nodes, given its nodes per
+    axis as floats (inf included), before any of it is built."""
+    if any(w > MAX_NODES for w in widths) or math.prod(map(math.ceil, widths)) > MAX_NODES:
+        raise ConfigError(f"{what} of {' x '.join(f'{np.ceil(w):.4g}' for w in widths)} nodes "
+                          f"exceeds MAX_NODES = {MAX_NODES}; coarsen the spacing "
+                          "or shrink the box")
 
 
 @dataclass(frozen=True)
@@ -93,10 +112,13 @@ def bump_kernel(ell: float, spacing: float):
     with a coordinate of 4 cells lies on or outside |u| = ell and weighs 0.
     The all-zero outer faces of the floor(ell/spacing) box are cropped as the
     computed weights show them, not as ell/spacing predicts them under roundoff.
+    A box of more than MAX_NODES taps is refused before it is built.
     """
-    n = int(np.floor(ell / spacing))
+    reach = np.floor(ell / spacing)
+    _refuse_past_max_nodes([2 * reach + 1] * 5, "kernel box")
+    n = int(reach)
     ax = np.arange(-n, n + 1) * spacing
-    grids = np.meshgrid(*([ax] * 5), indexing="ij")
+    grids = np.meshgrid(*([ax] * 5), indexing="ij", sparse=True)
     r2 = sum(g * g for g in grids) / (ell * ell)
     w = np.zeros_like(r2)
     inside = r2 < 1.0
@@ -105,20 +127,25 @@ def bump_kernel(ell: float, spacing: float):
     return (w / w.sum())[(slice(n - m, n + m + 1),) * 5], m
 
 
-def _kernel_spectrum(kernel, m, L):
-    """rfftn over the box L of the (2m+1)^5 kernel centred on index 0.
+def _kernel_spectrum(kernel, m, n):
+    """rfftn over the box n of the (2m+1)^5 kernel centred on index 0, one
+    slab of axis-0 frequencies at a time.
 
     The bump is even in every coordinate, so the spectrum is real: the sum
-    over taps u of kernel(u) times prod_i cos(2 pi w_i u_i / L_i), contracted
-    one axis at a time against that axis's cosine table.
+    over taps u of kernel(u) times prod_i cos(2 pi w_i u_i / n_i), contracted
+    one axis at a time against that axis's cosine table, axes 1 to 4 once
+    and axis 0 per slab, so the whole spectrum is never held.
     """
-    spectrum = kernel
     taps = np.arange(-m, m + 1)
-    for i, n in enumerate(L):
-        freqs = np.arange(n // 2 + 1 if i == len(L) - 1 else n)
-        table = np.cos(2.0 * np.pi * (np.outer(freqs, taps) % n) / n)
-        spectrum = np.tensordot(spectrum, table, axes=(0, 1))
-    return spectrum
+    tables = []
+    for i, k in enumerate(n):
+        freqs = np.arange(k // 2 + 1 if i == 4 else k)
+        tables.append(np.cos(2.0 * np.pi * (np.outer(freqs, taps) % k) / k))
+    partial = kernel
+    for table in tables[1:]:
+        partial = np.tensordot(partial, table, axes=(1, 1))
+    for row in tables[0]:
+        yield np.tensordot(row, partial, axes=(0, 0))
 
 
 # slices of one axis for the nodes ahead of, at and behind a centre node
@@ -144,7 +171,8 @@ class MollifiedH4:
 
     def deviation_from_raw(self):
         """(max |moll - raw| overall, max over nodes farther than ell from cuts)."""
-        dev = np.abs(self.values - _h4_samples(self.axes, self.values.shape))
+        raw = h4_raw(*np.meshgrid(*self.axes, indexing="ij", sparse=True))
+        dev = np.abs(self.values - raw)
         far = self.cut_distance() > self.ell
         far_max = float(dev[far].max()) if far.any() else float("nan")
         return float(dev.max()), far_max
@@ -173,7 +201,8 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
     The grid must be finer than ell/4 and the box, enlarged by the kernel
     radius (the largest offset with weight, 3 cells at spacing ell/4), must
     stay inside {x, y > 0, rs > K^2, K >= 0} so every sample the kernel
-    weighs is a valid H4 evaluation.
+    weighs is a valid H4 evaluation.  Neither the kernel box nor the padded
+    grid may have more than MAX_NODES nodes.
     """
     if not np.isfinite(ell):
         raise InvalidInputError(f"non-finite mollification radius {ell!r}")
@@ -182,6 +211,12 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
     if spec.spacing > ell / 4.0 + 1e-15:
         raise ConfigError(
             f"grid spacing {spec.spacing} too coarse for ell = {ell}; need <= ell/4")
+    # np.arange's lengths for the axes padded by the uncropped kernel radius,
+    # floor(ell/spacing) >= m cells: a bound on the padded grid, taken before
+    # the kernel or an axis is built
+    reach = np.floor(ell / spec.spacing)
+    _refuse_past_max_nodes([(h - l) / spec.spacing + 2 * reach + 0.5
+                            for l, h in zip(spec.lo, spec.hi)], "padded grid")
     kernel, m = bump_kernel(ell, spec.spacing)
 
     padded_axes = spec.axes(pad_cells=m)
@@ -198,18 +233,20 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
-    # scipy is imported where it is called: tests/test_import_guard.py
-    from scipy import fft
     n = tuple(len(a) for a in padded_axes)
-    L = tuple(fft.next_fast_len(k, real=True) for k in n)
-    spectrum = fft.rfftn(_h4_samples(padded_axes, L))
-    spectrum *= _kernel_spectrum(kernel, m, L)
-    # unnormalized inverse, pruned to the valid rows after each leading axis
+    spectrum = np.empty(n[:-1] + (n[-1] // 2 + 1,), dtype=complex)
+    for i, slab in enumerate(_h4_slabs(padded_axes)):
+        # rfft along K, then fft along s, r and y: per-axis, on one slab
+        spectrum[i] = np.fft.rfftn(slab)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    for k, weights in enumerate(_kernel_spectrum(kernel, m, n)):
+        spectrum[k] *= weights
+    # unnormalized inverse in place, pruned to the valid rows after each leading axis
     for i in range(4):
-        spectrum = fft.ifft(spectrum, axis=i, norm="forward", overwrite_x=True)
+        np.fft.ifft(spectrum, axis=i, norm="forward", out=spectrum)
         spectrum = spectrum[(slice(None),) * i + (slice(m, n[i] - m),)]
-    values = fft.irfft(spectrum, L[4], axis=4, norm="forward")[..., m:n[4] - m]
-    values = values * (1.0 / np.prod(L))
+    values = np.fft.irfft(spectrum, n[4], axis=4, norm="forward")[..., m:n[4] - m]
+    values = values * (1.0 / np.prod(n))
     axes = spec.axes(pad_cells=0)
     expect = tuple(len(a) for a in axes)
     if values.shape != expect:

@@ -1,11 +1,11 @@
 """`import bellsub` loads numpy alone; scipy is imported where it is called.
 
-scipy serves two side analyses: the mollified `H4` grid (`scipy.fft` alone,
-in `bellsub.mollify`; its one-leg check reads the grid at its nodes, so no
-`scipy.interpolate`) and the ARPACK f-steps of the sharpness search
-(`scipy.sparse.linalg`, in `bellsub.sharpness`).  Loading
-those at import time cost every command, `--help` included, about 0.7 s.
-This test keeps them out of the import path in two ways:
+scipy serves one side analysis, the ARPACK f-steps of the sharpness search
+(`scipy.sparse.linalg`, in `bellsub.sharpness`).  The mollified `H4` grid
+(`bellsub.mollify`) transforms with `numpy.fft`, and its one-leg check reads
+the grid at its nodes, so together they load no scipy module at all.
+Loading scipy at import time cost every command, `--help` included, about
+0.7 s.  This test keeps it out of the import path in two ways:
 
 - a static scan of `src/bellsub/*.py` for an `import scipy...` or
   `from scipy... import` outside a function body, named by file:line;
@@ -112,10 +112,10 @@ def test_sharpness_loads_only_the_eigensolver():
     assert "scipy.fft" not in loaded and "scipy.interpolate" not in loaded
 
 
-def test_mollification_and_its_one_leg_check_load_fft_alone():
+def test_mollification_and_its_one_leg_check_load_no_scipy():
     loaded = scipy_loaded("import bellsub as bs\n"
                           "cfg = bs.BellmanConfig(Q=16.0)\n"
                           "spec = bs.default_grid_spec(cfg, cells=2)\n"
                           "moll = bs.mollify_h4(cfg.ell, spec)\n"
                           "assert len(bs.composite_one_leg_margins(moll, cfg)) > 0")
-    assert "scipy.fft" in loaded and "scipy.interpolate" not in loaded
+    assert loaded == []

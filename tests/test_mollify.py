@@ -249,12 +249,11 @@ def test_default_grid_spec_refuses_odd_cells():
 
 
 def _padded_box(Q):
-    """(spec, padded axes, their lengths n, fast lengths L) of the default grid."""
+    """(spec, padded axes, their lengths n) of the default grid."""
     cfg = bs.BellmanConfig(Q=Q)
     spec = mo.default_grid_spec(cfg, cells=8)
     axes = spec.axes(pad_cells=mo.bump_kernel(cfg.ell, spec.spacing)[1])
-    n = tuple(len(a) for a in axes)
-    return spec, axes, n, tuple(fft.next_fast_len(k, real=True) for k in n)
+    return spec, axes, tuple(len(a) for a in axes)
 
 
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
@@ -264,22 +263,19 @@ def test_default_padded_box_is_15_wide(Q):
 
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
 def test_slab_samples_equal_broadcast_h4(Q):
-    _, axes, n, L = _padded_box(Q)
-    got = mo._h4_samples(axes, L)
-    corner = tuple(slice(k) for k in n)
+    _, axes, n = _padded_box(Q)
+    got = np.stack(list(mo._h4_slabs(axes)))
     want = mo.h4_raw(*np.meshgrid(*axes, indexing="ij", sparse=True))
-    assert np.array_equal(got[corner], want)
-    got[corner] = 0.0
-    assert not got.any()                 # the rest of the buffer is zero fill
+    assert got.shape == n and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("L", [_padded_box(q)[3] for q in (2.0, 16.0, 256.0)]
+@pytest.mark.parametrize("n", [_padded_box(q)[2] for q in (2.0, 16.0, 256.0)]
                          + [(17, 19, 17, 21, 25)], ids=["Q2", "Q16", "Q256", "odd"])
-def test_real_kernel_spectrum_matches_rfftn(L):
+def test_real_kernel_spectrum_matches_rfftn(n):
     kernel, m = mo.bump_kernel(CFG.ell, CFG.ell / 4.0)
-    padded = np.pad(kernel, [(0, k - len(kernel)) for k in L])
+    padded = np.pad(kernel, [(0, k - len(kernel)) for k in n])
     want = fft.rfftn(np.roll(padded, -m, axis=tuple(range(5))))
-    got = mo._kernel_spectrum(kernel, m, L)
+    got = np.stack(list(mo._kernel_spectrum(kernel, m, n)))
     assert got.dtype == np.float64 and got.shape == want.shape
     assert np.abs(got - want.real).max() <= 1e-15 * kernel.sum()
     assert np.abs(want.imag).max() <= 1e-15
@@ -304,11 +300,14 @@ def test_pruned_pipeline_matches_three_transform_oracle(Q):
     assert np.abs(moll.values - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
-def test_mollify_peak_memory_is_one_buffer_and_two_half_spectra():
-    # the real sample buffer and two complex half-spectra of the box L; the
-    # three-transform pipeline, with its padded copies, needs about 1.8 times this
-    spec, _, _, L = _padded_box(2.0)
-    bound = 8 * np.prod(L) + 2 * 16 * np.prod(L[:-1]) * (L[-1] // 2 + 1)
+def test_mollify_peak_memory_is_one_half_spectrum_and_slabs():
+    # the complex half-spectrum of the padded box n and a dozen arrays of one
+    # x-slab of samples: h4_value holds about 8.4 at its peak, and the kernel
+    # spectrum is never whole.  The layout with a real buffer and two complex
+    # half-spectra of the fast lengths L >= n needed 8 prod(L) + 32 prod(L[:-1])
+    # (L[-1] // 2 + 1), 1.8 times this bound at Q = 2
+    spec, _, n = _padded_box(2.0)
+    bound = 16 * np.prod(n[:-1]) * (n[-1] // 2 + 1) + 12 * 8 * np.prod(n[1:])
     tracemalloc.start()
     try:
         mo.mollify_h4(bs.BellmanConfig(Q=2.0).ell, spec)
@@ -316,3 +315,34 @@ def test_mollify_peak_memory_is_one_buffer_and_two_half_spectra():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def _refused_unbuilt(build):
+    """The ConfigError message of build(), which must refuse before it
+    allocates more than a little bookkeeping: far below any array of nodes."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="exceeds MAX_NODES") as err:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 1024
+    return str(err.value)
+
+
+@pytest.mark.parametrize("spacing", [1e-300, CFG.ell / 40.0, CFG.ell / 14.0])
+def test_oversize_kernel_box_is_refused_unbuilt(spacing):
+    # 1e-300 ended in numpy's bare "Maximum allowed size exceeded"; ell/40
+    # asked for 81^5 taps, about 28 GB; ell/14 is the first past 2^24 taps
+    box = mo.default_grid_spec(CFG, cells=2)
+    spec = mo.GridSpec(lo=box.lo, hi=box.hi, spacing=spacing)
+    assert "padded grid" in _refused_unbuilt(lambda: mo.mollify_h4(CFG.ell, spec))
+    assert "kernel box" in _refused_unbuilt(lambda: mo.bump_kernel(CFG.ell, spacing))
+
+
+@pytest.mark.parametrize("x_hi", [50.0, 1e300])
+def test_oversize_padded_grid_is_refused_unbuilt(x_hi):
+    spec = mo.GridSpec(lo=(0.4, 0.4, 1.1, 1.1, 0.2), hi=(x_hi, 0.5, 1.2, 1.2, 0.3),
+                       spacing=CFG.ell / 4.0)
+    assert "padded grid" in _refused_unbuilt(lambda: mo.mollify_h4(CFG.ell, spec))
