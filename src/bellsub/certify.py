@@ -382,13 +382,12 @@ def check_c1_across_cuts(cfg: BellmanConfig, seed=0):
     `seed` is ignored: the grid draws nothing.  It stays in the signature so
     that callers which still pass it keep working.
     """
-    report = {"deltas": list(C1_DELTAS), "cuts": {}, "corner": {}, "rates": {}}
+    report = {"cuts": {}, "corner": {}, "rates": {}}
     for cut in ("xs_yk", "yr_xk"):
         mis = []
         for delta in C1_DELTAS:
             m, scale = _cut_mismatch(cfg, C1_POINTS, delta, cut)
-            mis.append({"delta": delta, "mean_mismatch": m, "gradient_scale": scale,
-                        "normalized": m / scale})
+            mis.append({"delta": delta, "mean_mismatch": m, "normalized": m / scale})
         report["cuts"][cut] = mis
         lg = np.log([row["delta"] for row in mis])
         lm = np.log([max(row["mean_mismatch"], 1e-300) for row in mis])

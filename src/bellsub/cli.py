@@ -27,11 +27,25 @@ from .errors import DomainError, InvalidInputError, ConfigError
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+# the constant of both estimates that simulate's pass column checks
+C_TARGET = 10.0
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):       # each argparse error is `main`'s one line
         raise ConfigError(f"{self.prog}: {message}")
+
+
+def _at_least(floor):
+    """An argparse `type` for integers >= floor (numpy seeds only from
+    nonnegative ones); `_Parser.error` names the flag it refuses."""
+    def parse(text):
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {value}")
+        return value
+    parse.__name__ = "int"      # a non-integer reads "invalid int value"
+    return parse
 
 
 def _add_cfg(sp):
@@ -54,25 +68,24 @@ def build_parser():
     c = sub.add_parser("certify", help="run the full certification suite")
     _add_cfg(c)
     c.add_argument("--samples", type=int, required=True)
-    c.add_argument("--seed", type=int, required=True)
+    c.add_argument("--seed", type=_at_least(0), required=True)
     c.add_argument("--out", default=None)
     c.add_argument("--format", choices=("csv", "structured-text"),
                    default="structured-text")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=_at_least(1), default=1)
 
     t = sub.add_parser("tau-sweep", help="per-sample ellipse constants as CSV")
     _add_cfg(t)
     t.add_argument("--samples", type=int, required=True)
-    t.add_argument("--seed", type=int, required=True)
+    t.add_argument("--seed", type=_at_least(0), required=True)
     t.add_argument("--out", default=None)
 
     s = sub.add_parser("simulate", help="bilinear + main estimate on random instances")
     s.add_argument("--depth", type=int, default=10)
     s.add_argument("--dim", type=int, default=2)
     s.add_argument("--delta", type=float, default=-0.5)
-    s.add_argument("--num", type=int, default=100)
-    s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--C-target", type=float, default=10.0, dest="c_target")
+    s.add_argument("--num", type=_at_least(0), default=100)
+    s.add_argument("--seed", type=_at_least(0), required=True)
     s.add_argument("--out", default=None)
 
     h = sub.add_parser("sharpness", help="adversarial multiplier growth table")
@@ -92,8 +105,8 @@ def build_parser():
     _add_cfg(e)
     e.add_argument("--depth", type=int, default=8)
     e.add_argument("--delta", type=float, default=-0.5)
-    e.add_argument("--num", type=int, default=20)
-    e.add_argument("--seed", type=int, required=True)
+    e.add_argument("--num", type=_at_least(0), default=20)
+    e.add_argument("--seed", type=_at_least(0), required=True)
     e.add_argument("--anchor-mult", type=float, default=1.0)
     e.add_argument("--out", default=None)
     return p
@@ -107,16 +120,7 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def _check_seed(args):
-    # numpy seeds only from nonnegative integers
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-
-
 def cmd_certify(args):
-    _check_seed(args)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _cfg(args)
     spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rep = cert.run_certification(cfg, spec, jobs=args.jobs)
@@ -127,7 +131,6 @@ def cmd_certify(args):
 
 
 def cmd_tau_sweep(args):
-    _check_seed(args)
     cfg = _cfg(args)
     spec = cert.SampleSpec(count=args.samples, seed=args.seed)
     rows, ok = cert.tau_sweep(cfg, spec)
@@ -137,14 +140,7 @@ def cmd_tau_sweep(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _check_num(args):
-    if args.num < 0:
-        raise ConfigError(f"--num must be >= 0, got {args.num}")
-
-
 def cmd_simulate(args):
-    _check_num(args)
-    _check_seed(args)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     w = weights.power_weight_family(args.delta, args.depth)
     rng = np.random.default_rng(args.seed)
@@ -156,8 +152,8 @@ def cmd_simulate(args):
             X, [np.where(rng.standard_normal(2 ** k) >= 0, 1.0, -1.0)
                 for k in range(args.depth)], sigma0=1.0)
         Z = martingales.random_martingale(scfg, rng)
-        bil = estimates.verify_bilinear_estimate(X, Y, Z, w, args.c_target)
-        main = estimates.verify_main_theorem(X, Y, w, args.c_target)
+        bil = estimates.verify_bilinear_estimate(X, Y, Z, w, C_TARGET)
+        main = estimates.verify_main_theorem(X, Y, w, C_TARGET)
         ok = bil["pass"] and main["pass"]
         all_ok &= ok
         lines.append(f"{i},{bil['ratio']!r},{main['ratio']!r},{str(ok).lower()}")
@@ -196,8 +192,6 @@ def cmd_truncate(args):
 
 
 def cmd_telescope(args):
-    _check_num(args)
-    _check_seed(args)
     cfg = _cfg(args)
     scfg = martingales.SimConfig(depth=args.depth, dim=args.dim)
     raw = weights.power_weight_family(args.delta, args.depth)

@@ -25,8 +25,8 @@ import numpy as np
 from .bellman import (MARGIN_TOL, SIZE_CONSTANT, BellmanConfig, domain_masks,
                       evaluate_batch, one_leg_margin, profile_value)
 from .errors import DomainError, InvalidInputError, SubordinationError
-from .martingales import (DyadicMartingale, bilinear_form, check_subordination,
-                          terminal_norm, weighted_norm)
+from .martingales import (bilinear_form, check_subordination, terminal_norm,
+                          weighted_norm)
 from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increments,
                       parent_average, row_norm, row_sum)
 
@@ -37,20 +37,12 @@ ANCHOR_MULTIPLIERS = (1.0, 2.0, 10.0)
 
 def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
     """Check E sum |<dY,dZ>|  <=  C_target * Q2[w] ||X||_w ||Z||_u for a
-    subordinate pair (X, Y) and a test martingale Z.
-
-    Also reports the lambda-normalization: lam^2 = (EG)^(1/2) (EF)^(-1/2)
-    balances lam^2 EF + lam^-2 EG into 2 sqrt(EF EG), the step that turns the
-    dissipation bound into a product bound.
-    """
+    subordinate pair (X, Y) and a test martingale Z."""
     _require_subordinate(X, Y, C_target)
     lhs = bilinear_form(Y, Z)
     q2 = a2_characteristic(w)
     nx, nz = weighted_norm(X, w), terminal_norm(Z.leaves, 1.0 / w.leaf_values)
-    rhs = q2 * nx * nz
-    EF, EG = nx * nx, nz * nz
-    lam2 = np.sqrt(EG / EF) if EF > 0.0 else np.inf
-    return {**_verdict(lhs, rhs, C_target), "lambda2": float(lam2)}
+    return _verdict(lhs, q2 * nx * nz, C_target)
 
 
 def _require_subordinate(X, Y, C_target):
@@ -64,11 +56,10 @@ def _require_subordinate(X, Y, C_target):
 
 
 def _verdict(lhs, rhs, C_target):
-    """Both sides of an estimate lhs <= C_target * rhs, their ratio and whether
-    it holds up to roundoff."""
+    """The left side of an estimate lhs <= C_target * rhs, the ratio and
+    whether it holds up to roundoff."""
     return {
         "lhs": lhs,
-        "rhs": rhs,
         "ratio": lhs / rhs if rhs > 0.0 else (0.0 if lhs == 0.0 else np.inf),
         "pass": lhs <= C_target * rhs + MARGIN_TOL,
     }
@@ -214,51 +205,3 @@ def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):
     dual = pairing / nz if nz > 0.0 else 0.0
 
     return {**_verdict(lhs, rhs, C_target), "dual_lhs": dual, "duality_gap": abs(dual - lhs)}
-
-
-def projection_consistency(X, Y, w: WeightTree):
-    """Finite-dimensional projection comparison: norms, bilinear forms and the
-    dissipation sum of the first-d' coordinate projections, for every d' up
-    to X's dimension, are dominated by (and increase monotonically to) their
-    full-dimension values.
-    """
-    full_bil = bilinear_form(Y, X)
-    rows = []
-    prev = None
-    monotone = True
-    for d in range(1, X.dim + 1):
-        Xp, Yp = (DyadicMartingale([lev[:, :d] for lev in M.levels]) for M in (X, Y))
-        row = {
-            "d_sub": d,
-            "norm_X_w": weighted_norm(Xp, w),
-            "norm_Y_w": weighted_norm(Yp, w),
-            "bilinear": bilinear_form(Yp, Xp),
-            "dissipation": _dissipation_sum(Xp, Yp),
-        }
-        # residual-based bound: |<dY^m,dZ^m>| <= |<dY,dZ>| + |dY_perp||dZ_perp|,
-        # with the unweighted L2 bracket norms of the coordinates beyond d
-        # (exactly 0.0 on an empty slice)
-        tail_y = terminal_norm(Y.leaves[:, d:], 1.0)
-        tail_x = terminal_norm(X.leaves[:, d:], 1.0)
-        row["bilinear_bound"] = full_bil + tail_y * tail_x
-        row["bilinear_ok"] = row["bilinear"] <= row["bilinear_bound"] + MARGIN_TOL
-        if prev is not None:
-            monotone &= (row["norm_X_w"] >= prev["norm_X_w"] - MARGIN_TOL
-                         and row["norm_Y_w"] >= prev["norm_Y_w"] - MARGIN_TOL
-                         and row["dissipation"] >= prev["dissipation"] - MARGIN_TOL)
-        prev = row
-        rows.append(row)
-    exact_at_full = (abs(rows[-1]["bilinear"] - full_bil) <= 1e-12 * max(1.0, full_bil))
-    return {
-        "rows": rows,
-        "monotone": bool(monotone),
-        "exact_at_full_dim": bool(exact_at_full),
-        "pass": bool(monotone and all(r["bilinear_ok"] for r in rows) and exact_at_full),
-    }
-
-
-def _dissipation_sum(X, Z):
-    total = 0.0
-    for dx, dz in zip(pair_increments(X.levels), pair_increments(Z.levels)):
-        total += float(np.mean(row_norm(dx) * row_norm(dz)))
-    return total

@@ -208,7 +208,7 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise InvalidInputError(f"non-finite mollification radius {ell!r}")
     if ell <= 0.0:
         raise ConfigError("mollification radius must be positive")
-    if spec.spacing > ell / 4.0 + 1e-15:
+    if spec.spacing > ell / 4.0 * (1.0 + 1e-12):
         raise ConfigError(
             f"grid spacing {spec.spacing} too coarse for ell = {ell}; need <= ell/4")
     # np.arange's lengths for the axes padded by the uncropped kernel radius,
@@ -270,7 +270,8 @@ def default_grid_spec(cfg: BellmanConfig, cells=8):
     # K(rs) over the (r, s) box widened by floor(ell/h) + 1 cells, and the K
     # axis widened by as many again: clearance for the kernel radius.  That is
     # still floor(ell/h) + 1 cells although the cropped radius m is 3 at
-    # h = ell/4, so the box does not depend on the crop.
+    # h = ell/4, so the r, s widening does not depend on the crop; the K
+    # floor m * h below does.
     pad = (int(np.floor(ell / h)) + 1) * h
     ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
     ks = kn_of_t(ts, cfg.Q)[0][0]

@@ -4,8 +4,9 @@ The layout is defined here once: node i of level k has the children 2i and
 2i+1, and each node of level k has mass 2^-k, so a node is the average of
 its children and a level's expectation is the mean of its entries.  Other
 modules reach it through the four helpers below; only the two sharpness
-kernels, T_sigma and the sign ascent, keep their own even/odd loops, as the
-fast path of the sign search.  Node values carry their vector coordinates on
+kernels keep their own spellings, as the fast path of the sign search:
+T_sigma's even/odd step-2 slices and the sign ascent's (node, child, leaves)
+view `reshape(2 ** k, 2, -1)`.  Node values carry their vector coordinates on
 the last axis, and every module sums or measures them there with `row_sum`
 and `row_norm`.
 

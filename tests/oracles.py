@@ -29,9 +29,8 @@ the comment above each names them:
   `mollify.composite_one_leg_margins`;
 * `repeat_apply_tsigma` and `repeat_ascend_sigma`, of the per-level
   sharpness kernels;
-* `repeat_increments`, `repeat_transform`, `mass_bilinear_form` and
-  `mass_dissipation_sum`, of the pair layout of `bellsub.weights` and of
-  `transform`, `bilinear_form` and `estimates._dissipation_sum`;
+* `repeat_increments`, `repeat_transform` and `mass_bilinear_form`, of the
+  pair layout of `bellsub.weights` and of `transform` and `bilinear_form`;
 * `uncropped_bump_kernel`, of the cropped `mollify.bump_kernel`;
 * `with_anchor`, the anchored martingale X^a = (a, X) that the telescope
   once built, of its virtual anchor coordinate.
@@ -451,9 +450,9 @@ def rotation_transform_per_node(X, rng):
     return DyadicMartingale(levels)
 
 
-# kept: the simulate golden runs signs +-1 with sigma0 = 1 at depth 10, dim 2,
-# and no command runs `_dissipation_sum`; these pin depths 0, 1 and 12 at
-# dims 1 and 3, fractional signs with sigma0 = -0.75, and both sums
+# kept: the simulate golden runs signs +-1 with sigma0 = 1 at depth 10, dim 2;
+# these pin depths 0, 1 and 12 at dims 1 and 3 and fractional signs with
+# sigma0 = -0.75
 def repeat_increments(X):
     """df per level: list over k = 1..n of (2^k, d) arrays, child - parent."""
     return [X.levels[k] - np.repeat(X.levels[k - 1], 2, axis=0)
@@ -485,15 +484,6 @@ def mass_bilinear_form(Y, Z):
     total = abs(float(Y.initial @ Z.initial))
     for k, (dy, dz) in enumerate(zip(repeat_increments(Y), repeat_increments(Z)), start=1):
         total += float(np.sum(np.abs(np.sum(dy * dz, axis=1))) * 2.0 ** (-k))
-    return total
-
-
-def mass_dissipation_sum(X, Z):
-    """E sum_k |dX_k| |dZ_k| without the time-0 term."""
-    total = 0.0
-    for k, (dx, dz) in enumerate(zip(repeat_increments(X), repeat_increments(Z)), start=1):
-        total += float(np.sum(np.linalg.norm(dx, axis=1)
-                              * np.linalg.norm(dz, axis=1))) * 2.0 ** (-k)
     return total
 
 

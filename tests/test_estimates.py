@@ -10,7 +10,7 @@ from bellsub import martingales as mg
 from bellsub import weights as wt
 from bellsub.bellman import evaluate_batch, profile_value
 from bellsub.errors import DomainError, SubordinationError
-from oracles import mass_dissipation_sum, random_dual_ratio, with_anchor
+from oracles import random_dual_ratio, with_anchor
 
 
 def make_pair(depth, dim, seed, rotate=False):
@@ -45,7 +45,6 @@ def test_bilinear_unweighted_ratio_below_one():
         w = wt.WeightTree(np.ones(2 ** 6))
         res = est.verify_bilinear_estimate(X, Y, Z, w, 1.0)
         assert res["ratio"] <= 1.0 + 1e-12
-        assert res["lambda2"] > 0
 
 
 def test_bilinear_requires_subordination():
@@ -363,25 +362,3 @@ def test_main_theorem_dual_attained_at_extremal(dim, rotate):
         assert res["dual_lhs"] == pytest.approx(res["lhs"], rel=1e-12, abs=0.0)
         searched = random_dual_ratio(Y.leaves, w.leaf_values, rng)
         assert searched <= res["dual_lhs"] * (1.0 + 1e-12)
-
-
-@pytest.mark.parametrize("dim", (1, 3))
-@pytest.mark.parametrize("depth", (0, 1, 6, 12))
-def test_dissipation_sum_matches_mass_oracle_bit_for_bit(depth, dim):
-    rng = np.random.default_rng(30 + depth + dim)
-    X = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
-    Z = mg.random_martingale(mg.SimConfig(depth=depth, dim=dim), rng)
-    Y = mg.rotation_transform(X, rng)
-    assert est._dissipation_sum(X, Z) == mass_dissipation_sum(X, Z)
-    assert est._dissipation_sum(X, Y) == mass_dissipation_sum(X, Y)
-
-
-def test_projection_consistency():
-    rng = np.random.default_rng(29)
-    X = mg.random_martingale(mg.SimConfig(depth=6, dim=4), rng)
-    Y = mg.rotation_transform(X, rng)
-    w = wt.power_weight_family(-0.3, 6)
-    rep = est.projection_consistency(X, Y, w)
-    assert rep["pass"] and rep["monotone"] and rep["exact_at_full_dim"]
-    norms = [r["norm_X_w"] for r in rep["rows"]]
-    assert all(b >= a for a, b in zip(norms, norms[1:]))

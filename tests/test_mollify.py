@@ -35,6 +35,12 @@ def test_too_coarse_grid_rejected():
                        spacing=CFG.ell / 2.0)
     with pytest.raises(ConfigError):
         mo.mollify_h4(CFG.ell, spec)
+    # `spacing <= ell/4 + 1e-15` passed spacing = 10 ell at a tiny radius: the
+    # kernel had radius 0, and the 11^5 grid held H4 itself, never mollified
+    lo = (0.45, 0.45, 1.15, 1.15, 0.5)
+    spec = mo.GridSpec(lo=lo, hi=tuple(v + 1e-14 for v in lo), spacing=1e-15)
+    with pytest.raises(ConfigError, match="too coarse"):
+        mo.mollify_h4(1e-16, spec)
 
 
 @pytest.mark.parametrize("field,index,bad", [

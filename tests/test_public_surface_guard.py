@@ -11,10 +11,8 @@ of each one:
 - a mention in the code of `README.md`, its code blocks and inline code;
 - a mention in `perfbench/*.py`, whose tracing names targets by string.
 
-Two names stay exported without such a use: acceptance criterion 7 calls
-`anchor_sensitivity`, and `projection_consistency` is the projection check
-of the Hilbert-valued setting, which no acceptance test calls and
-`tests/test_estimates.py` alone reaches.
+One name stays exported without such a use: acceptance criterion 7 calls
+`anchor_sensitivity`.
 
 The README's "Library quick start" block is run as well: it is the surface
 a reader meets first.
@@ -29,8 +27,6 @@ README = ROOT / "README.md"
 
 ALLOWED = {
     "anchor_sensitivity": "called by acceptance criterion 7",
-    "projection_consistency": "the Hilbert-valued projection check, reached by "
-                              "tests/test_estimates.py only",
 }
 
 

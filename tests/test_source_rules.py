@@ -3,8 +3,9 @@
 A rule is a spelling predicate over AST nodes; the formula's home module
 (None: no module is exempt); an allow-list mapping (module, top-level owner,
 spelling) to the reason it stays; a sample source and the (line, spelling)
-list it yields; and a (module, expression, spelling) to plant in a copy of
-the package.  Every test runs every rule through the scanner `source_rules`."""
+list it yields; and the (module, expression, spelling) triples to plant in
+a copy of the package.  Every test runs every rule through the scanner
+`source_rules`."""
 
 import ast
 import shutil
@@ -23,7 +24,8 @@ def layout(node):
 
     - `np.repeat(..., 2)`, spreading a parent to its two children;
     - a slice with step 2, such as `0::2` or `1::2`, picking one child of each pair;
-    - a `(-1, 2)` pair reshape;
+    - a reshape whose second positional argument is 2: the pair reshape
+      `reshape(-1, 2)` or the (node, child, rest) view `reshape(2 ** k, 2, -1)`;
     - a power of two with a negated exponent, such as `2.0 ** (-k)`, a level mass.
     """
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -31,8 +33,8 @@ def layout(node):
             reps = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "repeats"]
             if any(number(r) == 2 for r in reps):
                 yield "np.repeat(..., 2)"
-        if node.func.attr == "reshape" and [number(a) for a in node.args[:2]] == [-1, 2]:
-            yield "reshape(-1, 2)"
+        if node.func.attr == "reshape" and [number(a) for a in node.args[1:2]] == [2]:
+            yield "reshape(n, 2, ...)"
     if isinstance(node, ast.Slice) and node.step is not None and number(node.step) == 2:
         yield "step-2 slice"
     if isinstance(node, ast.Tuple) and [number(e) for e in node.elts[:2]] == [-1, 2]:
@@ -90,22 +92,26 @@ def domain(node):
         yield "_RS_SLACK"
 
 
-Rule = namedtuple("Rule", "spell home allowed sample found plant")
+Rule = namedtuple("Rule", "spell home allowed sample found plants")
 
 RULES = {
     "layout": Rule(layout, "weights.py", {
         ("sharpness.py", "_apply_tsigma", "step-2 slice"):
             "T_sigma, the O(2^n) operator of the sharpness search, keeps its even/odd loop",
+        ("sharpness.py", "_ascend_sigma", "reshape(n, 2, ...)"):
+            "the sign ascent views the leaves under each level-k node's two children "
+            "in place, the fast path of the sharpness search",
     }, "def f(a, k):\n"
        "    b = np.repeat(a, 2, axis=0)\n"
        "    c = a[0::2] + a[1::2]\n"
        "    d = a.reshape((-1, 2) + a.shape[1:])\n"
-       "    e = a.reshape(-1, 2)\n"
+       "    e = a.reshape(-1, 2) + a.reshape(2 ** k, 2, -1)\n"
        "    return 2.0 ** (-(k + 1)) + np.repeat(a, repeats=2)\n",
        [(2, "np.repeat(..., 2)"), (3, "step-2 slice"), (3, "step-2 slice"),
-        (4, "(-1, 2) pair shape"), (5, "reshape(-1, 2)"), (6, "2 ** (-k) level mass"),
-        (6, "np.repeat(..., 2)")],
-       ("estimates.py", "np.repeat(a, 2)", "np.repeat(..., 2)")),
+        (4, "(-1, 2) pair shape"), (5, "reshape(n, 2, ...)"), (5, "reshape(n, 2, ...)"),
+        (6, "2 ** (-k) level mass"), (6, "np.repeat(..., 2)")],
+       [("estimates.py", "np.repeat(a, 2)", "np.repeat(..., 2)"),
+        ("sharpness.py", "a.reshape(2 ** r, 2, -1)", "reshape(n, 2, ...)")]),
     "reduction": Rule(reduction, None, {
         ("weights.py", "row_sum", "sum(axis=1|-1|2)"):
             "row_sum's fallback for the rows of 8 or more that numpy sums pairwise",
@@ -116,14 +122,14 @@ RULES = {
        "    return np.sum(a * a, axis=-1)\n",
        [(2, "norm(...)")] * 2 + [(3, "sum(axis=1|-1|2)")] * 4 + [(4, "norm(...)")]
        + [(5, "sum(axis=1|-1|2)")],
-       ("estimates.py", "np.sum(a, axis=-1)", "sum(axis=1|-1|2)")),
+       [("estimates.py", "np.sum(a, axis=-1)", "sum(axis=1|-1|2)")]),
     "pairwise": Rule(pairwise, "weights.py", {},
        "from .weights import PAIRWISE_MIN as P\n"
        "from . import weights\n"
        "def f(d):\n"
        "    return d < weights.PAIRWISE_MIN or d < PAIRWISE_MIN\n",
        [(1, "PAIRWISE_MIN"), (4, "PAIRWISE_MIN"), (4, "PAIRWISE_MIN")],
-       ("certify.py", "len(a) < PAIRWISE_MIN", "PAIRWISE_MIN")),
+       [("certify.py", "len(a) < PAIRWISE_MIN", "PAIRWISE_MIN")]),
     "domain": Rule(domain, "bellman.py", {
         ("estimates.py", "bellman_telescope", ".ell"):
             "the telescope's anchor check bounds a parameter, not a state",
@@ -136,7 +142,7 @@ RULES = {
        "    lo = cfg.eps * S\n"
        "    return ok and not r < self.ell and min(cfg.Q, lo) == lo\n",
        [(1, "_RS_SLACK"), (4, ".Q"), (4, ".eps"), (4, "_RS_SLACK"), (6, ".Q"), (6, ".ell")],
-       ("mollify.py", "r * s <= cfg.Q", ".Q")),
+       [("mollify.py", "r * s <= cfg.Q", ".Q")]),
 }
 
 rules = pytest.mark.parametrize("rule", RULES.values(), ids=list(RULES))
@@ -163,9 +169,11 @@ def test_allow_list_has_no_stale_entry(rule):
 
 @rules
 def test_rule_catches_a_planted_spelling(rule, tmp_path):
-    module, expression, what = rule.plant
     shutil.copytree(SRC, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / module
-    path.write_text(path.read_text() + f"\n\ndef planted(a, r, s, cfg):\n    return {expression}\n")
-    line = len(path.read_text().splitlines())
-    assert (module, "planted", line, what) in strays(rule.spell, rule.home, rule.allowed, tmp_path)
+    for module, expression, what in rule.plants:
+        path = tmp_path / module
+        planted = f"\n\ndef planted(a, r, s, cfg):\n    return {expression}\n"
+        path.write_text(path.read_text() + planted)
+        line = len(path.read_text().splitlines())
+        found = strays(rule.spell, rule.home, rule.allowed, tmp_path)
+        assert (module, "planted", line, what) in found
