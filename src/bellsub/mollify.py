@@ -15,12 +15,32 @@ weakened constant 1/Q instead of 2/Q).
 
 The kernel radius m is the largest offset that carries weight, 3 cells at
 spacing ell/4: the taps at floor(ell/spacing) = 4 cells weigh exactly 0 and
-are cropped.  H4 is sampled on the box padded by m cells, whose axes have
-lengths n, and the convolution is circular on that box, transformed with
-numpy.fft at the lengths n themselves.  The complex half-spectrum is filled
-one x-slab at a time: H4 on the slab, then its rfft along K and fft along
-s, r and y while the slab is in cache; one in-place fft along x completes
-it.  It is multiplied by the spectrum of the kernel centred on index 0.  The
+are cropped.  H4 is read on the box padded by m cells, whose axes have
+lengths n, by one of two paths that give the same valid convolution.
+
+A padded box wholly in the interior branch R1 (q1 = yr - xK > 0 and
+q2 = xs - yK > 0 at every node) takes the moment path.  There
+H4 = x^2 P - 2xy G + y^2 R with P, G, R functions of (r, s, K) alone, and
+the bump is even in every coordinate, so its odd moments vanish and
+
+    H4 * phi = x^2 (P * phi0) + P * phi_xx - 2xy (G * phi0) + y^2 (R * phi0) + R * phi_yy,
+
+where phi0 sums the kernel over its x and y taps and phi_xx, phi_yy weight
+that sum by the squared x or y offset.  Each term is a valid 3-D correlation
+of (2m + 1)^3 taps on the padded (r, s, K) grid, and the output is one
+broadcast over x and y; no array of the padded 5-D box is built.  The path is
+chosen exactly: on x, y, r, s, K >= 0, q1 is least at the corner (x_hi,
+y_lo, r_lo, K_hi) and q2 at (x_lo, y_hi, s_lo, K_hi), and float products and
+differences round monotonically, so R1 at those two corners is R1 at every
+node.  The default boxes take it from about Q = 3.57 on; at Q = 2 the padded K
+axis runs past K(rs) and q1, q2 reach -0.0986.
+
+Every other box, one that meets a cut or lies off R1, takes the FFT path:
+the convolution is circular on the padded box, transformed with numpy.fft
+at the lengths n themselves.  The complex half-spectrum is filled one
+x-slab at a time: H4 on the slab, then its rfft along K and fft along s, r
+and y while the slab is in cache; one in-place fft along x completes it.
+It is multiplied by the spectrum of the kernel centred on index 0.  The
 bump is even in every coordinate, so that spectrum is real and is summed
 from per-axis cosine tables without a transform.  Along an axis, output
 entry j of the centred kernel of 2m + 1 taps reads the samples j-m .. j+m,
@@ -41,9 +61,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .bellman import (BLOCK_WEIGHTS, BellmanConfig, b4_batch, domain_masks, evaluate_batch,
-                      h4_value, kn_of_t, one_leg_margin)
+from .bellman import (BLOCK_WEIGHTS, BellmanConfig, _branches, _h4_t, b4_batch, domain_masks,
+                      evaluate_batch, h4_value, kn_of_t, one_leg_margin)
 from .errors import ConfigError, DomainError, InvalidInputError
 
 
@@ -195,8 +216,57 @@ class MollifiedH4:
         return worst
 
 
+def _fft_convolve(kernel, m, padded_axes):
+    """The valid part of H4 * kernel on the padded box, by one circular
+    convolution at the box's own lengths n: any box of the domain."""
+    n = tuple(len(a) for a in padded_axes)
+    spectrum = np.empty(n[:-1] + (n[-1] // 2 + 1,), dtype=complex)
+    for i, slab in enumerate(_h4_slabs(padded_axes)):
+        # rfft along K, then fft along s, r and y: per-axis, on one slab
+        spectrum[i] = np.fft.rfftn(slab)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    for k, weights in enumerate(_kernel_spectrum(kernel, m, n)):
+        spectrum[k] *= weights
+    # unnormalized inverse in place, pruned to the valid rows after each leading axis
+    for i in range(4):
+        np.fft.ifft(spectrum, axis=i, norm="forward", out=spectrum)
+        spectrum = spectrum[(slice(None),) * i + (slice(m, n[i] - m),)]
+    values = np.fft.irfft(spectrum, n[4], axis=4, norm="forward")[..., m:n[4] - m]
+    return values * (1.0 / np.prod(n))
+
+
+def _in_r1(axes):
+    """Whether every node of the padded box lies in H4's interior branch R1:
+    `_branches` at (x_hi, y_lo, r_lo, s_lo, K_hi) and (x_lo, y_hi, r_lo, s_lo,
+    K_hi), where q1 and q2 are least in floats (module docstring)."""
+    x, y, r, s, k = axes
+    in_r1 = _branches(np.array([x[-1], x[0]]), np.array([y[0], y[-1]]), r[0], s[0], k[-1])[2][0]
+    return bool(in_r1.all())
+
+
+def _moment_convolve(kernel, m, padded_axes, spacing):
+    """The valid part of H4 * kernel on a padded box wholly in R1, from the
+    kernel's moments phi0, phi_xx, phi_yy (module docstring).  P = s h,
+    G = K h and R = r h with h = 1/(rs - K^2), as `_fill` builds the R1
+    branch; each is correlated with the three moments at once."""
+    x, y = (a[m:len(a) - m] for a in padded_axes[:2])
+    r, s, k = np.meshgrid(*padded_axes[2:], indexing="ij", sparse=True)
+    h, kh = _h4_t(r * s, (k,))
+    d2 = (spacing * np.arange(-m, m + 1)) ** 2
+    moments = np.stack([kernel.sum(axis=(0, 1)),
+                        (d2[:, None, None, None, None] * kernel).sum(axis=(0, 1)),
+                        (d2[:, None, None, None] * kernel).sum(axis=(0, 1))], axis=-1)
+    (p0, pxx, _), (g0, _, _), (r0, _, ryy) = (
+        np.moveaxis(np.tensordot(sliding_window_view(f, (2 * m + 1,) * 3), moments, axes=3),
+                    -1, 0)
+        for f in (s * h[0], kh[0], r * h[0]))
+    x, y = x[:, None, None, None, None], y[:, None, None, None]
+    return x * x * p0 + (pxx + ryy) - 2.0 * x * y * g0 + y * y * r0
+
+
 def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
-    """H4 * phi_ell on the grid described by spec.
+    """H4 * phi_ell on the grid described by spec, by the moment path on a
+    padded box wholly in R1 and by the FFT path on any other.
 
     The grid must be finer than ell/4 and the box, enlarged by the kernel
     radius (the largest offset with weight, 3 cells at spacing ell/4), must
@@ -233,20 +303,10 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
-    n = tuple(len(a) for a in padded_axes)
-    spectrum = np.empty(n[:-1] + (n[-1] // 2 + 1,), dtype=complex)
-    for i, slab in enumerate(_h4_slabs(padded_axes)):
-        # rfft along K, then fft along s, r and y: per-axis, on one slab
-        spectrum[i] = np.fft.rfftn(slab)
-    np.fft.fft(spectrum, axis=0, out=spectrum)
-    for k, weights in enumerate(_kernel_spectrum(kernel, m, n)):
-        spectrum[k] *= weights
-    # unnormalized inverse in place, pruned to the valid rows after each leading axis
-    for i in range(4):
-        np.fft.ifft(spectrum, axis=i, norm="forward", out=spectrum)
-        spectrum = spectrum[(slice(None),) * i + (slice(m, n[i] - m),)]
-    values = np.fft.irfft(spectrum, n[4], axis=4, norm="forward")[..., m:n[4] - m]
-    values = values * (1.0 / np.prod(n))
+    if _in_r1(padded_axes):
+        values = _moment_convolve(kernel, m, padded_axes, spec.spacing)
+    else:
+        values = _fft_convolve(kernel, m, padded_axes)
     axes = spec.axes(pad_cells=0)
     expect = tuple(len(a) for a in axes)
     if values.shape != expect:

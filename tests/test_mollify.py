@@ -204,6 +204,9 @@ def test_circular_convolution_matches_linear_oracle(Q):
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
     expect = valid_convolution(mo.h4_raw(*padded), kernel)
     np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
+    # the Q16 and Q256 boxes lie in R1 and take the moment path: run the FFT
+    # path on them as well
+    np.testing.assert_allclose(_fft_path(CFG.ell, spec), expect, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("ell,h,m", [(0.05, 0.0125, 3), (0.025, 0.00625, 3),
@@ -303,7 +306,11 @@ def test_pruned_pipeline_matches_three_transform_oracle(Q):
     spectrum = np.fft.rfftn(values) * np.fft.rfftn(kernel, n, axes)
     circular = np.fft.irfftn(spectrum, n, axes)
     expect = circular[tuple(slice(2 * m, k) for k in n)]
-    assert np.abs(moll.values - expect).max() <= 1e-14 * np.abs(expect).max()
+    fft = _fft_path(CFG.ell, spec)
+    for got in (moll.values, fft):
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+    # on the R1 boxes moll.values is the moment path's: the two paths agree
+    assert np.abs(moll.values - fft).max() <= 1e-14 * np.abs(fft).max()
 
 
 def test_mollify_peak_memory_is_one_half_spectrum_and_slabs():
@@ -321,6 +328,80 @@ def test_mollify_peak_memory_is_one_half_spectrum_and_slabs():
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+def test_moment_path_peak_memory_is_below_one_padded_box():
+    # three valid 3-D correlations and the output: never a 5-D array of the
+    # padded box, which the FFT path's half-spectrum nearly is
+    spec, _, n = _padded_box(16.0)
+    tracemalloc.start()
+    try:
+        mo.mollify_h4(bs.BellmanConfig(Q=16.0).ell, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * np.prod(n)
+
+
+def _fft_path(ell, spec):
+    """The FFT path of mollify_h4 on spec's box, whichever path it would take."""
+    kernel, m = mo.bump_kernel(ell, spec.spacing)
+    return mo._fft_convolve(kernel, m, spec.axes(pad_cells=m))
+
+
+class _Sampled(Exception):
+    pass
+
+
+def _takes_fft_path(ell, spec):
+    """Whether mollify_h4 samples H4 in x-slabs on spec's box: the FFT path
+    does, the moment path never does."""
+    def refuse(axes):
+        raise _Sampled
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mo, "_h4_slabs", refuse)
+        try:
+            mo.mollify_h4(ell, spec)
+        except _Sampled:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("Q,fft", [(2.0, True), (4.0, False), (16.0, False),
+                                   (256.0, False), (852.0, False), (None, True)],
+                         ids=["Q2", "Q4", "Q16", "Q256", "Q852", "branch_cut"])
+def test_only_boxes_in_r1_take_the_moment_path(Q, fft):
+    # the Q = 2 box's padded K axis runs past K(rs): q1, q2 reach -0.0986
+    spec = (_branch_cut_spec() if Q is None
+            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+    assert _takes_fft_path(CFG.ell, spec) is fft
+
+
+def _corner_box(nudge):
+    """A box of dyadic nodes, spacing 1/64 for ell = 1/16, padded by m = 3
+    cells to x in [1.125, 1.25], y in [0.375, 0.5], r, s in [1.25, 1.375]
+    and K in [0.25, 0.375]: at the corner (x_hi, y_lo, r_lo, K_hi), y_lo = K_hi
+    and x_hi = r_lo, so q1 = y_lo r_lo - x_hi K_hi is 0 exactly.  With nudge,
+    y's lower bound is one ulp higher, and so is every y node of its binade."""
+    h = 1.0 / 64.0
+    lo = [1.125 + 3 * h, 0.375 + 3 * h, 1.25 + 3 * h, 1.25 + 3 * h, 0.25 + 3 * h]
+    if nudge:
+        lo[1] = np.nextafter(lo[1], 1.0)
+    return mo.GridSpec(lo=tuple(lo), hi=tuple(v + 2 * h for v in lo), spacing=h)
+
+
+@pytest.mark.parametrize("nudge,fft", [(False, True), (True, False)],
+                         ids=["on_the_cut", "one_ulp_inside"])
+def test_q1_corner_decides_the_path(nudge, fft):
+    ell, spec = 1.0 / 16.0, _corner_box(nudge)
+    kernel, m = mo.bump_kernel(ell, spec.spacing)
+    x, y, r, _, k = axes = spec.axes(pad_cells=m)
+    q1 = y[0] * r[0] - x[-1] * k[-1]
+    assert q1 == (np.spacing(y[0] * r[0]) if nudge else 0.0)
+    assert _takes_fft_path(ell, spec) is fft
+    padded = np.meshgrid(*axes, indexing="ij", sparse=True)
+    expect = valid_convolution(mo.h4_raw(*padded), kernel)
+    np.testing.assert_allclose(mo.mollify_h4(ell, spec).values, expect, rtol=1e-13, atol=0.0)
 
 
 def _refused_unbuilt(build):
