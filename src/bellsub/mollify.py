@@ -32,8 +32,8 @@ broadcast over x and y; no array of the padded 5-D box is built.  The path is
 chosen exactly: on x, y, r, s, K >= 0, q1 is least at the corner (x_hi,
 y_lo, r_lo, K_hi) and q2 at (x_lo, y_hi, s_lo, K_hi), and float products and
 differences round monotonically, so R1 at those two corners is R1 at every
-node.  The default boxes take it from about Q = 3.57 on; at Q = 2 the padded K
-axis runs past K(rs) and q1, q2 reach -0.0986.
+node.  The default boxes take it from about Q = 2.71 on; at Q = 2 K(rs) is
+larger, and the padded box reaches past the cuts: q1, q2 reach -0.0516.
 
 Every other box, one that meets a cut or lies off R1, takes the FFT path:
 the convolution is circular on the padded box, transformed with numpy.fft
@@ -88,7 +88,7 @@ def _h4_slabs(axes):
 
 # The most nodes a kernel box or a padded grid may have: the complex
 # half-spectrum of a padded grid this size takes about 134 MB.  The default
-# grids have at most 15^4 * 29 nodes, about 1.5 million.
+# grids have at most 15^4 * 16 nodes, about 0.8 million.
 MAX_NODES = 2 ** 24
 
 
@@ -154,8 +154,11 @@ def _kernel_spectrum(kernel, m, n):
 
     The bump is even in every coordinate, so the spectrum is real: the sum
     over taps u of kernel(u) times prod_i cos(2 pi w_i u_i / n_i), contracted
-    one axis at a time against that axis's cosine table, axes 1 to 4 once
-    and axis 0 per slab, so the whole spectrum is never held.
+    one axis at a time against that axis's cosine table, axes 4 down to 1
+    once and axis 0 per slab, so the whole spectrum is never held.  Axis 4
+    has the fewest frequencies, n_4 // 2 + 1, and taking it first keeps the
+    partial sums small.  Each contraction appends its frequencies last, so
+    they end in the order 4 .. 1, and each slab is transposed back.
     """
     taps = np.arange(-m, m + 1)
     tables = []
@@ -163,10 +166,10 @@ def _kernel_spectrum(kernel, m, n):
         freqs = np.arange(k // 2 + 1 if i == 4 else k)
         tables.append(np.cos(2.0 * np.pi * (np.outer(freqs, taps) % k) / k))
     partial = kernel
-    for table in tables[1:]:
-        partial = np.tensordot(partial, table, axes=(1, 1))
+    for i in range(4, 0, -1):
+        partial = np.tensordot(partial, tables[i], axes=(i, 1))
     for row in tables[0]:
-        yield np.tensordot(row, partial, axes=(0, 0))
+        yield np.tensordot(row, partial, axes=(0, 0)).T
 
 
 # slices of one axis for the nodes ahead of, at and behind a centre node
@@ -317,8 +320,8 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
 def default_grid_spec(cfg: BellmanConfig, cells=8):
     """A compact box around (x, y, r, s) = (0.45, 0.45, 1.15, 1.15), `cells`
     cells of cfg.ell/4 wide on each of those axes (centred, so `cells` must
-    be even), with the K axis matched to the range of K(rs) over the (r, s)
-    box (plus kernel clearance)."""
+    be even), with the K axis running one node past the range of K(rs) over
+    the (r, s) box on each side."""
     if cells % 2:
         raise ConfigError(f"grid cells must be even, got {cells}")
     ell = cfg.ell
@@ -327,18 +330,15 @@ def default_grid_spec(cfg: BellmanConfig, cells=8):
     x0, y0, r0, s0 = 0.45, 0.45, 1.15, 1.15
     lo = [x0 - half, y0 - half, r0 - half, s0 - half]
     hi = [x0 + half, y0 + half, r0 + half, s0 + half]
-    # K(rs) over the (r, s) box widened by floor(ell/h) + 1 cells, and the K
-    # axis widened by as many again: clearance for the kernel radius.  That is
-    # still floor(ell/h) + 1 cells although the cropped radius m is 3 at
-    # h = ell/4, so the r, s widening does not depend on the crop; the K
-    # floor m * h below does.
-    pad = (int(np.floor(ell / h)) + 1) * h
-    ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
-    ks = kn_of_t(ts, cfg.Q)[0][0]
-    # mollify_h4 pads K by the kernel radius of m cells, which must keep K >= 0
+    # K(t) rises on t < 16 Q, so over the box K(rs) is least and largest at
+    # its (r, s) corners; the spare node on each side keeps every K that
+    # composite_one_leg_margins interpolates between interior nodes, where
+    # np.gradient differences centrally.  mollify_h4 adds the kernel's
+    # clearance itself, by padding K with m cells, which must keep K >= 0.
+    ks = kn_of_t(np.array([lo[2] * lo[3], hi[2] * hi[3]]), cfg.Q)[0][0]
     m = bump_kernel(ell, h)[1]
-    k_lo = max(h * np.floor((ks.min() - pad) / h), m * h)
-    k_hi = h * np.ceil((ks.max() + pad) / h)
+    k_lo = max(h * (np.floor(ks.min() / h) - 1), m * h)
+    k_hi = h * (np.ceil(ks.max() / h) + 1)
     return GridSpec(lo=tuple(lo + [k_lo]), hi=tuple(hi + [k_hi]), spacing=h)
 
 
@@ -351,19 +351,26 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     positive x, y as in the real-variable mollification setting, so K = K(rs)
     is the only coordinate that is interpolated: the values and the grid
     gradient (np.gradient, edge_order=2) are read at the node, linearly
-    between the two K nodes around K.  The one bounds check is that K stays
-    on the K axis; x, y, r and s are nodes by construction.  Returns the
-    array of margins B(V) - B(V0) - dB(V0)(V - V0) - (1/Q)|x - x0||y - y0|
+    between the two K nodes around K.  The bounds checks are that some
+    (r, s) node of the grid lies in D_Q, that at least two drawn nodes do,
+    and that K stays on the K axis; x, y, r and s are nodes by construction.  Returns the array of margins
+    B(V) - B(V0) - dB(V0)(V - V0) - (1/Q)|x - x0||y - y0|
     over the pairs with V != V0; a pair drawn on one node twice has margin 0
     identically and is dropped, so it cannot mask the least real margin.
     """
     rng = np.random.default_rng(seed)
     axx, axy, axr, axs, axk = moll.axes
+    if not domain_masks(1.0, 1.0, axr[:, None], axs, cfg)[0].any():
+        raise ConfigError("no (r, s) node of the grid lies in D_Q; "
+                          "move the box to 1 <= rs <= Q")
     idx = rng.integers(0, [len(axx), len(axy), len(axr), len(axs)],
                        size=(2 * n_pairs, 4))
     x, y = axx[idx[:, 0]], axy[idx[:, 1]]
     r, s = axr[idx[:, 2]], axs[idx[:, 3]]
     keep = domain_masks(x, y, r, s, cfg)[0]      # (r, s) pairs in D_Q
+    if keep.sum() < 2:
+        raise ConfigError(f"fewer than two of the {2 * n_pairs} drawn nodes "
+                          f"(seed {seed}) lie in D_Q; draw more pairs")
     x, y, r, s = x[keep], y[keep], r[keep], s[keep]
     node = tuple(idx[keep].T)
     t = r * s

@@ -11,6 +11,7 @@ from scipy import fft
 
 import bellsub as bs
 from bellsub import mollify as mo
+from bellsub.bellman import domain_masks, kn_of_t
 from bellsub.errors import ConfigError, InvalidInputError
 from oracles import (interpolator_composite_one_leg_margins, uncropped_bump_kernel,
                      valid_convolution)
@@ -179,6 +180,68 @@ def test_default_grid_builds_at_q256():
     assert np.diff(moll.values, axis=4).max() <= 1e-12
 
 
+def _wide_k_grid_spec(cfg, cells=8):
+    """The default box as it once was: K(rs) over the (r, s) box widened by
+    floor(ell/h) + 1 cells, and the K axis widened by as many again."""
+    h = cfg.ell / 4.0
+    half = cells // 2 * h
+    lo = [0.45 - half, 0.45 - half, 1.15 - half, 1.15 - half]
+    hi = [0.45 + half, 0.45 + half, 1.15 + half, 1.15 + half]
+    pad = (int(np.floor(cfg.ell / h)) + 1) * h
+    ts = np.array([(lo[2] - pad) * (lo[3] - pad), (hi[2] + pad) * (hi[3] + pad)])
+    ks = kn_of_t(ts, cfg.Q)[0][0]
+    k_lo = max(h * np.floor((ks.min() - pad) / h), mo.bump_kernel(cfg.ell, h)[1] * h)
+    k_hi = h * np.ceil((ks.max() + pad) / h)
+    return mo.GridSpec(lo=tuple(lo + [k_lo]), hi=tuple(hi + [k_hi]), spacing=h)
+
+
+@pytest.mark.parametrize("Q", [1.3, 1.5, 2.0, 16.0, 256.0, 852.0])
+def test_k_axis_keeps_every_node_the_composite_reads(Q):
+    # the K axis spans K(rs) over the (r, s) box and one node on each side;
+    # the wide one it replaced gives the same margins up to roundoff
+    cfg, moll = _default_grid(Q)
+    wide = mo.mollify_h4(cfg.ell, _wide_k_grid_spec(cfg))
+    assert len(moll.axes[4]) < len(wide.axes[4])
+    for n_pairs in (200, 300):
+        for seed in (0, 5, 7, 18, 36, 101):
+            got = mo.composite_one_leg_margins(moll, cfg, n_pairs=n_pairs, seed=seed)
+            want = mo.composite_one_leg_margins(wide, cfg, n_pairs=n_pairs, seed=seed)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n_pairs, seed)
+    # unless the axis starts at its floor m h (from Q = 305 on), every K(rs)
+    # on a D_Q node lies between the second node and the last but one:
+    # np.gradient is central at both K nodes the check reads
+    h = cfg.ell / 4.0
+    if moll.axes[4][0] > mo.bump_kernel(cfg.ell, h)[1] * h:
+        r, s = np.meshgrid(moll.axes[2], moll.axes[3], sparse=True)
+        k = kn_of_t((r * s)[domain_masks(1.0, 1.0, r, s, cfg)[0]], Q)[0][0]
+        assert moll.axes[4][1] <= k.min() and k.max() <= moll.axes[4][-2]
+
+
+def test_composite_refuses_a_box_without_a_pair_in_dq():
+    # the default box's least rs is 1.21, past Q = 1.1; the hand-made box's
+    # rs is about 9, past Q = 2.  Either ended in .min()'s bare ValueError
+    cfg = bs.BellmanConfig(Q=1.1)
+    boxes = [(cfg, mo.default_grid_spec(cfg, cells=8)),
+             (bs.BellmanConfig(Q=2.0),
+              mo.GridSpec(lo=(0.4, 0.4, 2.95, 2.95, 0.2), hi=(0.5, 0.5, 3.05, 3.05, 0.3),
+                          spacing=cfg.ell / 4.0))]
+    for cfg, spec in boxes:
+        moll = mo.mollify_h4(cfg.ell, spec)
+        with pytest.raises(ConfigError, match=r"no \(r, s\) node of the grid lies in D_Q"):
+            mo.composite_one_leg_margins(moll, cfg)
+
+
+def test_composite_refuses_draws_that_miss_dq():
+    # at Q = 1.215 only the corner (1.1, 1.1) of the default box's 81 (r, s)
+    # nodes lies in D_Q: 400 draws reach it, the 2 of n_pairs = 1 miss it
+    cfg = bs.BellmanConfig(Q=1.215)
+    moll = mo.mollify_h4(cfg.ell, mo.default_grid_spec(cfg, cells=8))
+    assert mo.composite_one_leg_margins(moll, cfg).size
+    with pytest.raises(ConfigError, match=r"fewer than two of the 2 drawn nodes \(seed 0\)"):
+        mo.composite_one_leg_margins(moll, cfg, n_pairs=1, seed=0)
+
+
 @pytest.mark.parametrize("Q", [852.0, 853.0])
 def test_composite_refuses_k_off_the_axis_from_q853(Q):
     # the K axis's lower clamp, the kernel radius m h, lies above K(rs) from
@@ -253,8 +316,8 @@ def test_default_grid_spec_refuses_odd_cells():
         with pytest.raises(ConfigError):
             mo.default_grid_spec(CFG, cells=cells)
     assert mo.default_grid_spec(CFG, cells=8) == mo.GridSpec(
-        lo=(0.4, 0.4, 1.0999999999999999, 1.0999999999999999, 0.1875),
-        hi=(0.5, 0.5, 1.2, 1.2, 0.375), spacing=0.0125)
+        lo=(0.4, 0.4, 1.0999999999999999, 1.0999999999999999, 0.25),
+        hi=(0.5, 0.5, 1.2, 1.2, 0.3125), spacing=0.0125)
 
 
 def _padded_box(Q):
@@ -371,7 +434,7 @@ def _takes_fft_path(ell, spec):
                                    (256.0, False), (852.0, False), (None, True)],
                          ids=["Q2", "Q4", "Q16", "Q256", "Q852", "branch_cut"])
 def test_only_boxes_in_r1_take_the_moment_path(Q, fft):
-    # the Q = 2 box's padded K axis runs past K(rs): q1, q2 reach -0.0986
+    # the Q = 2 box's padded K axis runs past K(rs): q1, q2 reach -0.0516
     spec = (_branch_cut_spec() if Q is None
             else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
     assert _takes_fft_path(CFG.ell, spec) is fft
