@@ -15,39 +15,44 @@ weakened constant 1/Q instead of 2/Q).
 
 The kernel radius m is the largest offset that carries weight, 3 cells at
 spacing ell/4: the taps at floor(ell/spacing) = 4 cells weigh exactly 0 and
-are cropped.  H4 is read on the box padded by m cells, whose axes have
-lengths n, by one of two paths that give the same valid convolution.
+are cropped.  H4 is read on the box padded by m cells, whose (r, s, K) axes
+have lengths n.
 
-A padded box wholly in the interior branch R1 (q1 = yr - xK > 0 and
-q2 = xs - yK > 0 at every node) takes the moment path.  There
+In the interior branch R1 (q1 = yr - xK > 0 and q2 = xs - yK > 0),
 H4 = x^2 P - 2xy G + y^2 R with P, G, R functions of (r, s, K) alone, and
-the bump is even in every coordinate, so its odd moments vanish and
+off R1 H4 is that polynomial minus a kink, zero on R1.  Every box takes the
+moment path for the polynomial: the bump is even in every coordinate, so
+its odd moments vanish and
 
-    H4 * phi = x^2 (P * phi0) + P * phi_xx - 2xy (G * phi0) + y^2 (R * phi0) + R * phi_yy,
+    poly * phi = x^2 (P * phi0) + P * phi_xx - 2xy (G * phi0) + y^2 (R * phi0) + R * phi_yy,
 
 where phi0 sums the kernel over its x and y taps and phi_xx, phi_yy weight
-that sum by the squared x or y offset.  Each term is a valid 3-D correlation
-of (2m + 1)^3 taps on the padded (r, s, K) grid, and the output is one
-broadcast over x and y; no array of the padded 5-D box is built.  The path is
-chosen exactly: on x, y, r, s, K >= 0, q1 is least at the corner (x_hi,
-y_lo, r_lo, K_hi) and q2 at (x_lo, y_hi, s_lo, K_hi), and float products and
-differences round monotonically, so R1 at those two corners is R1 at every
-node.  The default boxes take it from about Q = 2.71 on; at Q = 2 K(rs) is
-larger, and the padded box reaches past the cuts: q1, q2 reach -0.0516.
+that sum by the squared x or y offset.  Each term is a valid 3-D
+correlation on the padded (r, s, K) grid, and the output is one broadcast
+over x and y.  Then the kink is mollified on the (x, y) rows of the padded
+box that leave R1, and only there: H4 is sampled on no other node.  A row
+leaves R1 exactly when `_branches` finds a node off R1 at its corners: for
+fixed x, y > 0 on r, s, K >= 0, q1 is least at (r_lo, K_hi) and q2 at
+(s_lo, K_hi), and float products and differences round monotonically.  The
+default boxes have no such row from about Q = 2.71 on; at Q = 2 the padded
+box reaches past the cuts in 30 of its 225 rows.  P, G and R grow like
+1/(rs - K^2), and the rounding of the polynomial's transforms with them, so
+a box whose (rs - K^2)/rs falls below R1_ROOM skips the polynomial and
+convolves every row as H4 itself.
 
-Every other box, one that meets a cut or lies off R1, takes the FFT path:
-the convolution is circular on the padded box, transformed with numpy.fft
-at the lengths n themselves.  The complex half-spectrum is filled one
-x-slab at a time: H4 on the slab, then its rfft along K and fft along s, r
-and y while the slab is in cache; one in-place fft along x completes it.
-It is multiplied by the spectrum of the kernel centred on index 0.  The
-bump is even in every coordinate, so that spectrum is real and is summed
-from per-axis cosine tables without a transform.  Along an axis, output
-entry j of the centred kernel of 2m + 1 taps reads the samples j-m .. j+m,
-so entries m .. n-m-1 read no wrapped sample and equal the linear
-convolution's valid part exactly.  The inverse keeps only those: it runs
-axis by axis, in place, and drops the other rows of each axis before
-transforming the next.
+All correlations are circular on the padded (r, s, K) grid, transformed
+with numpy.fft at the lengths n themselves, and multiplied by the spectra
+of the kernel's (x, y) taps centred on index 0.  The bump is even in every
+coordinate, so those spectra are real, summed from per-axis cosine tables
+without a transform, and a tap at offset (u, v) shares the spectrum of
+(|u|, |v|).  Along an axis, output entry j of the centred kernel of 2m + 1
+taps reads the samples j-m .. j+m, so entries m .. n-m-1 read no wrapped
+sample and equal the linear convolution's valid part exactly.  The inverse
+keeps only those: it runs axis by axis and drops the other rows of each
+axis before transforming the next.  Each row off R1 is transformed once;
+each output row in reach of one sums the products of the rows it reaches
+with their taps' spectra and is inverted once.  No array of the padded 5-D
+box is built.
 
 No box of more than MAX_NODES nodes is built: the kernel's and the padded
 grid's node counts are worked out from the spacing first, and a larger box
@@ -61,7 +66,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .bellman import (BLOCK_WEIGHTS, BellmanConfig, _branches, _h4_t, b4_batch, domain_masks,
                       evaluate_batch, h4_value, kn_of_t, one_leg_margin)
@@ -77,19 +81,17 @@ def h4_raw(x, y, r, s, K):
     return h4_value(x, y, r, s, K)
 
 
-def _h4_slabs(axes):
-    """H4 on the grid spanned by axes, one x-slab at a time, so the
-    temporaries stay slab-sized; elementwise, so each slab equals h4_raw's
-    on the whole grid bit for bit."""
-    rest = np.meshgrid(*axes[1:], indexing="ij", sparse=True)
-    for x in axes[0]:
-        yield h4_value(x, *rest)
-
-
-# The most nodes a kernel box or a padded grid may have: the complex
-# half-spectrum of a padded grid this size takes about 134 MB.  The default
-# grids have at most 15^4 * 16 nodes, about 0.8 million.
+# The most nodes a kernel box or a padded grid may have: the output of a
+# grid this size takes about 134 MB, and so may the half-spectra of its rows
+# off R1.  The default grids have at most 15^4 * 16 nodes, about 0.8 million.
 MAX_NODES = 2 ** 24
+
+# The least (rs - K^2) / rs on a padded box whose H4 is read as the R1
+# polynomial less its kink.  P, G and R grow like 1/(rs - K^2), and the
+# rounding of their transforms with them: about 3e-18 of 1/(rs - K^2),
+# relative to H4, once that passes 1e3.  On a box nearer rs = K^2 every row
+# is convolved as H4 itself.
+R1_ROOM = 1e-3
 
 
 def _refuse_past_max_nodes(widths, what):
@@ -145,31 +147,37 @@ def bump_kernel(ell: float, spacing: float):
     inside = r2 < 1.0
     w[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
     m = int(np.abs(np.argwhere(w) - n).max())
-    return (w / w.sum())[(slice(n - m, n + m + 1),) * 5], m
+    return w[(slice(n - m, n + m + 1),) * 5] / w.sum(), m
 
 
 def _kernel_spectrum(kernel, m, n):
-    """rfftn over the box n of the (2m+1)^5 kernel centred on index 0, one
-    slab of axis-0 frequencies at a time.
+    """The real rfftn over the (r, s, K) lengths n of the kernel's (x, y) taps
+    at offsets (u, v) >= 0, centred on index 0: shape
+    (m + 1, m + 1, n[0], n[1], n[2] // 2 + 1), the bump being even in x and
+    y, so the taps at (+-u, +-v) share entry (u, v).
 
-    The bump is even in every coordinate, so the spectrum is real: the sum
-    over taps u of kernel(u) times prod_i cos(2 pi w_i u_i / n_i), contracted
-    one axis at a time against that axis's cosine table, axes 4 down to 1
-    once and axis 0 per slab, so the whole spectrum is never held.  Axis 4
-    has the fewest frequencies, n_4 // 2 + 1, and taking it first keeps the
-    partial sums small.  Each contraction appends its frequencies last, so
-    they end in the order 4 .. 1, and each slab is transposed back.
+    The bump is even in every coordinate, so each spectrum is real: the sum
+    over taps c of kernel(u, v, c) times prod_i cos(2 pi w_i c_i / n_i),
+    contracted one axis at a time against that axis's cosine table.  Each
+    contraction takes axis 2 and appends its frequencies last, so they end in
+    the order r, s, K.
     """
     taps = np.arange(-m, m + 1)
-    tables = []
+    spectra = kernel[m:, m:]
     for i, k in enumerate(n):
-        freqs = np.arange(k // 2 + 1 if i == 4 else k)
-        tables.append(np.cos(2.0 * np.pi * (np.outer(freqs, taps) % k) / k))
-    partial = kernel
-    for i in range(4, 0, -1):
-        partial = np.tensordot(partial, tables[i], axes=(i, 1))
-    for row in tables[0]:
-        yield np.tensordot(row, partial, axes=(0, 0)).T
+        freqs = np.arange(k // 2 + 1 if i == 2 else k)
+        table = np.cos(2.0 * np.pi * (np.outer(freqs, taps) % k) / k)
+        spectra = np.tensordot(spectra, table, axes=(2, 1))
+    return spectra
+
+
+def _pruned_inverse(spectrum, m, n):
+    """The entries m .. n-m-1 on each (r, s, K) axis of the inverse rfftn,
+    over the last three axes at lengths n: axis by axis, dropping the other
+    rows of each axis before transforming the next."""
+    spectrum = np.fft.ifft(spectrum, axis=-3)[..., m:n[0] - m, :, :]
+    spectrum = np.fft.ifft(spectrum, axis=-2)[..., m:n[1] - m, :]
+    return np.fft.irfft(spectrum, n[2], axis=-1)[..., m:n[2] - m]
 
 
 # slices of one axis for the nodes ahead of, at and behind a centre node
@@ -219,57 +227,87 @@ class MollifiedH4:
         return worst
 
 
-def _fft_convolve(kernel, m, padded_axes):
-    """The valid part of H4 * kernel on the padded box, by one circular
-    convolution at the box's own lengths n: any box of the domain."""
-    n = tuple(len(a) for a in padded_axes)
-    spectrum = np.empty(n[:-1] + (n[-1] // 2 + 1,), dtype=complex)
-    for i, slab in enumerate(_h4_slabs(padded_axes)):
-        # rfft along K, then fft along s, r and y: per-axis, on one slab
-        spectrum[i] = np.fft.rfftn(slab)
-    np.fft.fft(spectrum, axis=0, out=spectrum)
-    for k, weights in enumerate(_kernel_spectrum(kernel, m, n)):
-        spectrum[k] *= weights
-    # unnormalized inverse in place, pruned to the valid rows after each leading axis
-    for i in range(4):
-        np.fft.ifft(spectrum, axis=i, norm="forward", out=spectrum)
-        spectrum = spectrum[(slice(None),) * i + (slice(m, n[i] - m),)]
-    values = np.fft.irfft(spectrum, n[4], axis=4, norm="forward")[..., m:n[4] - m]
-    return values * (1.0 / np.prod(n))
-
-
-def _in_r1(axes):
-    """Whether every node of the padded box lies in H4's interior branch R1:
-    `_branches` at (x_hi, y_lo, r_lo, s_lo, K_hi) and (x_lo, y_hi, r_lo, s_lo,
-    K_hi), where q1 and q2 are least in floats (module docstring)."""
-    x, y, r, s, k = axes
-    in_r1 = _branches(np.array([x[-1], x[0]]), np.array([y[0], y[-1]]), r[0], s[0], k[-1])[2][0]
-    return bool(in_r1.all())
-
-
-def _moment_convolve(kernel, m, padded_axes, spacing):
-    """The valid part of H4 * kernel on a padded box wholly in R1, from the
-    kernel's moments phi0, phi_xx, phi_yy (module docstring).  P = s h,
-    G = K h and R = r h with h = 1/(rs - K^2), as `_fill` builds the R1
-    branch; each is correlated with the three moments at once."""
-    x, y = (a[m:len(a) - m] for a in padded_axes[:2])
-    r, s, k = np.meshgrid(*padded_axes[2:], indexing="ij", sparse=True)
+def _r1_fields(r, s, k):
+    """P = s h, G = K h and R = r h with h = 1/(rs - K^2) on the (r, s, K)
+    mesh, as `_fill` builds the R1 branch: there H4 = x^2 P - 2xy G + y^2 R."""
     h, kh = _h4_t(r * s, (k,))
-    d2 = (spacing * np.arange(-m, m + 1)) ** 2
-    moments = np.stack([kernel.sum(axis=(0, 1)),
-                        (d2[:, None, None, None, None] * kernel).sum(axis=(0, 1)),
-                        (d2[:, None, None, None] * kernel).sum(axis=(0, 1))], axis=-1)
-    (p0, pxx, _), (g0, _, _), (r0, _, ryy) = (
-        np.moveaxis(np.tensordot(sliding_window_view(f, (2 * m + 1,) * 3), moments, axes=3),
-                    -1, 0)
-        for f in (s * h[0], kh[0], r * h[0]))
+    return s * h[0], kh[0], r * h[0]
+
+
+def _moment_convolve(spectra, m, padded_axes, spacing, fields):
+    """The valid part of (x^2 P - 2xy G + y^2 R) * kernel, from the kernel's
+    moments phi0, phi_xx, phi_yy (module docstring), whose spectra are sums
+    of the tap spectra: each folded tap (u, v) stands for its count of
+    offsets (+-u, +-v), and phi_xx, phi_yy weight it by the squared x or y
+    offset, (u spacing)^2 or (v spacing)^2."""
+    x, y = (a[m:len(a) - m] for a in padded_axes[:2])
+    n = tuple(len(a) for a in padded_axes[2:])
+    taps = np.arange(m + 1)
+    count = np.where(taps == 0, 1.0, 2.0)
+    d2 = count * (spacing * taps) ** 2
+    x_sums = np.tensordot(count, spectra, axes=(0, 0))
+    phi0 = np.tensordot(count, x_sums, axes=1)
+    phi_xx = np.tensordot(count, np.tensordot(d2, spectra, axes=(0, 0)), axes=1)
+    phi_yy = np.tensordot(d2, x_sums, axes=1)
+    fp, fg, fr = (np.fft.rfftn(f) for f in fields)
+    p0, g0, r0, curv = _pruned_inverse(
+        np.stack([fp * phi0, fg * phi0, fr * phi0, fp * phi_xx + fr * phi_yy]), m, n)
     x, y = x[:, None, None, None, None], y[:, None, None, None]
-    return x * x * p0 + (pxx + ryy) - 2.0 * x * y * g0 + y * y * r0
+    # in place: one 5-D temporary at a time
+    values = np.empty((len(x), len(y)) + p0.shape)
+    values[...] = x * x * p0
+    values += curv
+    values -= 2.0 * x * y * g0
+    values += y * y * r0
+    return values
+
+
+def _kink(x, y, rsk, fields):
+    """x^2 P - 2xy G + y^2 R minus H4 on the (r, s, K) mesh rsk at one (x, y),
+    set to 0 on the R1 nodes, where H4 is that polynomial; without fields (a
+    box within R1_ROOM of rs = K^2), minus H4."""
+    if fields is None:
+        return -h4_value(x, y, *rsk)
+    p, g, rr = fields
+    kink = x * x * p - 2.0 * x * y * g + y * y * rr
+    kink -= h4_value(x, y, *rsk)
+    kink[_branches(x, y, *rsk)[2][0]] = 0.0
+    return kink
+
+
+def _subtract_kink(values, spectra, m, padded_axes, fields):
+    """Subtract from the moment path's values the valid part of kink * kernel,
+    where the kink is x^2 P - 2xy G + y^2 R minus H4, set to 0 on R1 nodes,
+    read on the (x, y) rows of the padded box that leave R1 (module
+    docstring).  The bump is even, so the correlation is the convolution."""
+    x, y, r, s, k = padded_axes
+    off = (np.ones((len(x), len(y)), dtype=bool) if fields is None
+           else ~_branches(x[:, None], y, r[0], s[0], k[-1])[2][0])
+    if not off.any():
+        return
+    rows = np.empty((off.sum(),) + spectra.shape[2:], dtype=complex)
+    rsk = np.meshgrid(r, s, k, indexing="ij", sparse=True)
+    for (i, j), row in zip(np.argwhere(off), rows):
+        row[...] = np.fft.rfftn(_kink(x[i], y[j], rsk, fields))
+    index = np.full(off.shape, -1)
+    index[off] = np.arange(len(rows))
+    fold = np.abs(np.arange(-m, m + 1))
+    spectra = spectra.astype(complex)       # complex times complex: no cast per product
+    w, n = 2 * m + 1, tuple(len(a) for a in padded_axes[2:])
+    acc, product = np.empty((2,) + rows.shape[1:], dtype=complex)
+    for i, j in np.ndindex(values.shape[:2]):
+        window = index[i:i + w, j:j + w]
+        a, b = np.nonzero(window >= 0)
+        if a.size:
+            acc[...] = 0.0
+            for slot, u, v in zip(window[a, b].tolist(), fold[a].tolist(), fold[b].tolist()):
+                np.add(acc, np.multiply(rows[slot], spectra[u, v], out=product), out=acc)
+            values[i, j] -= _pruned_inverse(acc, m, n)
 
 
 def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
-    """H4 * phi_ell on the grid described by spec, by the moment path on a
-    padded box wholly in R1 and by the FFT path on any other.
+    """H4 * phi_ell on the grid described by spec: the moment path, less the
+    mollified kink on the rows of the padded box that leave R1.
 
     The grid must be finer than ell/4 and the box, enlarged by the kernel
     radius (the largest offset with weight, 3 cells at spacing ell/4), must
@@ -306,14 +344,17 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
-    if _in_r1(padded_axes):
-        values = _moment_convolve(kernel, m, padded_axes, spec.spacing)
-    else:
-        values = _fft_convolve(kernel, m, padded_axes)
     axes = spec.axes(pad_cells=0)
-    expect = tuple(len(a) for a in axes)
-    if values.shape != expect:
-        raise ConfigError(f"convolution shape {values.shape} != grid shape {expect}")
+    shape, expect = tuple(len(a) - 2 * m for a in padded_axes), tuple(len(a) for a in axes)
+    if shape != expect:
+        raise ConfigError(f"convolution shape {shape} != grid shape {expect}")
+    spectra = _kernel_spectrum(kernel, m, tuple(len(a) for a in padded_axes[2:]))
+    if k_hi * k_hi <= (1.0 - R1_ROOM) * r_lo * s_lo:
+        fields = _r1_fields(*np.meshgrid(*padded_axes[2:], indexing="ij", sparse=True))
+        values = _moment_convolve(spectra, m, padded_axes, spec.spacing, fields)
+    else:
+        fields, values = None, np.zeros(shape)
+    _subtract_kink(values, spectra, m, padded_axes, fields)
     return MollifiedH4(ell=ell, axes=axes, values=values)
 
 

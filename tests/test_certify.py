@@ -449,22 +449,37 @@ def test_tau_sweep_draws_once_per_batch(monkeypatch):
     assert len(calls) == 3 + 2 * 3
 
 
+def _assert_rows_equal(got, want):
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert value.dtype == want[name].dtype and value.shape == want[name].shape
+        bits = (np.ascontiguousarray(v).view(np.uint8) for v in (value, want[name]))
+        assert np.array_equal(*bits), name
+
+
 @pytest.mark.parametrize("dim", (1, 2, 3, 7))
 @pytest.mark.parametrize("Q", (1.0, 2.0, 16.0, 256.0))
 def test_check_replays_a_batch_row_alone_bit_for_bit(Q, dim):
     # _check draws nothing and a row depends on its own point and partner
-    # alone, so a (seed, index) key replays any reported sample exactly
+    # alone, so a (seed, index) key replays any reported sample exactly.  The
+    # batch replayed in reversed order catches a row that reads another row;
+    # rows replayed alone catch a row that reads the whole batch: each
+    # check's worst row, the row nearest a cut, and a row whose tau the band
+    # clipped, which `_ellipse` evaluates again
     cfg = bs.BellmanConfig(Q=Q, dim=dim)
     (size, pt_seed, pair_seed), = ct._batches(ct.SampleSpec(count=ct.BATCH, seed=5))
     points, pairs = ct._sample_arrays(cfg, pt_seed, size), ct._sample_arrays(cfg, pair_seed, size)
     batch = ct._check(cfg, points, pairs)
-    for i in range(0, size, 7):
+    reverse = ct._check(cfg, *([v[::-1] for v in arrays] for arrays in (points, pairs)))
+    _assert_rows_equal({name: v[::-1] for name, v in reverse.items()}, batch)
+    a, b, r, s = batch["point"].T
+    q1, q2, _ = bm._branches(a, b, r, s, bm.kn_of_t(r * s, Q)[0][0])
+    rows = {int(np.argmin(batch[name])) for name, _, _ in ct.CHECKS}
+    rows.add(int(np.argmin(np.minimum(np.abs(q1), np.abs(q2)) / np.maximum(a, b))))
+    rows.update(np.flatnonzero(batch["feas"] != Q * batch["hessian_lower"])[:1].tolist())
+    for i in sorted(rows):
         row = ct._check(cfg, *([v[i:i + 1] for v in arrays] for arrays in (points, pairs)))
-        assert row.keys() == batch.keys()
-        for name, got in row.items():
-            want = batch[name][i:i + 1]
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), (i, name)
+        _assert_rows_equal(row, {name: v[i:i + 1] for name, v in batch.items()})
 
 
 @pytest.mark.parametrize("cut_tolerance", (None, 2e-2), ids=("cut_1e-8", "cut_2e-2"))

@@ -11,7 +11,7 @@ from scipy import fft
 
 import bellsub as bs
 from bellsub import mollify as mo
-from bellsub.bellman import domain_masks, kn_of_t
+from bellsub.bellman import domain_masks, h4_value, kn_of_t
 from bellsub.errors import ConfigError, InvalidInputError
 from oracles import (interpolator_composite_one_leg_margins, uncropped_bump_kernel,
                      valid_convolution)
@@ -256,20 +256,26 @@ def test_composite_refuses_k_off_the_axis_from_q853(Q):
                 mo.composite_one_leg_margins(moll, cfg, seed=seed)
 
 
-@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],
-                         ids=["Q2", "Q16", "Q256", "branch_cut"])
+# the default boxes at Q = 1.3, 1.5 and 2, and the branch-cut box, have
+# rows off R1; those at Q = 16 and 256 lie in R1
+_BOX_QS = [1.3, 1.5, 2.0, 16.0, 256.0, None]
+_BOX_IDS = ["Q1.3", "Q1.5", "Q2", "Q16", "Q256", "branch_cut"]
+
+
+def _box(Q):
+    return (_branch_cut_spec() if Q is None
+            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+
+
+@pytest.mark.parametrize("Q", _BOX_QS, ids=_BOX_IDS)
 def test_circular_convolution_matches_linear_oracle(Q):
     # the oracle is the uncropped kernel on its own floor(ell/h)-padded box
-    spec = (_branch_cut_spec() if Q is None
-            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+    spec = _box(Q)
     moll = mo.mollify_h4(CFG.ell, spec)
     kernel, m = uncropped_bump_kernel(CFG.ell, spec.spacing)
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
     expect = valid_convolution(mo.h4_raw(*padded), kernel)
     np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
-    # the Q16 and Q256 boxes lie in R1 and take the moment path: run the FFT
-    # path on them as well
-    np.testing.assert_allclose(_fft_path(CFG.ell, spec), expect, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("ell,h,m", [(0.05, 0.0125, 3), (0.025, 0.00625, 3),
@@ -333,34 +339,54 @@ def test_default_padded_box_is_15_wide(Q):
     assert _padded_box(Q)[2][:4] == (15, 15, 15, 15)
 
 
+def _cut_functions(axes):
+    """q1 = yr - xK and q2 = xs - yK on the padded box's sparse mesh."""
+    x, y, r, s, k = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return y * r - x * k, x * s - y * k
+
+
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
 def test_slab_samples_equal_broadcast_h4(Q):
+    # each (x, y) row of the padded box is an (r, s, K) slab; on every slab
+    # the kink is the R1 polynomial less H4 on the broadcast grid, bit for
+    # bit, and exactly 0 on the R1 nodes, so a row wholly in R1 adds nothing
     _, axes, n = _padded_box(Q)
-    got = np.stack(list(mo._h4_slabs(axes)))
-    want = mo.h4_raw(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    rsk = np.meshgrid(*axes[2:], indexing="ij", sparse=True)
+    p, g, rr = fields = mo._r1_fields(*rsk)
+    x, y = axes[0][:, None, None, None, None], axes[1][:, None, None, None]
+    h4 = mo.h4_raw(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    q1, q2 = _cut_functions(axes)
+    want = np.where((q1 > 0.0) & (q2 > 0.0), 0.0, x * x * p - 2.0 * x * y * g + y * y * rr - h4)
+    got = np.stack([[mo._kink(a, b, rsk, fields) for b in axes[1]] for a in axes[0]])
     assert got.shape == n and np.array_equal(got, want)
+    assert bool(want.any()) == (Q == 2.0)
 
 
 @pytest.mark.parametrize("n", [_padded_box(q)[2] for q in (2.0, 16.0, 256.0)]
                          + [(17, 19, 17, 21, 25)], ids=["Q2", "Q16", "Q256", "odd"])
 def test_real_kernel_spectrum_matches_rfftn(n):
+    # every (x, y) tap at (+-u, +-v) against rfftn of its (r, s, K) taps
+    # centred on index 0 at the (r, s, K) lengths
     kernel, m = mo.bump_kernel(CFG.ell, CFG.ell / 4.0)
-    padded = np.pad(kernel, [(0, k - len(kernel)) for k in n])
-    want = fft.rfftn(np.roll(padded, -m, axis=tuple(range(5))))
-    got = np.stack(list(mo._kernel_spectrum(kernel, m, n)))
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert np.abs(got - want.real).max() <= 1e-15 * kernel.sum()
-    assert np.abs(want.imag).max() <= 1e-15
+    spectra = mo._kernel_spectrum(kernel, m, n[2:])
+    assert spectra.dtype == np.float64 and spectra.shape == (m + 1, m + 1) + n[2:4] + (
+        n[4] // 2 + 1,)
+    for a, b in np.ndindex(2 * m + 1, 2 * m + 1):
+        taps = np.pad(kernel[a, b], [(0, k - 2 * m - 1) for k in n[2:]])
+        want = fft.rfftn(np.roll(taps, -m, axis=(0, 1, 2)))
+        got = spectra[abs(a - m), abs(b - m)]
+        assert np.abs(got - want.real).max() <= 1e-15 * kernel.sum(), (a, b)
+        assert np.abs(want.imag).max() <= 1e-15
 
 
-@pytest.mark.parametrize("Q", [2.0, 16.0, 256.0, None],
-                         ids=["Q2", "Q16", "Q256", "branch_cut"])
+@pytest.mark.parametrize("Q", [1.02] + _BOX_QS, ids=["Q1.02"] + _BOX_IDS)
 def test_pruned_pipeline_matches_three_transform_oracle(Q):
     # the oracle is the circular convolution by three numpy transforms on the
     # padded box's own lengths n, with no fast-length padding: the 2m + 1 taps
-    # wrap into entries 0 .. 2m-1 only, so entries 2m .. n-1 are exact
-    spec = (_branch_cut_spec() if Q is None
-            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
+    # wrap into entries 0 .. 2m-1 only, so entries 2m .. n-1 are exact.  At
+    # Q = 1.02 the padded box reaches rs = K^2 up to rounding, and every row
+    # is convolved as H4
+    spec = _box(Q)
     moll = mo.mollify_h4(CFG.ell, spec)
     kernel, m = mo.bump_kernel(CFG.ell, spec.spacing)
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
@@ -369,33 +395,39 @@ def test_pruned_pipeline_matches_three_transform_oracle(Q):
     spectrum = np.fft.rfftn(values) * np.fft.rfftn(kernel, n, axes)
     circular = np.fft.irfftn(spectrum, n, axes)
     expect = circular[tuple(slice(2 * m, k) for k in n)]
-    fft = _fft_path(CFG.ell, spec)
-    for got in (moll.values, fft):
-        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
-    # on the R1 boxes moll.values is the moment path's: the two paths agree
-    assert np.abs(moll.values - fft).max() <= 1e-14 * np.abs(fft).max()
+    assert np.abs(moll.values - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
-def test_mollify_peak_memory_is_one_half_spectrum_and_slabs():
-    # the complex half-spectrum of the padded box n and a dozen arrays of one
-    # x-slab of samples: h4_value holds about 8.4 at its peak, and the kernel
-    # spectrum is never whole.  The layout with a real buffer and two complex
-    # half-spectra of the fast lengths L >= n needed 8 prod(L) + 32 prod(L[:-1])
-    # (L[-1] // 2 + 1), 1.8 times this bound at Q = 2
-    spec, _, n = _padded_box(2.0)
-    bound = 16 * np.prod(n[:-1]) * (n[-1] // 2 + 1) + 12 * 8 * np.prod(n[1:])
+def _rows_off_r1(axes):
+    """How many (x, y) rows of the padded box have a node off R1, read off
+    the cut functions at every node."""
+    q1, q2 = _cut_functions(axes)
+    return int(((q1 <= 0.0) | (q2 <= 0.0)).any(axis=(2, 3, 4)).sum())
+
+
+def test_mollify_peak_memory_is_bounded_by_the_rows_off_r1():
+    # the output and one 5-D temporary, the (m + 1)^2 tap spectra, real and
+    # complex, one complex half-spectrum per row off R1, and a dozen arrays of
+    # one row: h4_value holds about 8.4 at its peak.  The FFT path that read
+    # the whole box held its complex half-spectrum, 6.5 MB, and peaked at
+    # 10.6 MB
+    spec, axes, n = _padded_box(2.0)
+    half = np.prod(n[2:4]) * (n[4] // 2 + 1)
+    out = np.prod([len(a) for a in spec.axes()])
+    bound = (2 * 8 * out + (8 + 16) * 16 * half + 16 * _rows_off_r1(axes) * half
+             + 12 * 8 * np.prod(n[2:]))
     tracemalloc.start()
     try:
         mo.mollify_h4(bs.BellmanConfig(Q=2.0).ell, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= bound
+    assert peak <= bound <= 3e6
 
 
 def test_moment_path_peak_memory_is_below_one_padded_box():
-    # three valid 3-D correlations and the output: never a 5-D array of the
-    # padded box, which the FFT path's half-spectrum nearly is
+    # the 3-D correlations and the output: never a 5-D array of the padded
+    # box
     spec, _, n = _padded_box(16.0)
     tracemalloc.start()
     try:
@@ -406,38 +438,37 @@ def test_moment_path_peak_memory_is_below_one_padded_box():
     assert peak < 8 * np.prod(n)
 
 
-def _fft_path(ell, spec):
-    """The FFT path of mollify_h4 on spec's box, whichever path it would take."""
-    kernel, m = mo.bump_kernel(ell, spec.spacing)
-    return mo._fft_convolve(kernel, m, spec.axes(pad_cells=m))
+def _sampled_nodes(ell, spec):
+    """How many nodes mollify_h4 samples h4_value on for spec's box."""
+    nodes = []
 
-
-class _Sampled(Exception):
-    pass
-
-
-def _takes_fft_path(ell, spec):
-    """Whether mollify_h4 samples H4 in x-slabs on spec's box: the FFT path
-    does, the moment path never does."""
-    def refuse(axes):
-        raise _Sampled
+    def count(*args):
+        out = h4_value(*args)
+        nodes.append(out.size)
+        return out
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mo, "_h4_slabs", refuse)
-        try:
-            mo.mollify_h4(ell, spec)
-        except _Sampled:
-            return True
-    return False
+        patch.setattr(mo, "h4_value", count)
+        mo.mollify_h4(ell, spec)
+    return sum(nodes)
 
 
-@pytest.mark.parametrize("Q,fft", [(2.0, True), (4.0, False), (16.0, False),
-                                   (256.0, False), (852.0, False), (None, True)],
-                         ids=["Q2", "Q4", "Q16", "Q256", "Q852", "branch_cut"])
-def test_only_boxes_in_r1_take_the_moment_path(Q, fft):
-    # the Q = 2 box's padded K axis runs past K(rs): q1, q2 reach -0.0516
-    spec = (_branch_cut_spec() if Q is None
-            else mo.default_grid_spec(bs.BellmanConfig(Q=Q), cells=8))
-    assert _takes_fft_path(CFG.ell, spec) is fft
+@pytest.mark.parametrize("Q,off,rows", [(1.02, 210, 225), (1.3, 142, 142), (1.5, 92, 92),
+                                        (2.0, 30, 30), (4.0, 0, 0), (16.0, 0, 0), (256.0, 0, 0),
+                                        (852.0, 0, 0), (None, 168, 168)],
+                         ids=["Q1.02", "Q1.3", "Q1.5", "Q2", "Q4", "Q16", "Q256", "Q852",
+                              "branch_cut"])
+def test_h4_is_sampled_on_the_rows_off_r1_only(Q, off, rows):
+    # a box in R1 samples H4 on no node; any other samples exactly its `off`
+    # rows off R1, each whole: at Q = 2, 30 x 15 * 15 * 14 = 94,500 nodes,
+    # where the FFT path sampled all 708,750.  The Q = 2 box's padded K axis
+    # runs past K(rs): q1, q2 reach -0.0516.  At Q = 1.02, within R1_ROOM of
+    # rs = K^2, every row is sampled
+    spec = _box(Q)
+    axes = spec.axes(pad_cells=mo.bump_kernel(CFG.ell, spec.spacing)[1])
+    assert _rows_off_r1(axes) == off
+    nodes = _sampled_nodes(CFG.ell, spec)
+    assert nodes == rows * np.prod([len(a) for a in axes[2:]])
+    assert Q != 2.0 or nodes == 94_500
 
 
 def _corner_box(nudge):
@@ -453,15 +484,18 @@ def _corner_box(nudge):
     return mo.GridSpec(lo=tuple(lo), hi=tuple(v + 2 * h for v in lo), spacing=h)
 
 
-@pytest.mark.parametrize("nudge,fft", [(False, True), (True, False)],
+@pytest.mark.parametrize("nudge,sampled", [(False, True), (True, False)],
                          ids=["on_the_cut", "one_ulp_inside"])
-def test_q1_corner_decides_the_path(nudge, fft):
+def test_q1_corner_decides_the_path(nudge, sampled):
+    # the row at (x_hi, y_lo) reaches q1 = 0 at its corner (r_lo, K_hi) and
+    # leaves R1; one ulp higher, every row lies in R1 and H4 is not sampled
     ell, spec = 1.0 / 16.0, _corner_box(nudge)
     kernel, m = mo.bump_kernel(ell, spec.spacing)
     x, y, r, _, k = axes = spec.axes(pad_cells=m)
     q1 = y[0] * r[0] - x[-1] * k[-1]
     assert q1 == (np.spacing(y[0] * r[0]) if nudge else 0.0)
-    assert _takes_fft_path(ell, spec) is fft
+    assert (_sampled_nodes(ell, spec) > 0) is sampled
+    assert _rows_off_r1(axes) == (1 if sampled else 0)
     padded = np.meshgrid(*axes, indexing="ij", sparse=True)
     expect = valid_convolution(mo.h4_raw(*padded), kernel)
     np.testing.assert_allclose(mo.mollify_h4(ell, spec).values, expect, rtol=1e-13, atol=0.0)
