@@ -44,7 +44,7 @@ import numpy as np
 # unused here: perfbench/tracing.py wraps the three *_form functions and
 # validate_coefficients as attributes of this module
 from .bellman import (MARGIN_TOL, SIZE_CONSTANT, BellmanConfig, _tangential_coeff, b4_batch,
-                      dxx_constant, evaluate_batch, hessian_quadratic_form, kn_of_t,
+                      domain_masks, dxx_constant, evaluate_batch, hessian_quadratic_form, kn_of_t,
                       one_leg_margin, partial_xx_form, partial_yy_form, profile_value)
 from .coefficients import DEFAULT_COEFFICIENTS, validate_coefficients
 from .errors import ConfigError
@@ -512,11 +512,18 @@ def _check(cfg, points, pairs):
     the cut flag, the Hessian and second x/y margins, tau and its feasibility;
     with one-leg partners pairs = (x2, y2, r2, s2), the one-leg and size margins."""
     x, y, r, s = points
-    # eps and ell far below 1 put h past the float range, where eigvalsh
-    # fails, and a Q near it puts Q times the Hessian bound there: either
-    # config is refused in one line, without overflow warnings
+    # a tiny ell lets drawn |x|, |y| underflow out of D_Q^{eps,ell}, tiny eps
+    # and ell put h past the float range (eigvalsh fails), and a Q near it Q
+    # times the Hessian bound: each is refused in one line, without warnings
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = row_norm(x), row_norm(y)
+        drawn = [(a, b, r, s)]
+        if pairs is not None:
+            x2, y2, r2, s2 = pairs
+            drawn.append((row_norm(x2), row_norm(y2), r2, s2))
+        if not all(domain_masks(*p, cfg)[2].all() for p in drawn):
+            raise ConfigError(f"eps {cfg.eps!r} and ell {cfg.ell!r} put sampled points "
+                              "outside D_Q^{eps,ell} in float64")
         batch = evaluate_batch(a, b, r, s, cfg)
         h, tan = _radial(batch, cfg.dim)
     if not np.isfinite(h).all():
@@ -533,8 +540,7 @@ def _check(cfg, points, pairs):
               "tau": tau, "feas": feas}
     if pairs is not None:
         # one-leg from each point to its partner, gradient at the point
-        x2, y2, r2, s2 = pairs
-        val2 = profile_value(row_norm(x2), row_norm(y2), r2, s2, cfg)
+        val2 = profile_value(*drawn[1], cfg)
         record["one_leg"] = one_leg_margin(batch.g, batch.value, x / a[:, None], y / b[:, None],
                                            val2, x2 - x, y2 - y, r2 - r, s2 - s, cfg.Q)[0]
         record["size_bound"] = SIZE_CONSTANT * (a * a / r + b * b / s) - batch.value

@@ -68,32 +68,33 @@ def _verdict(lhs, rhs, C_target):
 def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None):
     """Pathwise one-leg verification and the telescoped dissipation bound.
 
-    Requires the leaf states (1/w, w) in the eps box and Q2[w], the largest
-    node product uw, at most Q (the state (Q2, 1) in D_Q), by the rule of
-    `domain_masks` that every level's states meet.  The anchor a >= ell is
-    a constant leading coordinate of X and Z, so that |X^a|, |Z^a| >= ell
-    keeps the state inside the regularized domain.  It is never stored: at
-    every dim it is the `lead` of `row_norm` in the state norms, and its
-    increment 0 the `lead` of the one-leg sums, which keeps the bits of the
-    anchored rows without copying X and Z.  B and its first partials
-    (`evaluate_batch` at order 1) are evaluated on each parent level, B
-    alone on the leaves; at most two levels' evaluations are alive at once.
+    `domain_masks` decides membership once, at entry: leaf states (1/w, w)
+    in the eps box, Q2[w] (the largest node product uw) at most Q, and the
+    least state norm sqrt(a*a) of the anchor a at least ell.  Every level
+    then lies in D_Q^{eps,ell}: node averages lie between their children,
+    each uw is one of Q2's products and >= 1 by Jensen, and a state norm
+    adds only nonnegative terms to a*a.  The anchor, a constant leading
+    coordinate of X and Z, is the `lead` of `row_norm` in the state norms and
+    its increment 0 the `lead` of the one-leg sums: the anchored rows' bits,
+    without copies of X and Z.  B is evaluated with its first partials on
+    each parent level and alone on the leaves, two levels' worth at a time.
     """
     n = X.depth
     if Z.depth != n or w_tree.depth != n:
         raise InvalidInputError("X, Z and the weight must share the depth")
     us, ws = w_tree.node_avg_u, w_tree.node_avg_w
-    if not domain_masks(0.0, 0.0, us[n], ws[n], cfg)[1].all():
-        raise DomainError(f"weight leaves in [{ws[n].min():.4g}, {ws[n].max():.4g}] not "
-                          "truncated into [eps, 1/eps] = "
-                          f"[{cfg.eps:.4g}, {1.0 / cfg.eps:.4g}]")
+    a = cfg.ell if anchor is None else float(anchor)
+    least = np.sqrt(a * a)     # `row_norm` of a zero row with lead a
+    _, leaves_in, anchor_in = domain_masks(least, least, us[n], ws[n], cfg)
+    if not leaves_in.all():
+        raise DomainError(f"weight leaves in [{ws[n].min():.4g}, {ws[n].max():.4g}] not truncated "
+                          f"into [eps, 1/eps] = [{cfg.eps:.4g}, {1.0 / cfg.eps:.4g}]")
     q2 = a2_characteristic(w_tree)
     if not domain_masks(0.0, 0.0, q2, 1.0, cfg)[0]:
         raise DomainError(f"Q2[w] = {q2:.6g} exceeds configured Q = {cfg.Q}")
-    a = cfg.ell if anchor is None else float(anchor)
-    if not (np.isfinite(a) and a >= cfg.ell):
-        raise DomainError(f"anchor a = {a} is not a finite number >= ell = {cfg.ell}: "
-                          "states would leave the regularized domain")
+    if not (np.isfinite(a) and anchor_in.all()):
+        raise DomainError(f"anchor a = {a} is not finite or sqrt(a*a) = {least:.6g} lies "
+                          f"below ell = {cfg.ell}: states would leave the regularized domain")
 
     xs, ys = X.levels, Z.levels
 
@@ -101,7 +102,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         """B on level k: with its first partials on a parent level, the
         value alone on the leaves."""
         xn, yn = row_norm(xs[k], a), row_norm(ys[k], a)
-        _check_states(xn, yn, us[k], ws[k], cfg, a, level=k)
         if k < n:
             return evaluate_batch(xn, yn, us[k], ws[k], cfg, order=1)
         return profile_value(xn, yn, us[k], ws[k], cfg)
@@ -160,18 +160,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         "anchor": a,
         "pass": bool(ok),
     }
-
-
-def _check_states(a, b, r, s, cfg, anchor, level):
-    """Refuse states outside D_Q^{eps,ell}, naming the first mask that fails."""
-    in_dq, in_eps, in_ell = domain_masks(a, b, r, s, cfg)
-    if not in_dq.all():
-        raise DomainError(f"level {level}: node (u,w) product leaves [1, Q]")
-    if not in_eps.all():
-        raise DomainError(f"level {level}: node weight average outside the eps box")
-    if not in_ell.all():
-        raise DomainError(f"level {level}: |x| or |y| below ell = {cfg.ell}; the anchor a = "
-                          f"{anchor} is too small to keep states in the regularized domain")
 
 
 def anchor_sensitivity(X, Z, w_tree, cfg):

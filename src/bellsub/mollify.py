@@ -197,9 +197,9 @@ class MollifiedH4:
     def cut_distance(self):
         """Per grid node, the normalized distance to the nearer H4 branch cut."""
         x, y, r, s, K = np.meshgrid(*self.axes, indexing="ij", sparse=True)
-        q1 = np.abs(y * r - x * K) / np.sqrt(K * K + r * r + x * x + y * y)
-        q2 = np.abs(x * s - y * K) / np.sqrt(K * K + s * s + x * x + y * y)
-        return np.minimum(q1, q2)
+        q1, q2, _ = _branches(x, y, r, s, K)
+        return np.minimum(np.abs(q1) / np.sqrt(K * K + r * r + x * x + y * y),
+                          np.abs(q2) / np.sqrt(K * K + s * s + x * x + y * y))
 
     def deviation_from_raw(self):
         """(max |moll - raw| overall, max over nodes farther than ell from cuts)."""

@@ -185,7 +185,12 @@ def power_weight_family(delta: float, depth: int) -> WeightTree:
     n = 2 ** depth
     k = np.arange(n, dtype=float)
     e = delta + 1.0
-    leaves = 2.0 ** depth * (np.power(k + 1.0, e) - np.power(k, e)) * 2.0 ** (-depth * e) / e
+    # past the float range the leaves read inf, nan or 0: refused without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        leaves = 2.0 ** depth * (np.power(k + 1.0, e) - np.power(k, e)) * 2.0 ** (-depth * e) / e
+    if not (np.isfinite(leaves) & (leaves > 0.0)).all():
+        raise DomainError(f"power weight at delta {delta!r} and depth {depth} has leaves "
+                          "that are not finite and positive in float64")
     return WeightTree(leaves)
 
 

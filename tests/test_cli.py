@@ -262,18 +262,27 @@ def test_out_of_range_depth_exits_2_before_building_the_weight(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, word", [
-    (["simulate", "--num", "-3"], "--num"),
-    (["telescope", "--num", "-2"], "--num"),
-    (["simulate", "--delta", "nan"], "delta"),
-    (["telescope", "--delta", "-1"], "delta"),
-    (["telescope", "--anchor-mult", "nan"], "anchor"),
-    (["telescope", "--anchor-mult", "inf"], "anchor"),
+    (["simulate", "--depth", "3", "--num", "-3"], "--num"),
+    (["telescope", "--depth", "3", "--num", "-2"], "--num"),
+    (["simulate", "--depth", "3", "--delta", "nan"], "delta"),
+    (["telescope", "--depth", "3", "--delta", "-1"], "delta"),
+    (["telescope", "--depth", "3", "--anchor-mult", "nan"], "anchor"),
+    (["telescope", "--depth", "3", "--anchor-mult", "inf"], "anchor"),
+    (["simulate", "--depth", "3", "--num", "2", "--delta", "400"], "delta"),
+    (["telescope", "--depth", "10", "--delta", "200"], "delta"),
+    (["certify", "--samples", "2000", "--ell", "1e-200"], "ell"),
+    (["tau-sweep", "--samples", "2000", "--ell", "1e-200"], "ell"),
 ])
 def test_bad_instance_flags_exit_2_with_one_line(tmp_path, capsys, argv, word):
     # the --num and --anchor-mult rows used to write a header (and rows reading
-    # false or nan) and exit 0 or 1; --delta is refused before any output too
+    # false or nan) and exit 0 or 1; --delta is refused before any output too.
+    # A power weight past the float range printed six lines of overflow
+    # warnings before its error, and an ell whose drawn |x| underflow to 0
+    # made certify exit 1 (one_leg nan) and tau-sweep list x_norm 0.0 rows
     out = tmp_path / "out.csv"
-    assert run(argv + ["--depth", "3", "--seed", "1", "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and word in err
     assert not out.exists()

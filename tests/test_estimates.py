@@ -273,7 +273,7 @@ def test_telescope_rejects_untruncated_weight():
     cfg = bs.BellmanConfig(Q=16.0)
     X, Z, rng = make_pair(6, 2, 9)
     raw = wt.power_weight_family(-0.9, 6)   # leaves far outside [eps, 1/eps]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="not truncated into"):
         est.bellman_telescope(X, Z, raw, cfg)
 
 
@@ -282,6 +282,21 @@ def test_telescope_rejects_small_anchor():
     with pytest.raises(DomainError) as err:
         est.bellman_telescope(X, Z, w, cfg, anchor=cfg.ell / 10)
     assert "anchor" in str(err.value) or "ell" in str(err.value)
+
+
+def test_telescope_decides_the_anchor_at_its_least_state_norm():
+    # the anchor gets the slack of every face: one ulp below ell passes
+    cfg, X, Z, w = tele_setup(depth=4, seed=11)
+    assert est.bellman_telescope(X, Z, w, cfg, anchor=np.nextafter(cfg.ell, 0.0))["pass"]
+    # the states see a only through a*a: -ell is the anchor ell reflected
+    plus, minus = (est.bellman_telescope(X, Z, w, cfg, anchor=a) for a in (cfg.ell, -cfg.ell))
+    assert minus.pop("anchor") == -plus.pop("anchor") and minus == plus
+    # at ell = 1e-160, a*a is subnormal and a zero row's norm sqrt(a*a) falls
+    # below ell: refused at entry, where a level's check once refused it
+    cfg = bs.BellmanConfig(ell=1e-160)
+    X = mg.DyadicMartingale.from_leaves(np.zeros((2 ** 4, 2)))
+    with pytest.raises(DomainError, match="anchor"):
+        est.bellman_telescope(X, X, w, cfg)
 
 
 @pytest.mark.parametrize("anchor", (np.nan, np.inf))

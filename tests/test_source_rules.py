@@ -131,8 +131,6 @@ RULES = {
        [(1, "PAIRWISE_MIN"), (4, "PAIRWISE_MIN"), (4, "PAIRWISE_MIN")],
        [("certify.py", "len(a) < PAIRWISE_MIN", "PAIRWISE_MIN")]),
     "domain": Rule(domain, "bellman.py", {
-        ("estimates.py", "bellman_telescope", ".ell"):
-            "the telescope's anchor check bounds a parameter, not a state",
         ("mollify.py", "MollifiedH4", ".ell"):
             "cut distances against MollifiedH4's own kernel radius self.ell",
     }, "from .bellman import _RS_SLACK as S\n"
