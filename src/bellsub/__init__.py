@@ -13,7 +13,7 @@ from .martingales import (DyadicMartingale, SimConfig, random_martingale, transf
                           rotation_transform, check_subordination, weighted_norm,
                           bilinear_form)
 from .estimates import (verify_bilinear_estimate, bellman_telescope,
-                        anchor_sensitivity, verify_main_theorem)
+                        verify_main_theorem)
 from .mollify import (GridSpec, MollifiedH4, mollify_h4, default_grid_spec,
                       bump_kernel, composite_one_leg_margins)
 from .sharpness import sharpness_experiment, worst_ratio

@@ -31,8 +31,6 @@ from .weights import (WeightTree, a2_characteristic, child_pairs, pair_increment
                       parent_average, row_norm, row_sum)
 
 LINEAR_TERM_TOL = 1e-10
-# the anchors a / ell at which `anchor_sensitivity` runs the telescope
-ANCHOR_MULTIPLIERS = (1.0, 2.0, 10.0)
 
 
 def verify_bilinear_estimate(X, Y, Z, w: WeightTree, C_target: float):
@@ -73,7 +71,9 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     least state norm sqrt(a*a) of the anchor a at least ell.  Every level
     then lies in D_Q^{eps,ell}: node averages lie between their children,
     each uw is one of Q2's products and >= 1 by Jensen, and a state norm
-    adds only nonnegative terms to a*a.  The anchor, a constant leading
+    adds only nonnegative terms to a*a.  The size bound
+    C (E|X|^2 w + E|Z|^2/w + 2a^2/eps) is taken at entry too, and states
+    whose bound overflows float64 are refused.  The anchor, a constant leading
     coordinate of X and Z, is the `lead` of `row_norm` in the state norms and
     its increment 0 the `lead` of the one-leg sums: the anchored rows' bits,
     without copies of X and Z.  B is evaluated with its first partials on
@@ -95,6 +95,13 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     if not (np.isfinite(a) and anchor_in.all()):
         raise DomainError(f"anchor a = {a} is not finite or sqrt(a*a) = {least:.6g} lies "
                           f"below ell = {cfg.ell}: states would leave the regularized domain")
+    with np.errstate(over="ignore"):
+        EF = float(np.mean(row_sum(X.leaves * X.leaves) * w_tree.leaf_values))
+        EG = float(np.mean(row_sum(Z.leaves * Z.leaves) / w_tree.leaf_values))
+        size_bound = SIZE_CONSTANT * (EF + EG + 2.0 * a * a / cfg.eps)
+    if not np.isfinite(size_bound):
+        raise DomainError(f"size bound C (E|X|^2 w + E|Z|^2/w + 2a^2/eps) with anchor a = {a} "
+                          "overflows float64")
 
     xs, ys = X.levels, Z.levels
 
@@ -135,13 +142,9 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         dissipation += (2.0 / cfg.Q) * jump_mean
         parent = child
 
-    # telescoped expectation gap and the size bound on the terminal level
+    # telescoped expectation gap on the terminal level
     eb_term = float(np.mean(parent))
     gap = eb_term - eb_root
-
-    EF = float(np.mean(row_sum(X.leaves * X.leaves) * w_tree.leaf_values))
-    EG = float(np.mean(row_sum(Z.leaves * Z.leaves) / w_tree.leaf_values))
-    size_bound = SIZE_CONSTANT * (EF + EG + 2.0 * a * a / cfg.eps)
 
     scale = max(abs(eb_term), abs(eb_root), 1.0)
     min_margin = min(per_step_margins, default=0.0)
@@ -160,13 +163,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         "anchor": a,
         "pass": bool(ok),
     }
-
-
-def anchor_sensitivity(X, Z, w_tree, cfg):
-    """Telescope results for a in ell * ANCHOR_MULTIPLIERS (reported, not
-    asserted)."""
-    return {m: bellman_telescope(X, Z, w_tree, cfg, anchor=cfg.ell * m)
-            for m in ANCHOR_MULTIPLIERS}
 
 
 def verify_main_theorem(X, Y, w: WeightTree, C_target: float, seed=0):

@@ -16,7 +16,9 @@ weakened constant 1/Q instead of 2/Q).
 The kernel radius m is the largest offset that carries weight, 3 cells at
 spacing ell/4: the taps at floor(ell/spacing) = 4 cells weigh exactly 0 and
 are cropped.  H4 is read on the box padded by m cells, whose (r, s, K) axes
-have lengths n.
+have lengths n.  The grid's coordinates are the valid part of the padded
+axes, entries m .. len - m - 1 of each: the nodes its values are computed
+at.
 
 In the interior branch R1 (q1 = yr - xK > 0 and q2 = xs - yK > 0),
 H4 = x^2 P - 2xy G + y^2 R with P, G, R functions of (r, s, K) alone, and
@@ -69,16 +71,7 @@ import numpy as np
 
 from .bellman import (BLOCK_WEIGHTS, BellmanConfig, _branches, _h4_t, b4_batch, domain_masks,
                       evaluate_batch, h4_value, kn_of_t, one_leg_margin)
-from .errors import ConfigError, DomainError, InvalidInputError
-
-
-def h4_raw(x, y, r, s, K):
-    """H4 of five real variables (x, y scalars > 0), vectorized; the
-    arguments broadcast, so sparse grid axes are never expanded."""
-    x, y, r, s, K = (np.asarray(v, dtype=float) for v in (x, y, r, s, K))
-    if (r * s - K * K <= 0.0).any():
-        raise DomainError("H4 needs K^2 < rs throughout")
-    return h4_value(x, y, r, s, K)
+from .errors import ConfigError, InvalidInputError
 
 
 # The most nodes a kernel box or a padded grid may have: the output of a
@@ -121,7 +114,7 @@ class GridSpec:
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ConfigError("grid box must have positive extent on every axis")
 
-    def axes(self, pad_cells=0):
+    def axes(self, pad_cells):
         return [np.arange(l - pad_cells * self.spacing,
                           h + (pad_cells + 0.5) * self.spacing, self.spacing)
                 for l, h in zip(self.lo, self.hi)]
@@ -187,7 +180,8 @@ _STEP = {1: (slice(2, None), slice(1, -1), slice(0, -2)),
 
 
 class MollifiedH4:
-    """H4 * phi_ell sampled on a uniform 5-D grid: its axes and node values."""
+    """H4 * phi_ell sampled on a uniform 5-D grid: its node values and its
+    axes, the valid part of the padded axes the values are computed on."""
 
     def __init__(self, ell, axes, values):
         self.ell = ell
@@ -203,7 +197,7 @@ class MollifiedH4:
 
     def deviation_from_raw(self):
         """(max |moll - raw| overall, max over nodes farther than ell from cuts)."""
-        raw = h4_raw(*np.meshgrid(*self.axes, indexing="ij", sparse=True))
+        raw = h4_value(*np.meshgrid(*self.axes, indexing="ij", sparse=True))
         dev = np.abs(self.values - raw)
         far = self.cut_distance() > self.ell
         far_max = float(dev[far].max()) if far.any() else float("nan")
@@ -344,16 +338,13 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
         raise ConfigError("padded grid violates K^2 < rs; shrink the K axis or "
                           "move the (r, s) box away from rs = K^2")
 
-    axes = spec.axes(pad_cells=0)
-    shape, expect = tuple(len(a) - 2 * m for a in padded_axes), tuple(len(a) for a in axes)
-    if shape != expect:
-        raise ConfigError(f"convolution shape {shape} != grid shape {expect}")
+    axes = [a[m:len(a) - m] for a in padded_axes]     # the nodes the values are computed at
     spectra = _kernel_spectrum(kernel, m, tuple(len(a) for a in padded_axes[2:]))
     if k_hi * k_hi <= (1.0 - R1_ROOM) * r_lo * s_lo:
         fields = _r1_fields(*np.meshgrid(*padded_axes[2:], indexing="ij", sparse=True))
         values = _moment_convolve(spectra, m, padded_axes, spec.spacing, fields)
     else:
-        fields, values = None, np.zeros(shape)
+        fields, values = None, np.zeros(tuple(map(len, axes)))
     _subtract_kink(values, spectra, m, padded_axes, fields)
     return MollifiedH4(ell=ell, axes=axes, values=values)
 
@@ -427,17 +418,14 @@ def composite_one_leg_margins(moll: MollifiedH4, cfg: BellmanConfig,
     raw4 = b4_batch(x, y, r, s, cfg)
     c7 = BLOCK_WEIGHTS[3]      # B4's weight
     value = full.value + c7 * (m_val - raw4.value)
-    grad = np.empty((len(x), 4))
-    grad[:, 0] = full.g[0] - c7 * raw4.g[0] + c7 * m_grad[0]
-    grad[:, 1] = full.g[1] - c7 * raw4.g[1] + c7 * m_grad[1]
-    grad[:, 2] = full.g[2] - c7 * raw4.g[2] + c7 * (m_grad[2] + m_grad[4] * kp * s)
-    grad[:, 3] = full.g[3] - c7 * raw4.g[3] + c7 * (m_grad[3] + m_grad[4] * kp * r)
+    grad = full.g - c7 * raw4.g + c7 * np.stack(
+        [m_grad[0], m_grad[1], m_grad[2] + m_grad[4] * kp * s, m_grad[3] + m_grad[4] * kp * r])
 
     half = len(x) // 2
     i0, i1 = np.arange(half), np.arange(half, 2 * half)
     dv = np.stack([x[i1] - x[i0], y[i1] - y[i0], r[i1] - r[i0], s[i1] - s[i0]], axis=1)
     unit = np.ones((half, 1))           # the unit directions of scalar x, y > 0
-    margins, _, _ = one_leg_margin(grad[i0].T, value[i0], unit, unit, value[i1],
+    margins, _, _ = one_leg_margin(grad[:, i0], value[i0], unit, unit, value[i1],
                                    dv[:, :1], dv[:, 1:2], dv[:, 2], dv[:, 3], cfg.Q,
                                    constant=1.0)
     return margins[(dv != 0.0).any(axis=1)]

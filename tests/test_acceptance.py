@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import bellsub as bs
+from bellsub import bellman as bm
 from bellsub import certify as ct
 from bellsub import cli
 from bellsub import estimates as est
@@ -79,7 +80,7 @@ def test_criterion_2_h4_supremum_oracle():
         b = np.linalg.norm(y, axis=1)
         t = r * s
         k = np.sqrt(t / cfg.Q) * (1.0 - np.sqrt(t) / (8.0 * np.sqrt(cfg.Q)))
-        got = mo.h4_raw(a, b, r, s, k)
+        got = bm.h4_value(a, b, r, s, k)
         want = brute_force_h4(a, b, r, s, k)
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
         q1 = b * r - a * k
@@ -194,8 +195,8 @@ def test_criterion_7_main_estimate_with_reports():
     X = mg.random_martingale(mg.SimConfig(depth=8, dim=DIM), rng)
     Z = mg.random_martingale(mg.SimConfig(depth=8, dim=DIM), rng)
     w8 = wt.truncate_two_sided(wt.power_weight_family(-0.5, 8), 1.0 / cfg.eps)
-    sens = est.anchor_sensitivity(X, Z, w8, cfg)
-    for m, res in sens.items():
+    for m in (1.0, 2.0, 10.0):
+        res = est.bellman_telescope(X, Z, w8, cfg, anchor=cfg.ell * m)
         print(f"    anchor a = {m:g} ell: dissipation {res['sum_increments']:.4f} "
               f"<= gap {res['expectation_gap']:.4f} <= bound {res['bellman_bound']:.1f} "
               f"pass={res['pass']}")

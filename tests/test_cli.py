@@ -272,10 +272,14 @@ def test_out_of_range_depth_exits_2_before_building_the_weight(tmp_path, capsys,
     (["telescope", "--depth", "10", "--delta", "200"], "delta"),
     (["certify", "--samples", "2000", "--ell", "1e-200"], "ell"),
     (["tau-sweep", "--samples", "2000", "--ell", "1e-200"], "ell"),
+    (["telescope", "--depth", "1", "--num", "1", "--anchor-mult", "1e200"], "anchor"),
+    (["telescope", "--depth", "1", "--num", "1", "--anchor-mult", "2e153"], "anchor"),
 ])
 def test_bad_instance_flags_exit_2_with_one_line(tmp_path, capsys, argv, word):
     # the --num and --anchor-mult rows used to write a header (and rows reading
-    # false or nan) and exit 0 or 1; --delta is refused before any output too.
+    # false or nan, or a bellman_bound of inf passing) and exit 0 or 1, the
+    # overflowing anchors after RuntimeWarnings; --delta is refused before any
+    # output too.
     # A power weight past the float range printed six lines of overflow
     # warnings before its error, and an ell whose drawn |x| underflow to 0
     # made certify exit 1 (one_leg nan) and tau-sweep list x_norm 0.0 rows

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -299,6 +300,20 @@ def test_telescope_decides_the_anchor_at_its_least_state_norm():
         est.bellman_telescope(X, X, w, cfg)
 
 
+def test_telescope_refuses_states_whose_size_bound_overflows():
+    # leaves near 1e160 and the anchor 5e198 square past float64: the telescope
+    # printed RuntimeWarnings and read min_margin nan; 2e151 ell stays finite
+    cfg, X, Z, w = tele_setup(depth=4, seed=11)
+    big = mg.DyadicMartingale.from_leaves(X.leaves * 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            est.bellman_telescope(big, Z, w, cfg)
+        with pytest.raises(DomainError, match="overflows"):
+            est.bellman_telescope(X, Z, w, cfg, anchor=5e198)
+        assert est.bellman_telescope(X, Z, w, cfg, anchor=cfg.ell * 2e151)["pass"]
+
+
 @pytest.mark.parametrize("anchor", (np.nan, np.inf))
 def test_telescope_rejects_a_non_finite_anchor(anchor):
     # nan slips past a plain `a < ell` test and reads min_margin 0, sum inf
@@ -332,8 +347,7 @@ def test_telescope_q_must_dominate_characteristic():
 
 def test_anchor_sensitivity_all_pass():
     cfg, X, Z, w = tele_setup(depth=6, seed=13)
-    sens = est.anchor_sensitivity(X, Z, w, cfg)
-    assert set(sens) == {1.0, 2.0, 10.0}
+    sens = {m: est.bellman_telescope(X, Z, w, cfg, anchor=cfg.ell * m) for m in (1.0, 2.0, 10.0)}
     assert all(r["pass"] for r in sens.values())
     # larger anchors inflate the additive 2 a^2 / eps term
     bounds = [sens[m]["bellman_bound"] for m in (1.0, 2.0, 10.0)]

@@ -90,7 +90,7 @@ def test_pointwise_convergence_as_ell_shrinks():
         spec = mo.default_grid_spec(dataclasses.replace(CFG, ell=ell), cells=8)
         m = mo.mollify_h4(ell, spec)
         mid = tuple(len(ax) // 2 for ax in m.axes)
-        raw = mo.h4_raw(*(ax[i] for ax, i in zip(m.axes, mid)))
+        raw = h4_value(*(ax[i] for ax, i in zip(m.axes, mid)))
         devs.append(abs(float(m.values[mid]) - float(raw)))
     assert devs[0] > devs[1] > devs[2]
     assert devs[2] <= 0.05 * 0.0125
@@ -138,11 +138,6 @@ def test_composite_equals_interpolator_path_bit_for_bit(Q, n_pairs):
         got = mo.composite_one_leg_margins(moll, cfg, n_pairs=n_pairs, seed=seed)
         want = interpolator_composite_one_leg_margins(moll, cfg, n_pairs=n_pairs, seed=seed)
         assert len(got) >= n_pairs // 3 and np.array_equal(got, want), (seed, len(got))
-
-
-def test_h4_raw_domain_guard():
-    with pytest.raises(Exception):
-        mo.h4_raw(1.0, 1.0, 0.5, 0.5, 1.0)   # K^2 >= rs
 
 
 def _branch_cut_spec():
@@ -268,13 +263,25 @@ def _box(Q):
 
 
 @pytest.mark.parametrize("Q", _BOX_QS, ids=_BOX_IDS)
+def test_axes_are_the_valid_part_of_the_padded_axes(Q):
+    # the grid's coordinates are the nodes its values are computed at, not a
+    # second np.arange of the unpadded box, which lies up to 2.2e-16 off them
+    spec = _box(Q)
+    m = mo.bump_kernel(CFG.ell, spec.spacing)[1]
+    moll = mo.mollify_h4(CFG.ell, spec)
+    assert len(moll.axes) == 5
+    for got, padded in zip(moll.axes, spec.axes(m)):
+        assert np.array_equal(got, padded[m:-m])
+
+
+@pytest.mark.parametrize("Q", _BOX_QS, ids=_BOX_IDS)
 def test_circular_convolution_matches_linear_oracle(Q):
     # the oracle is the uncropped kernel on its own floor(ell/h)-padded box
     spec = _box(Q)
     moll = mo.mollify_h4(CFG.ell, spec)
     kernel, m = uncropped_bump_kernel(CFG.ell, spec.spacing)
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
-    expect = valid_convolution(mo.h4_raw(*padded), kernel)
+    expect = valid_convolution(h4_value(*padded), kernel)
     np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
 
 
@@ -304,7 +311,7 @@ def test_padding_by_weighted_taps_only():
     assert moll.values.shape == (6, 9, 9, 9, 9)
     kernel, m = mo.bump_kernel(CFG.ell, spec.spacing)
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
-    expect = valid_convolution(mo.h4_raw(*padded), kernel)
+    expect = valid_convolution(h4_value(*padded), kernel)
     np.testing.assert_allclose(moll.values, expect, rtol=1e-13, atol=0.0)
 
 
@@ -354,7 +361,7 @@ def test_slab_samples_equal_broadcast_h4(Q):
     rsk = np.meshgrid(*axes[2:], indexing="ij", sparse=True)
     p, g, rr = fields = mo._r1_fields(*rsk)
     x, y = axes[0][:, None, None, None, None], axes[1][:, None, None, None]
-    h4 = mo.h4_raw(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    h4 = h4_value(*np.meshgrid(*axes, indexing="ij", sparse=True))
     q1, q2 = _cut_functions(axes)
     want = np.where((q1 > 0.0) & (q2 > 0.0), 0.0, x * x * p - 2.0 * x * y * g + y * y * rr - h4)
     got = np.stack([[mo._kink(a, b, rsk, fields) for b in axes[1]] for a in axes[0]])
@@ -390,7 +397,7 @@ def test_pruned_pipeline_matches_three_transform_oracle(Q):
     moll = mo.mollify_h4(CFG.ell, spec)
     kernel, m = mo.bump_kernel(CFG.ell, spec.spacing)
     padded = np.meshgrid(*spec.axes(pad_cells=m), indexing="ij", sparse=True)
-    values = mo.h4_raw(*padded)
+    values = h4_value(*padded)
     n, axes = values.shape, range(values.ndim)
     spectrum = np.fft.rfftn(values) * np.fft.rfftn(kernel, n, axes)
     circular = np.fft.irfftn(spectrum, n, axes)
@@ -413,7 +420,7 @@ def test_mollify_peak_memory_is_bounded_by_the_rows_off_r1():
     # 10.6 MB
     spec, axes, n = _padded_box(2.0)
     half = np.prod(n[2:4]) * (n[4] // 2 + 1)
-    out = np.prod([len(a) for a in spec.axes()])
+    out = np.prod([len(a) for a in spec.axes(0)])
     bound = (2 * 8 * out + (8 + 16) * 16 * half + 16 * _rows_off_r1(axes) * half
              + 12 * 8 * np.prod(n[2:]))
     tracemalloc.start()
@@ -497,7 +504,7 @@ def test_q1_corner_decides_the_path(nudge, sampled):
     assert (_sampled_nodes(ell, spec) > 0) is sampled
     assert _rows_off_r1(axes) == (1 if sampled else 0)
     padded = np.meshgrid(*axes, indexing="ij", sparse=True)
-    expect = valid_convolution(mo.h4_raw(*padded), kernel)
+    expect = valid_convolution(h4_value(*padded), kernel)
     np.testing.assert_allclose(mo.mollify_h4(ell, spec).values, expect, rtol=1e-13, atol=0.0)
 
 

@@ -37,11 +37,9 @@ ALLOWED = {
     ("certify", "check_c1_across_cuts", "seed"): IGNORED_SEED,
     ("certify", "run_certification", "jobs"): "the certify command's --jobs",
     ("cli", "main", "argv"): "None reads sys.argv; tests and perfbench pass a list",
-    ("estimates", "bellman_telescope", "anchor"): "anchor_sensitivity passes ell "
-                                                  "times each multiplier",
+    ("estimates", "bellman_telescope", "anchor"): "the telescope command's --anchor-mult",
     ("estimates", "verify_main_theorem", "seed"): IGNORED_SEED,
     ("martingales", "transform", "sigma0"): "the commands pass 1, tests -1 and -0.75",
-    ("mollify", "GridSpec.axes", "pad_cells"): "mollify_h4 pads by the kernel radius",
     ("mollify", "default_grid_spec", "cells"): "perfbench's smoke size passes 2",
     ("mollify", "composite_one_leg_margins", "n_pairs"): "criterion 7 draws 300 "
                                                          "pairs, the certify "

@@ -11,9 +11,6 @@ of each one:
 - a mention in the code of `README.md`, its code blocks and inline code;
 - a mention in `perfbench/*.py`, whose tracing names targets by string.
 
-One name stays exported without such a use: acceptance criterion 7 calls
-`anchor_sensitivity`.
-
 The README's "Library quick start" block is run as well: it is the surface
 a reader meets first.
 """
@@ -24,10 +21,6 @@ import re
 from source_rules import ROOT, SRC, sources
 
 README = ROOT / "README.md"
-
-ALLOWED = {
-    "anchor_sensitivity": "called by acceptance criterion 7",
-}
 
 
 def exports(init):
@@ -95,16 +88,8 @@ def test_guard_recognizes_each_use(tmp_path):
 
 
 def test_every_export_is_used_outside_the_tests():
-    unused = [name for name in unused_exports() if name not in ALLOWED]
+    unused = unused_exports()
     assert not unused, "re-exported, but used only by tests: " + ", ".join(unused)
-
-
-def test_allow_list_names_live_unused_exports():
-    # a stale entry would silently exempt a name that is used, or gone
-    exported = {name for _, name in exports(SRC / "__init__.py")}
-    unused = set(unused_exports())
-    for name in ALLOWED:
-        assert name in exported and name in unused, f"{name} is no longer an unused export"
 
 
 def test_readme_quick_start_runs(capsys):
