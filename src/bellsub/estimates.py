@@ -72,8 +72,9 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     then lies in D_Q^{eps,ell}: node averages lie between their children,
     each uw is one of Q2's products and >= 1 by Jensen, and a state norm
     adds only nonnegative terms to a*a.  The size bound
-    C (E|X|^2 w + E|Z|^2/w + 2a^2/eps) is taken at entry too, and states
-    whose bound overflows float64 are refused.  The anchor, a constant leading
+    C (E|X|^2 w + E|Z|^2/w + 2a^2/eps), B and the sums are then computed
+    under one floating-point guard, and states whose numbers overflow
+    float64 are refused.  The anchor, a constant leading
     coordinate of X and Z, is the `lead` of `row_norm` in the state norms and
     its increment 0 the `lead` of the one-leg sums: the anchored rows' bits,
     without copies of X and Z.  B is evaluated with its first partials on
@@ -95,14 +96,6 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
     if not (np.isfinite(a) and anchor_in.all()):
         raise DomainError(f"anchor a = {a} is not finite or sqrt(a*a) = {least:.6g} lies "
                           f"below ell = {cfg.ell}: states would leave the regularized domain")
-    with np.errstate(over="ignore"):
-        EF = float(np.mean(row_sum(X.leaves * X.leaves) * w_tree.leaf_values))
-        EG = float(np.mean(row_sum(Z.leaves * Z.leaves) / w_tree.leaf_values))
-        size_bound = SIZE_CONSTANT * (EF + EG + 2.0 * a * a / cfg.eps)
-    if not np.isfinite(size_bound):
-        raise DomainError(f"size bound C (E|X|^2 w + E|Z|^2/w + 2a^2/eps) with anchor a = {a} "
-                          "overflows float64")
-
     xs, ys = X.levels, Z.levels
 
     def bellman_at(k):
@@ -128,23 +121,28 @@ def bellman_telescope(X, Z, w_tree: WeightTree, cfg: BellmanConfig, anchor=None)
         return (float(margins.min()), float(np.abs(parent_average(lin.reshape(-1))).max()),
                 float(np.mean(jump)))
 
-    per_step_margins = []
-    linear_term_max = 0.0
-    dissipation = 0.0
-    parent = bellman_at(0)
-    eb_root = float((parent.value if n else parent)[0])
-    for k in range(n):
-        child = bellman_at(k + 1)
-        margin, lin_max, jump_mean = one_leg_step(
-            k, parent, child.value if k + 1 < n else child)
-        per_step_margins.append(margin)
-        linear_term_max = max(linear_term_max, lin_max)
-        dissipation += (2.0 / cfg.Q) * jump_mean
-        parent = child
-
-    # telescoped expectation gap on the terminal level
-    eb_term = float(np.mean(parent))
-    gap = eb_term - eb_root
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            size_bound = float(SIZE_CONSTANT * (        # in numpy, where the guard sees it
+                np.mean(row_sum(X.leaves * X.leaves) * w_tree.leaf_values)
+                + np.mean(row_sum(Z.leaves * Z.leaves) / w_tree.leaf_values)
+                + 2.0 * np.float64(a) * a / cfg.eps))
+            per_step_margins, linear_term_max, dissipation = [], 0.0, 0.0
+            parent = bellman_at(0)
+            eb_root = float((parent.value if n else parent)[0])
+            for k in range(n):
+                child = bellman_at(k + 1)
+                margin, lin_max, jump_mean = one_leg_step(
+                    k, parent, child.value if k + 1 < n else child)
+                per_step_margins.append(margin)
+                linear_term_max = max(linear_term_max, lin_max)
+                dissipation += (2.0 / cfg.Q) * jump_mean
+                parent = child
+            # telescoped expectation gap on the terminal level
+            eb_term = float(np.mean(parent))
+            gap = eb_term - eb_root
+    except FloatingPointError as exc:
+        raise DomainError(f"the telescope with anchor a = {a} overflows float64 ({exc})") from None
 
     scale = max(abs(eb_term), abs(eb_root), 1.0)
     min_margin = min(per_step_margins, default=0.0)

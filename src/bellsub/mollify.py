@@ -22,7 +22,9 @@ at.
 
 In the interior branch R1 (q1 = yr - xK > 0 and q2 = xs - yK > 0),
 H4 = x^2 P - 2xy G + y^2 R with P, G, R functions of (r, s, K) alone, and
-off R1 H4 is that polynomial minus a kink, zero on R1.  Every box takes the
+everywhere H4 is that polynomial minus the kink [q2]_-^2 P/s^2 +
+[q1]_-^2 R/r^2, with [q]_-^2 = min(q, 0)^2: q2^2/(s (rs - K^2)) in R2,
+q1^2/(r (rs - K^2)) in R3 and 0 on R1.  Every box takes the
 moment path for the polynomial: the bump is even in every coordinate, so
 its odd moments vanish and
 
@@ -32,7 +34,8 @@ where phi0 sums the kernel over its x and y taps and phi_xx, phi_yy weight
 that sum by the squared x or y offset.  Each term is a valid 3-D
 correlation on the padded (r, s, K) grid, and the output is one broadcast
 over x and y.  Then the kink is mollified on the (x, y) rows of the padded
-box that leave R1, and only there: H4 is sampled on no other node.  A row
+box that leave R1, and only there, from q1, q2 of `_branches` and the P, R
+the moment path built: H4 itself is not sampled.  A row
 leaves R1 exactly when `_branches` finds a node off R1 at its corners: for
 fixed x, y > 0 on r, s, K >= 0, q1 is least at (r_lo, K_hi) and q2 at
 (s_lo, K_hi), and float products and differences round monotonically.  The
@@ -40,7 +43,7 @@ default boxes have no such row from about Q = 2.71 on; at Q = 2 the padded
 box reaches past the cuts in 30 of its 225 rows.  P, G and R grow like
 1/(rs - K^2), and the rounding of the polynomial's transforms with them, so
 a box whose (rs - K^2)/rs falls below R1_ROOM skips the polynomial and
-convolves every row as H4 itself.
+convolves every row as H4 itself, the one path that samples H4.
 
 All correlations are circular on the padded (r, s, K) grid, transformed
 with numpy.fft at the lengths n themselves, and multiplied by the spectra
@@ -228,14 +231,13 @@ def _r1_fields(r, s, k):
     return s * h[0], kh[0], r * h[0]
 
 
-def _moment_convolve(spectra, m, padded_axes, spacing, fields):
-    """The valid part of (x^2 P - 2xy G + y^2 R) * kernel, from the kernel's
+def _moment_convolve(spectra, m, x, y, n, spacing, fields):
+    """The valid part of (x^2 P - 2xy G + y^2 R) * kernel, at the valid x and
+    y nodes and the padded (r, s, K) lengths n, from the kernel's
     moments phi0, phi_xx, phi_yy (module docstring), whose spectra are sums
     of the tap spectra: each folded tap (u, v) stands for its count of
     offsets (+-u, +-v), and phi_xx, phi_yy weight it by the squared x or y
     offset, (u spacing)^2 or (v spacing)^2."""
-    x, y = (a[m:len(a) - m] for a in padded_axes[:2])
-    n = tuple(len(a) for a in padded_axes[2:])
     taps = np.arange(m + 1)
     count = np.where(taps == 0, 1.0, 2.0)
     d2 = count * (spacing * taps) ** 2
@@ -256,22 +258,19 @@ def _moment_convolve(spectra, m, padded_axes, spacing, fields):
     return values
 
 
-def _kink(x, y, rsk, fields):
-    """x^2 P - 2xy G + y^2 R minus H4 on the (r, s, K) mesh rsk at one (x, y),
-    set to 0 on the R1 nodes, where H4 is that polynomial; without fields (a
-    box within R1_ROOM of rs = K^2), minus H4."""
-    if fields is None:
+def _kink(x, y, rsk, weights):
+    """x^2 P - 2xy G + y^2 R minus H4 on the (r, s, K) mesh rsk at one (x, y):
+    [q2]_-^2 P/s^2 + [q1]_-^2 R/r^2 from weights = (P/s^2, R/r^2), 0 on R1;
+    without weights (a box within R1_ROOM of rs = K^2), minus H4."""
+    if weights is None:
         return -h4_value(x, y, *rsk)
-    p, g, rr = fields
-    kink = x * x * p - 2.0 * x * y * g + y * y * rr
-    kink -= h4_value(x, y, *rsk)
-    kink[_branches(x, y, *rsk)[2][0]] = 0.0
-    return kink
+    q1, q2, _ = _branches(x, y, *rsk)
+    return np.minimum(q2, 0.0) ** 2 * weights[0] + np.minimum(q1, 0.0) ** 2 * weights[1]
 
 
 def _subtract_kink(values, spectra, m, padded_axes, fields):
     """Subtract from the moment path's values the valid part of kink * kernel,
-    where the kink is x^2 P - 2xy G + y^2 R minus H4, set to 0 on R1 nodes,
+    where the kink is x^2 P - 2xy G + y^2 R minus H4 in its closed form,
     read on the (x, y) rows of the padded box that leave R1 (module
     docstring).  The bump is even, so the correlation is the convolution."""
     x, y, r, s, k = padded_axes
@@ -281,8 +280,10 @@ def _subtract_kink(values, spectra, m, padded_axes, fields):
         return
     rows = np.empty((off.sum(),) + spectra.shape[2:], dtype=complex)
     rsk = np.meshgrid(r, s, k, indexing="ij", sparse=True)
+    weights = None if fields is None else (fields[0] / (rsk[1] * rsk[1]),
+                                           fields[2] / (rsk[0] * rsk[0]))
     for (i, j), row in zip(np.argwhere(off), rows):
-        row[...] = np.fft.rfftn(_kink(x[i], y[j], rsk, fields))
+        row[...] = np.fft.rfftn(_kink(x[i], y[j], rsk, weights))
     index = np.full(off.shape, -1)
     index[off] = np.arange(len(rows))
     fold = np.abs(np.arange(-m, m + 1))
@@ -339,10 +340,11 @@ def mollify_h4(ell: float, spec: GridSpec) -> MollifiedH4:
                           "move the (r, s) box away from rs = K^2")
 
     axes = [a[m:len(a) - m] for a in padded_axes]     # the nodes the values are computed at
-    spectra = _kernel_spectrum(kernel, m, tuple(len(a) for a in padded_axes[2:]))
+    n = tuple(len(a) for a in padded_axes[2:])
+    spectra = _kernel_spectrum(kernel, m, n)
     if k_hi * k_hi <= (1.0 - R1_ROOM) * r_lo * s_lo:
         fields = _r1_fields(*np.meshgrid(*padded_axes[2:], indexing="ij", sparse=True))
-        values = _moment_convolve(spectra, m, padded_axes, spec.spacing, fields)
+        values = _moment_convolve(spectra, m, *axes[:2], n, spec.spacing, fields)
     else:
         fields, values = None, np.zeros(tuple(map(len, axes)))
     _subtract_kink(values, spectra, m, padded_axes, fields)

@@ -274,11 +274,13 @@ def test_out_of_range_depth_exits_2_before_building_the_weight(tmp_path, capsys,
     (["tau-sweep", "--samples", "2000", "--ell", "1e-200"], "ell"),
     (["telescope", "--depth", "1", "--num", "1", "--anchor-mult", "1e200"], "anchor"),
     (["telescope", "--depth", "1", "--num", "1", "--anchor-mult", "2e153"], "anchor"),
+    (["telescope", "--depth", "6", "--num", "2", "--anchor-mult", "1.1e153"], "anchor"),
 ])
 def test_bad_instance_flags_exit_2_with_one_line(tmp_path, capsys, argv, word):
     # the --num and --anchor-mult rows used to write a header (and rows reading
     # false or nan, or a bellman_bound of inf passing) and exit 0 or 1, the
-    # overflowing anchors after RuntimeWarnings; --delta is refused before any
+    # overflowing anchors after RuntimeWarnings (at depth 6 with a finite size
+    # bound, B itself overflowed); --delta is refused before any
     # output too.
     # A power weight past the float range printed six lines of overflow
     # warnings before its error, and an ell whose drawn |x| underflow to 0

@@ -302,15 +302,20 @@ def test_telescope_decides_the_anchor_at_its_least_state_norm():
 
 def test_telescope_refuses_states_whose_size_bound_overflows():
     # leaves near 1e160 and the anchor 5e198 square past float64: the telescope
-    # printed RuntimeWarnings and read min_margin nan; 2e151 ell stays finite
+    # printed RuntimeWarnings and read min_margin nan; 2e151 ell stays finite.
+    # At depth 6, 1.1e153 ell keeps a finite size bound, but B overflows on
+    # the way: the telescope read min_margin -inf and failed
     cfg, X, Z, w = tele_setup(depth=4, seed=11)
     big = mg.DyadicMartingale.from_leaves(X.leaves * 1e160)
+    _, X6, Z6, w6 = tele_setup(depth=6, seed=11)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="overflows float64"):
             est.bellman_telescope(big, Z, w, cfg)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="overflows float64"):
             est.bellman_telescope(X, Z, w, cfg, anchor=5e198)
+        with pytest.raises(DomainError, match="overflows float64"):
+            est.bellman_telescope(X6, Z6, w6, cfg, anchor=cfg.ell * 1.1e153)
         assert est.bellman_telescope(X, Z, w, cfg, anchor=cfg.ell * 2e151)["pass"]
 
 

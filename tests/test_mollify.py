@@ -355,18 +355,23 @@ def _cut_functions(axes):
 @pytest.mark.parametrize("Q", [2.0, 16.0, 256.0])
 def test_slab_samples_equal_broadcast_h4(Q):
     # each (x, y) row of the padded box is an (r, s, K) slab; on every slab
-    # the kink is the R1 polynomial less H4 on the broadcast grid, bit for
-    # bit, and exactly 0 on the R1 nodes, so a row wholly in R1 adds nothing
+    # the kink [q2]_-^2 P/s^2 + [q1]_-^2 R/r^2 is exactly 0 on the R1 nodes,
+    # so a row wholly in R1 adds nothing, and off R1 it is the R1 polynomial
+    # less H4 on the broadcast grid up to rounding
     _, axes, n = _padded_box(Q)
-    rsk = np.meshgrid(*axes[2:], indexing="ij", sparse=True)
-    p, g, rr = fields = mo._r1_fields(*rsk)
+    r, s, _ = rsk = np.meshgrid(*axes[2:], indexing="ij", sparse=True)
+    p, g, rr = mo._r1_fields(*rsk)
     x, y = axes[0][:, None, None, None, None], axes[1][:, None, None, None]
+    poly = x * x * p - 2.0 * x * y * g + y * y * rr
     h4 = h4_value(*np.meshgrid(*axes, indexing="ij", sparse=True))
     q1, q2 = _cut_functions(axes)
-    want = np.where((q1 > 0.0) & (q2 > 0.0), 0.0, x * x * p - 2.0 * x * y * g + y * y * rr - h4)
-    got = np.stack([[mo._kink(a, b, rsk, fields) for b in axes[1]] for a in axes[0]])
-    assert got.shape == n and np.array_equal(got, want)
-    assert bool(want.any()) == (Q == 2.0)
+    in_r1 = (q1 > 0.0) & (q2 > 0.0)
+    weights = (p / (s * s), rr / (r * r))
+    got = np.stack([[mo._kink(a, b, rsk, weights) for b in axes[1]] for a in axes[0]])
+    assert got.shape == n and not got[in_r1].any()
+    scale = np.maximum(np.abs(poly), np.abs(h4))
+    assert (np.abs(got - (poly - h4)) <= 1e-14 * scale)[~in_r1].all()
+    assert bool((~in_r1).any()) == (Q == 2.0)
 
 
 @pytest.mark.parametrize("n", [_padded_box(q)[2] for q in (2.0, 16.0, 256.0)]
@@ -406,22 +411,22 @@ def test_pruned_pipeline_matches_three_transform_oracle(Q):
 
 
 def _rows_off_r1(axes):
-    """How many (x, y) rows of the padded box have a node off R1, read off
-    the cut functions at every node."""
+    """The mask of the (x, y) rows of the padded box that have a node off R1,
+    read off the cut functions at every node."""
     q1, q2 = _cut_functions(axes)
-    return int(((q1 <= 0.0) | (q2 <= 0.0)).any(axis=(2, 3, 4)).sum())
+    return ((q1 <= 0.0) | (q2 <= 0.0)).any(axis=(2, 3, 4))
 
 
 def test_mollify_peak_memory_is_bounded_by_the_rows_off_r1():
     # the output and one 5-D temporary, the (m + 1)^2 tap spectra, real and
     # complex, one complex half-spectrum per row off R1, and a dozen arrays of
-    # one row: h4_value holds about 8.4 at its peak.  The FFT path that read
-    # the whole box held its complex half-spectrum, 6.5 MB, and peaked at
-    # 10.6 MB
+    # one row: the kink's two weights and its temporaries.  The FFT path that
+    # read the whole box held its complex half-spectrum, 6.5 MB, and peaked
+    # at 10.6 MB
     spec, axes, n = _padded_box(2.0)
     half = np.prod(n[2:4]) * (n[4] // 2 + 1)
     out = np.prod([len(a) for a in spec.axes(0)])
-    bound = (2 * 8 * out + (8 + 16) * 16 * half + 16 * _rows_off_r1(axes) * half
+    bound = (2 * 8 * out + (8 + 16) * 16 * half + 16 * _rows_off_r1(axes).sum() * half
              + 12 * 8 * np.prod(n[2:]))
     tracemalloc.start()
     try:
@@ -445,18 +450,24 @@ def test_moment_path_peak_memory_is_below_one_padded_box():
     assert peak < 8 * np.prod(n)
 
 
-def _sampled_nodes(ell, spec):
-    """How many nodes mollify_h4 samples h4_value on for spec's box."""
-    nodes = []
+def _reads(ell, spec):
+    """How many nodes mollify_h4 samples h4_value on for spec's box, and the
+    (x, y) rows it builds a kink on."""
+    nodes, rows, kink_of = [], [], mo._kink
 
     def count(*args):
         out = h4_value(*args)
         nodes.append(out.size)
         return out
+
+    def kink(x, y, *args):
+        rows.append((x, y))
+        return kink_of(x, y, *args)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mo, "h4_value", count)
+        patch.setattr(mo, "_kink", kink)
         mo.mollify_h4(ell, spec)
-    return sum(nodes)
+    return sum(nodes), rows
 
 
 @pytest.mark.parametrize("Q,off,rows", [(1.02, 210, 225), (1.3, 142, 142), (1.5, 92, 92),
@@ -465,17 +476,21 @@ def _sampled_nodes(ell, spec):
                          ids=["Q1.02", "Q1.3", "Q1.5", "Q2", "Q4", "Q16", "Q256", "Q852",
                               "branch_cut"])
 def test_h4_is_sampled_on_the_rows_off_r1_only(Q, off, rows):
-    # a box in R1 samples H4 on no node; any other samples exactly its `off`
-    # rows off R1, each whole: at Q = 2, 30 x 15 * 15 * 14 = 94,500 nodes,
-    # where the FFT path sampled all 708,750.  The Q = 2 box's padded K axis
-    # runs past K(rs): q1, q2 reach -0.0516.  At Q = 1.02, within R1_ROOM of
-    # rs = K^2, every row is sampled
+    # a box in R1 reads no kink; a split box builds the kink on exactly its
+    # `off` rows off R1 from its closed form, and samples H4 on no node (as
+    # the polynomial less h4_value, the Q = 2 box sampled 30 x 15 * 15 * 14
+    # = 94,500 nodes).  The Q = 2 box's padded K axis runs past K(rs): q1, q2
+    # reach -0.0516.  At Q = 1.02, within R1_ROOM of rs = K^2, every row is
+    # convolved as H4, which is sampled on all 225 rows
     spec = _box(Q)
     axes = spec.axes(pad_cells=mo.bump_kernel(CFG.ell, spec.spacing)[1])
-    assert _rows_off_r1(axes) == off
-    nodes = _sampled_nodes(CFG.ell, spec)
-    assert nodes == rows * np.prod([len(a) for a in axes[2:]])
-    assert Q != 2.0 or nodes == 94_500
+    leave = _rows_off_r1(axes)
+    assert leave.sum() == off
+    nodes, kinks = _reads(CFG.ell, spec)
+    assert len(kinks) == len(set(kinks)) == rows
+    assert nodes == (rows * np.prod([len(a) for a in axes[2:]]) if Q == 1.02 else 0)
+    if Q != 1.02:
+        assert set(kinks) == {(axes[0][i], axes[1][j]) for i, j in np.argwhere(leave)}
 
 
 def _corner_box(nudge):
@@ -491,21 +506,55 @@ def _corner_box(nudge):
     return mo.GridSpec(lo=tuple(lo), hi=tuple(v + 2 * h for v in lo), spacing=h)
 
 
-@pytest.mark.parametrize("nudge,sampled", [(False, True), (True, False)],
+@pytest.mark.parametrize("nudge,kinks", [(False, 1), (True, 0)],
                          ids=["on_the_cut", "one_ulp_inside"])
-def test_q1_corner_decides_the_path(nudge, sampled):
+def test_q1_corner_decides_the_path(nudge, kinks):
     # the row at (x_hi, y_lo) reaches q1 = 0 at its corner (r_lo, K_hi) and
-    # leaves R1; one ulp higher, every row lies in R1 and H4 is not sampled
+    # leaves R1; one ulp higher, every row lies in R1 and no kink is read
     ell, spec = 1.0 / 16.0, _corner_box(nudge)
     kernel, m = mo.bump_kernel(ell, spec.spacing)
     x, y, r, _, k = axes = spec.axes(pad_cells=m)
     q1 = y[0] * r[0] - x[-1] * k[-1]
     assert q1 == (np.spacing(y[0] * r[0]) if nudge else 0.0)
-    assert (_sampled_nodes(ell, spec) > 0) is sampled
-    assert _rows_off_r1(axes) == (1 if sampled else 0)
+    assert _reads(ell, spec)[1] == [(x[-1], y[0])] * kinks
+    assert _rows_off_r1(axes).sum() == kinks
     padded = np.meshgrid(*axes, indexing="ij", sparse=True)
     expect = valid_convolution(h4_value(*padded), kernel)
     np.testing.assert_allclose(mo.mollify_h4(ell, spec).values, expect, rtol=1e-13, atol=0.0)
+
+
+def _room_box(room):
+    """A 2-cell box at spacing ell/4 around x = y = 0.45 whose padded corner
+    (r_lo, s_lo, K_hi) = (1, 1, sqrt(1 - room)) lies room from rs = K^2,
+    relative to rs: 72 of its 81 (x, y) rows leave R1, the 9 with x = y do not."""
+    h = CFG.ell / 4.0
+    lo = (0.45 + 3 * h, 0.45 + 3 * h, 1.0 + 3 * h, 1.0 + 3 * h,
+          np.sqrt(1.0 - room) - 5 * h)
+    return mo.GridSpec(lo=lo, hi=tuple(v + 2 * h for v in lo), spacing=h)
+
+
+@pytest.mark.parametrize("room,split", [(1.05e-3, True), (0.95e-3, False)],
+                         ids=["split", "fallback"])
+def test_r1_room_boundary_with_rows_off_r1(room, split):
+    # on either side of R1_ROOM, P, G and R grow to about 1/room, and the
+    # kink nearly cancels the polynomial off R1: both paths stay within the
+    # three-transform oracle's 1e-14 (they read about 7.2e-15 and 1.2e-15)
+    spec = _room_box(room)
+    kernel, m = mo.bump_kernel(CFG.ell, spec.spacing)
+    axes = spec.axes(pad_cells=m)
+    r_lo, s_lo, k_hi = axes[2][0], axes[3][0], axes[4][-1]
+    corner = (r_lo * s_lo - k_hi * k_hi) / (r_lo * s_lo)
+    assert abs(corner - room) <= 1e-9 and bool(corner > mo.R1_ROOM) == split
+    assert _rows_off_r1(axes).sum() == 72
+    nodes, kinks = _reads(CFG.ell, spec)
+    assert (nodes, len(kinks)) == ((0, 72) if split else (81 * np.prod(
+        [len(a) for a in axes[2:]]), 81))
+    values = h4_value(*np.meshgrid(*axes, indexing="ij", sparse=True))
+    n, every = values.shape, range(values.ndim)
+    circular = np.fft.irfftn(np.fft.rfftn(values) * np.fft.rfftn(kernel, n, every), n, every)
+    expect = circular[tuple(slice(2 * m, k) for k in n)]
+    got = mo.mollify_h4(CFG.ell, spec).values
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
 
 def _refused_unbuilt(build):
